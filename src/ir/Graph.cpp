@@ -10,8 +10,8 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
-#include <set>
 
 using namespace selgen;
 
@@ -140,106 +140,136 @@ unsigned Graph::numOperations() const {
 
 std::vector<Node *> Graph::liveNodes() const { return liveNodesFrom(Results); }
 
-std::vector<Node *>
-Graph::liveNodesFrom(const std::vector<NodeRef> &Roots) const {
-  std::set<const Node *> Live;
+std::vector<char> Graph::liveMask(const std::vector<NodeRef> &Roots) const {
+  std::vector<char> Live(NextId, 0);
   std::vector<Node *> Worklist;
+  auto mark = [&](Node *N) {
+    if (!Live[N->id()]) {
+      Live[N->id()] = 1;
+      Worklist.push_back(N);
+    }
+  };
   for (const NodeRef &Ref : Roots)
-    if (Ref.isValid() && Live.insert(Ref.Def).second)
-      Worklist.push_back(Ref.Def);
+    if (Ref.isValid())
+      mark(Ref.Def);
   while (!Worklist.empty()) {
     Node *N = Worklist.back();
     Worklist.pop_back();
     for (const NodeRef &Operand : N->operands())
-      if (Live.insert(Operand.Def).second)
-        Worklist.push_back(Operand.Def);
+      mark(Operand.Def);
   }
+  return Live;
+}
+
+std::vector<Node *>
+Graph::liveNodesFrom(const std::vector<NodeRef> &Roots) const {
+  std::vector<char> Live = liveMask(Roots);
   std::vector<Node *> Ordered;
   for (const auto &N : NodeList)
-    if (Live.count(N.get()))
+    if (Live[N->id()])
       Ordered.push_back(N.get());
   return Ordered;
 }
 
 void Graph::removeDeadNodes() {
-  std::set<const Node *> Live;
-  for (Node *N : liveNodes())
-    Live.insert(N);
+  std::vector<char> Live = liveMask(Results);
   auto IsDead = [&Live](const std::unique_ptr<Node> &N) {
-    return N->opcode() != Opcode::Arg && !Live.count(N.get());
+    return N->opcode() != Opcode::Arg && !Live[N->id()];
   };
   NodeList.erase(std::remove_if(NodeList.begin(), NodeList.end(), IsDead),
                  NodeList.end());
 }
 
+namespace {
+
+void appendNumber(std::string &Out, unsigned Value) {
+  char Buffer[16];
+  char *End = std::to_chars(Buffer, Buffer + sizeof(Buffer), Value).ptr;
+  Out.append(Buffer, End);
+}
+
+} // namespace
+
 std::string Graph::fingerprint() const {
   // Number the live nodes by depth-first post-order from the results,
   // so structurally identical graphs fingerprint identically no matter
   // in which order their nodes were created.
-  std::map<const Node *, unsigned> Numbering;
-  std::vector<Node *> Live;
-  auto visit = [&](auto &&Self, Node *N) -> void {
-    if (Numbering.count(N))
+  constexpr unsigned Unnumbered = ~0u;
+  std::vector<unsigned> Numbering(NextId, Unnumbered);
+  std::vector<const Node *> Live;
+  auto visit = [&](auto &&Self, const Node *N) -> void {
+    if (Numbering[N->id()] != Unnumbered)
       return;
     // Mark before recursing is unnecessary: graphs are acyclic.
     for (const NodeRef &Operand : N->operands())
       Self(Self, Operand.Def);
-    Numbering[N] = Numbering.size();
+    Numbering[N->id()] = static_cast<unsigned>(Live.size());
     Live.push_back(N);
   };
   for (const NodeRef &Ref : Results)
     if (Ref.isValid())
       visit(visit, Ref.Def);
 
-  std::string Result = "w" + std::to_string(Width) + ";";
-  for (Node *N : Live) {
+  std::string Result;
+  auto appendRef = [&](const NodeRef &Ref) {
+    assert(Ref.isValid() && "fingerprint of an unset reference");
+    appendNumber(Result, Numbering[Ref.Def->id()]);
+    Result += '.';
+    appendNumber(Result, Ref.Index);
+  };
+  Result += 'w';
+  appendNumber(Result, Width);
+  Result += ';';
+  for (const Node *N : Live) {
     Result += opcodeName(N->opcode());
     switch (N->opcode()) {
     case Opcode::Arg:
-      Result += "#" + std::to_string(N->argIndex());
+      Result += '#';
+      appendNumber(Result, N->argIndex());
       break;
     case Opcode::Const:
-      Result += "#" + N->constValue().toHexString() + ":" +
-                std::to_string(N->constValue().width());
+      Result += '#';
+      Result += N->constValue().toHexString();
+      Result += ':';
+      appendNumber(Result, N->constValue().width());
       break;
     case Opcode::Cmp:
-      Result += "#" + std::string(relationName(N->relation()));
+      Result += '#';
+      Result += relationName(N->relation());
       break;
     default:
       break;
     }
-    Result += "(";
+    Result += '(';
     for (unsigned I = 0; I < N->numOperands(); ++I) {
       if (I != 0)
-        Result += ",";
-      NodeRef Operand = N->operand(I);
-      Result += std::to_string(Numbering.at(Operand.Def)) + "." +
-                std::to_string(Operand.Index);
+        Result += ',';
+      appendRef(N->operand(I));
     }
     Result += ");";
   }
   Result += "->";
   for (unsigned I = 0; I < Results.size(); ++I) {
     if (I != 0)
-      Result += ",";
-    Result += std::to_string(Numbering.at(Results[I].Def)) + "." +
-              std::to_string(Results[I].Index);
+      Result += ',';
+    appendRef(Results[I]);
   }
   return Result;
 }
 
 Graph Graph::clone() const {
   Graph Copy(Width, argSorts());
-  std::map<const Node *, Node *> Mapping;
+  // Indexed by the source node's id; ids are dense below NextId.
+  std::vector<Node *> Mapping(NextId, nullptr);
   for (unsigned I = 0; I < Args.size(); ++I)
-    Mapping[Args[I]] = Copy.Args[I];
+    Mapping[Args[I]->id()] = Copy.Args[I];
   for (const auto &N : NodeList) {
     if (N->opcode() == Opcode::Arg)
       continue;
     std::vector<NodeRef> Operands;
     Operands.reserve(N->numOperands());
     for (const NodeRef &Operand : N->operands())
-      Operands.emplace_back(Mapping.at(Operand.Def), Operand.Index);
+      Operands.emplace_back(Mapping[Operand.Def->id()], Operand.Index);
     Node *NewNode = Copy.addNode(N->opcode(), std::move(Operands), [&] {
       std::vector<Sort> Sorts;
       for (unsigned I = 0; I < N->numResults(); ++I)
@@ -250,11 +280,11 @@ Graph Graph::clone() const {
       NewNode->setConstValue(N->constValue());
     if (N->opcode() == Opcode::Cmp)
       NewNode->setRelation(N->relation());
-    Mapping[N.get()] = NewNode;
+    Mapping[N->id()] = NewNode;
   }
   std::vector<NodeRef> NewResults;
   for (const NodeRef &Ref : Results)
-    NewResults.emplace_back(Mapping.at(Ref.Def), Ref.Index);
+    NewResults.emplace_back(Mapping[Ref.Def->id()], Ref.Index);
   Copy.setResults(std::move(NewResults));
   return Copy;
 }

@@ -115,7 +115,12 @@ private:
   std::vector<std::unique_ptr<Node>> NodeList;
   std::vector<Node *> Args;
   std::vector<NodeRef> Results;
+  /// Node ids are dense below NextId, so per-node traversal state lives
+  /// in vectors indexed by Node::id().
   unsigned NextId = 0;
+
+  /// Reachability from \p Roots, indexed by Node::id().
+  std::vector<char> liveMask(const std::vector<NodeRef> &Roots) const;
 
   Node *addNode(Opcode Op, std::vector<NodeRef> Operands,
                 std::vector<Sort> ResultSorts);

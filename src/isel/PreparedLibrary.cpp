@@ -10,6 +10,7 @@
 #include "isel/Matcher.h"
 #include "support/Hashing.h"
 
+#include <cassert>
 #include <map>
 
 using namespace selgen;
@@ -17,13 +18,12 @@ using namespace selgen;
 PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
                                  const GoalLibrary &Goals) {
   // Own a sorted copy of the rules (the database may outlive us or
-  // not; cloning decouples lifetimes).
-  PatternDatabase Sorted;
+  // not; cloning decouples lifetimes). The database holds no duplicates,
+  // and each clone carries its stored fingerprint over.
+  OwnedRules.reserve(Database.size());
   for (const Rule &R : Database.rules())
-    Sorted.add(R.GoalName, R.Pattern.clone());
-  Sorted.sortSpecificFirst();
-  for (const Rule &R : Sorted.rules())
-    OwnedRules.emplace_back(R.GoalName, R.Pattern.clone());
+    OwnedRules.push_back(R.clone());
+  sortRulesSpecificFirst(OwnedRules);
 
   StableHasher Hasher;
   Hasher.str("selgen-prepared-library-v1");
@@ -39,6 +39,8 @@ PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
   };
 
   for (const Rule &R : OwnedRules) {
+    assert(R.fingerprint() == R.Pattern.fingerprint() &&
+           "stored rule fingerprint is stale");
     const GoalInstruction *Goal = Goals.find(R.GoalName);
     if (!Goal)
       continue; // Rule for a goal outside this target subset.
@@ -75,7 +77,7 @@ PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
     Prepared.Index = static_cast<uint32_t>(Rules.size());
     Prepared.Cost = goalCost(*Goal);
     Hasher.str(R.GoalName);
-    Hasher.str(R.Pattern.fingerprint());
+    Hasher.str(R.fingerprint());
     Rules.push_back(Prepared);
   }
   Hasher.u64(Rules.size());

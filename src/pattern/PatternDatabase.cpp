@@ -10,34 +10,58 @@
 #include "ir/Normalizer.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "support/AtomicFile.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
+#include <numeric>
 #include <set>
-#include <sstream>
+#include <string_view>
 
 using namespace selgen;
 
+namespace {
+
+size_t indexKey(const Rule &R) {
+  size_t Hash = std::hash<std::string_view>()(R.GoalName);
+  return Hash * 31 + std::hash<std::string_view>()(R.fingerprint());
+}
+
+} // namespace
+
 bool PatternDatabase::add(std::string GoalName, Graph Pattern) {
-  std::string Key = GoalName + "|" + Pattern.fingerprint();
-  if (!Index.insert(std::move(Key)).second)
-    return false;
-  Rules.emplace_back(std::move(GoalName), std::move(Pattern));
+  return insert(Rule(std::move(GoalName), std::move(Pattern)));
+}
+
+bool PatternDatabase::insert(Rule &&R) {
+  size_t Key = indexKey(R);
+  auto [Begin, End] = Index.equal_range(Key);
+  for (auto It = Begin; It != End; ++It) {
+    const Rule &Existing = Rules[It->second];
+    if (Existing.GoalName == R.GoalName &&
+        Existing.fingerprint() == R.fingerprint())
+      return false;
+  }
+  Index.emplace(Key, static_cast<uint32_t>(Rules.size()));
+  Rules.push_back(std::move(R));
   return true;
 }
 
 void PatternDatabase::rebuildIndex() {
   Index.clear();
-  for (const Rule &R : Rules)
-    Index.insert(R.GoalName + "|" + R.Pattern.fingerprint());
+  Index.reserve(Rules.size());
+  for (uint32_t I = 0; I < Rules.size(); ++I)
+    Index.emplace(indexKey(Rules[I]), I);
 }
 
 void PatternDatabase::merge(PatternDatabase &&Other) {
   for (Rule &R : Other.Rules)
-    add(std::move(R.GoalName), std::move(R.Pattern));
+    insert(std::move(R));
   Other.Rules.clear();
+  Other.Index.clear();
 }
 
 std::vector<const Rule *>
@@ -70,34 +94,46 @@ size_t PatternDatabase::filterNonNormalized() {
   size_t Before = Rules.size();
   std::vector<Rule> Kept;
   for (Rule &R : Rules)
-    if (isNormalized(R.Pattern))
+    if (normalizeGraph(R.Pattern).fingerprint() == R.fingerprint())
       Kept.push_back(std::move(R));
   Rules = std::move(Kept);
   rebuildIndex();
   return Before - Rules.size();
 }
 
-void PatternDatabase::sortSpecificFirst() {
-  auto numConstants = [](const Graph &G) {
-    unsigned Count = 0;
-    for (Node *N : G.liveNodes())
-      if (N->opcode() == Opcode::Const)
-        ++Count;
-    return Count;
+void selgen::sortRulesSpecificFirst(std::vector<Rule> &Rules) {
+  struct SortKey {
+    unsigned Operations;
+    unsigned Constants;
   };
-  std::stable_sort(Rules.begin(), Rules.end(),
-                   [&](const Rule &A, const Rule &B) {
-                     unsigned OpsA = A.Pattern.numOperations();
-                     unsigned OpsB = B.Pattern.numOperations();
-                     if (OpsA != OpsB)
-                       return OpsA > OpsB;
-                     unsigned ConstsA = numConstants(A.Pattern);
-                     unsigned ConstsB = numConstants(B.Pattern);
-                     if (ConstsA != ConstsB)
-                       return ConstsA > ConstsB;
-                     return A.Pattern.fingerprint() <
-                            B.Pattern.fingerprint();
-                   });
+  std::vector<SortKey> Keys;
+  Keys.reserve(Rules.size());
+  for (const Rule &R : Rules) {
+    unsigned Constants = 0;
+    for (const Node *N : R.Pattern.liveNodes())
+      if (N->opcode() == Opcode::Const)
+        ++Constants;
+    Keys.push_back({R.Pattern.numOperations(), Constants});
+  }
+  std::vector<uint32_t> Order(Rules.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    if (Keys[A].Operations != Keys[B].Operations)
+      return Keys[A].Operations > Keys[B].Operations;
+    if (Keys[A].Constants != Keys[B].Constants)
+      return Keys[A].Constants > Keys[B].Constants;
+    return Rules[A].fingerprint() < Rules[B].fingerprint();
+  });
+  std::vector<Rule> Sorted;
+  Sorted.reserve(Rules.size());
+  for (uint32_t I : Order)
+    Sorted.push_back(std::move(Rules[I]));
+  Rules = std::move(Sorted);
+}
+
+void PatternDatabase::sortSpecificFirst() {
+  sortRulesSpecificFirst(Rules);
+  rebuildIndex();
 }
 
 std::string PatternDatabase::serialize() const {
@@ -113,8 +149,6 @@ std::string PatternDatabase::serialize() const {
 PatternDatabase PatternDatabase::deserialize(const std::string &Text,
                                              std::string *ErrorMessage) {
   PatternDatabase Database;
-  std::istringstream Stream(Text);
-  std::string Line;
   std::string GoalName;
   std::string GraphText;
   bool InRule = false;
@@ -123,14 +157,21 @@ PatternDatabase PatternDatabase::deserialize(const std::string &Text,
       *ErrorMessage = Message;
     return PatternDatabase();
   };
-  while (std::getline(Stream, Line)) {
-    std::string Trimmed = trimString(Line);
-    if (Trimmed.empty() || startsWith(Trimmed, "#"))
+  // Lines are views into Text; only pattern bodies are copied, into the
+  // one GraphText buffer handed to the parser.
+  std::string_view Rest(Text);
+  while (!Rest.empty()) {
+    size_t Newline = Rest.find('\n');
+    std::string_view Line = Rest.substr(0, Newline);
+    Rest.remove_prefix(Newline == std::string_view::npos ? Rest.size()
+                                                         : Newline + 1);
+    std::string_view Trimmed = trimView(Line);
+    if (Trimmed.empty() || Trimmed.front() == '#')
       continue;
-    if (startsWith(Trimmed, "rule ")) {
+    if (Trimmed.substr(0, 5) == "rule ") {
       if (InRule)
         return fail("nested rule record");
-      GoalName = trimString(Trimmed.substr(5));
+      GoalName = trimView(Trimmed.substr(5));
       GraphText.clear();
       InRule = true;
       continue;
@@ -146,10 +187,11 @@ PatternDatabase PatternDatabase::deserialize(const std::string &Text,
       InRule = false;
       continue;
     }
-    if (InRule)
-      GraphText += Line + "\n";
-    else
-      return fail("unexpected line outside rule record: " + Trimmed);
+    if (!InRule)
+      return fail("unexpected line outside rule record: " +
+                  std::string(Trimmed));
+    GraphText += Line;
+    GraphText += '\n';
   }
   if (InRule)
     return fail("unterminated rule record");
@@ -164,13 +206,11 @@ void PatternDatabase::saveToFile(const std::string &Path) const {
 }
 
 PatternDatabase PatternDatabase::loadFromFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  std::optional<std::string> Text = readFileToString(Path);
+  if (!Text)
     reportFatalError("cannot read pattern database: " + Path);
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  PatternDatabase Database = deserialize(Buffer.str(), &Error);
+  PatternDatabase Database = deserialize(*Text, &Error);
   if (!Error.empty())
     reportFatalError("corrupt pattern database " + Path + ": " + Error);
   return Database;

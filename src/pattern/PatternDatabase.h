@@ -21,20 +21,45 @@
 
 #include "ir/Graph.h"
 
-#include <set>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace selgen {
 
 /// One instruction selection rule: "if Pattern matches, emit Goal".
+///
+/// The pattern's fingerprint is computed once, at construction, and
+/// every later duplicate check, sort and content hash reads the stored
+/// copy. Patterns are therefore never mutated once they are in a rule.
 struct Rule {
   std::string GoalName;
   Graph Pattern;
 
   Rule(std::string GoalName, Graph Pattern)
-      : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)) {}
+      : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
+        Fingerprint(this->Pattern.fingerprint()) {}
+
+  /// Pattern.fingerprint(), as computed at construction.
+  const std::string &fingerprint() const { return Fingerprint; }
+
+  /// Deep copy that carries the stored fingerprint over.
+  Rule clone() const { return Rule(GoalName, Pattern.clone(), Fingerprint); }
+
+private:
+  std::string Fingerprint;
+
+  Rule(std::string GoalName, Graph Pattern, std::string Fingerprint)
+      : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
+        Fingerprint(std::move(Fingerprint)) {}
 };
+
+/// Sorts \p Rules from more specific to less specific patterns
+/// (Section 5.6): more operations first; ties broken toward patterns
+/// with more constants, then by fingerprint. Each rule's sort key is
+/// computed once; the sort is stable.
+void sortRulesSpecificFirst(std::vector<Rule> &Rules);
 
 /// A library of rules.
 class PatternDatabase {
@@ -44,7 +69,7 @@ public:
   bool add(std::string GoalName, Graph Pattern);
 
   /// Merges another database (aggregation across synthesizer runs,
-  /// Section 5.5).
+  /// Section 5.5). Leaves \p Other empty and reusable.
   void merge(PatternDatabase &&Other);
 
   const std::vector<Rule> &rules() const { return Rules; }
@@ -63,9 +88,7 @@ public:
   /// (Section 5.6). Returns the number of rules removed.
   size_t filterNonNormalized();
 
-  /// Sorts from more specific to less specific patterns (Section 5.6):
-  /// more operations first; ties broken toward patterns with more
-  /// constants, then deterministically by fingerprint.
+  /// Sorts the library with sortRulesSpecificFirst().
   void sortSpecificFirst();
 
   /// Serialization (text, self-delimiting records).
@@ -79,10 +102,14 @@ public:
 
 private:
   std::vector<Rule> Rules;
-  /// Fingerprint index ("goal|fingerprint") for O(log n) duplicate
-  /// detection; the paper-scale library has 154 470 entries.
-  std::set<std::string> Index;
+  /// Duplicate index for O(1) detection: hash of (goal, fingerprint) to
+  /// positions in Rules. It stores no key copies, so it must be rebuilt
+  /// whenever Rules is reordered or filtered; the paper-scale library
+  /// has 154 470 entries.
+  std::unordered_multimap<size_t, uint32_t> Index;
 
+  /// Appends \p R unless an identical rule is already present.
+  bool insert(Rule &&R);
   void rebuildIndex();
 };
 

@@ -41,9 +41,13 @@ std::string selgen::joinStrings(const std::vector<std::string> &Parts,
 }
 
 std::string selgen::trimString(const std::string &Str) {
+  return std::string(trimView(Str));
+}
+
+std::string_view selgen::trimView(std::string_view Str) {
   size_t Begin = Str.find_first_not_of(" \t\r\n");
-  if (Begin == std::string::npos)
-    return "";
+  if (Begin == std::string_view::npos)
+    return {};
   size_t End = Str.find_last_not_of(" \t\r\n");
   return Str.substr(Begin, End - Begin + 1);
 }

@@ -15,6 +15,7 @@
 #define SELGEN_SUPPORT_STRINGUTILS_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace selgen {
@@ -28,6 +29,9 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 
 /// Removes leading and trailing whitespace.
 std::string trimString(const std::string &Str);
+
+/// trimString() without the copy: a view into \p Str.
+std::string_view trimView(std::string_view Str);
 
 /// Returns true if \p Str starts with \p Prefix.
 bool startsWith(const std::string &Str, const std::string &Prefix);

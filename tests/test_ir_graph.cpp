@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Graph.h"
+#include "ir/Normalizer.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
@@ -115,6 +116,65 @@ TEST(Graph, LiveNodesFromRoots) {
   EXPECT_EQ(G.liveNodes().size(), 2u);        // Arg + Not.
   EXPECT_EQ(G.liveNodesFrom({B}).size(), 2u); // Arg + Minus.
   EXPECT_EQ(G.liveNodesFrom({A, B}).size(), 3u);
+}
+
+// The rule library's duplicate index, specific-first sort and prepared
+// content hash all key on these exact strings, so they are pinned byte
+// for byte rather than only compared with each other.
+
+TEST(Graph, FingerprintPinnedAcrossIdGaps) {
+  Graph G(8, {Sort::value(8), Sort::value(8)});
+  G.createBinary(Opcode::Sub, G.arg(0), G.arg(1)); // Dead.
+  NodeRef Sum = G.createBinary(Opcode::Add, G.arg(1), G.arg(0));
+  G.createUnary(Opcode::Not, Sum); // Dead.
+  G.setResults({G.createUnary(Opcode::Minus, Sum)});
+  const std::string Expected =
+      "w8;Arg#1();Arg#0();Add(0.0,1.0);Minus(2.0);->3.0";
+  EXPECT_EQ(G.fingerprint(), Expected);
+  G.removeDeadNodes();
+  EXPECT_EQ(G.fingerprint(), Expected);
+  // Normalization rebuilds the graph and drops dead nodes again.
+  EXPECT_EQ(normalizeGraph(G).fingerprint(),
+            "w8;Arg#0();Arg#1();Add(0.0,1.0);Minus(2.0);->3.0");
+}
+
+TEST(Graph, FingerprintPinnedForMultiResultNodes) {
+  Graph Figure1 = makeFigure1Pattern(8);
+  EXPECT_EQ(Figure1.fingerprint(),
+            "w8;Arg#0();Arg#1();Load(0.0,1.0);Arg#2();Add(2.1,3.0);->2.0,4.0");
+
+  Graph Jump(8, {Sort::value(8), Sort::value(8)});
+  NodeRef Less = Jump.createCmp(Relation::Ult, Jump.arg(0), Jump.arg(1));
+  Node *Cond = Jump.createCond(Less);
+  Jump.setResults({NodeRef(Cond, 1), NodeRef(Cond, 0)});
+  EXPECT_EQ(Jump.fingerprint(),
+            "w8;Arg#0();Arg#1();Cmp#ult(0.0,1.0);Cond(2.0);->3.1,3.0");
+}
+
+TEST(Graph, FingerprintPinnedForSharedOperandsAndAttributes) {
+  Graph G(8, {Sort::value(8)});
+  NodeRef Masked =
+      G.createBinary(Opcode::And, G.arg(0), G.createConst(BitValue(8, 0xf0)));
+  NodeRef Twice = G.createBinary(Opcode::Add, Masked, Masked);
+  NodeRef Equal = G.createCmp(Relation::Eq, Twice, Masked);
+  G.setResults({G.createMux(Equal, Masked, Twice), Masked});
+  EXPECT_EQ(G.fingerprint(), "w8;Arg#0();Const#0xf0:8();And(0.0,1.0);Add(2.0,2.0);"
+                             "Cmp#eq(3.0,2.0);Mux(4.0,2.0,3.0);->5.0,2.0");
+}
+
+TEST(Graph, LiveNodesKeepCreationOrderAfterDeadNodeRemoval) {
+  Graph G(8, {Sort::value(8), Sort::value(8)});
+  NodeRef Late = G.createUnary(Opcode::Not, G.arg(1));
+  G.createBinary(Opcode::Sub, G.arg(0), G.arg(1)); // Dead.
+  NodeRef Early = G.createUnary(Opcode::Minus, G.arg(0));
+  G.createUnary(Opcode::Not, Early); // Dead.
+  G.setResults({G.createBinary(Opcode::Add, Early, Late)});
+  G.removeDeadNodes();
+  std::vector<unsigned> Ids;
+  for (const Node *N : G.liveNodes())
+    Ids.push_back(N->id());
+  EXPECT_EQ(Ids, (std::vector<unsigned>{0, 1, 2, 4, 6}));
+  EXPECT_EQ(G.liveNodesFrom({Early}).size(), 2u); // Arg 0 + Minus.
 }
 
 TEST(Printer, RoundTripThroughParser) {

@@ -565,3 +565,40 @@ TEST_F(MatchergenTest, BinaryRejectsBadStructureTyped) {
   fixCrcs(BadPool);
   EXPECT_EQ(loadCode(BadPool), BinaryAutomatonError::BadStructure);
 }
+
+TEST(ShippedLibraryIdentity, PreparedFingerprintAndImageBytesArePinned) {
+  // The values the shipped libraries produced before the library path
+  // was optimized: the load -> filter -> sort -> prepare -> compile
+  // pipeline of selgen-matchergen must keep its output byte-identical.
+  struct Golden {
+    const char *Library;
+    const char *PreparedFingerprint;
+    uint32_t SerializedCrc; ///< Of serialize() after filter and sort.
+    uint32_t ImageCrc;      ///< Of the writeBinaryFile() bytes.
+  };
+  const Golden Pins[] = {
+      {"rule-library-basic-w8.dat", "03e3529f05a3ed75", 0x698c4188u,
+       0xb2e667d5u},
+      {"rule-library-full-w8.dat", "2b4136da68b056a5", 0x702e364bu,
+       0xafeede69u},
+  };
+  GoalLibrary Goals = GoalLibrary::build(W, GoalLibrary::allGroups());
+  for (const Golden &Pin : Pins) {
+    SCOPED_TRACE(Pin.Library);
+    PatternDatabase Database = PatternDatabase::loadFromFile(
+        std::string(SELGEN_ARTIFACTS_DIR) + "/" + Pin.Library);
+    Database.filterNonNormalized();
+    Database.sortSpecificFirst();
+    EXPECT_EQ(crc32(Database.serialize()), Pin.SerializedCrc);
+    PreparedLibrary Library(Database, Goals);
+    EXPECT_EQ(Library.fingerprint(), Pin.PreparedFingerprint);
+
+    std::string Path =
+        ::testing::TempDir() + "/golden-" + Pin.Library + ".matb";
+    ASSERT_TRUE(buildMatcherAutomaton(Library).writeBinaryFile(Path));
+    std::optional<std::string> Image = readFileToString(Path);
+    std::remove(Path.c_str());
+    ASSERT_TRUE(Image);
+    EXPECT_EQ(crc32(*Image), Pin.ImageCrc);
+  }
+}

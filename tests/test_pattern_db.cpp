@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 
 using namespace selgen;
 
@@ -43,6 +45,21 @@ Graph nonNormalizedPattern() {
   return G;
 }
 
+/// Every rule's stored fingerprint must equal a fresh one.
+void expectFingerprintsFresh(const PatternDatabase &DB) {
+  for (const Rule &R : DB.rules())
+    EXPECT_EQ(R.fingerprint(), R.Pattern.fingerprint()) << R.GoalName;
+}
+
+/// (goal, fingerprint) pairs in library order.
+std::vector<std::pair<std::string, std::string>>
+ruleSequence(const PatternDatabase &DB) {
+  std::vector<std::pair<std::string, std::string>> Sequence;
+  for (const Rule &R : DB.rules())
+    Sequence.emplace_back(R.GoalName, R.fingerprint());
+  return Sequence;
+}
+
 } // namespace
 
 TEST(PatternDatabase, AddRejectsExactDuplicates) {
@@ -62,6 +79,48 @@ TEST(PatternDatabase, MergeAggregates) {
   B.add("blsr", blsrPattern());
   A.merge(std::move(B));
   EXPECT_EQ(A.size(), 2u);
+}
+
+TEST(PatternDatabase, MergedFromDatabaseIsReusable) {
+  PatternDatabase A, B;
+  B.add("blsr", blsrPattern());
+  A.merge(std::move(B));
+  EXPECT_EQ(B.size(), 0u);
+  // The drained database must not remember the moved-out rule.
+  EXPECT_TRUE(B.add("blsr", blsrPattern()));
+  EXPECT_EQ(B.size(), 1u);
+  EXPECT_FALSE(A.add("blsr", blsrPattern()));
+  EXPECT_EQ(A.size(), 1u);
+}
+
+TEST(PatternDatabase, StoredFingerprintsStayFresh) {
+  PatternDatabase A, B;
+  A.add("add_rr", addPattern(false));
+  A.add("add_ri", nonNormalizedPattern());
+  B.add("add_rr", addPattern(true));
+  B.add("blsr", blsrPattern());
+  expectFingerprintsFresh(A);
+  A.merge(std::move(B));
+  expectFingerprintsFresh(A);
+
+  std::string Error;
+  PatternDatabase Loaded = PatternDatabase::deserialize(A.serialize(), &Error);
+  ASSERT_TRUE(Error.empty()) << Error;
+  EXPECT_EQ(ruleSequence(Loaded), ruleSequence(A));
+  expectFingerprintsFresh(Loaded);
+
+  EXPECT_EQ(Loaded.filterCommutativeDuplicates(), 1u);
+  expectFingerprintsFresh(Loaded);
+  EXPECT_EQ(Loaded.filterNonNormalized(), 1u);
+  expectFingerprintsFresh(Loaded);
+  Loaded.sortSpecificFirst();
+  expectFingerprintsFresh(Loaded);
+  ASSERT_EQ(Loaded.size(), 2u);
+  EXPECT_EQ(Loaded.rules()[0].GoalName, "blsr");
+  // The index follows the reordering: re-adding either rule is a no-op.
+  EXPECT_FALSE(Loaded.add("blsr", blsrPattern()));
+  EXPECT_FALSE(Loaded.add("add_rr", addPattern(false)));
+  EXPECT_EQ(Loaded.size(), 2u);
 }
 
 TEST(PatternDatabase, CommutativeDuplicateFilter) {
@@ -95,6 +154,40 @@ TEST(PatternDatabase, SortSpecificFirst) {
   EXPECT_EQ(DB.rules()[0].GoalName, "blsr");
   EXPECT_EQ(DB.rules()[1].GoalName, "inc_r");
   EXPECT_EQ(DB.rules()[2].GoalName, "add_rr");
+}
+
+TEST(PatternDatabase, SortSpecificFirstIgnoresInputOrder) {
+  // On the shipped library many rules tie on operation and constant
+  // counts, so the order below them rests on the fingerprint tie-break.
+  PatternDatabase FileOrder = PatternDatabase::loadFromFile(
+      std::string(SELGEN_ARTIFACTS_DIR) + "/rule-library-full-w8.dat");
+  ASSERT_GT(FileOrder.size(), 100u);
+  std::vector<const Rule *> Shuffled;
+  for (const Rule &R : FileOrder.rules())
+    Shuffled.push_back(&R);
+  std::shuffle(Shuffled.begin(), Shuffled.end(), std::mt19937(12));
+  PatternDatabase ShuffledOrder;
+  for (const Rule *R : Shuffled)
+    ShuffledOrder.add(R->GoalName, R->Pattern.clone());
+  ASSERT_NE(ruleSequence(ShuffledOrder), ruleSequence(FileOrder));
+
+  FileOrder.sortSpecificFirst();
+  ShuffledOrder.sortSpecificFirst();
+  // Rules of different goals can share a pattern; the stable sort keeps
+  // such rules in input order, so only those runs may differ, by goal.
+  auto tiesByGoal = [](const PatternDatabase &DB) {
+    auto Sequence = ruleSequence(DB);
+    for (auto Run = Sequence.begin(); Run != Sequence.end();) {
+      auto RunEnd = std::find_if(Run, Sequence.end(), [&](const auto &Entry) {
+        return Entry.second != Run->second;
+      });
+      std::sort(Run, RunEnd);
+      Run = RunEnd;
+    }
+    return Sequence;
+  };
+  EXPECT_EQ(tiesByGoal(ShuffledOrder), tiesByGoal(FileOrder));
+  expectFingerprintsFresh(ShuffledOrder);
 }
 
 TEST(PatternDatabase, SerializationRoundTrip) {
