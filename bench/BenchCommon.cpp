@@ -54,7 +54,7 @@ selgen::bench::makeRuleDrivenSelector(const PatternDatabase &Db,
                                       const GoalLibrary &Goals) {
   if (std::optional<CostKind> Kind = benchCostModel())
     return std::make_unique<TilingSelector>(Db, Goals, *Kind);
-  return std::make_unique<AutomatonSelector>(Db, Goals);
+  return std::make_unique<MappedAutomatonSelector>(Db, Goals);
 }
 
 static double goalBudgetSeconds() {

@@ -57,7 +57,7 @@ bool fullScale();
 std::optional<CostKind> benchCostModel();
 
 /// The rule-driven selector the benchmark harnesses should measure
-/// over \p Db: the first-match AutomatonSelector by default, or a
+/// over \p Db: the first-match MappedAutomatonSelector by default, or a
 /// cost-minimal TilingSelector under SELGEN_COST_MODEL (see
 /// benchCostModel()).
 std::unique_ptr<InstructionSelector>

@@ -160,7 +160,7 @@ int main() {
       "beyond-paper extension (DESIGN.md Section 4f): --selector tiling "
       "--cost-model latency");
 
-  AutomatonSelector FirstMatch(FullDb, FullGoals.Goals);
+  MappedAutomatonSelector FirstMatch(FullDb, FullGoals.Goals);
   TilingSelector TilingUnit(FullDb, FullGoals.Goals, CostKind::Unit);
   TilingSelector TilingLatency(FullDb, FullGoals.Goals, CostKind::Latency);
 

@@ -97,7 +97,7 @@ int main() {
   // legitimately re-order candidate tiles).
   HandwrittenSelector Handwritten;
   GeneratedSelector Linear(FullDb, FullGoals.Goals);
-  AutomatonSelector Automaton(FullDb, FullGoals.Goals);
+  MappedAutomatonSelector Automaton(FullDb, FullGoals.Goals);
   std::unique_ptr<InstructionSelector> RuleDriven =
       makeRuleDrivenSelector(FullDb, FullGoals.Goals);
   std::optional<CostKind> Model = benchCostModel();
@@ -106,9 +106,9 @@ int main() {
       Model ? "Tiling/" + std::string(costKindName(*Model)) : "Automaton";
   std::printf("library: %zu rules; automaton: %zu states, %llu transitions; "
               "rule-driven arm: %s\n",
-              Linear.numRules(), Automaton.automaton().numStates(),
+              Linear.numRules(), Automaton.view().numStates(),
               static_cast<unsigned long long>(
-                  Automaton.automaton().numTransitions()),
+                  Automaton.view().numTransitions()),
               RuleDrivenLabel.c_str());
 
   bool Identical = true;
@@ -223,14 +223,14 @@ int main() {
     // The automaton selector stays for the state count and the
     // byte-identity differential; under SELGEN_COST_MODEL the timed
     // arm is the tiling selector.
-    AutomatonSelector ScaledAutomaton(Db, FullGoals.Goals);
+    MappedAutomatonSelector ScaledAutomaton(Db, FullGoals.Goals);
     std::unique_ptr<InstructionSelector> ScaledRuleDriven =
         makeRuleDrivenSelector(Db, FullGoals.Goals);
     Measurement Lin = measure(ScaledLinear, Workloads, Reps);
     Measurement Auto = measure(*ScaledRuleDriven, Workloads, Reps);
     double Speedup = Lin.Seconds / Auto.Seconds;
     MaxSpeedup = std::max(MaxSpeedup, Speedup);
-    Arm.States = ScaledAutomaton.automaton().numStates();
+    Arm.States = ScaledAutomaton.view().numStates();
     for (const Function &F : Workloads)
       Arm.Asm.push_back(asmBody(*ScaledAutomaton.select(F).MF));
     ScaleTable.addRow({Label, formatGrouped(Db.size()),

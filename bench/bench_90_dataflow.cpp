@@ -104,7 +104,7 @@ int main() {
       loadOrSynthesizeLibrary(Smt, "full", FullGoals.Goals);
   FullDb.filterNonNormalized();
   FullDb.sortSpecificFirst();
-  AutomatonSelector Selector(FullDb, FullGoals.Goals);
+  MappedAutomatonSelector Selector(FullDb, FullGoals.Goals);
 
   TablePrinter ElideTable(
       {"Mode", "Selection", "precond_proved", "Code"});

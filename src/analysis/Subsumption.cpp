@@ -130,6 +130,7 @@ selgen::computeSubsumption(const PreparedLibrary &Library,
   }
   MatcherAutomaton Automaton = MatcherAutomaton::compile(
       Patterns, Library.fingerprint(), static_cast<uint32_t>(Rules.size()));
+  const BinaryAutomatonView &View = Automaton.view();
 
   for (const PreparedRule &B : Rules) {
     bool BApplicableJump =
@@ -142,9 +143,9 @@ selgen::computeSubsumption(const PreparedLibrary &Library,
     // were a subject block.
     std::vector<uint32_t> Candidates;
     if (B.IsJumpRule)
-      Automaton.matchJump(B.Root->operand(0), Candidates);
+      View.matchJump(B.Root->operand(0), Candidates);
     else
-      Automaton.matchBody(B.Root, Candidates);
+      View.matchBody(B.Root, Candidates);
 
     for (uint32_t AIndex : Candidates) {
       if (AIndex >= B.Index)

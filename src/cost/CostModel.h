@@ -29,8 +29,8 @@
 /// operands. Recipes only depend on argument roles (registers for
 /// Reg/Addr, an immediate for Imm, nothing for Mem), so the probe is
 /// exact, cheap, and deterministic. `cost::ModelVersion` stamps
-/// serialized automata; bump it whenever derivation changes so stale
-/// `.mat`/`.matb` images are refused instead of silently mispricing.
+/// automaton images; bump it whenever derivation changes so stale
+/// `.matb` images are refused instead of silently mispricing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +49,9 @@ struct GoalInstruction;
 
 namespace cost {
 
-/// Version of the cost-derivation scheme. Serialized into `.mat` and
-/// `.matb` images; an automaton stamped with a different version (or
-/// with the pre-cost 0) is stale against this binary.
+/// Version of the cost-derivation scheme. Stamped into `.matb`
+/// images; an automaton stamped with a different version (or with the
+/// pre-cost 0) is stale against this binary.
 constexpr uint32_t ModelVersion = 1;
 
 } // namespace cost

@@ -38,53 +38,7 @@ MatcherAutomaton selgen::buildMatcherAutomaton(const PreparedLibrary &Library) {
   return MatcherAutomaton::compile(Patterns, Library.fingerprint(),
                                    static_cast<uint32_t>(
                                        Library.rules().size()),
-                                   std::move(Costs), cost::ModelVersion);
-}
-
-/// Shared staleness rule for the cost table: an automaton whose cost
-/// stamp or per-rule costs disagree with the prepared library would
-/// silently mis-price tiling, so it is refused like a fingerprint
-/// mismatch. \p CostAt fetches the image's cost for a rule index.
-template <typename CostAtFn>
-static std::string
-costStalenessError(uint32_t ImageCostVersion, const CostAtFn &CostAt,
-                   const PreparedLibrary &Library) {
-  if (ImageCostVersion != cost::ModelVersion) {
-    if (ImageCostVersion == 0)
-      return "automaton carries no rule cost table (pre-cost image, cost "
-             "version 0; current " +
-             std::to_string(cost::ModelVersion) +
-             "); re-run selgen-matchergen or upgrade it with "
-             "'selgen-matchergen convert'";
-    return "automaton cost table was derived under cost model version " +
-           std::to_string(ImageCostVersion) + ", current is " +
-           std::to_string(cost::ModelVersion) +
-           " (stale automaton; re-run selgen-matchergen)";
-  }
-  for (const PreparedRule &R : Library.rules())
-    if (CostAt(R.Index) != R.Cost)
-      return "automaton cost table disagrees with the library at rule " +
-             std::to_string(R.Index) +
-             " (stale automaton; re-run selgen-matchergen)";
-  return "";
-}
-
-std::string
-selgen::automatonStalenessError(const MatcherAutomaton &Automaton,
-                                const PreparedLibrary &Library) {
-  if (Automaton.libraryFingerprint() != Library.fingerprint())
-    return "automaton was compiled for library fingerprint " +
-           Automaton.libraryFingerprint() + ", current library is " +
-           Library.fingerprint() + " (stale automaton; re-run "
-           "selgen-matchergen)";
-  if (Automaton.numRules() != Library.rules().size())
-    return "automaton indexes " + std::to_string(Automaton.numRules()) +
-           " rules, library has " +
-           std::to_string(Library.rules().size()) +
-           " (stale automaton; re-run selgen-matchergen)";
-  return costStalenessError(
-      Automaton.costVersion(),
-      [&Automaton](uint32_t I) { return Automaton.ruleCosts()[I]; }, Library);
+                                   Costs, cost::ModelVersion);
 }
 
 std::string
@@ -100,38 +54,26 @@ selgen::automatonStalenessError(const BinaryAutomatonView &View,
            " rules, library has " +
            std::to_string(Library.rules().size()) +
            " (stale automaton; re-run selgen-matchergen)";
-  return costStalenessError(
-      View.costVersion(), [&View](uint32_t I) { return View.ruleCost(I); },
-      Library);
-}
-
-void AutomatonCandidateSource::forEachBodyCandidate(
-    const Node *S,
-    const std::function<bool(const PreparedRule &)> &TryRule) {
-  Indices.clear();
-  Automaton.matchBody(S, Indices, &StatesVisited);
-  for (uint32_t Index : Indices)
-    if (TryRule(Library.rules()[Index]))
-      return;
-}
-
-void AutomatonCandidateSource::forEachJumpCandidate(
-    NodeRef Condition,
-    const std::function<bool(const PreparedRule &)> &TryRule) {
-  Indices.clear();
-  Automaton.matchJump(Condition, Indices, &StatesVisited);
-  for (uint32_t Index : Indices) {
-    const PreparedRule &R = Library.rules()[Index];
-    // Defensive re-filter; buildMatcherAutomaton never inserts these.
-    if (!R.IsJumpRule || !R.TakenIsCondZero)
-      continue;
-    if (TryRule(R))
-      return;
+  // An image whose cost stamp or per-rule costs disagree with the
+  // prepared library would silently mis-price tiling, so it is refused
+  // like a fingerprint mismatch.
+  if (View.costVersion() != cost::ModelVersion) {
+    if (View.costVersion() == 0)
+      return "automaton carries no rule cost table (pre-cost image, cost "
+             "version 0; current " +
+             std::to_string(cost::ModelVersion) +
+             "); re-run selgen-matchergen";
+    return "automaton cost table was derived under cost model version " +
+           std::to_string(View.costVersion()) + ", current is " +
+           std::to_string(cost::ModelVersion) +
+           " (stale automaton; re-run selgen-matchergen)";
   }
-}
-
-uint64_t AutomatonCandidateSource::takeNodesVisited() {
-  return std::exchange(StatesVisited, 0);
+  for (const PreparedRule &R : Library.rules())
+    if (View.ruleCost(R.Index) != R.Cost)
+      return "automaton cost table disagrees with the library at rule " +
+             std::to_string(R.Index) +
+             " (stale automaton; re-run selgen-matchergen)";
+  return "";
 }
 
 void MappedCandidateSource::forEachBodyCandidate(
@@ -162,55 +104,20 @@ uint64_t MappedCandidateSource::takeNodesVisited() {
   return std::exchange(StatesVisited, 0);
 }
 
-AutomatonSelector::AutomatonSelector(const PatternDatabase &Database,
-                                     const GoalLibrary &Goals)
-    : Library(Database, Goals), Automaton(buildMatcherAutomaton(Library)) {
-  noteAutomatonStatistics();
-}
-
-AutomatonSelector::AutomatonSelector(const PatternDatabase &Database,
-                                     const GoalLibrary &Goals,
-                                     MatcherAutomaton Automaton)
-    : Library(Database, Goals), Automaton(std::move(Automaton)) {
-  std::string Stale = automatonStalenessError(this->Automaton, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
-  noteAutomatonStatistics();
-}
-
-AutomatonSelector::AutomatonSelector(PreparedLibrary &&PrebuiltLibrary,
-                                     MatcherAutomaton Automaton)
-    : Library(std::move(PrebuiltLibrary)), Automaton(std::move(Automaton)) {
-  std::string Stale = automatonStalenessError(this->Automaton, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
-  noteAutomatonStatistics();
-}
-
-void AutomatonSelector::noteAutomatonStatistics() const {
-  Statistics &Stats = Statistics::get();
-  Stats.add("automaton.states",
-            static_cast<int64_t>(Automaton.numStates()));
-  Stats.add("automaton.transitions",
-            static_cast<int64_t>(Automaton.numTransitions()));
-}
-
-SelectionResult AutomatonSelector::select(const Function &F) {
-  AutomatonCandidateSource Source(Library, Automaton);
-  return runRuleSelection(F, Library, Source, name());
-}
-
-MappedAutomatonSelector::MappedAutomatonSelector(
-    const PatternDatabase &Database, const GoalLibrary &Goals,
-    const BinaryAutomatonView &View)
-    : Library(Database, Goals), View(View) {
-  std::string Stale = automatonStalenessError(View, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
+/// Records the automaton's size once per selector, whichever way the
+/// image was obtained.
+static void noteAutomatonStatistics(const BinaryAutomatonView &View) {
   Statistics &Stats = Statistics::get();
   Stats.add("automaton.states", static_cast<int64_t>(View.numStates()));
   Stats.add("automaton.transitions",
             static_cast<int64_t>(View.numTransitions()));
+}
+
+MappedAutomatonSelector::MappedAutomatonSelector(
+    const PatternDatabase &Database, const GoalLibrary &Goals)
+    : Library(Database, Goals), Compiled(buildMatcherAutomaton(Library)),
+      View(Compiled->view()) {
+  noteAutomatonStatistics(View);
 }
 
 MappedAutomatonSelector::MappedAutomatonSelector(
@@ -219,6 +126,7 @@ MappedAutomatonSelector::MappedAutomatonSelector(
   std::string Stale = automatonStalenessError(View, Library);
   if (!Stale.empty())
     reportFatalError(Stale);
+  noteAutomatonStatistics(View);
 }
 
 SelectionResult MappedAutomatonSelector::select(const Function &F) {

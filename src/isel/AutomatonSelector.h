@@ -8,17 +8,19 @@
 /// \file
 /// The discrimination-tree instruction selector: a drop-in replacement
 /// for the linear GeneratedSelector that discovers candidate rules
-/// through a matcher automaton (src/matchergen) compiled offline from
-/// the rule library. One traversal of the subject DAG tests all
-/// candidate rules at once; the shared selection engine then re-runs
-/// the full matcher on the (few) surviving candidates in library
-/// priority order, so the machine code produced is byte-identical to
-/// the linear selector's — only the time to find it changes.
+/// through a matcher automaton (src/matchergen) compiled from the rule
+/// library. One traversal of the subject DAG tests all candidate rules
+/// at once; the shared selection engine then re-runs the full matcher
+/// on the (few) surviving candidates in library priority order, so the
+/// machine code produced is byte-identical to the linear selector's —
+/// only the time to find it changes.
 ///
-/// The automaton can be compiled in memory (buildMatcherAutomaton) or
-/// loaded from a file emitted by the selgen-matchergen tool; loading
-/// validates the library fingerprint so a stale automaton is rejected
-/// rather than silently applied to the wrong library.
+/// The automaton has one form, the bin-v2 image: compiled in memory
+/// (buildMatcherAutomaton) or mapped from a .matb file written by the
+/// selgen-matchergen tool. Either way selection runs over a
+/// BinaryAutomatonView, and the image's library fingerprint is checked
+/// so a stale automaton is rejected rather than silently applied to
+/// the wrong library.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +30,9 @@
 #include "isel/PreparedLibrary.h"
 #include "isel/SelectionEngine.h"
 #include "isel/Selector.h"
-#include "matchergen/BinaryAutomaton.h"
 #include "matchergen/MatcherAutomaton.h"
+
+#include <optional>
 
 namespace selgen {
 
@@ -39,47 +42,19 @@ namespace selgen {
 /// selector would attempt a full match for.
 MatcherAutomaton buildMatcherAutomaton(const PreparedLibrary &Library);
 
-/// Returns an explanation if \p Automaton was not compiled from
-/// \p Library (fingerprint, rule-count, or cost-table/cost-version
-/// mismatch — a pre-cost image against a cost-stamped library is
-/// refused, not silently selected with zero costs), or the empty
-/// string if it is current.
-std::string automatonStalenessError(const MatcherAutomaton &Automaton,
-                                    const PreparedLibrary &Library);
-
-/// Staleness check for a mapped binary image — the same fingerprint /
-/// rule-count / cost rules as the text path.
+/// Returns an explanation if \p View was not compiled from \p Library
+/// (fingerprint, rule-count, or cost-table/cost-version mismatch — a
+/// pre-cost image against a cost-stamped library is refused, not
+/// silently selected with zero costs), or the empty string if it is
+/// current.
 std::string automatonStalenessError(const BinaryAutomatonView &View,
                                     const PreparedLibrary &Library);
 
 /// Candidate discovery through one discrimination-tree traversal per
-/// subject position (heap automaton). One instance per selection
-/// thread; not thread-safe itself, but many instances can share the
-/// library and automaton.
-class AutomatonCandidateSource : public RuleCandidateSource {
-public:
-  AutomatonCandidateSource(const PreparedLibrary &Library,
-                           const MatcherAutomaton &Automaton)
-      : Library(Library), Automaton(Automaton) {}
-
-  void forEachBodyCandidate(
-      const Node *S,
-      const std::function<bool(const PreparedRule &)> &TryRule) override;
-  void forEachJumpCandidate(
-      NodeRef Condition,
-      const std::function<bool(const PreparedRule &)> &TryRule) override;
-  uint64_t takeNodesVisited() override;
-
-private:
-  const PreparedLibrary &Library;
-  const MatcherAutomaton &Automaton;
-  std::vector<uint32_t> Indices;
-  uint64_t StatesVisited = 0;
-};
-
-/// Candidate discovery directly off a mapped binary automaton image —
-/// zero deserialization, same candidate sets as the heap automaton.
-/// One instance per selection thread over one shared read-only image.
+/// subject position, directly off an automaton image (zero
+/// deserialization). One instance per selection thread; not
+/// thread-safe itself, but many instances can share the library and
+/// the read-only image.
 class MappedCandidateSource : public RuleCandidateSource {
 public:
   MappedCandidateSource(const PreparedLibrary &Library,
@@ -102,69 +77,39 @@ private:
 };
 
 /// Instruction selector driven by a synthesized pattern database, with
-/// automaton-based candidate discovery.
-class AutomatonSelector : public InstructionSelector {
-public:
-  /// Compiles the automaton in memory from \p Database (same
-  /// parameters as GeneratedSelector; the two are interchangeable).
-  AutomatonSelector(const PatternDatabase &Database,
-                    const GoalLibrary &Goals);
-
-  /// Uses a pre-compiled automaton (e.g. loaded from a
-  /// selgen-matchergen file). Aborts if the automaton does not match
-  /// the library — callers wanting a graceful error should check
-  /// automatonStalenessError() first.
-  AutomatonSelector(const PatternDatabase &Database, const GoalLibrary &Goals,
-                    MatcherAutomaton Automaton);
-
-  /// Adopts an already-prepared library instead of re-preparing —
-  /// callers that prepared for a staleness check pass it here and the
-  /// redundant prepare (clone + sort of every rule) is skipped.
-  AutomatonSelector(PreparedLibrary &&Library, MatcherAutomaton Automaton);
-
-  std::string name() const override { return "automaton"; }
-  SelectionResult select(const Function &F) override;
-
-  /// Number of usable (goal-resolved) rules.
-  size_t numRules() const { return Library.rules().size(); }
-
-  const PreparedLibrary &library() const { return Library; }
-  const MatcherAutomaton &automaton() const { return Automaton; }
-
-private:
-  void noteAutomatonStatistics() const;
-
-  PreparedLibrary Library;
-  MatcherAutomaton Automaton;
-};
-
-/// Instruction selector running directly off a mapped binary automaton
-/// image with zero deserialization. The image must outlive the
-/// selector. Reports the same selector name as AutomatonSelector —
-/// the two produce byte-identical machine code, and the differential
-/// tests rely on their output files comparing equal.
+/// automaton-based candidate discovery. Reports selector name
+/// "automaton" whichever way the image was obtained — the differential
+/// tests rely on output files from the in-memory and mapped paths
+/// comparing equal.
 class MappedAutomatonSelector : public InstructionSelector {
 public:
-  /// Prepares the library internally. Aborts if \p View is stale —
-  /// check automatonStalenessError() first for a graceful error.
+  /// Prepares the library and compiles the automaton in memory from
+  /// \p Database (same parameters as GeneratedSelector; the two are
+  /// interchangeable). The selector owns the compiled image.
   MappedAutomatonSelector(const PatternDatabase &Database,
-                          const GoalLibrary &Goals,
-                          const BinaryAutomatonView &View);
+                          const GoalLibrary &Goals);
 
-  /// Adopts an already-prepared library (no redundant re-prepare).
+  /// Adopts an already-prepared library and runs off \p View (e.g. a
+  /// mapped .matb file), which must outlive the selector. Aborts if
+  /// \p View is stale — check automatonStalenessError() first for a
+  /// graceful error.
   MappedAutomatonSelector(PreparedLibrary &&Library,
                           const BinaryAutomatonView &View);
 
   std::string name() const override { return "automaton"; }
   SelectionResult select(const Function &F) override;
 
+  /// Number of usable (goal-resolved) rules.
   size_t numRules() const { return Library.rules().size(); }
   const PreparedLibrary &library() const { return Library; }
   const BinaryAutomatonView &view() const { return View; }
 
 private:
   PreparedLibrary Library;
-  const BinaryAutomatonView &View;
+  /// The image compiled by the (Database, Goals) constructor; empty
+  /// when running off a caller's view.
+  std::optional<MatcherAutomaton> Compiled;
+  BinaryAutomatonView View;
 };
 
 } // namespace selgen

@@ -14,8 +14,8 @@
 /// we reproduce) that this makes the full-library selector orders of
 /// magnitude slower than the handwritten one; it is a property of the
 /// prototype matcher, not of the synthesized library. The
-/// discrimination-tree AutomatonSelector removes that linear scan
-/// while producing identical machine code.
+/// discrimination-tree MappedAutomatonSelector (isel/AutomatonSelector.h)
+/// removes that linear scan while producing identical machine code.
 ///
 /// Uncovered operations fall back to a naive per-operation lowering
 /// and are counted against coverage (Section 7.3's metric).

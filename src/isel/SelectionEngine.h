@@ -7,10 +7,12 @@
 ///
 /// \file
 /// The greedy DAG selection engine shared by the linear-scan
-/// GeneratedSelector and the discrimination-tree AutomatonSelector.
-/// Both selectors pick the same rules and emit the same machine code;
-/// they differ only in how candidate rules for a subject node are
-/// discovered, which is abstracted as a RuleCandidateSource. The
+/// GeneratedSelector, the discrimination-tree MappedAutomatonSelector
+/// and the TilingSelector. The first-match selectors pick the same
+/// rules and emit the same machine code; they differ only in how
+/// candidate rules for a subject node are discovered, which is
+/// abstracted as a RuleCandidateSource (a linear scan, or
+/// MappedCandidateSource walking the automaton image). The
 /// engine performs all semantic checks (full structural match,
 /// shift preconditions, produced-value/overlap analysis) and the
 /// emission, so a candidate source only has to enumerate a superset of

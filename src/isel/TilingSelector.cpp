@@ -312,33 +312,19 @@ SelectionResult selgen::runTilingSelection(const Function &F,
 
 TilingSelector::TilingSelector(const PatternDatabase &Database,
                                const GoalLibrary &Goals, CostKind Kind)
-    : Library(Database, Goals), Automaton(buildMatcherAutomaton(Library)),
-      Kind(Kind) {}
-
-TilingSelector::TilingSelector(PreparedLibrary &&PrebuiltLibrary,
-                               MatcherAutomaton PrebuiltAutomaton,
-                               CostKind Kind)
-    : Library(std::move(PrebuiltLibrary)),
-      Automaton(std::move(PrebuiltAutomaton)), Kind(Kind) {
-  std::string Stale = automatonStalenessError(*Automaton, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
-}
+    : Library(Database, Goals), Compiled(buildMatcherAutomaton(Library)),
+      View(Compiled->view()), Kind(Kind) {}
 
 TilingSelector::TilingSelector(PreparedLibrary &&PrebuiltLibrary,
                                const BinaryAutomatonView &MappedView,
                                CostKind Kind)
-    : Library(std::move(PrebuiltLibrary)), View(&MappedView), Kind(Kind) {
-  std::string Stale = automatonStalenessError(MappedView, Library);
+    : Library(std::move(PrebuiltLibrary)), View(MappedView), Kind(Kind) {
+  std::string Stale = automatonStalenessError(View, Library);
   if (!Stale.empty())
     reportFatalError(Stale);
 }
 
 SelectionResult TilingSelector::select(const Function &F) {
-  if (View) {
-    MappedCandidateSource Inner(Library, *View);
-    return runTilingSelection(F, Library, Inner, Kind);
-  }
-  AutomatonCandidateSource Inner(Library, *Automaton);
+  MappedCandidateSource Inner(Library, View);
   return runTilingSelection(F, Library, Inner, Kind);
 }

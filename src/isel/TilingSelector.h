@@ -124,24 +124,18 @@ SelectionResult runTilingSelection(const Function &F,
                                    SelectionObserver *Observer = nullptr);
 
 /// Instruction selector performing cost-minimal DAG tiling over
-/// automaton-discovered candidate sets. Mirrors AutomatonSelector's
-/// three construction paths (in-memory compile, pre-compiled heap
-/// automaton, mapped binary image).
+/// automaton-discovered candidate sets. Mirrors MappedAutomatonSelector's
+/// two construction paths (in-memory compile, caller's image).
 class TilingSelector : public InstructionSelector {
 public:
-  /// Compiles the automaton in memory from \p Database.
+  /// Compiles the automaton in memory from \p Database and owns it.
   TilingSelector(const PatternDatabase &Database, const GoalLibrary &Goals,
                  CostKind Kind);
 
-  /// Adopts an already-prepared library and a pre-compiled automaton
-  /// (e.g. loaded from a selgen-matchergen file). Aborts if the
-  /// automaton is stale — callers wanting a graceful error should
+  /// Adopts an already-prepared library and runs off \p View (e.g. a
+  /// mapped .matb file), which must outlive the selector. Aborts if
+  /// the image is stale — callers wanting a graceful error should
   /// check automatonStalenessError() first.
-  TilingSelector(PreparedLibrary &&Library, MatcherAutomaton Automaton,
-                 CostKind Kind);
-
-  /// Runs directly off a mapped binary automaton image (which must
-  /// outlive the selector). Aborts if the image is stale.
   TilingSelector(PreparedLibrary &&Library, const BinaryAutomatonView &View,
                  CostKind Kind);
 
@@ -153,9 +147,9 @@ public:
 
 private:
   PreparedLibrary Library;
-  /// Exactly one of Automaton / View is active.
-  std::optional<MatcherAutomaton> Automaton;
-  const BinaryAutomatonView *View = nullptr;
+  /// The in-memory image; empty when running off a caller's view.
+  std::optional<MatcherAutomaton> Compiled;
+  BinaryAutomatonView View;
   CostKind Kind;
 };
 

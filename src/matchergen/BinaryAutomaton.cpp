@@ -7,11 +7,12 @@
 
 #include "matchergen/BinaryAutomaton.h"
 
+#include "matchergen/MatcherAutomaton.h"
 #include "support/AtomicFile.h"
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
+#include <sstream>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -50,164 +51,13 @@ const char *selgen::binaryAutomatonErrorName(BinaryAutomatonError E) {
   return "unknown";
 }
 
-bool selgen::isBinaryAutomatonFile(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
-    return false;
-  uint32_t First = 0;
-  ssize_t Got = ::read(Fd, &First, sizeof(First));
-  ::close(Fd);
-  return Got == sizeof(First) && First == binfmt::Magic;
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization (MatcherAutomaton -> arena).
-//===----------------------------------------------------------------------===//
-
 namespace {
 
 constexpr uint8_t MaxOpcode = static_cast<uint8_t>(Opcode::Cond);
 constexpr uint8_t MaxSortKind = static_cast<uint8_t>(SortKind::Memory);
 constexpr uint8_t MaxRelation = static_cast<uint8_t>(Relation::Sge);
 
-void alignTo8(std::string &Out) {
-  while (Out.size() % 8)
-    Out.push_back('\0');
-}
-
-/// Appends \p Bytes at the next 8-aligned position; returns the offset.
-uint32_t appendSection(std::string &Out, const void *Data, size_t Bytes) {
-  alignTo8(Out);
-  uint32_t Off = static_cast<uint32_t>(Out.size());
-  if (Bytes)
-    Out.append(static_cast<const char *>(Data), Bytes);
-  return Off;
-}
-
 } // namespace
-
-std::string MatcherAutomaton::serializeBinary() const {
-  std::vector<binfmt::State> BStates;
-  std::vector<binfmt::Edge> BEdges;
-  std::vector<uint32_t> BAccepts;
-  std::vector<uint64_t> Pool;
-  BStates.reserve(States.size());
-
-  for (const State &S : States) {
-    binfmt::State BS;
-    BS.EdgeBegin = static_cast<uint32_t>(BEdges.size());
-    BS.EdgeCount = static_cast<uint32_t>(S.Edges.size());
-    BS.AcceptBegin = static_cast<uint32_t>(BAccepts.size());
-    BS.AcceptCount = static_cast<uint32_t>(S.AcceptRules.size());
-    for (const Edge &E : S.Edges) {
-      binfmt::Edge BE;
-      BE.To = E.To;
-      if (E.EdgeKind == Edge::Kind::Wildcard) {
-        BE.Kind = binfmt::EdgeKindWildcard;
-        BE.ResultIndex = AnyResultIndex;
-        BE.OpOrSort = static_cast<uint8_t>(E.WildSort.Kind);
-        BE.Width = E.WildSort.Width;
-      } else {
-        BE.Kind = binfmt::EdgeKindNode;
-        BE.ResultIndex = E.ResultIndex;
-        BE.OpOrSort = static_cast<uint8_t>(E.Op);
-        if (E.HasConst) {
-          BE.Flags |= binfmt::FlagHasConst;
-          BE.Width = E.ConstValue.width();
-          BE.ConstWordBegin = static_cast<uint32_t>(Pool.size());
-          for (unsigned I = 0; I < E.ConstValue.wordCount(); ++I)
-            Pool.push_back(E.ConstValue.word(I));
-        }
-        if (E.HasRelation) {
-          BE.Flags |= binfmt::FlagHasRelation;
-          BE.Rel = static_cast<uint8_t>(E.Rel);
-        }
-      }
-      BEdges.push_back(BE);
-    }
-    BAccepts.insert(BAccepts.end(), S.AcceptRules.begin(),
-                    S.AcceptRules.end());
-    BStates.push_back(BS);
-  }
-
-  std::vector<binfmt::RuleCostRec> BCosts;
-  BCosts.reserve(RuleCosts.size());
-  for (const RuleCost &C : RuleCosts)
-    BCosts.push_back({C.Instructions, C.Latency, C.Size});
-
-  std::vector<binfmt::RootEntry> RootIdx;
-  std::vector<uint32_t> RootPool;
-  for (const auto &[Op, Indices] : BodyRootEdgesByOpcode) {
-    binfmt::RootEntry RE;
-    RE.Op = static_cast<uint32_t>(Op);
-    RE.PoolBegin = static_cast<uint32_t>(RootPool.size());
-    RE.PoolCount = static_cast<uint32_t>(Indices.size());
-    RootPool.insert(RootPool.end(), Indices.begin(), Indices.end());
-    RootIdx.push_back(RE);
-  }
-
-  std::string Out(sizeof(binfmt::Header), '\0');
-  binfmt::Header H;
-  H.Magic = binfmt::Magic;
-  H.Version = binfmt::Version;
-  H.EndianTag = binfmt::EndianTag;
-  H.NumRules = NumRules;
-  H.NumStates = static_cast<uint32_t>(BStates.size());
-  H.NumEdges = static_cast<uint32_t>(BEdges.size());
-  H.NumAccepts = static_cast<uint32_t>(BAccepts.size());
-  H.NumConstWords = static_cast<uint32_t>(Pool.size());
-  H.BodyRoot = BodyRoot;
-  H.JumpRoot = JumpRoot;
-  H.StatesOff = appendSection(Out, BStates.data(),
-                              BStates.size() * sizeof(binfmt::State));
-  H.EdgesOff =
-      appendSection(Out, BEdges.data(), BEdges.size() * sizeof(binfmt::Edge));
-  H.AcceptsOff =
-      appendSection(Out, BAccepts.data(), BAccepts.size() * sizeof(uint32_t));
-  H.ConstWordsOff =
-      appendSection(Out, Pool.data(), Pool.size() * sizeof(uint64_t));
-  H.RootIndexOff = appendSection(Out, RootIdx.data(),
-                                 RootIdx.size() * sizeof(binfmt::RootEntry));
-  H.RootIndexCount = static_cast<uint32_t>(RootIdx.size());
-  H.RootPoolOff =
-      appendSection(Out, RootPool.data(), RootPool.size() * sizeof(uint32_t));
-  H.RootPoolCount = static_cast<uint32_t>(RootPool.size());
-  H.RuleCostsOff = appendSection(Out, BCosts.data(),
-                                 BCosts.size() * sizeof(binfmt::RuleCostRec));
-  H.CostVersion = CostVersion;
-  H.FingerprintOff = static_cast<uint32_t>(Out.size());
-  H.FingerprintLen = static_cast<uint32_t>(LibraryFingerprint.size());
-  Out += LibraryFingerprint;
-  H.TotalBytes = static_cast<uint32_t>(Out.size());
-  H.PayloadCrc =
-      crc32(Out.data() + sizeof(H), Out.size() - sizeof(H));
-  H.HeaderCrc = crc32(&H, offsetof(binfmt::Header, HeaderCrc));
-  std::memcpy(Out.data(), &H, sizeof(H));
-  return Out;
-}
-
-bool MatcherAutomaton::writeBinaryFile(const std::string &Path) const {
-  return writeFileAtomic(Path, serializeBinary());
-}
-
-MatcherAutomaton MatcherAutomaton::fromParts(std::vector<State> NewStates,
-                                             uint32_t NewBodyRoot,
-                                             uint32_t NewJumpRoot,
-                                             std::string Fingerprint,
-                                             uint32_t NewNumRules,
-                                             std::vector<RuleCost> NewCosts,
-                                             uint32_t NewCostVersion) {
-  MatcherAutomaton A;
-  A.States = std::move(NewStates);
-  A.BodyRoot = NewBodyRoot;
-  A.JumpRoot = NewJumpRoot;
-  A.LibraryFingerprint = std::move(Fingerprint);
-  A.NumRules = NewNumRules;
-  A.RuleCosts = std::move(NewCosts);
-  A.CostVersion = NewCostVersion;
-  A.rebuildRootIndex();
-  return A;
-}
 
 //===----------------------------------------------------------------------===//
 // Validation (arena -> view).
@@ -243,8 +93,9 @@ BinaryAutomatonView::fromMemory(const void *Data, size_t Size,
       return fail(BinaryAutomatonError::ForeignEndian,
                   "image written on an opposite-endian host");
     return fail(BinaryAutomatonError::BadMagic,
-                "not a " + std::string(MatcherAutomaton::binaryFormatTag()) +
-                    " image");
+                "not a " + std::string(binfmt::FormatName) +
+                    " image; regenerate it with 'selgen-matchergen "
+                    "--library <rules.dat> --output <file>.matb'");
   }
   if (Hdr->EndianTag != binfmt::EndianTag)
     return fail(BinaryAutomatonError::ForeignEndian,
@@ -346,7 +197,7 @@ BinaryAutomatonView::fromMemory(const void *Data, size_t Size,
     if (E.Kind == binfmt::EdgeKindWildcard) {
       if (E.OpOrSort > MaxSortKind || E.Flags != 0 || E.Rel != 0 ||
           E.ConstWordBegin != 0 ||
-          E.ResultIndex != MatcherAutomaton::AnyResultIndex)
+          E.ResultIndex != binfmt::AnyResultIndex)
         return badStructure("malformed wildcard edge");
       bool IsValue =
           static_cast<SortKind>(E.OpOrSort) == SortKind::Value;
@@ -454,7 +305,7 @@ void BinaryAutomatonView::collect(uint32_t StateId,
       Stack.push_back(V);
       continue;
     }
-    if (E.ResultIndex != MatcherAutomaton::AnyResultIndex &&
+    if (E.ResultIndex != binfmt::AnyResultIndex &&
         E.ResultIndex != V.Index)
       continue;
     if (!nodeEdgeAccepts(E, V.Def))
@@ -511,7 +362,7 @@ void BinaryAutomatonView::matchJump(NodeRef Subject,
 }
 
 //===----------------------------------------------------------------------===//
-// Reconstruction (arena -> MatcherAutomaton).
+// Human-readable dump.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -529,49 +380,56 @@ BitValue constFromWords(unsigned Width, const uint64_t *Words) {
 
 } // namespace
 
-MatcherAutomaton BinaryAutomatonView::toAutomaton() const {
-  std::vector<MatcherAutomaton::State> OutStates(Hdr->NumStates);
+std::string BinaryAutomatonView::dump() const {
+  std::ostringstream OS;
+  OS << binfmt::FormatName << "\n";
+  OS << "library " << libraryFingerprint() << "\n";
+  OS << "rules " << Hdr->NumRules << "\n";
+  OS << "states " << Hdr->NumStates << "\n";
+  OS << "body " << Hdr->BodyRoot << "\n";
+  OS << "jump " << Hdr->JumpRoot << "\n";
+  OS << "costver " << Hdr->CostVersion << "\n";
+  if (Hdr->CostVersion != 0)
+    for (uint32_t I = 0; I < Hdr->NumRules; ++I) {
+      RuleCost C = ruleCost(I);
+      OS << "cost " << I << " " << C.Instructions << " " << C.Latency << " "
+         << C.Size << "\n";
+    }
   for (uint32_t I = 0; I < Hdr->NumStates; ++I) {
     const binfmt::State &S = States[I];
-    MatcherAutomaton::State &OS = OutStates[I];
-    OS.AcceptRules.assign(Accepts + S.AcceptBegin,
-                          Accepts + S.AcceptBegin + S.AcceptCount);
-    OS.Edges.reserve(S.EdgeCount);
+    OS << "state " << I;
+    if (S.AcceptCount) {
+      OS << " accept";
+      for (uint32_t A = 0; A < S.AcceptCount; ++A)
+        OS << " " << Accepts[S.AcceptBegin + A];
+    }
+    OS << "\n";
     for (uint32_t EI = 0; EI < S.EdgeCount; ++EI) {
       const binfmt::Edge &E = Edges[S.EdgeBegin + EI];
-      MatcherAutomaton::Edge OE;
-      OE.To = E.To;
+      OS << "edge " << I << " " << E.To;
       if (E.Kind == binfmt::EdgeKindWildcard) {
-        OE.EdgeKind = MatcherAutomaton::Edge::Kind::Wildcard;
-        OE.WildSort =
-            Sort{static_cast<SortKind>(E.OpOrSort), E.Width};
+        Sort WildSort{static_cast<SortKind>(E.OpOrSort), E.Width};
+        OS << " wild " << WildSort.str();
       } else {
-        OE.EdgeKind = MatcherAutomaton::Edge::Kind::Node;
-        OE.ResultIndex = E.ResultIndex;
-        OE.Op = static_cast<Opcode>(E.OpOrSort);
-        if (E.Flags & binfmt::FlagHasConst) {
-          OE.HasConst = true;
-          OE.ConstValue =
-              constFromWords(E.Width, ConstWords + E.ConstWordBegin);
-        }
-        if (E.Flags & binfmt::FlagHasRelation) {
-          OE.HasRelation = true;
-          OE.Rel = static_cast<Relation>(E.Rel);
-        }
+        OS << " node ";
+        if (E.ResultIndex == binfmt::AnyResultIndex)
+          OS << "any";
+        else
+          OS << E.ResultIndex;
+        OS << " " << opcodeName(static_cast<Opcode>(E.OpOrSort));
+        if (E.Flags & binfmt::FlagHasConst)
+          OS << " const " << E.Width << " "
+             << constFromWords(E.Width, ConstWords + E.ConstWordBegin)
+                    .toHexString()
+                    .substr(2);
+        if (E.Flags & binfmt::FlagHasRelation)
+          OS << " rel " << relationName(static_cast<Relation>(E.Rel));
       }
-      OS.Edges.push_back(std::move(OE));
+      OS << "\n";
     }
   }
-  std::vector<RuleCost> OutCosts;
-  if (Hdr->CostVersion != 0) {
-    OutCosts.reserve(Hdr->NumRules);
-    for (uint32_t I = 0; I < Hdr->NumRules; ++I)
-      OutCosts.push_back(ruleCost(I));
-  }
-  return MatcherAutomaton::fromParts(std::move(OutStates), Hdr->BodyRoot,
-                                     Hdr->JumpRoot, libraryFingerprint(),
-                                     Hdr->NumRules, std::move(OutCosts),
-                                     Hdr->CostVersion);
+  OS << "end\n";
+  return OS.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -623,9 +481,6 @@ MatcherAutomaton::mapBinary(const std::string &Path, std::string *Error) {
     ::munmap(Base, Size);
     return fail(Path + ": " + ViewError);
   }
-  std::unique_ptr<MappedAutomaton> Mapped(new MappedAutomaton());
-  Mapped->Base = Base;
-  Mapped->Size = Size;
-  Mapped->View = *View;
-  return Mapped;
+  return std::unique_ptr<MappedAutomaton>(
+      new MappedAutomaton(Base, Size, *View));
 }

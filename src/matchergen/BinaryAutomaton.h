@@ -6,13 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The "selgen-matcher-automaton-bin-v2" format: one contiguous,
-/// pointer-free arena holding the discrimination tree as flat tables
-/// addressed by uint32 indices, so loading is mmap + header/CRC
-/// validation + one bounds-check pass. The image is immutable and
-/// position-independent; it can be shared read-only across threads and
-/// processes, and a selector can match directly off the mapped bytes
-/// with zero deserialization.
+/// The "selgen-matcher-automaton-bin-v2" format, the matcher
+/// automaton's only form: one contiguous, pointer-free arena holding
+/// the discrimination tree as flat tables addressed by uint32 indices.
+/// MatcherAutomaton::compile emits it into an owned buffer, and
+/// MatcherAutomaton::mapBinary maps a written copy; either way selection
+/// matches through a BinaryAutomatonView over the bytes, so loading is
+/// mmap + header/CRC validation + one bounds-check pass. The image is
+/// immutable and position-independent; it can be shared read-only
+/// across threads and processes.
 ///
 /// Layout (all integers host-endian; a foreign-endian image is
 /// rejected via the endianness tag, never byte-swapped):
@@ -32,16 +34,14 @@
 ///   Fingerprint   FingerprintLen raw bytes (unaligned tail)
 ///
 /// States own [EdgeBegin, EdgeBegin+EdgeCount) of the edge table and
-/// [AcceptBegin, ...) of the accept table; edges keep the exact
-/// insertion order of the heap automaton, so a reconstructed automaton
-/// round-trips byte-identically through the text format. Constant edge
-/// attributes store (width, word span) into the shared uint64 pool,
-/// least-significant word first, unused high bits zero — the same
-/// invariant BitValue keeps, so equality is a width check plus word
-/// compares. The root index mirrors
-/// MatcherAutomaton::BodyRootEdgesByOpcode: entries sorted strictly
-/// ascending by opcode, each owning a span of body-root edge ordinals
-/// in the pool.
+/// [AcceptBegin, ...) of the accept table; edges keep the compiler's
+/// trie insertion order, so the image is a deterministic function of
+/// the rule library. Constant edge attributes store (width, word span)
+/// into the shared uint64 pool, least-significant word first, unused
+/// high bits zero — the same invariant BitValue keeps, so equality is
+/// a width check plus word compares. The root index is the "indexed by
+/// root opcode" entry point: entries sorted strictly ascending by
+/// opcode, each owning a span of body-root edge ordinals in the pool.
 ///
 /// Validation contract: BinaryAutomatonView::fromMemory accepts a
 /// buffer if and only if every table index, offset, and enum value it
@@ -55,13 +55,14 @@
 #ifndef SELGEN_MATCHERGEN_BINARYAUTOMATON_H
 #define SELGEN_MATCHERGEN_BINARYAUTOMATON_H
 
-#include "matchergen/MatcherAutomaton.h"
+#include "cost/CostModel.h"
+#include "ir/Graph.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace selgen {
 
@@ -72,7 +73,7 @@ enum class BinaryAutomatonError {
   Io,            ///< File missing/unreadable/unmappable.
   TooSmall,      ///< Shorter than the fixed header.
   Misaligned,    ///< Buffer base not 8-byte aligned.
-  BadMagic,      ///< Not a binary automaton image.
+  BadMagic,      ///< Not a binary automaton image (e.g. a text .mat).
   ForeignEndian, ///< Written on an opposite-endian host.
   BadVersion,    ///< Recognized magic, unsupported version.
   HeaderCorrupt, ///< Header CRC mismatch.
@@ -84,21 +85,22 @@ enum class BinaryAutomatonError {
 
 const char *binaryAutomatonErrorName(BinaryAutomatonError E);
 
-/// True if the file at \p Path starts with the binary automaton magic
-/// (format sniffing for tools that accept either .mat or .matb).
-bool isBinaryAutomatonFile(const std::string &Path);
-
 /// On-disk structs. Exposed so tests can corrupt specific fields and
 /// assert the typed rejection; everything else should go through
 /// BinaryAutomatonView.
 namespace binfmt {
 
+/// The format's name, for diagnostics and dumps. The on-disk
+/// discriminator is the header magic/version.
+constexpr const char *FormatName = "selgen-matcher-automaton-bin-v2";
 constexpr uint32_t Magic = 0x424D4753u; // "SGMB" when written little-endian.
 /// v2 widened the header by the rule-cost section. v1 images are
-/// refused with BadVersion (the binary format has no upgrade path;
-/// regenerate, or convert via the text format).
+/// refused with BadVersion (there is no upgrade path; regenerate).
 constexpr uint32_t Version = 2;
 constexpr uint32_t EndianTag = 0x01020304u;
+/// Result-index wildcard of a body pattern's first symbol: the root
+/// aligns with a subject *node*, not a specific result.
+constexpr uint32_t AnyResultIndex = 0xffffffffu;
 
 struct Header {
   uint32_t Magic = 0;
@@ -179,27 +181,30 @@ static_assert(sizeof(RuleCostRec) == 12, "flat rule-cost record");
 } // namespace binfmt
 
 /// A zero-copy matcher over a validated binary image. Borrows the
-/// memory — the arena (a mapped file or an in-memory buffer) must
-/// outlive the view. Matching is const, allocation-free apart from the
-/// caller's output/stack vectors, and safe to run from many threads
-/// over one shared image.
+/// memory — the arena (a mapped file or a compiled automaton's buffer)
+/// must outlive the view. Matching is const, allocation-free apart
+/// from the caller's output/stack vectors, and safe to run from many
+/// threads over one shared image.
 class BinaryAutomatonView {
 public:
-  /// An invalid view (valid() == false). Matching on it is forbidden.
-  BinaryAutomatonView() = default;
-
-  /// Validates \p Size bytes at \p Data (which must be 8-byte aligned,
-  /// as any mmap or heap buffer is) and returns a view borrowing them.
-  /// On rejection returns std::nullopt and sets \p Error / \p Code.
+  /// The only way to make a view: validates \p Size bytes at \p Data
+  /// (which must be 8-byte aligned, as any mmap or heap buffer is) and
+  /// returns a view borrowing them. On rejection returns std::nullopt
+  /// and sets \p Error / \p Code.
   static std::optional<BinaryAutomatonView>
   fromMemory(const void *Data, size_t Size, std::string *Error = nullptr,
              BinaryAutomatonError *Code = nullptr);
 
-  bool valid() const { return Hdr != nullptr; }
-
-  // -- Matching: same contract as MatcherAutomaton ------------------------
+  // -- Matching -----------------------------------------------------------
+  /// Appends to \p RulesOut the indices of every rule whose pattern
+  /// could structurally match at subject node \p Subject, sorted
+  /// ascending (library priority order). \p StatesVisited, if non-null,
+  /// is incremented per automaton state visited.
   void matchBody(const Node *Subject, std::vector<uint32_t> &RulesOut,
                  uint64_t *StatesVisited = nullptr) const;
+
+  /// Like matchBody for compare-and-jump rules, matching the jump tree
+  /// against the branch condition value \p Subject.
   void matchJump(NodeRef Subject, std::vector<uint32_t> &RulesOut,
                  uint64_t *StatesVisited = nullptr) const;
 
@@ -218,14 +223,14 @@ public:
     const binfmt::RuleCostRec &R = RuleCostsTab[Index];
     return RuleCost{R.Instructions, R.Latency, R.Size};
   }
-  const binfmt::Header &header() const { return *Hdr; }
 
-  /// Reconstructs a heap MatcherAutomaton (the binary -> text
-  /// conversion path). Round-trips byte-identically through
-  /// MatcherAutomaton::serialize().
-  MatcherAutomaton toAutomaton() const;
+  /// Renders the image for humans: header fields, cost table, and one
+  /// line per state and edge. Write-only; nothing parses it back.
+  std::string dump() const;
 
 private:
+  BinaryAutomatonView() = default;
+
   void collect(uint32_t StateId, std::vector<NodeRef> &Stack,
                std::vector<uint32_t> &RulesOut,
                uint64_t *StatesVisited) const;
@@ -255,10 +260,11 @@ public:
 
 private:
   friend class MatcherAutomaton;
-  MappedAutomaton() = default;
+  MappedAutomaton(void *Base, size_t Size, const BinaryAutomatonView &View)
+      : Base(Base), Size(Size), View(View) {}
 
-  void *Base = nullptr;
-  size_t Size = 0;
+  void *Base;
+  size_t Size;
   BinaryAutomatonView View;
 };
 

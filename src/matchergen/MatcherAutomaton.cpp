@@ -7,33 +7,47 @@
 
 #include "matchergen/MatcherAutomaton.h"
 
-#include "support/StringUtils.h"
+#include "support/AtomicFile.h"
+#include "support/Error.h"
 
 #include <algorithm>
-#include <cassert>
-#include <fstream>
-#include <sstream>
+#include <cstddef>
+#include <cstring>
+#include <map>
 
 using namespace selgen;
 
-MatcherAutomaton::MatcherAutomaton() {
-  BodyRoot = newState();
-  JumpRoot = newState();
-}
-
-uint32_t MatcherAutomaton::newState() {
-  States.emplace_back();
-  return static_cast<uint32_t>(States.size() - 1);
-}
-
 namespace {
 
+/// One trie transition. Wildcard edges consume one subject value
+/// without descending; node edges test one subject position
+/// structurally and open its operand positions.
+struct Edge {
+  enum class Kind { Wildcard, Node };
+  Kind EdgeKind = Kind::Wildcard;
+  uint32_t To = 0;
+  // Wildcard symbols: the pattern argument's sort.
+  Sort WildSort = Sort::boolean();
+  // Node symbols: the structural tests of Matcher's matchValue.
+  uint32_t ResultIndex = binfmt::AnyResultIndex;
+  Opcode Op = Opcode::Arg;
+  bool HasConst = false;
+  BitValue ConstValue;
+  bool HasRelation = false;
+  Relation Rel = Relation::Eq;
+};
+
+struct State {
+  std::vector<Edge> Edges;
+  /// Rule indices accepted here, ascending (priority order).
+  std::vector<uint32_t> AcceptRules;
+};
+
 /// Structural equality of two symbols (the edge minus its target).
-bool symbolsEqual(const MatcherAutomaton::Edge &A,
-                  const MatcherAutomaton::Edge &B) {
+bool symbolsEqual(const Edge &A, const Edge &B) {
   if (A.EdgeKind != B.EdgeKind)
     return false;
-  if (A.EdgeKind == MatcherAutomaton::Edge::Kind::Wildcard)
+  if (A.EdgeKind == Edge::Kind::Wildcard)
     return A.WildSort == B.WildSort;
   if (A.ResultIndex != B.ResultIndex || A.Op != B.Op ||
       A.HasConst != B.HasConst || A.HasRelation != B.HasRelation)
@@ -47,8 +61,8 @@ bool symbolsEqual(const MatcherAutomaton::Edge &A,
 }
 
 /// Fills the structural tests of a node symbol from a pattern node.
-void fillNodeSymbol(MatcherAutomaton::Edge &E, const Node *N) {
-  E.EdgeKind = MatcherAutomaton::Edge::Kind::Node;
+void fillNodeSymbol(Edge &E, const Node *N) {
+  E.EdgeKind = Edge::Kind::Node;
   E.Op = N->opcode();
   if (N->opcode() == Opcode::Const) {
     E.HasConst = true;
@@ -61,11 +75,11 @@ void fillNodeSymbol(MatcherAutomaton::Edge &E, const Node *N) {
 
 /// Pre-order flattening of a pattern value: wildcard for arguments
 /// (no descent), node symbol plus operand values otherwise.
-void flattenValue(NodeRef V, std::vector<MatcherAutomaton::Edge> &Out) {
+void flattenValue(NodeRef V, std::vector<Edge> &Out) {
   const Node *N = V.Def;
-  MatcherAutomaton::Edge E;
+  Edge E;
   if (N->opcode() == Opcode::Arg) {
-    E.EdgeKind = MatcherAutomaton::Edge::Kind::Wildcard;
+    E.EdgeKind = Edge::Kind::Wildcard;
     E.WildSort = N->resultSort(0);
     Out.push_back(E);
     return;
@@ -77,23 +91,38 @@ void flattenValue(NodeRef V, std::vector<MatcherAutomaton::Edge> &Out) {
     flattenValue(Operand, Out);
 }
 
-/// Does a node symbol's structural test accept subject node \p N?
-/// Mirrors Matcher's matchNode: opcode, constant value (width
-/// included), comparison relation.
-bool nodeSymbolAccepts(const MatcherAutomaton::Edge &E, const Node *N) {
-  if (E.Op != N->opcode())
-    return false;
-  if (E.HasConst && (E.ConstValue.width() != N->constValue().width() ||
-                     E.ConstValue != N->constValue()))
-    return false;
-  if (E.HasRelation && E.Rel != N->relation())
-    return false;
-  return true;
-}
+/// The trie under construction. State 0 is the body root, state 1 the
+/// jump root; states are numbered in creation order and edges kept in
+/// insertion order, which is what makes the emitted image a
+/// deterministic function of the (priority-sorted) patterns.
+class TrieBuilder {
+public:
+  TrieBuilder() {
+    BodyRoot = newState();
+    JumpRoot = newState();
+  }
 
-} // namespace
+  void insertPattern(const AutomatonPattern &P);
 
-uint32_t MatcherAutomaton::extend(uint32_t From, const Edge &Symbol) {
+  /// Renders the trie as a bin-v2 image (layout in BinaryAutomaton.h).
+  std::string emit(const std::string &LibraryFingerprint, uint32_t NumRules,
+                   const std::vector<RuleCost> &RuleCosts,
+                   uint32_t CostVersion) const;
+
+private:
+  uint32_t newState() {
+    States.emplace_back();
+    return static_cast<uint32_t>(States.size() - 1);
+  }
+  /// Follows (or creates) the edge for \p Symbol out of \p From.
+  uint32_t extend(uint32_t From, const Edge &Symbol);
+
+  std::vector<State> States;
+  uint32_t BodyRoot = 0;
+  uint32_t JumpRoot = 0;
+};
+
+uint32_t TrieBuilder::extend(uint32_t From, const Edge &Symbol) {
   for (const Edge &E : States[From].Edges)
     if (symbolsEqual(E, Symbol))
       return E.To;
@@ -103,7 +132,7 @@ uint32_t MatcherAutomaton::extend(uint32_t From, const Edge &Symbol) {
   return New.To;
 }
 
-void MatcherAutomaton::insertPattern(const AutomatonPattern &P) {
+void TrieBuilder::insertPattern(const AutomatonPattern &P) {
   std::vector<Edge> Symbols;
   uint32_t Root;
   if (P.IsJump) {
@@ -115,7 +144,7 @@ void MatcherAutomaton::insertPattern(const AutomatonPattern &P) {
     // The body root aligns with a subject *node*; its result index is
     // not tested (Matcher's matchPattern starts at matchNode).
     Edge E;
-    E.ResultIndex = AnyResultIndex;
+    E.ResultIndex = binfmt::AnyResultIndex;
     fillNodeSymbol(E, P.Root);
     Symbols.push_back(E);
     for (const NodeRef &Operand : P.Root->operands())
@@ -128,23 +157,133 @@ void MatcherAutomaton::insertPattern(const AutomatonPattern &P) {
   States[StateId].AcceptRules.push_back(P.RuleIndex);
 }
 
-void MatcherAutomaton::rebuildRootIndex() {
-  BodyRootEdgesByOpcode.clear();
+/// Appends \p Bytes at the next 8-aligned position; returns the offset.
+uint32_t appendSection(std::string &Out, const void *Data, size_t Bytes) {
+  while (Out.size() % 8)
+    Out.push_back('\0');
+  uint32_t Off = static_cast<uint32_t>(Out.size());
+  if (Bytes)
+    Out.append(static_cast<const char *>(Data), Bytes);
+  return Off;
+}
+
+std::string TrieBuilder::emit(const std::string &LibraryFingerprint,
+                              uint32_t NumRules,
+                              const std::vector<RuleCost> &RuleCosts,
+                              uint32_t CostVersion) const {
+  std::vector<binfmt::State> BStates;
+  std::vector<binfmt::Edge> BEdges;
+  std::vector<uint32_t> BAccepts;
+  std::vector<uint64_t> Pool;
+  BStates.reserve(States.size());
+
+  for (const State &S : States) {
+    binfmt::State BS;
+    BS.EdgeBegin = static_cast<uint32_t>(BEdges.size());
+    BS.EdgeCount = static_cast<uint32_t>(S.Edges.size());
+    BS.AcceptBegin = static_cast<uint32_t>(BAccepts.size());
+    BS.AcceptCount = static_cast<uint32_t>(S.AcceptRules.size());
+    for (const Edge &E : S.Edges) {
+      binfmt::Edge BE;
+      BE.To = E.To;
+      if (E.EdgeKind == Edge::Kind::Wildcard) {
+        BE.Kind = binfmt::EdgeKindWildcard;
+        BE.ResultIndex = binfmt::AnyResultIndex;
+        BE.OpOrSort = static_cast<uint8_t>(E.WildSort.Kind);
+        BE.Width = E.WildSort.Width;
+      } else {
+        BE.Kind = binfmt::EdgeKindNode;
+        BE.ResultIndex = E.ResultIndex;
+        BE.OpOrSort = static_cast<uint8_t>(E.Op);
+        if (E.HasConst) {
+          BE.Flags |= binfmt::FlagHasConst;
+          BE.Width = E.ConstValue.width();
+          BE.ConstWordBegin = static_cast<uint32_t>(Pool.size());
+          for (unsigned I = 0; I < E.ConstValue.wordCount(); ++I)
+            Pool.push_back(E.ConstValue.word(I));
+        }
+        if (E.HasRelation) {
+          BE.Flags |= binfmt::FlagHasRelation;
+          BE.Rel = static_cast<uint8_t>(E.Rel);
+        }
+      }
+      BEdges.push_back(BE);
+    }
+    BAccepts.insert(BAccepts.end(), S.AcceptRules.begin(),
+                    S.AcceptRules.end());
+    BStates.push_back(BS);
+  }
+
+  std::vector<binfmt::RuleCostRec> BCosts;
+  BCosts.reserve(RuleCosts.size());
+  for (const RuleCost &C : RuleCosts)
+    BCosts.push_back({C.Instructions, C.Latency, C.Size});
+
+  // Body-root edge ordinals by root opcode: the "indexed by root
+  // opcode" entry point that makes candidate discovery start at the
+  // right subtree in O(log #opcodes).
+  std::map<Opcode, std::vector<uint32_t>> BodyRootEdgesByOpcode;
   const State &Root = States[BodyRoot];
   for (uint32_t I = 0; I < Root.Edges.size(); ++I)
     BodyRootEdgesByOpcode[Root.Edges[I].Op].push_back(I);
+  std::vector<binfmt::RootEntry> RootIdx;
+  std::vector<uint32_t> RootPool;
+  for (const auto &[Op, Indices] : BodyRootEdgesByOpcode) {
+    binfmt::RootEntry RE;
+    RE.Op = static_cast<uint32_t>(Op);
+    RE.PoolBegin = static_cast<uint32_t>(RootPool.size());
+    RE.PoolCount = static_cast<uint32_t>(Indices.size());
+    RootPool.insert(RootPool.end(), Indices.begin(), Indices.end());
+    RootIdx.push_back(RE);
+  }
+
+  std::string Out(sizeof(binfmt::Header), '\0');
+  binfmt::Header H;
+  H.Magic = binfmt::Magic;
+  H.Version = binfmt::Version;
+  H.EndianTag = binfmt::EndianTag;
+  H.NumRules = NumRules;
+  H.NumStates = static_cast<uint32_t>(BStates.size());
+  H.NumEdges = static_cast<uint32_t>(BEdges.size());
+  H.NumAccepts = static_cast<uint32_t>(BAccepts.size());
+  H.NumConstWords = static_cast<uint32_t>(Pool.size());
+  H.BodyRoot = BodyRoot;
+  H.JumpRoot = JumpRoot;
+  H.StatesOff = appendSection(Out, BStates.data(),
+                              BStates.size() * sizeof(binfmt::State));
+  H.EdgesOff =
+      appendSection(Out, BEdges.data(), BEdges.size() * sizeof(binfmt::Edge));
+  H.AcceptsOff =
+      appendSection(Out, BAccepts.data(), BAccepts.size() * sizeof(uint32_t));
+  H.ConstWordsOff =
+      appendSection(Out, Pool.data(), Pool.size() * sizeof(uint64_t));
+  H.RootIndexOff = appendSection(Out, RootIdx.data(),
+                                 RootIdx.size() * sizeof(binfmt::RootEntry));
+  H.RootIndexCount = static_cast<uint32_t>(RootIdx.size());
+  H.RootPoolOff =
+      appendSection(Out, RootPool.data(), RootPool.size() * sizeof(uint32_t));
+  H.RootPoolCount = static_cast<uint32_t>(RootPool.size());
+  H.RuleCostsOff = appendSection(Out, BCosts.data(),
+                                 BCosts.size() * sizeof(binfmt::RuleCostRec));
+  H.CostVersion = CostVersion;
+  H.FingerprintOff = static_cast<uint32_t>(Out.size());
+  H.FingerprintLen = static_cast<uint32_t>(LibraryFingerprint.size());
+  Out += LibraryFingerprint;
+  H.TotalBytes = static_cast<uint32_t>(Out.size());
+  H.PayloadCrc = crc32(Out.data() + sizeof(H), Out.size() - sizeof(H));
+  H.HeaderCrc = crc32(&H, offsetof(binfmt::Header, HeaderCrc));
+  std::memcpy(Out.data(), &H, sizeof(H));
+  return Out;
 }
+
+} // namespace
 
 MatcherAutomaton
 MatcherAutomaton::compile(const std::vector<AutomatonPattern> &Patterns,
                           const std::string &LibraryFingerprint,
-                          uint32_t NumRules, std::vector<RuleCost> RuleCosts,
+                          uint32_t NumRules,
+                          const std::vector<RuleCost> &RuleCosts,
                           uint32_t CostVersion) {
-  MatcherAutomaton A;
-  A.LibraryFingerprint = LibraryFingerprint;
-  A.NumRules = NumRules;
-  A.RuleCosts = std::move(RuleCosts);
-  A.CostVersion = CostVersion;
   // Insert in ascending priority order so every accept list and the
   // whole trie layout are deterministic in the library order.
   std::vector<const AutomatonPattern *> Sorted;
@@ -154,412 +293,24 @@ MatcherAutomaton::compile(const std::vector<AutomatonPattern> &Patterns,
             [](const AutomatonPattern *L, const AutomatonPattern *R) {
               return L->RuleIndex < R->RuleIndex;
             });
+  TrieBuilder Trie;
   for (const AutomatonPattern *P : Sorted)
-    A.insertPattern(*P);
-  A.rebuildRootIndex();
-  return A;
+    Trie.insertPattern(*P);
+  std::string Image =
+      Trie.emit(LibraryFingerprint, NumRules, RuleCosts, CostVersion);
+
+  // The trie is dropped here; only the image survives, in a buffer of
+  // whole words so the view's 8-byte alignment requirement holds.
+  std::unique_ptr<uint64_t[]> Words(new uint64_t[(Image.size() + 7) / 8]());
+  std::memcpy(Words.get(), Image.data(), Image.size());
+  std::string Error;
+  std::optional<BinaryAutomatonView> View =
+      BinaryAutomatonView::fromMemory(Words.get(), Image.size(), &Error);
+  if (!View)
+    reportFatalError("compiled automaton image failed validation: " + Error);
+  return MatcherAutomaton(std::move(Words), Image.size(), *View);
 }
 
-void MatcherAutomaton::setRuleCosts(std::vector<RuleCost> NewCosts,
-                                    uint32_t NewCostVersion) {
-  assert((NewCostVersion == 0 ? NewCosts.empty()
-                              : NewCosts.size() == NumRules) &&
-         "cost table must cover every rule (or be absent)");
-  RuleCosts = std::move(NewCosts);
-  CostVersion = NewCostVersion;
-}
-
-uint64_t MatcherAutomaton::numTransitions() const {
-  uint64_t N = 0;
-  for (const State &S : States)
-    N += S.Edges.size();
-  return N;
-}
-
-void MatcherAutomaton::collect(uint32_t StateId, std::vector<NodeRef> &Stack,
-                               std::vector<uint32_t> &RulesOut,
-                               uint64_t *StatesVisited) const {
-  const State &S = States[StateId];
-  if (StatesVisited)
-    ++*StatesVisited;
-  if (Stack.empty()) {
-    // Strings are self-delimiting: accepting states are leaves, and a
-    // non-leaf state always has pending subject positions.
-    RulesOut.insert(RulesOut.end(), S.AcceptRules.begin(),
-                    S.AcceptRules.end());
-    return;
-  }
-  NodeRef V = Stack.back();
-  for (const Edge &E : S.Edges) {
-    if (E.EdgeKind == Edge::Kind::Wildcard) {
-      if (E.WildSort != V.sort())
-        continue;
-      Stack.pop_back();
-      collect(E.To, Stack, RulesOut, StatesVisited);
-      Stack.push_back(V);
-      continue;
-    }
-    if (E.ResultIndex != AnyResultIndex && E.ResultIndex != V.Index)
-      continue;
-    if (!nodeSymbolAccepts(E, V.Def))
-      continue;
-    Stack.pop_back();
-    size_t Restore = Stack.size();
-    const std::vector<NodeRef> &Operands = V.Def->operands();
-    for (auto It = Operands.rbegin(); It != Operands.rend(); ++It)
-      Stack.push_back(*It);
-    collect(E.To, Stack, RulesOut, StatesVisited);
-    Stack.resize(Restore);
-    Stack.push_back(V);
-  }
-}
-
-void MatcherAutomaton::matchBody(const Node *Subject,
-                                 std::vector<uint32_t> &RulesOut,
-                                 uint64_t *StatesVisited) const {
-  if (StatesVisited)
-    ++*StatesVisited; // The root state itself.
-  auto It = BodyRootEdgesByOpcode.find(Subject->opcode());
-  if (It == BodyRootEdgesByOpcode.end())
-    return;
-  size_t Before = RulesOut.size();
-  const State &Root = States[BodyRoot];
-  std::vector<NodeRef> Stack;
-  for (uint32_t EdgeIndex : It->second) {
-    const Edge &E = Root.Edges[EdgeIndex];
-    if (!nodeSymbolAccepts(E, Subject))
-      continue;
-    Stack.clear();
-    const std::vector<NodeRef> &Operands = Subject->operands();
-    for (auto OpIt = Operands.rbegin(); OpIt != Operands.rend(); ++OpIt)
-      Stack.push_back(*OpIt);
-    collect(E.To, Stack, RulesOut, StatesVisited);
-  }
-  // Different subtrees accept in trie order; restore priority order.
-  std::sort(RulesOut.begin() + Before, RulesOut.end());
-}
-
-void MatcherAutomaton::matchJump(NodeRef Subject,
-                                 std::vector<uint32_t> &RulesOut,
-                                 uint64_t *StatesVisited) const {
-  size_t Before = RulesOut.size();
-  std::vector<NodeRef> Stack{Subject};
-  collect(JumpRoot, Stack, RulesOut, StatesVisited);
-  std::sort(RulesOut.begin() + Before, RulesOut.end());
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::string sortToText(const Sort &S) { return S.str(); }
-
-std::optional<Sort> sortFromText(const std::string &Text) {
-  if (Text == "mem")
-    return Sort::memory();
-  if (Text == "bool")
-    return Sort::boolean();
-  if (startsWith(Text, "bv")) {
-    const std::string Digits = Text.substr(2);
-    if (Digits.empty() ||
-        Digits.find_first_not_of("0123456789") != std::string::npos)
-      return std::nullopt;
-    unsigned Width = std::stoul(Digits);
-    if (Width == 0)
-      return std::nullopt;
-    return Sort::value(Width);
-  }
-  return std::nullopt;
-}
-
-std::optional<Relation> tryRelationFromName(const std::string &Name) {
-  for (Relation Rel : allRelations())
-    if (Name == relationName(Rel))
-      return Rel;
-  return std::nullopt;
-}
-
-bool isHexString(const std::string &Text) {
-  return !Text.empty() &&
-         Text.find_first_not_of("0123456789abcdefABCDEF") ==
-             std::string::npos;
-}
-
-} // namespace
-
-std::string MatcherAutomaton::serialize() const {
-  std::ostringstream OS;
-  OS << formatTag() << "\n";
-  OS << "library " << LibraryFingerprint << "\n";
-  OS << "rules " << NumRules << "\n";
-  OS << "states " << States.size() << "\n";
-  OS << "body " << BodyRoot << "\n";
-  OS << "jump " << JumpRoot << "\n";
-  OS << "costver " << CostVersion << "\n";
-  for (size_t I = 0; I < RuleCosts.size(); ++I)
-    OS << "cost " << I << " " << RuleCosts[I].Instructions << " "
-       << RuleCosts[I].Latency << " " << RuleCosts[I].Size << "\n";
-  for (size_t I = 0; I < States.size(); ++I) {
-    OS << "state " << I;
-    if (!States[I].AcceptRules.empty()) {
-      OS << " accept";
-      for (uint32_t Rule : States[I].AcceptRules)
-        OS << " " << Rule;
-    }
-    OS << "\n";
-    for (const Edge &E : States[I].Edges) {
-      OS << "edge " << I << " " << E.To;
-      if (E.EdgeKind == Edge::Kind::Wildcard) {
-        OS << " wild " << sortToText(E.WildSort);
-      } else {
-        OS << " node ";
-        if (E.ResultIndex == AnyResultIndex)
-          OS << "any";
-        else
-          OS << E.ResultIndex;
-        OS << " " << opcodeName(E.Op);
-        if (E.HasConst)
-          OS << " const " << E.ConstValue.width() << " "
-             << E.ConstValue.toHexString().substr(2);
-        if (E.HasRelation)
-          OS << " rel " << relationName(E.Rel);
-      }
-      OS << "\n";
-    }
-  }
-  OS << "end\n";
-  return OS.str();
-}
-
-std::optional<MatcherAutomaton>
-MatcherAutomaton::deserialize(const std::string &Text, std::string *Error) {
-  auto fail = [&](const std::string &Message) {
-    if (Error)
-      *Error = Message;
-    return std::nullopt;
-  };
-
-  std::vector<std::string> Lines;
-  for (const std::string &Raw : splitString(Text, '\n')) {
-    std::string Line = trimString(Raw);
-    if (!Line.empty())
-      Lines.push_back(Line);
-  }
-  if (Lines.empty() ||
-      (Lines[0] != formatTag() && Lines[0] != legacyFormatTag()))
-    return fail("not a '" + std::string(formatTag()) +
-                "' file (version mismatch or corrupt)");
-  // The pre-cost v1 format differs only in lacking the costver header
-  // and cost lines; parse it with costVersion() 0 so `convert` can
-  // upgrade old images (the selectors refuse them against cost-stamped
-  // libraries).
-  const bool Legacy = Lines[0] == legacyFormatTag();
-
-  size_t At = 1;
-  auto headerField = [&](const std::string &Key,
-                         std::string &Value) -> bool {
-    if (At >= Lines.size())
-      return false;
-    std::vector<std::string> Parts = splitString(Lines[At], ' ');
-    if (Parts.size() != 2 || Parts[0] != Key)
-      return false;
-    Value = Parts[1];
-    ++At;
-    return true;
-  };
-
-  MatcherAutomaton A;
-  A.States.clear();
-  std::string Fingerprint, RulesText, StatesText, BodyText, JumpText;
-  std::string CostVersionText = "0";
-  if (!headerField("library", Fingerprint) ||
-      !headerField("rules", RulesText) ||
-      !headerField("states", StatesText) || !headerField("body", BodyText) ||
-      !headerField("jump", JumpText) ||
-      (!Legacy && !headerField("costver", CostVersionText)))
-    return fail("malformed automaton header");
-  A.LibraryFingerprint = Fingerprint;
-  try {
-    A.NumRules = std::stoul(RulesText);
-    A.States.resize(std::stoul(StatesText));
-    A.BodyRoot = std::stoul(BodyText);
-    A.JumpRoot = std::stoul(JumpText);
-    A.CostVersion = std::stoul(CostVersionText);
-  } catch (...) {
-    return fail("malformed automaton header numbers");
-  }
-  if (A.States.empty() || A.BodyRoot >= A.States.size() ||
-      A.JumpRoot >= A.States.size())
-    return fail("automaton root states out of range");
-  size_t CostsSeen = 0;
-  std::vector<bool> CostSeen;
-  if (A.CostVersion != 0) {
-    A.RuleCosts.resize(A.NumRules);
-    CostSeen.resize(A.NumRules, false);
-  }
-
-  bool SawEnd = false;
-  for (; At < Lines.size(); ++At) {
-    std::vector<std::string> Parts = splitString(Lines[At], ' ');
-    if (Parts.empty())
-      continue;
-    if (Parts[0] == "end") {
-      SawEnd = true;
-      break;
-    }
-    if (Parts[0] == "cost") {
-      if (A.CostVersion == 0)
-        return fail("cost line in a cost-free automaton: " + Lines[At]);
-      if (Parts.size() != 5)
-        return fail("malformed cost line: " + Lines[At]);
-      uint32_t Id;
-      RuleCost Cost;
-      try {
-        Id = std::stoul(Parts[1]);
-        Cost.Instructions = std::stoul(Parts[2]);
-        Cost.Latency = std::stoul(Parts[3]);
-        Cost.Size = std::stoul(Parts[4]);
-      } catch (...) {
-        return fail("malformed cost numbers: " + Lines[At]);
-      }
-      if (Id >= A.NumRules)
-        return fail("cost rule index out of range: " + Lines[At]);
-      if (CostSeen[Id])
-        return fail("duplicate cost line: " + Lines[At]);
-      CostSeen[Id] = true;
-      A.RuleCosts[Id] = Cost;
-      ++CostsSeen;
-      continue;
-    }
-    if (Parts[0] == "state") {
-      if (Parts.size() < 2)
-        return fail("malformed state line: " + Lines[At]);
-      uint32_t Id;
-      try {
-        Id = std::stoul(Parts[1]);
-      } catch (...) {
-        return fail("malformed state id: " + Lines[At]);
-      }
-      if (Id >= A.States.size())
-        return fail("state id out of range: " + Lines[At]);
-      if (Parts.size() > 2) {
-        if (Parts[2] != "accept")
-          return fail("malformed state line: " + Lines[At]);
-        for (size_t I = 3; I < Parts.size(); ++I) {
-          uint32_t Rule;
-          try {
-            Rule = std::stoul(Parts[I]);
-          } catch (...) {
-            return fail("malformed accept rule: " + Lines[At]);
-          }
-          if (Rule >= A.NumRules)
-            return fail("accept rule out of range: " + Lines[At]);
-          A.States[Id].AcceptRules.push_back(Rule);
-        }
-      }
-      continue;
-    }
-    if (Parts[0] == "edge") {
-      if (Parts.size() < 4)
-        return fail("malformed edge line: " + Lines[At]);
-      uint32_t From, To;
-      try {
-        From = std::stoul(Parts[1]);
-        To = std::stoul(Parts[2]);
-      } catch (...) {
-        return fail("malformed edge endpoints: " + Lines[At]);
-      }
-      if (From >= A.States.size() || To >= A.States.size())
-        return fail("edge endpoint out of range: " + Lines[At]);
-      Edge E;
-      E.To = To;
-      if (Parts[3] == "wild") {
-        if (Parts.size() != 5)
-          return fail("malformed wildcard edge: " + Lines[At]);
-        std::optional<Sort> S = sortFromText(Parts[4]);
-        if (!S)
-          return fail("unknown sort in edge: " + Lines[At]);
-        E.EdgeKind = Edge::Kind::Wildcard;
-        E.WildSort = *S;
-      } else if (Parts[3] == "node") {
-        if (Parts.size() < 6)
-          return fail("malformed node edge: " + Lines[At]);
-        E.EdgeKind = Edge::Kind::Node;
-        if (Parts[4] == "any") {
-          E.ResultIndex = AnyResultIndex;
-        } else {
-          try {
-            E.ResultIndex = std::stoul(Parts[4]);
-          } catch (...) {
-            return fail("malformed result index: " + Lines[At]);
-          }
-        }
-        std::optional<Opcode> Op = tryOpcodeFromName(Parts[5]);
-        if (!Op)
-          return fail("unknown opcode in edge: " + Lines[At]);
-        E.Op = *Op;
-        size_t I = 6;
-        while (I < Parts.size()) {
-          if (Parts[I] == "const" && I + 2 < Parts.size()) {
-            unsigned Width;
-            try {
-              Width = std::stoul(Parts[I + 1]);
-            } catch (...) {
-              return fail("malformed constant width: " + Lines[At]);
-            }
-            if (Width == 0 || !isHexString(Parts[I + 2]))
-              return fail("malformed constant: " + Lines[At]);
-            E.HasConst = true;
-            E.ConstValue = BitValue::fromString(Width, Parts[I + 2], 16);
-            I += 3;
-          } else if (Parts[I] == "rel" && I + 1 < Parts.size()) {
-            std::optional<Relation> Rel = tryRelationFromName(Parts[I + 1]);
-            if (!Rel)
-              return fail("unknown relation in edge: " + Lines[At]);
-            E.HasRelation = true;
-            E.Rel = *Rel;
-            I += 2;
-          } else {
-            return fail("malformed edge attribute: " + Lines[At]);
-          }
-        }
-        if (E.Op == Opcode::Const && !E.HasConst)
-          return fail("Const edge without a value: " + Lines[At]);
-      } else {
-        return fail("unknown edge kind: " + Lines[At]);
-      }
-      A.States[From].Edges.push_back(E);
-      continue;
-    }
-    return fail("unknown directive: " + Lines[At]);
-  }
-  if (!SawEnd)
-    return fail("truncated automaton file (missing 'end')");
-  if (A.CostVersion != 0 && CostsSeen != A.NumRules)
-    return fail("rule cost table incomplete");
-  A.rebuildRootIndex();
-  return A;
-}
-
-bool MatcherAutomaton::writeFile(const std::string &Path) const {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  OS << serialize();
-  return static_cast<bool>(OS);
-}
-
-std::optional<MatcherAutomaton>
-MatcherAutomaton::loadFile(const std::string &Path, std::string *Error) {
-  std::ifstream IS(Path);
-  if (!IS) {
-    if (Error)
-      *Error = "cannot open " + Path;
-    return std::nullopt;
-  }
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  return deserialize(Buffer.str(), Error);
+bool MatcherAutomaton::writeBinaryFile(const std::string &Path) const {
+  return writeFileAtomic(Path, std::string(bytes()));
 }

@@ -36,30 +36,27 @@
 /// is what keeps the automaton selector byte-identical to the linear
 /// one while doing sublinear candidate discovery.
 ///
-/// The automaton serializes to a versioned text format
-/// ("selgen-matcher-automaton-v2", which added the per-rule cost
-/// table; the pre-cost v1 still parses for upgrade) carrying the rule
-/// library's fingerprint; loading rejects files whose version or
-/// fingerprint does not match, so a stale automaton can never silently
-/// desynchronize from the library it indexes.
+/// The trie is a private builder: compile() emits it straight into the
+/// "selgen-matcher-automaton-bin-v2" image (matchergen/BinaryAutomaton.h)
+/// and keeps only those bytes. Every consumer — in-memory selection,
+/// a mapped .matb file, the subsumption analysis — matches through the
+/// same BinaryAutomatonView. The image carries the rule library's
+/// fingerprint, so a stale automaton is rejected rather than silently
+/// applied to the wrong library.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELGEN_MATCHERGEN_MATCHERAUTOMATON_H
 #define SELGEN_MATCHERGEN_MATCHERAUTOMATON_H
 
-#include "cost/CostModel.h"
-#include "ir/Graph.h"
+#include "matchergen/BinaryAutomaton.h"
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace selgen {
-
-class MappedAutomaton;
 
 /// One rule pattern as the automaton compiler consumes it. The
 /// caller (isel's rule preparation) resolves roots and priority
@@ -75,166 +72,48 @@ struct AutomatonPattern {
   uint32_t RuleIndex = 0;
 };
 
-/// A discrimination tree over a rule library's patterns.
+/// A compiled discrimination tree: the bin-v2 image in an owned,
+/// 8-aligned buffer plus the validated view over it. Move-only; the
+/// buffer's address (and so the view) survives moves.
 class MatcherAutomaton {
 public:
-  /// Result-index wildcard used by the first symbol of a body pattern:
-  /// the root aligns with a subject *node*, not a specific result.
-  static constexpr uint32_t AnyResultIndex = 0xffffffffu;
-
-  /// A transition. Wildcard edges consume one subject value without
-  /// descending; node edges test one subject position structurally and
-  /// open its operand positions.
-  struct Edge {
-    enum class Kind { Wildcard, Node };
-    Kind EdgeKind = Kind::Wildcard;
-    uint32_t To = 0;
-    // Wildcard symbols: the pattern argument's sort.
-    Sort WildSort = Sort::boolean();
-    // Node symbols: the structural tests of Matcher's matchValue.
-    uint32_t ResultIndex = AnyResultIndex;
-    Opcode Op = Opcode::Arg;
-    bool HasConst = false;
-    BitValue ConstValue;
-    bool HasRelation = false;
-    Relation Rel = Relation::Eq;
-  };
-
-  struct State {
-    std::vector<Edge> Edges;
-    /// Rule indices accepted here, ascending (priority order).
-    std::vector<uint32_t> AcceptRules;
-  };
-
   /// Compiles \p Patterns (priority-indexed rules of one library) into
   /// a discrimination tree. \p LibraryFingerprint and \p NumRules
-  /// identify the library for serialization-time staleness checks.
-  /// \p RuleCosts (indexed by rule priority index, one entry per
-  /// library rule) and \p CostVersion stamp the library's cost table
-  /// into the automaton; pass the defaults only for cost-free test
-  /// automata (CostVersion 0 marks the table as absent).
+  /// identify the library for staleness checks. \p RuleCosts (indexed
+  /// by rule priority index, one entry per library rule) and
+  /// \p CostVersion stamp the library's cost table into the image;
+  /// pass the defaults only for cost-free automata (CostVersion 0
+  /// marks the table as absent).
   static MatcherAutomaton compile(const std::vector<AutomatonPattern> &Patterns,
                                   const std::string &LibraryFingerprint,
                                   uint32_t NumRules,
-                                  std::vector<RuleCost> RuleCosts = {},
+                                  const std::vector<RuleCost> &RuleCosts = {},
                                   uint32_t CostVersion = 0);
 
-  // -- Matching ----------------------------------------------------------
-  /// Appends to \p RulesOut the indices of every rule whose pattern
-  /// could structurally match at subject node \p Subject, sorted
-  /// ascending (library priority order). \p StatesVisited, if non-null,
-  /// is incremented per automaton state visited.
-  void matchBody(const Node *Subject, std::vector<uint32_t> &RulesOut,
-                 uint64_t *StatesVisited = nullptr) const;
+  const BinaryAutomatonView &view() const { return View; }
 
-  /// Like matchBody for compare-and-jump rules, matching the jump tree
-  /// against the branch condition value \p Subject.
-  void matchJump(NodeRef Subject, std::vector<uint32_t> &RulesOut,
-                 uint64_t *StatesVisited = nullptr) const;
-
-  // -- Introspection -----------------------------------------------------
-  size_t numStates() const { return States.size(); }
-  uint64_t numTransitions() const;
-  uint32_t numRules() const { return NumRules; }
-  const std::string &libraryFingerprint() const { return LibraryFingerprint; }
-
-  /// Cost-derivation scheme the stamped table was computed under; 0
-  /// means "no cost table" (a pre-cost image or a test automaton).
-  uint32_t costVersion() const { return CostVersion; }
-  /// Per-rule cost table (indexed by rule priority index). Empty when
-  /// costVersion() is 0.
-  const std::vector<RuleCost> &ruleCosts() const { return RuleCosts; }
-
-  /// Replaces the stamped cost table — the pre-cost-v1 upgrade path of
-  /// `selgen-matchergen convert`, which re-derives the costs from the
-  /// rule library the automaton was compiled for. \p NewCosts must
-  /// have numRules() entries (or be empty with \p NewCostVersion 0).
-  void setRuleCosts(std::vector<RuleCost> NewCosts, uint32_t NewCostVersion);
-
-  const std::vector<State> &states() const { return States; }
-
-  // -- Serialization -----------------------------------------------------
-  /// The on-disk format tag; bumped whenever the format changes.
-  /// v2 added the per-rule cost table (`costver` + `cost` lines).
-  static const char *formatTag() { return "selgen-matcher-automaton-v2"; }
-
-  /// The pre-cost v1 tag. v1 files still parse (costVersion() 0, no
-  /// cost table) so `selgen-matchergen convert` can upgrade them; the
-  /// selectors' staleness check refuses them against cost-stamped
-  /// libraries.
-  static const char *legacyFormatTag() {
-    return "selgen-matcher-automaton-v1";
+  /// The image bytes, exactly as writeBinaryFile() writes them.
+  std::string_view bytes() const {
+    return {reinterpret_cast<const char *>(Words.get()), Size};
   }
 
-  /// Renders the automaton in the versioned text format.
-  std::string serialize() const;
-
-  /// Parses a serialized automaton. Returns std::nullopt (and sets
-  /// \p Error) if the text is malformed or carries a different format
-  /// version. Library staleness is the *caller's* check: compare
-  /// libraryFingerprint()/numRules() against the prepared library.
-  static std::optional<MatcherAutomaton>
-  deserialize(const std::string &Text, std::string *Error = nullptr);
-
-  /// File convenience wrappers around serialize()/deserialize().
-  bool writeFile(const std::string &Path) const;
-  static std::optional<MatcherAutomaton>
-  loadFile(const std::string &Path, std::string *Error = nullptr);
-
-  // -- Binary serialization (matchergen/BinaryAutomaton.h) ---------------
-  /// The mmap-able binary format's name. The on-disk discriminator is
-  /// the header magic/version; this tag is for diagnostics. bin-v2
-  /// added the rule-cost section.
-  static const char *binaryFormatTag() {
-    return "selgen-matcher-automaton-bin-v2";
-  }
-
-  /// Renders the automaton as one contiguous, pointer-free binary
-  /// arena (layout in BinaryAutomaton.h).
-  std::string serializeBinary() const;
-
-  /// Writes serializeBinary() output atomically.
+  /// Writes bytes() atomically.
   bool writeBinaryFile(const std::string &Path) const;
 
   /// mmaps and validates a binary automaton image. Null — with
   /// \p Error set — on I/O, corruption, or version failure. Library
-  /// staleness is the caller's check, as with deserialize().
+  /// staleness is the caller's check (automatonStalenessError).
   static std::unique_ptr<MappedAutomaton>
   mapBinary(const std::string &Path, std::string *Error = nullptr);
 
-  /// Rebuilds an automaton from explicit, already-validated tables
-  /// (the binary loader's conversion path).
-  static MatcherAutomaton fromParts(std::vector<State> States,
-                                    uint32_t BodyRoot, uint32_t JumpRoot,
-                                    std::string LibraryFingerprint,
-                                    uint32_t NumRules,
-                                    std::vector<RuleCost> RuleCosts = {},
-                                    uint32_t CostVersion = 0);
-
 private:
-  MatcherAutomaton();
+  MatcherAutomaton(std::unique_ptr<uint64_t[]> Words, size_t Size,
+                   const BinaryAutomatonView &View)
+      : Words(std::move(Words)), Size(Size), View(View) {}
 
-  uint32_t newState();
-  /// Follows (or creates) the edge for \p Symbol out of \p From.
-  uint32_t extend(uint32_t From, const Edge &Symbol);
-  void insertPattern(const AutomatonPattern &P);
-  void rebuildRootIndex();
-
-  void collect(uint32_t StateId, std::vector<NodeRef> &Stack,
-               std::vector<uint32_t> &RulesOut,
-               uint64_t *StatesVisited) const;
-
-  std::vector<State> States;
-  uint32_t BodyRoot = 0;
-  uint32_t JumpRoot = 0;
-  /// Body-root edge indices by root opcode — the "indexed by root
-  /// opcode" entry point that makes candidate discovery start at the
-  /// right subtree in O(log #opcodes).
-  std::map<Opcode, std::vector<uint32_t>> BodyRootEdgesByOpcode;
-  std::string LibraryFingerprint;
-  uint32_t NumRules = 0;
-  std::vector<RuleCost> RuleCosts;
-  uint32_t CostVersion = 0;
+  std::unique_ptr<uint64_t[]> Words;
+  size_t Size;
+  BinaryAutomatonView View;
 };
 
 } // namespace selgen

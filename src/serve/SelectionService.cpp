@@ -19,16 +19,7 @@ SelectionService::SelectionService(const PreparedLibrary &Library,
                                    const BinaryAutomatonView &View,
                                    unsigned Width, unsigned Threads,
                                    bool Tiling, CostKind Cost)
-    : Library(Library), View(&View), Width(Width), Tiling(Tiling),
-      Cost(Cost) {
-  start(Threads);
-}
-
-SelectionService::SelectionService(const PreparedLibrary &Library,
-                                   const MatcherAutomaton &Automaton,
-                                   unsigned Width, unsigned Threads,
-                                   bool Tiling, CostKind Cost)
-    : Library(Library), Automaton(&Automaton), Width(Width), Tiling(Tiling),
+    : Library(Library), View(View), Width(Width), Tiling(Tiling),
       Cost(Cost) {
   start(Threads);
 }
@@ -69,7 +60,7 @@ void SelectionService::workerMain() {
 }
 
 void SelectionService::swapImage(std::shared_ptr<MappedAutomaton> NewImage) {
-  if (!NewImage || !NewImage->view().valid())
+  if (!NewImage)
     return;
   std::lock_guard<std::mutex> Lock(Mutex);
   // The in-flight batch (if any) holds its own shared_ptr copy taken
@@ -83,9 +74,7 @@ std::string SelectionService::imageFingerprint() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Swapped)
     return Swapped->view().libraryFingerprint();
-  if (View)
-    return View->libraryFingerprint();
-  return Automaton->libraryFingerprint();
+  return View.libraryFingerprint();
 }
 
 uint64_t SelectionService::imageGeneration() const {
@@ -98,20 +87,10 @@ void SelectionService::processItem(size_t Index) {
   // library and automaton are only ever read.
   Function F = buildWorkload(*Profiles[Index], Width);
   SelectionObserver Observer;
-  SelectionResult Selected;
-  if (BatchView) {
-    MappedCandidateSource Source(Library, *BatchView);
-    Selected = Tiling
-                   ? runTilingSelection(F, Library, Source, Cost, &Observer)
-                   : runRuleSelection(F, Library, Source, "automaton",
-                                      &Observer);
-  } else {
-    AutomatonCandidateSource Source(Library, *Automaton);
-    Selected = Tiling
-                   ? runTilingSelection(F, Library, Source, Cost, &Observer)
-                   : runRuleSelection(F, Library, Source, "automaton",
-                                      &Observer);
-  }
+  MappedCandidateSource Source(Library, *BatchView);
+  SelectionResult Selected =
+      Tiling ? runTilingSelection(F, Library, Source, Cost, &Observer)
+             : runRuleSelection(F, Library, Source, "automaton", &Observer);
 
   BatchReply::Result &R = (*Out)[Index];
   R.Workload = Profiles[Index]->Name;
@@ -167,7 +146,7 @@ SelectionService::process(const BatchRequest &Request, std::string *Error) {
       NextItem = 0;
       ItemsDone = 0;
       PinnedImage = Swapped;
-      BatchView = PinnedImage ? &PinnedImage->view() : View;
+      BatchView = PinnedImage ? &PinnedImage->view() : &View;
     }
     WorkCv.notify_all();
     std::unique_lock<std::mutex> Lock(Mutex);

@@ -8,8 +8,8 @@
 /// \file
 /// The resident core of the selgen-served compile server: N persistent
 /// worker threads sharing one read-only prepared library and one
-/// read-only matcher automaton (a mapped binary image or a heap
-/// automaton), compiling batches of workload functions concurrently.
+/// read-only matcher automaton image, compiling batches of workload
+/// functions concurrently.
 ///
 /// Ownership and threading model: the library and automaton are
 /// immutable after construction and shared by reference; everything
@@ -55,19 +55,14 @@ struct ServiceTelemetry {
 
 class SelectionService {
 public:
-  /// Runs off \p View, a validated mapped binary image (zero
-  /// deserialization). \p Library and the view's backing memory must
-  /// outlive the service. With \p Tiling set, every request runs the
-  /// cost-minimal tiling pre-pass under \p Cost instead of first-match
-  /// (selector name "tiling"; unit-cost tiling stays byte-identical).
+  /// Runs off \p View, a validated automaton image (mapped or compiled
+  /// in memory; zero deserialization). \p Library and the view's
+  /// backing memory must outlive the service. With \p Tiling set,
+  /// every request runs the cost-minimal tiling pre-pass under \p Cost
+  /// instead of first-match (selector name "tiling"; unit-cost tiling
+  /// stays byte-identical).
   SelectionService(const PreparedLibrary &Library,
                    const BinaryAutomatonView &View, unsigned Width,
-                   unsigned Threads, bool Tiling = false,
-                   CostKind Cost = CostKind::Unit);
-
-  /// Runs off a heap automaton instead (the text-format path).
-  SelectionService(const PreparedLibrary &Library,
-                   const MatcherAutomaton &Automaton, unsigned Width,
                    unsigned Threads, bool Tiling = false,
                    CostKind Cost = CostKind::Unit);
 
@@ -112,8 +107,7 @@ private:
   void processItem(size_t Index);
 
   const PreparedLibrary &Library;
-  const BinaryAutomatonView *View = nullptr;    ///< One of View /
-  const MatcherAutomaton *Automaton = nullptr;  ///< Automaton is set.
+  const BinaryAutomatonView &View; ///< The image the service started with.
   /// Owner of the live image after a hot swap (null until the first
   /// swapImage). Guarded by Mutex; batches snapshot it at dispatch.
   std::shared_ptr<MappedAutomaton> Swapped;

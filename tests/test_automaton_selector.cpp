@@ -49,7 +49,7 @@ std::string asmBody(const MachineFunction &MF) {
 /// Selects \p F with both selectors and asserts byte-identical output
 /// and identical coverage accounting.
 void expectByteIdentical(const Function &F, GeneratedSelector &Linear,
-                         AutomatonSelector &Automaton,
+                         MappedAutomatonSelector &Automaton,
                          const std::string &Context) {
   SelectionResult LinearResult = Linear.select(F);
   SelectionResult AutomatonResult = Automaton.select(F);
@@ -82,7 +82,7 @@ struct AutomatonSelectorTest : public ::testing::Test {
   PatternDatabase GnuRules = buildGnuLikeRules(W);
   PatternDatabase ClangRules = buildClangLikeRules(W);
   GeneratedSelector Linear{GnuRules, Goals};
-  AutomatonSelector Automaton{GnuRules, Goals};
+  MappedAutomatonSelector Automaton{GnuRules, Goals};
 };
 
 } // namespace
@@ -94,7 +94,7 @@ TEST_F(AutomatonSelectorTest, ByteIdenticalOnPatternTestFunctions) {
   // into two-way branches.
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
     GeneratedSelector Lin(*Db, Goals);
-    AutomatonSelector Auto(*Db, Goals);
+    MappedAutomatonSelector Auto(*Db, Goals);
     unsigned Index = 0;
     for (const Rule &R : Db->rules()) {
       Function F = buildPatternTestFunction(
@@ -118,7 +118,7 @@ TEST_F(AutomatonSelectorTest, ByteIdenticalOnEvalWorkloadsAllWidths) {
       PatternDatabase Db = UseClang ? buildClangLikeRules(Width)
                                     : buildGnuLikeRules(Width);
       GeneratedSelector Lin(Db, WidthGoals);
-      AutomatonSelector Auto(Db, WidthGoals);
+      MappedAutomatonSelector Auto(Db, WidthGoals);
       for (const WorkloadProfile &Profile : cint2000Profiles()) {
         Function F = buildWorkload(Profile, Width);
         expectByteIdentical(F, Lin, Auto,
@@ -253,30 +253,6 @@ TEST_F(AutomatonSelectorTest, DagReconvergentSubjectsMatch) {
   expectByteIdentical(F, Linear, Automaton, "blsr DAG");
 }
 
-TEST_F(AutomatonSelectorTest, SerializedAutomatonProducesIdenticalOutput) {
-  const std::string Path = "test-automaton-roundtrip.mat";
-  ASSERT_TRUE(Automaton.automaton().writeFile(Path));
-  std::string Error;
-  std::optional<MatcherAutomaton> Loaded =
-      MatcherAutomaton::loadFile(Path, &Error);
-  ASSERT_TRUE(Loaded) << Error;
-  AutomatonSelector FromFile(GnuRules, Goals, std::move(*Loaded));
-
-  Rng Random(11);
-  for (int Trial = 0; Trial < 10; ++Trial) {
-    Function F = singleBlock([&](Graph &G) {
-      NodeRef X = G.createBinary(Opcode::Add, G.arg(1), G.arg(2));
-      NodeRef Y = G.createBinary(
-          Opcode::And, X, G.createConst(Random.nextInterestingBitValue(W)));
-      return G.createBinary(Opcode::Xor, Y, G.arg(1));
-    });
-    normalizeFunction(F);
-    SelectionResult A = Automaton.select(F);
-    SelectionResult B = FromFile.select(F);
-    EXPECT_EQ(asmBody(*A.MF), asmBody(*B.MF));
-  }
-}
-
 TEST_F(AutomatonSelectorTest, SelectionRunsAgreeWithInterpreter) {
   // Not only identical to the linear selector, but actually correct:
   // differential against the IR interpreter.
@@ -325,7 +301,7 @@ TEST_F(AutomatonSelectorTest, StaticElisionPreservesByteIdentity) {
         GoalLibrary::build(Width, GoalLibrary::allGroups());
     PatternDatabase Db = buildGnuLikeRules(Width);
     GeneratedSelector Lin(Db, WidthGoals);
-    AutomatonSelector Auto(Db, WidthGoals);
+    MappedAutomatonSelector Auto(Db, WidthGoals);
     for (const WorkloadProfile &Profile : cint2000Profiles()) {
       Function F = buildWorkload(Profile, Width);
       SelectionResult LinOn = Lin.select(F);
@@ -370,7 +346,7 @@ TEST_F(AutomatonSelectorTest, TelemetryCountersRecorded) {
   Function F = singleBlock([](Graph &G) {
     return G.createBinary(Opcode::Add, G.arg(1), G.arg(2));
   });
-  AutomatonSelector Fresh(GnuRules, Goals);
+  MappedAutomatonSelector Fresh(GnuRules, Goals);
   GeneratedSelector LinearFresh(GnuRules, Goals);
   (void)Fresh.select(F);
   (void)LinearFresh.select(F);
@@ -406,11 +382,10 @@ TEST_F(AutomatonSelectorTest, TelemetryCountersRecorded) {
 }
 
 TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
-  // The selector running directly off the mmap'ed binary image: on
-  // every rule's test function of both libraries, its full output —
-  // including the machine-function header, since both selectors report
-  // the name "automaton" — must equal the heap automaton's byte for
-  // byte.
+  // The selector running off the mmap'ed image file: on every rule's
+  // test function of both libraries, its full output — including the
+  // machine-function header, since both selectors report the name
+  // "automaton" — must equal the in-memory image's byte for byte.
   unsigned LibraryIndex = 0;
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
     std::string Path = ::testing::TempDir() + "mapped_identity_" +
@@ -424,21 +399,23 @@ TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
         MatcherAutomaton::mapBinary(Path, &Error);
     ASSERT_TRUE(Mapped) << Error;
 
-    AutomatonSelector Heap(*Db, Goals);
-    MappedAutomatonSelector FromImage(*Db, Goals, Mapped->view());
-    EXPECT_EQ(FromImage.numRules(), Heap.numRules());
+    MappedAutomatonSelector InMemory(*Db, Goals);
+    MappedAutomatonSelector FromImage(PreparedLibrary(*Db, Goals),
+                                      Mapped->view());
+    EXPECT_EQ(FromImage.numRules(), InMemory.numRules());
     unsigned Index = 0;
     for (const Rule &R : Db->rules()) {
       Function F = buildPatternTestFunction(
           R, W, "pattest_" + std::to_string(Index));
-      SelectionResult FromHeap = Heap.select(F);
+      SelectionResult FromMemory = InMemory.select(F);
       SelectionResult FromView = FromImage.select(F);
-      ASSERT_TRUE(FromHeap.MF && FromView.MF);
-      EXPECT_EQ(printMachineFunction(*FromHeap.MF),
+      ASSERT_TRUE(FromMemory.MF && FromView.MF);
+      EXPECT_EQ(printMachineFunction(*FromMemory.MF),
                 printMachineFunction(*FromView.MF))
           << "rule " << Index << " for " << R.GoalName;
-      EXPECT_EQ(FromHeap.CoveredOperations, FromView.CoveredOperations);
-      EXPECT_EQ(FromHeap.FallbackOperations, FromView.FallbackOperations);
+      EXPECT_EQ(FromMemory.CoveredOperations, FromView.CoveredOperations);
+      EXPECT_EQ(FromMemory.FallbackOperations,
+                FromView.FallbackOperations);
       ++Index;
     }
     EXPECT_GT(Index, 20u);
@@ -447,21 +424,48 @@ TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
 
 TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnWorkloads) {
   std::string Path = ::testing::TempDir() + "mapped_workloads.matb";
-  ASSERT_TRUE(Automaton.automaton().writeBinaryFile(Path));
+  {
+    PreparedLibrary Lib(GnuRules, Goals);
+    ASSERT_TRUE(buildMatcherAutomaton(Lib).writeBinaryFile(Path));
+  }
   std::string Error;
   std::unique_ptr<MappedAutomaton> Mapped =
       MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Mapped) << Error;
-  MappedAutomatonSelector FromImage(GnuRules, Goals, Mapped->view());
+  MappedAutomatonSelector FromImage(PreparedLibrary(GnuRules, Goals),
+                                    Mapped->view());
   for (const WorkloadProfile &Profile : cint2000Profiles()) {
     Function F = buildWorkload(Profile, W);
-    SelectionResult FromHeap = Automaton.select(F);
+    SelectionResult FromMemory = Automaton.select(F);
     SelectionResult FromView = FromImage.select(F);
-    ASSERT_TRUE(FromHeap.MF && FromView.MF);
-    EXPECT_EQ(printMachineFunction(*FromHeap.MF),
+    ASSERT_TRUE(FromMemory.MF && FromView.MF);
+    EXPECT_EQ(printMachineFunction(*FromMemory.MF),
               printMachineFunction(*FromView.MF))
         << Profile.Name;
   }
+}
+
+TEST_F(AutomatonSelectorTest, MappedImageRecordsAutomatonCounters) {
+  // The selector built from a mapped image records the automaton size
+  // counters just like the in-memory one: both land in --stats-json
+  // whichever way selgen-compile obtained the automaton.
+  std::string Path = ::testing::TempDir() + "mapped_counters.matb";
+  PreparedLibrary Lib(GnuRules, Goals);
+  MatcherAutomaton Compiled = buildMatcherAutomaton(Lib);
+  ASSERT_TRUE(Compiled.writeBinaryFile(Path));
+  std::string Error;
+  std::unique_ptr<MappedAutomaton> Mapped =
+      MatcherAutomaton::mapBinary(Path, &Error);
+  ASSERT_TRUE(Mapped) << Error;
+
+  Statistics::get().clear();
+  MappedAutomatonSelector FromImage(std::move(Lib), Mapped->view());
+  Statistics &Stats = Statistics::get();
+  EXPECT_EQ(Stats.value("automaton.states"),
+            static_cast<int64_t>(Compiled.view().numStates()));
+  EXPECT_EQ(Stats.value("automaton.transitions"),
+            static_cast<int64_t>(Compiled.view().numTransitions()));
+  EXPECT_GT(Stats.value("automaton.states"), 0);
 }
 
 TEST_F(AutomatonSelectorTest, ObserverBypassesGlobalStatistics) {
@@ -477,13 +481,13 @@ TEST_F(AutomatonSelectorTest, ObserverBypassesGlobalStatistics) {
 
   SelectionResult Plain;
   {
-    AutomatonCandidateSource Source(Lib, Compiled);
+    MappedCandidateSource Source(Lib, Compiled.view());
     Plain = runRuleSelection(F, Lib, Source, "automaton");
   }
 
   Statistics::get().clear();
   SelectionObserver Observer;
-  AutomatonCandidateSource Source(Lib, Compiled);
+  MappedCandidateSource Source(Lib, Compiled.view());
   SelectionResult Observed =
       runRuleSelection(F, Lib, Source, "automaton", &Observer);
 

@@ -30,6 +30,7 @@ struct MatchergenTest : public ::testing::Test {
   PatternDatabase GnuRules = buildGnuLikeRules(W);
   PreparedLibrary Library{GnuRules, Goals};
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
+  const BinaryAutomatonView &View = Automaton.view();
 
   /// The rules the linear selector would try for body subject \p S
   /// (root-opcode prefilter only).
@@ -73,10 +74,10 @@ TEST_F(MatchergenTest, SharesCommonPrefixes) {
   for (const PreparedRule &R : Library.rules())
     TotalSymbols +=
         R.TheRule->Pattern.numOperations() + R.TheRule->Pattern.numArgs();
-  EXPECT_GT(Automaton.numStates(), 2u);
-  EXPECT_LT(Automaton.numTransitions(), TotalSymbols);
+  EXPECT_GT(View.numStates(), 2u);
+  EXPECT_LT(View.numTransitions(), TotalSymbols);
   // A tree: every state except the two roots has exactly one parent.
-  EXPECT_EQ(Automaton.numTransitions(), Automaton.numStates() - 2);
+  EXPECT_EQ(View.numTransitions(), View.numStates() - 2);
 }
 
 TEST_F(MatchergenTest, CandidatesAreSupersetOfMatchesAndSubsetOfLinear) {
@@ -100,7 +101,7 @@ TEST_F(MatchergenTest, CandidatesAreSupersetOfMatchesAndSubsetOfLinear) {
 
   for (const Node *S : Subjects) {
     std::vector<uint32_t> Candidates;
-    Automaton.matchBody(S, Candidates, nullptr);
+    View.matchBody(S, Candidates, nullptr);
     EXPECT_TRUE(std::is_sorted(Candidates.begin(), Candidates.end()));
     EXPECT_TRUE(isSubset(Candidates, linearBodyCandidates(S)))
         << "automaton offered a rule the linear prefilter would not";
@@ -127,8 +128,8 @@ TEST_F(MatchergenTest, ConstantValuesDiscriminate) {
   Graph Bad = makeSubject(2);
 
   std::vector<uint32_t> GoodRules, BadRules;
-  Automaton.matchBody(Good.results()[0].Def, GoodRules, nullptr);
-  Automaton.matchBody(Bad.results()[0].Def, BadRules, nullptr);
+  View.matchBody(Good.results()[0].Def, GoodRules, nullptr);
+  View.matchBody(Bad.results()[0].Def, BadRules, nullptr);
   // The blsr rule (And(a, Sub(a, 1))) is a candidate only for Good.
   bool FoundBlsr = false;
   for (uint32_t Index : GoodRules) {
@@ -148,68 +149,9 @@ TEST_F(MatchergenTest, StateVisitCounterAdvances) {
   NodeRef Sum = G.createBinary(Opcode::Add, G.arg(0), G.arg(1));
   uint64_t Visited = 0;
   std::vector<uint32_t> Rules;
-  Automaton.matchBody(Sum.Def, Rules, &Visited);
+  View.matchBody(Sum.Def, Rules, &Visited);
   EXPECT_GT(Visited, 0u);
   EXPECT_FALSE(Rules.empty());
-}
-
-TEST_F(MatchergenTest, SerializationRoundTrips) {
-  std::string Text = Automaton.serialize();
-  std::string Error;
-  std::optional<MatcherAutomaton> Loaded =
-      MatcherAutomaton::deserialize(Text, &Error);
-  ASSERT_TRUE(Loaded) << Error;
-  EXPECT_EQ(Loaded->numStates(), Automaton.numStates());
-  EXPECT_EQ(Loaded->numTransitions(), Automaton.numTransitions());
-  EXPECT_EQ(Loaded->numRules(), Automaton.numRules());
-  EXPECT_EQ(Loaded->libraryFingerprint(), Automaton.libraryFingerprint());
-  // Byte-exact round trip: the format is deterministic.
-  EXPECT_EQ(Loaded->serialize(), Text);
-  EXPECT_TRUE(automatonStalenessError(*Loaded, Library).empty());
-
-  // The reloaded automaton produces identical candidates.
-  Graph G(W, {Sort::value(W), Sort::value(W)});
-  NodeRef Sum = G.createBinary(Opcode::Add, G.arg(0), G.arg(1));
-  std::vector<uint32_t> A, B;
-  Automaton.matchBody(Sum.Def, A, nullptr);
-  Loaded->matchBody(Sum.Def, B, nullptr);
-  EXPECT_EQ(A, B);
-}
-
-TEST_F(MatchergenTest, RejectsWrongVersionTag) {
-  std::string Text = Automaton.serialize();
-  std::string Stale = Text;
-  Stale.replace(Stale.find("-v2"), 3, "-v0");
-  std::string Error;
-  EXPECT_FALSE(MatcherAutomaton::deserialize(Stale, &Error));
-  EXPECT_NE(Error.find("version"), std::string::npos);
-
-  EXPECT_FALSE(MatcherAutomaton::deserialize("", &Error));
-  EXPECT_FALSE(MatcherAutomaton::deserialize("garbage\nfile\n", &Error));
-}
-
-TEST_F(MatchergenTest, RejectsTruncatedAndCorruptFiles) {
-  std::string Text = Automaton.serialize();
-  // Truncation: cut before the end marker.
-  std::string Truncated = Text.substr(0, Text.size() / 2);
-  std::string Error;
-  EXPECT_FALSE(MatcherAutomaton::deserialize(Truncated, &Error));
-
-  // An edge pointing past the state table.
-  std::string BadEdge = Text;
-  size_t EdgeAt = BadEdge.find("\nedge ");
-  ASSERT_NE(EdgeAt, std::string::npos);
-  BadEdge.replace(EdgeAt, 7, "\nedge 999999 ");
-  EXPECT_FALSE(MatcherAutomaton::deserialize(BadEdge, &Error));
-
-  // An unknown opcode mnemonic.
-  std::string BadOp = Text;
-  size_t NodeAt = BadOp.find(" node ");
-  ASSERT_NE(NodeAt, std::string::npos);
-  size_t OpStart = BadOp.find(' ', NodeAt + 6) + 1;
-  size_t OpEnd = BadOp.find_first_of(" \n", OpStart);
-  BadOp.replace(OpStart, OpEnd - OpStart, "Frobnicate");
-  EXPECT_FALSE(MatcherAutomaton::deserialize(BadOp, &Error));
 }
 
 TEST_F(MatchergenTest, StaleLibraryIsRejected) {
@@ -219,15 +161,16 @@ TEST_F(MatchergenTest, StaleLibraryIsRejected) {
   PreparedLibrary ClangLibrary(ClangRules, Goals);
   MatcherAutomaton ClangAutomaton = buildMatcherAutomaton(ClangLibrary);
 
-  EXPECT_TRUE(automatonStalenessError(Automaton, Library).empty());
-  EXPECT_TRUE(automatonStalenessError(ClangAutomaton, ClangLibrary).empty());
-  EXPECT_FALSE(automatonStalenessError(ClangAutomaton, Library).empty());
-  EXPECT_FALSE(automatonStalenessError(Automaton, ClangLibrary).empty());
+  const BinaryAutomatonView &ClangView = ClangAutomaton.view();
+  EXPECT_TRUE(automatonStalenessError(View, Library).empty());
+  EXPECT_TRUE(automatonStalenessError(ClangView, ClangLibrary).empty());
+  EXPECT_FALSE(automatonStalenessError(ClangView, Library).empty());
+  EXPECT_FALSE(automatonStalenessError(View, ClangLibrary).empty());
 }
 
 TEST_F(MatchergenTest, FingerprintTracksRuleChanges) {
   // Adding one rule changes the prepared-library fingerprint, so any
-  // previously serialized automaton becomes stale.
+  // previously written automaton image becomes stale.
   PatternDatabase Grown = buildGnuLikeRules(W);
   {
     Graph Pattern(W, {Sort::value(W), Sort::value(W)});
@@ -240,7 +183,7 @@ TEST_F(MatchergenTest, FingerprintTracksRuleChanges) {
   }
   PreparedLibrary GrownLibrary(Grown, Goals);
   EXPECT_NE(GrownLibrary.fingerprint(), Library.fingerprint());
-  EXPECT_FALSE(automatonStalenessError(Automaton, GrownLibrary).empty());
+  EXPECT_FALSE(automatonStalenessError(View, GrownLibrary).empty());
 }
 
 TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
@@ -274,7 +217,7 @@ TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
   const PreparedRule &Rule = DagLibrary.rules()[0];
   for (NodeRef Subject : {Reconverges, Split}) {
     std::vector<uint32_t> Candidates;
-    DagAutomaton.matchBody(Subject.Def, Candidates, nullptr);
+    DagAutomaton.view().matchBody(Subject.Def, Candidates, nullptr);
     EXPECT_EQ(Candidates, std::vector<uint32_t>{0})
         << "automaton must offer the DAG rule structurally";
   }
@@ -287,7 +230,7 @@ TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Binary format ("selgen-matcher-automaton-bin-v1")
+// Binary format ("selgen-matcher-automaton-bin-v2")
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -345,26 +288,24 @@ void putField(std::string &Image, size_t Offset, uint32_t Value) {
 
 } // namespace
 
-TEST_F(MatchergenTest, BinaryRoundTripMatchesText) {
-  std::string Image = Automaton.serializeBinary();
-  AlignedImage Aligned(Image);
+TEST_F(MatchergenTest, BinaryFileRoundTripAndSniffing) {
+  // Writing the compiled image and mapping it back is byte-identity:
+  // the file holds exactly the in-memory bytes, and the mapped view
+  // offers the same candidates with the same work as the compiled one.
+  std::string BinPath = ::testing::TempDir() + "matchergen_rt.matb";
+  ASSERT_TRUE(Automaton.writeBinaryFile(BinPath));
+  std::optional<std::string> OnDisk = readFileToString(BinPath);
+  ASSERT_TRUE(OnDisk);
+  EXPECT_EQ(*OnDisk, std::string(Automaton.bytes()));
+
   std::string Error;
-  std::optional<BinaryAutomatonView> View =
-      BinaryAutomatonView::fromMemory(Aligned.data(), Aligned.Size, &Error);
-  ASSERT_TRUE(View) << Error;
-  EXPECT_EQ(View->numStates(), Automaton.numStates());
-  EXPECT_EQ(View->numTransitions(), Automaton.numTransitions());
-  EXPECT_EQ(View->numRules(), Automaton.numRules());
-  EXPECT_EQ(View->libraryFingerprint(), Automaton.libraryFingerprint());
-  EXPECT_TRUE(automatonStalenessError(*View, Library).empty());
+  std::unique_ptr<MappedAutomaton> Mapped =
+      MatcherAutomaton::mapBinary(BinPath, &Error);
+  ASSERT_TRUE(Mapped) << Error;
+  EXPECT_EQ(Mapped->sizeBytes(), Automaton.bytes().size());
+  EXPECT_TRUE(automatonStalenessError(Mapped->view(), Library).empty());
+  EXPECT_EQ(Mapped->view().dump(), View.dump());
 
-  // binary -> heap -> text equals heap -> text: the two encodings
-  // describe the identical automaton.
-  EXPECT_EQ(View->toAutomaton().serialize(), Automaton.serialize());
-  // And the binary encoding itself is deterministic.
-  EXPECT_EQ(Automaton.serializeBinary(), Image);
-
-  // Candidate sets off the mapped image match the heap automaton's.
   Graph G(W, {Sort::memory(), Sort::value(W), Sort::value(W)});
   std::vector<const Node *> Subjects;
   Subjects.push_back(
@@ -378,38 +319,23 @@ TEST_F(MatchergenTest, BinaryRoundTripMatchesText) {
                   G.arg(2))
           .Def);
   for (const Node *S : Subjects) {
-    std::vector<uint32_t> FromHeap, FromView;
-    uint64_t HeapVisited = 0, ViewVisited = 0;
-    Automaton.matchBody(S, FromHeap, &HeapVisited);
-    View->matchBody(S, FromView, &ViewVisited);
-    EXPECT_EQ(FromHeap, FromView);
-    EXPECT_EQ(HeapVisited, ViewVisited);
+    std::vector<uint32_t> FromMemory, FromFile;
+    uint64_t MemoryVisited = 0, FileVisited = 0;
+    View.matchBody(S, FromMemory, &MemoryVisited);
+    Mapped->view().matchBody(S, FromFile, &FileVisited);
+    EXPECT_EQ(FromMemory, FromFile);
+    EXPECT_EQ(MemoryVisited, FileVisited);
   }
-}
 
-TEST_F(MatchergenTest, BinaryFileRoundTripAndSniffing) {
-  std::string BinPath = ::testing::TempDir() + "matchergen_rt.matb";
-  std::string TextPath = ::testing::TempDir() + "matchergen_rt.mat";
-  ASSERT_TRUE(Automaton.writeBinaryFile(BinPath));
-  ASSERT_TRUE(Automaton.writeFile(TextPath));
-  EXPECT_TRUE(isBinaryAutomatonFile(BinPath));
-  EXPECT_FALSE(isBinaryAutomatonFile(TextPath));
-  EXPECT_FALSE(isBinaryAutomatonFile(TextPath + ".does-not-exist"));
+  // Compiling again yields the same bytes: the image is deterministic.
+  EXPECT_EQ(buildMatcherAutomaton(Library).bytes(), Automaton.bytes());
 
-  std::string Error;
-  std::unique_ptr<MappedAutomaton> Mapped =
-      MatcherAutomaton::mapBinary(BinPath, &Error);
-  ASSERT_TRUE(Mapped) << Error;
-  EXPECT_EQ(Mapped->sizeBytes(), Automaton.serializeBinary().size());
-  EXPECT_EQ(Mapped->view().toAutomaton().serialize(), Automaton.serialize());
-
-  EXPECT_FALSE(MatcherAutomaton::mapBinary(TextPath, &Error));
   EXPECT_FALSE(
       MatcherAutomaton::mapBinary(BinPath + ".does-not-exist", &Error));
 }
 
 TEST_F(MatchergenTest, BinaryRejectsTruncation) {
-  std::string Image = Automaton.serializeBinary();
+  std::string Image(Automaton.bytes());
   // Every truncation point must be rejected, typed, and crash-free:
   // short of a header it is TooSmall, otherwise the total size or the
   // payload CRC can no longer hold.
@@ -426,7 +352,7 @@ TEST_F(MatchergenTest, BinaryRejectsTruncation) {
 }
 
 TEST_F(MatchergenTest, BinaryRejectsEveryBitFlip) {
-  std::string Image = Automaton.serializeBinary();
+  std::string Image(Automaton.bytes());
   // Deterministic single-bit mutation sweep. Every byte of the image
   // is covered by one of the two CRCs (and most by a stronger check
   // first), so no flip may survive — and none may crash or index out
@@ -443,7 +369,7 @@ TEST_F(MatchergenTest, BinaryRejectsEveryBitFlip) {
 }
 
 TEST_F(MatchergenTest, BinaryRejectsForeignEndianAndVersion) {
-  std::string Image = Automaton.serializeBinary();
+  std::string Image(Automaton.bytes());
 
   // Byte-swapped magic: the image of an opposite-endian writer.
   std::string Swapped = Image;
@@ -480,10 +406,26 @@ TEST_F(MatchergenTest, BinaryRejectsForeignEndianAndVersion) {
 
   EXPECT_EQ(loadCode(std::string(200, '\0')),
             BinaryAutomatonError::BadMagic);
+
+  // A text automaton from before the image became the only form is
+  // refused as BadMagic, and the message says how to regenerate it.
+  std::string Text = "selgen-matcher-automaton-v2\nlibrary " +
+                     Library.fingerprint() + "\n";
+  Text.resize(sizeof(binfmt::Header) + 64, '\n');
+  AlignedImage TextImage(Text);
+  BinaryAutomatonError Code = BinaryAutomatonError::None;
+  std::string Error;
+  EXPECT_FALSE(BinaryAutomatonView::fromMemory(TextImage.data(),
+                                               TextImage.Size, &Error, &Code));
+  EXPECT_EQ(Code, BinaryAutomatonError::BadMagic);
+  EXPECT_NE(Error.find("selgen-matchergen --library <rules.dat> --output "
+                       "<file>.matb"),
+            std::string::npos)
+      << Error;
 }
 
 TEST_F(MatchergenTest, BinaryRejectsOversizedOffsetsTyped) {
-  std::string Image = Automaton.serializeBinary();
+  std::string Image(Automaton.bytes());
   binfmt::Header H = headerOf(Image);
 
   // Section offset far past the arena: BadSection even though the
@@ -522,7 +464,7 @@ TEST_F(MatchergenTest, BinaryRejectsOversizedOffsetsTyped) {
 }
 
 TEST_F(MatchergenTest, BinaryRejectsBadStructureTyped) {
-  std::string Image = Automaton.serializeBinary();
+  std::string Image(Automaton.bytes());
   binfmt::Header H = headerOf(Image);
   ASSERT_GT(H.NumEdges, 0u);
 

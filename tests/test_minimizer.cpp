@@ -310,8 +310,8 @@ TEST_F(MinimizerTest, MinimizedShippedBasicLibraryPreservesSelection) {
   EXPECT_EQ(Result.RulesBefore - Result.Certificates.size(),
             Result.RulesAfter);
 
-  AutomatonSelector Before(Db, Goals);
-  AutomatonSelector After(Result.Minimized, Goals);
+  MappedAutomatonSelector Before(Db, Goals);
+  MappedAutomatonSelector After(Result.Minimized, Goals);
   for (const WorkloadProfile &Profile : cint2000Profiles()) {
     Function F = buildWorkload(Profile, W);
     SelectionResult B = Before.select(F);

@@ -47,34 +47,20 @@ std::vector<std::string> allWorkloadNames() {
   return Names;
 }
 
-/// The server-side fixture: one prepared library, one binary image in
-/// aligned storage, one validated view over it.
+/// The server-side fixture: one prepared library and the automaton
+/// image compiled from it in memory.
 struct ServeTest : public ::testing::Test {
   GoalLibrary Goals = GoalLibrary::build(W, GoalLibrary::allGroups());
   PatternDatabase Rules = buildGnuLikeRules(W);
   PreparedLibrary Library{Rules, Goals};
-  std::vector<uint64_t> ImageWords;
-  size_t ImageSize = 0;
-  BinaryAutomatonView View;
-
-  void SetUp() override {
-    std::string Image = buildMatcherAutomaton(Library).serializeBinary();
-    ImageWords.resize(Image.size() / 8 + 1);
-    std::memcpy(ImageWords.data(), Image.data(), Image.size());
-    ImageSize = Image.size();
-    std::string Error;
-    std::optional<BinaryAutomatonView> Validated =
-        BinaryAutomatonView::fromMemory(ImageWords.data(), ImageSize,
-                                        &Error);
-    ASSERT_TRUE(Validated) << Error;
-    View = *Validated;
-  }
+  MatcherAutomaton Compiled = buildMatcherAutomaton(Library);
+  const BinaryAutomatonView &View = Compiled.view();
 
   /// What single-shot sequential selection produces for \p Name.
   std::string sequentialAsm(const std::string &Name) {
     for (const WorkloadProfile &Profile : cint2000Profiles())
       if (Profile.Name == Name) {
-        AutomatonSelector Selector(Rules, Goals);
+        MappedAutomatonSelector Selector(Rules, Goals);
         return printMachineFunction(
             *Selector.select(buildWorkload(Profile, W)).MF);
       }
@@ -198,14 +184,20 @@ TEST_F(ServeTest, ConcurrentBatchesMatchSequentialSelection) {
   EXPECT_EQ(Service.telemetry().Batches, 1u);
   EXPECT_EQ(Service.telemetry().Functions, Request.Workloads.size());
 
-  // Identical results again from a heap-automaton service: the mapped
-  // image is an encoding detail, not a behavior change.
-  MatcherAutomaton Heap = buildMatcherAutomaton(Library);
-  SelectionService HeapService(Library, Heap, W, 2);
-  std::optional<BatchReply> HeapReply = HeapService.process(Request, &Error);
-  ASSERT_TRUE(HeapReply) << Error;
+  // Identical results again from a service over the image written to
+  // a file and mapped back: where the bytes live is not a behavior
+  // change.
+  std::string Path = ::testing::TempDir() + "serve_concurrent.matb";
+  ASSERT_TRUE(Compiled.writeBinaryFile(Path));
+  std::unique_ptr<MappedAutomaton> Mapped =
+      MatcherAutomaton::mapBinary(Path, &Error);
+  ASSERT_TRUE(Mapped) << Error;
+  SelectionService MappedService(Library, Mapped->view(), W, 2);
+  std::optional<BatchReply> MappedReply =
+      MappedService.process(Request, &Error);
+  ASSERT_TRUE(MappedReply) << Error;
   for (size_t I = 0; I < Reply->Results.size(); ++I)
-    EXPECT_EQ(HeapReply->Results[I].Asm, Reply->Results[I].Asm);
+    EXPECT_EQ(MappedReply->Results[I].Asm, Reply->Results[I].Asm);
 }
 
 TEST_F(ServeTest, RejectsWidthMismatchAndUnknownWorkloads) {

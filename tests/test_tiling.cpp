@@ -13,8 +13,7 @@
 // first-match, and on libraries with same-pattern/different-cost rule
 // collisions (add_rr vs add_ri) it must do strictly better. These
 // tests enforce both halves, the DAG re-convergence accounting, and
-// the cost table's round trip through the text and binary automaton
-// formats.
+// the cost table's round trip through the automaton image.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +32,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 using namespace selgen;
 
@@ -73,7 +71,7 @@ Function singleBlock(const std::function<NodeRef(Graph &)> &Build) {
 
 TEST_F(TilingTest, UnitCostReproducesFirstMatchOnWorkloads) {
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
-    AutomatonSelector Auto(*Db, Goals);
+    MappedAutomatonSelector Auto(*Db, Goals);
     TilingSelector Unit(*Db, Goals, CostKind::Unit);
     for (const WorkloadProfile &Profile : cint2000Profiles()) {
       Function F = buildWorkload(Profile, W);
@@ -91,7 +89,7 @@ TEST_F(TilingTest, UnitCostReproducesFirstMatchOnPatternTestFunctions) {
   // Every rule of both libraries as a runnable test function: identity
   // patterns, immediate forms, memory rules, compare-and-jump rules.
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
-    AutomatonSelector Auto(*Db, Goals);
+    MappedAutomatonSelector Auto(*Db, Goals);
     TilingSelector Unit(*Db, Goals, CostKind::Unit);
     unsigned Index = 0;
     for (const Rule &R : Db->rules()) {
@@ -119,7 +117,7 @@ TEST_F(TilingTest, StaticCostNeverWorseOnWorkloads) {
   // its measured size carries no such bound; it is exercised for
   // validity only.)
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
-    AutomatonSelector Auto(*Db, Goals);
+    MappedAutomatonSelector Auto(*Db, Goals);
     TilingSelector Latency(*Db, Goals, CostKind::Latency);
     TilingSelector Size(*Db, Goals, CostKind::Size);
     for (const WorkloadProfile &Profile : cint2000Profiles()) {
@@ -163,7 +161,7 @@ TEST_F(TilingTest, CostModelPicksCheaperSamePatternRule) {
                           G.createConst(BitValue(W, 60)));
   });
 
-  AutomatonSelector Auto(Db, Goals);
+  MappedAutomatonSelector Auto(Db, Goals);
   TilingSelector Unit(Db, Goals, CostKind::Unit);
   TilingSelector Latency(Db, Goals, CostKind::Latency);
 
@@ -194,7 +192,7 @@ TEST_F(TilingTest, DagReconvergencePricedOnce) {
 
   PreparedLibrary Library(GnuRules, Goals);
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  AutomatonCandidateSource Inner(Library, Automaton);
+  MappedCandidateSource Inner(Library, Automaton.view());
   TilingCandidateSource Source(Library, Inner, CostKind::Unit);
   Source.prepare(F);
   EXPECT_EQ(Source.bestCoverCost(), 4u);
@@ -204,53 +202,6 @@ TEST_F(TilingTest, DagReconvergencePricedOnce) {
   SelectionResult R = Unit.select(F);
   ASSERT_TRUE(R.MF);
   EXPECT_EQ(R.MF->numInstructions(), 4u);
-}
-
-TEST_F(TilingTest, CostTableRoundTripsThroughTextFormat) {
-  PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  EXPECT_EQ(Automaton.costVersion(), cost::ModelVersion);
-  ASSERT_EQ(Automaton.ruleCosts().size(), Library.rules().size());
-  for (size_t I = 0; I < Library.rules().size(); ++I)
-    EXPECT_EQ(Automaton.ruleCosts()[I], Library.rules()[I].Cost) << I;
-
-  std::string Error;
-  std::optional<MatcherAutomaton> Reloaded =
-      MatcherAutomaton::deserialize(Automaton.serialize(), &Error);
-  ASSERT_TRUE(Reloaded) << Error;
-  EXPECT_EQ(Reloaded->costVersion(), cost::ModelVersion);
-  EXPECT_EQ(Reloaded->ruleCosts(), Automaton.ruleCosts());
-  EXPECT_TRUE(automatonStalenessError(*Reloaded, Library).empty());
-}
-
-TEST_F(TilingTest, LegacyTextFormatParsesButFailsCostStaleness) {
-  PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-
-  // Reconstruct what a v1 writer produced: the old tag, no costver
-  // header, no per-rule cost lines.
-  std::istringstream In(Automaton.serialize());
-  std::ostringstream Out;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.rfind("costver", 0) == 0 || Line.rfind("cost ", 0) == 0)
-      continue;
-    size_t Tag = Line.find(MatcherAutomaton::formatTag());
-    if (Tag != std::string::npos)
-      Line = Line.substr(0, Tag) + MatcherAutomaton::legacyFormatTag() +
-             Line.substr(Tag + std::strlen(MatcherAutomaton::formatTag()));
-    Out << Line << "\n";
-  }
-
-  std::string Error;
-  std::optional<MatcherAutomaton> Legacy =
-      MatcherAutomaton::deserialize(Out.str(), &Error);
-  ASSERT_TRUE(Legacy) << Error; // v1 images still parse...
-  EXPECT_EQ(Legacy->costVersion(), 0u);
-  EXPECT_TRUE(Legacy->ruleCosts().empty());
-  // ...but a cost-aware consumer must reject them as stale.
-  std::string Stale = automatonStalenessError(*Legacy, Library);
-  EXPECT_NE(Stale.find("cost"), std::string::npos) << Stale;
 }
 
 TEST_F(TilingTest, CostTableRoundTripsThroughBinaryFormat) {
@@ -269,12 +220,25 @@ TEST_F(TilingTest, CostTableRoundTripsThroughBinaryFormat) {
               Library.rules()[I].Cost)
         << I;
   EXPECT_TRUE(automatonStalenessError(Mapped->view(), Library).empty());
+
+  // An image without a cost table (cost version 0) indexes the right
+  // library but must still be refused by a cost-aware consumer.
+  std::vector<AutomatonPattern> Patterns;
+  for (const PreparedRule &R : Library.rules())
+    if (!R.IsJumpRule)
+      Patterns.push_back({&R.TheRule->Pattern, R.Root, false, R.Index});
+  MatcherAutomaton CostFree = MatcherAutomaton::compile(
+      Patterns, Library.fingerprint(),
+      static_cast<uint32_t>(Library.rules().size()));
+  EXPECT_EQ(CostFree.view().costVersion(), 0u);
+  std::string Stale = automatonStalenessError(CostFree.view(), Library);
+  EXPECT_NE(Stale.find("cost"), std::string::npos) << Stale;
 }
 
 TEST_F(TilingTest, BinaryV1ImageRejectedAsBadVersion) {
   PreparedLibrary Library(GnuRules, Goals);
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  std::string Image = Automaton.serializeBinary();
+  std::string Image(Automaton.bytes());
 
   // Stamp the pre-cost version and recompute both CRCs, simulating a
   // structurally intact v1 image. The binary format has no upgrade
@@ -326,7 +290,7 @@ TEST_F(TilingTest, ShippedLibraryLatencyTilingStrictlyCheaper) {
   PatternDatabase Db = PatternDatabase::deserialize(Text, &Error);
   ASSERT_TRUE(Error.empty()) << Error;
 
-  AutomatonSelector Auto(Db, Goals);
+  MappedAutomatonSelector Auto(Db, Goals);
   TilingSelector Unit(Db, Goals, CostKind::Unit);
   TilingSelector Latency(Db, Goals, CostKind::Latency);
   uint64_t AutoTotal = 0, TilingTotal = 0;

@@ -1,0 +1,199 @@
+//===- test_tool_differentials.cpp - End-to-end differentials over the CLIs ----===//
+//
+// Part of the selgen project (CGO'18 instruction-selection synthesis
+// reproduction).
+//
+//===----------------------------------------------------------------------===//
+//
+// Differentials that drive the real command-line tools, so the contracts
+// they print and write are checked where users meet them:
+//
+//   * Matcher differential: selgen-matchergen compiles the shipped
+//     basic w8 library into an image; selgen-compile then runs every
+//     workload once off that image and once with the paper's linear
+//     scan. The coverage/cycle rows must agree, and the image run's
+//     --stats-json must carry all five matcher counters.
+//   * `selgen-matchergen dump` renders the image it maps.
+//   * A text automaton (the retired .mat format) is refused by
+//     selgen-compile and selgen-served with exit code 1 and a message
+//     saying how to regenerate the image.
+//
+// The build injects the tool paths as SELGEN_MATCHERGEN_TOOL,
+// SELGEN_COMPILE_TOOL and SELGEN_SERVED_TOOL.
+//
+//===----------------------------------------------------------------------===//
+
+#include "support/AtomicFile.h"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+namespace {
+
+std::string freshDir(const std::string &Name) {
+  std::string Dir = ::testing::TempDir() + "selgen_tools_" + Name;
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
+
+/// Runs \p Tool with \p Args, stdout and stderr to \p LogPath; returns
+/// the exit code (-1 if the tool did not exit normally).
+int runTool(const std::string &Tool, const std::vector<std::string> &Args,
+            const std::string &LogPath) {
+  pid_t Child = ::fork();
+  if (Child == 0) {
+    if (!::freopen(LogPath.c_str(), "w", stdout))
+      ::_exit(126);
+    ::dup2(::fileno(stdout), ::fileno(stderr));
+    std::vector<std::string> Mutable = Args;
+    std::string Path = Tool;
+    std::vector<char *> Argv{Path.data()};
+    for (std::string &Arg : Mutable)
+      Argv.push_back(Arg.data());
+    Argv.push_back(nullptr);
+    ::execv(Path.c_str(), Argv.data());
+    ::_exit(127);
+  }
+  int Status = 0;
+  ::waitpid(Child, &Status, 0);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+std::string readLog(const std::string &Path) {
+  return selgen::readFileToString(Path).value_or("");
+}
+
+/// The per-benchmark table rows of a selgen-compile log ("164.gzip
+/// ..."), with runs of spaces squeezed: the table is padded to the
+/// selector-name header, which legitimately differs between selectors.
+std::vector<std::string> benchmarkRows(const std::string &Log) {
+  std::vector<std::string> Rows;
+  std::istringstream In(Log);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    size_t Digits = Line.find_first_not_of("0123456789");
+    if (Digits == 0 || Digits == std::string::npos || Line[Digits] != '.')
+      continue;
+    std::string Squeezed;
+    for (char C : Line)
+      if (C != ' ' || Squeezed.empty() || Squeezed.back() != ' ')
+        Squeezed.push_back(C);
+    Rows.push_back(Squeezed);
+  }
+  return Rows;
+}
+
+const std::string BasicLibrary =
+    std::string(SELGEN_ARTIFACTS_DIR) + "/rule-library-basic-w8.dat";
+
+} // namespace
+
+TEST(MatcherDifferential, ImageRowsMatchLinearScanAndCountersLand) {
+  std::string Dir = freshDir("matcher");
+  std::string Image = Dir + "/basic.matb";
+  std::string Stats = Dir + "/stats.json";
+  ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
+                    {"--library", BasicLibrary, "--output", Image},
+                    Dir + "/matchergen.log"),
+            0)
+      << readLog(Dir + "/matchergen.log");
+  ASSERT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                    {"--library", BasicLibrary, "--automaton", Image,
+                     "--stats-json", Stats},
+                    Dir + "/auto.log"),
+            0)
+      << readLog(Dir + "/auto.log");
+  ASSERT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                    {"--library", BasicLibrary, "--selector", "linear"},
+                    Dir + "/linear.log"),
+            0)
+      << readLog(Dir + "/linear.log");
+
+  std::vector<std::string> AutoRows = benchmarkRows(readLog(Dir + "/auto.log"));
+  std::vector<std::string> LinearRows =
+      benchmarkRows(readLog(Dir + "/linear.log"));
+  EXPECT_FALSE(AutoRows.empty());
+  EXPECT_EQ(AutoRows, LinearRows);
+
+  std::string Json = readLog(Stats);
+  for (const char *Counter :
+       {"automaton.states", "automaton.transitions", "selector.rules_tried",
+        "matcher.nodes_visited", "selector.select_us"})
+    EXPECT_NE(Json.find("\"" + std::string(Counter) + "\""),
+              std::string::npos)
+        << "missing " << Counter << " in " << Stats;
+}
+
+TEST(MatcherDifferential, DumpRendersTheMappedImage) {
+  std::string Dir = freshDir("dump");
+  std::string Image = Dir + "/basic.matb";
+  ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
+                    {"--library", BasicLibrary, "--output", Image},
+                    Dir + "/matchergen.log"),
+            0)
+      << readLog(Dir + "/matchergen.log");
+  ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL, {"dump", Image},
+                    Dir + "/dump.log"),
+            0)
+      << readLog(Dir + "/dump.log");
+
+  std::string Dump = readLog(Dir + "/dump.log");
+  EXPECT_EQ(Dump.rfind("selgen-matcher-automaton-bin-v2\n", 0), 0u) << Dump;
+  EXPECT_NE(Dump.find("\nstate 0\n"), std::string::npos);
+  EXPECT_NE(Dump.find(" accept "), std::string::npos);
+  EXPECT_NE(Dump.find("\ncost 0 "), std::string::npos);
+  ASSERT_GE(Dump.size(), 4u);
+  EXPECT_EQ(Dump.substr(Dump.size() - 4), "end\n");
+
+  // One "state" line per state, as many as the header announces.
+  size_t Announced = 0, Seen = 0;
+  std::istringstream In(Dump);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    if (Line.rfind("states ", 0) == 0)
+      Announced = std::stoul(Line.substr(7));
+    else if (Line.rfind("state ", 0) == 0)
+      ++Seen;
+  }
+  EXPECT_GT(Announced, 2u);
+  EXPECT_EQ(Seen, Announced);
+
+  EXPECT_EQ(runTool(SELGEN_MATCHERGEN_TOOL, {"dump", Dir + "/missing.matb"},
+                    Dir + "/missing.log"),
+            1);
+}
+
+TEST(MatcherDifferential, TextAutomatonRefusedWithRegenerateHint) {
+  std::string Dir = freshDir("text");
+  std::string Text = Dir + "/old.mat";
+  ASSERT_TRUE(selgen::writeFileAtomic(
+      Text, "selgen-matcher-automaton-v2\nlibrary 03e3529f05a3ed75\n"
+            "rules 26\nstates 2\nbody 0\njump 1\ncostver 1\n"
+            "state 0\nstate 1\nend\n"));
+  const std::string Hint =
+      "selgen-matchergen --library <rules.dat> --output <file>.matb";
+
+  EXPECT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                    {"--library", BasicLibrary, "--automaton", Text},
+                    Dir + "/compile.log"),
+            1);
+  std::string CompileLog = readLog(Dir + "/compile.log");
+  EXPECT_NE(CompileLog.find("bad-magic"), std::string::npos) << CompileLog;
+  EXPECT_NE(CompileLog.find(Hint), std::string::npos) << CompileLog;
+
+  EXPECT_EQ(runTool(SELGEN_SERVED_TOOL,
+                    {"--library", BasicLibrary, "--automaton", Text},
+                    Dir + "/served.log"),
+            1);
+  std::string ServedLog = readLog(Dir + "/served.log");
+  EXPECT_NE(ServedLog.find("bad-magic"), std::string::npos) << ServedLog;
+  EXPECT_NE(ServedLog.find(Hint), std::string::npos) << ServedLog;
+}

@@ -12,7 +12,7 @@
 //   selgen-compile --library rules.dat --benchmark 186.crafty --print-asm
 //   selgen-compile --library rules.dat            # all benchmarks
 //   selgen-compile --library rules.dat --selector linear
-//   selgen-compile --library rules.dat --automaton rules.mat --stats-json s.json
+//   selgen-compile --library rules.dat --automaton rules.matb --stats-json s.json
 //
 // --selector picks how rules are matched: "auto" (default) compiles
 // the library into a discrimination-tree automaton, "tiling" adds the
@@ -21,13 +21,12 @@
 // "linear" tries the rules one by one as the paper's prototype does
 // (same machine code, slower matching), "handwritten" bypasses the
 // rule library entirely.
-// --automaton loads a pre-compiled automaton file emitted by
-// selgen-matchergen instead of compiling in memory; both the text
-// (.mat) and binary (.matb, mmap'ed with zero deserialization)
-// formats are accepted by sniffing, and a stale file (one whose
-// library fingerprint does not match) is rejected. Loading a
-// serialized automaton reuses the staleness check's prepared library
-// (selector.prepare_skipped). --dump-asm DIR writes the primary
+// --automaton maps a pre-compiled .matb image emitted by
+// selgen-matchergen (mmap'ed, zero deserialization) instead of
+// compiling in memory; a file that is not a current image, or a stale
+// one (whose library fingerprint does not match), is rejected with
+// exit code 1. Mapping an image reuses the staleness check's prepared
+// library (selector.prepare_skipped). --dump-asm DIR writes the primary
 // selector's machine code to DIR/<benchmark>.s, one file per
 // benchmark — the byte-identity anchor for the compile-server tests.
 //
@@ -147,8 +146,8 @@ int main(int argc, char **argv) {
   size_t UsableRules = 0;
   const bool Tiling = SelectorName == "tiling";
   if (SelectorName == "auto" || Tiling) {
-    if (!AutomatonPath.empty() && isBinaryAutomatonFile(AutomatonPath)) {
-      // Binary image: mmap, validate, and match off the mapped bytes.
+    if (!AutomatonPath.empty()) {
+      // Pre-built image: mmap, validate, and match off the mapped bytes.
       std::string LoadError;
       Mapped = MatcherAutomaton::mapBinary(AutomatonPath, &LoadError);
       if (!Mapped) {
@@ -162,6 +161,8 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "error: %s\n", Stale.c_str());
         return 1;
       }
+      // The staleness check above already prepared the library; hand
+      // it to the selector instead of re-preparing (re-sorting) it.
       Statistics::get().add("selector.prepare_skipped", 1);
       UsableRules = Prepared.rules().size();
       std::printf("automaton: %zu states, %llu transitions (mapped from "
@@ -176,35 +177,6 @@ int main(int argc, char **argv) {
       else
         RuleDriven = std::make_unique<MappedAutomatonSelector>(
             std::move(Prepared), Mapped->view());
-    } else if (!AutomatonPath.empty()) {
-      std::string LoadError;
-      std::optional<MatcherAutomaton> Loaded =
-          MatcherAutomaton::loadFile(AutomatonPath, &LoadError);
-      if (!Loaded) {
-        std::fprintf(stderr, "error: %s\n", LoadError.c_str());
-        return 1;
-      }
-      PreparedLibrary Prepared(Database, Goals);
-      std::string Stale = automatonStalenessError(*Loaded, Prepared);
-      if (!Stale.empty()) {
-        std::fprintf(stderr, "error: %s\n", Stale.c_str());
-        return 1;
-      }
-      // The staleness check above already prepared the library; hand
-      // it to the selector instead of re-preparing (re-sorting) it.
-      Statistics::get().add("selector.prepare_skipped", 1);
-      UsableRules = Prepared.rules().size();
-      std::printf("automaton: %zu states, %llu transitions (loaded from "
-                  "%s)\n",
-                  Loaded->numStates(),
-                  static_cast<unsigned long long>(Loaded->numTransitions()),
-                  AutomatonPath.c_str());
-      if (Tiling)
-        RuleDriven = std::make_unique<TilingSelector>(
-            std::move(Prepared), std::move(*Loaded), *CostModel);
-      else
-        RuleDriven = std::make_unique<AutomatonSelector>(std::move(Prepared),
-                                                         std::move(*Loaded));
     } else if (Tiling) {
       auto Tiled =
           std::make_unique<TilingSelector>(Database, Goals, *CostModel);
@@ -213,12 +185,12 @@ int main(int argc, char **argv) {
                   costKindName(*CostModel), UsableRules);
       RuleDriven = std::move(Tiled);
     } else {
-      auto Auto = std::make_unique<AutomatonSelector>(Database, Goals);
+      auto Auto = std::make_unique<MappedAutomatonSelector>(Database, Goals);
       UsableRules = Auto->numRules();
       std::printf("automaton: %zu states, %llu transitions\n",
-                  Auto->automaton().numStates(),
+                  Auto->view().numStates(),
                   static_cast<unsigned long long>(
-                      Auto->automaton().numTransitions()));
+                      Auto->view().numTransitions()));
       RuleDriven = std::move(Auto);
     }
   } else if (SelectorName == "linear") {

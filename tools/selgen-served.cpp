@@ -7,14 +7,15 @@
 ///
 /// \file
 /// The resident compile server: loads one rule library and one matcher
-/// automaton at startup (preferably an mmap'ed binary image —
-/// validation instead of parsing, O(1) startup), then serves batched
+/// automaton at startup (an mmap'ed .matb image — validation instead
+/// of parsing, O(1) startup — or, without --automaton, one compiled in
+/// memory), then serves batched
 /// selection requests over the selgen frame protocol. Selection fans
 /// out over a pool of worker threads sharing the read-only automaton;
 /// results are byte-identical to single-shot
 /// `selgen-compile --selector auto` runs.
 ///
-///   selgen-matchergen --library rules.dat --output rules.matb --format binary
+///   selgen-matchergen --library rules.dat --output rules.matb
 ///   selgen-served --library rules.dat --automaton rules.matb --threads 4
 ///   selgen-served --library rules.dat --automaton rules.matb --socket S
 ///
@@ -34,7 +35,7 @@
 ///
 /// SIGTERM/SIGINT drain: every admitted request is answered, late
 /// arrivals get a typed ShuttingDown error, then exit 0 with the
-/// socket unlinked. SIGHUP hot-reloads the --automaton binary image
+/// socket unlinked. SIGHUP hot-reloads the --automaton image
 /// off-thread (validate, then an atomic swap; a corrupt or stale
 /// candidate is refused and the old image keeps serving) without
 /// dropping a connection.
@@ -174,11 +175,11 @@ int main(int argc, char **argv) {
   GoalLibrary Goals = GoalLibrary::build(Width, GoalLibrary::allGroups());
   PreparedLibrary Library(Database, Goals);
 
-  // The automaton: mapped binary image (preferred), parsed text file,
-  // or compiled in memory when no file is given.
+  // The automaton: the mapped --automaton image, or compiled in memory
+  // when no file is given.
   std::unique_ptr<MappedAutomaton> Mapped;
-  std::optional<MatcherAutomaton> Heap;
-  if (!AutomatonPath.empty() && isBinaryAutomatonFile(AutomatonPath)) {
+  std::optional<MatcherAutomaton> Compiled;
+  if (!AutomatonPath.empty()) {
     std::string Error;
     Mapped = MatcherAutomaton::mapBinary(AutomatonPath, &Error);
     if (!Mapped) {
@@ -190,42 +191,27 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: %s\n", Stale.c_str());
       return 1;
     }
-  } else if (!AutomatonPath.empty()) {
-    std::string Error;
-    Heap = MatcherAutomaton::loadFile(AutomatonPath, &Error);
-    if (!Heap) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::string Stale = automatonStalenessError(*Heap, Library);
-    if (!Stale.empty()) {
-      std::fprintf(stderr, "error: %s\n", Stale.c_str());
-      return 1;
-    }
   } else {
-    Heap = buildMatcherAutomaton(Library);
+    Compiled = buildMatcherAutomaton(Library);
   }
+  const BinaryAutomatonView &View =
+      Mapped ? Mapped->view() : Compiled->view();
 
-  std::unique_ptr<SelectionService> Service;
-  if (Mapped)
-    Service = std::make_unique<SelectionService>(
-        Library, Mapped->view(), Width, Threads, Tiling, *CostModel);
-  else
-    Service = std::make_unique<SelectionService>(Library, *Heap, Width,
-                                                 Threads, Tiling, *CostModel);
+  SelectionService Service(Library, View, Width, Threads, Tiling,
+                           *CostModel);
 
-  // SIGHUP hot reload is only meaningful for an on-disk binary image
-  // (text and in-memory automata have nothing to re-map).
+  // SIGHUP hot reload is only meaningful for an on-disk image (an
+  // in-memory automaton has nothing to re-map).
   std::unique_ptr<ImageReloader> Reloader;
   if (Mapped)
     Reloader =
-        std::make_unique<ImageReloader>(*Service, Library, AutomatonPath);
+        std::make_unique<ImageReloader>(Service, Library, AutomatonPath);
   ServerOpts.TickHook = [&Reloader] {
     if (GReload.exchange(false, std::memory_order_relaxed)) {
       if (Reloader)
         Reloader->requestReload();
       else
-        std::fprintf(stderr, "selgen-served: ignoring SIGHUP (no binary "
+        std::fprintf(stderr, "selgen-served: ignoring SIGHUP (no "
                              "automaton image to reload)\n");
     }
     if (Reloader)
@@ -241,10 +227,8 @@ int main(int argc, char **argv) {
   std::fprintf(stderr,
                "selgen-served: %zu rules, %zu states (%s), %u threads, "
                "selector %s%s%s\n",
-               Library.rules().size(),
-               Mapped ? Mapped->view().numStates() : Heap->numStates(),
-               Mapped ? "mapped" : AutomatonPath.empty() ? "in-memory"
-                                                         : "text",
+               Library.rules().size(), View.numStates(),
+               Mapped ? "mapped" : "in-memory",
                Threads, SelectorName.c_str(), Tiling ? "/" : "",
                Tiling ? costKindName(*CostModel) : "");
 
@@ -257,7 +241,7 @@ int main(int argc, char **argv) {
       ListenFd = listenUnixSocket(SocketPath);
       if (ListenFd < 0)
         return 1;
-      Server = std::make_unique<SelectionServer>(*Service, ServerOpts);
+      Server = std::make_unique<SelectionServer>(Service, ServerOpts);
       Server->serveListenFd(ListenFd);
       std::fprintf(stderr, "selgen-served: listening on %s\n",
                    SocketPath.c_str());
@@ -269,7 +253,7 @@ int main(int argc, char **argv) {
       if (ProtocolFd < 0)
         return 2;
       dup2(STDERR_FILENO, STDOUT_FILENO);
-      Server = std::make_unique<SelectionServer>(*Service, STDIN_FILENO,
+      Server = std::make_unique<SelectionServer>(Service, STDIN_FILENO,
                                                  ProtocolFd, ServerOpts);
     }
     GActiveServer = Server.get();
@@ -309,7 +293,7 @@ int main(int argc, char **argv) {
               static_cast<int64_t>(Reloader->failures()));
   }
 
-  const ServiceTelemetry &T = Service->telemetry();
+  const ServiceTelemetry &T = Service.telemetry();
   std::fprintf(stderr,
                "selgen-served: served %llu batches, %llu functions\n",
                static_cast<unsigned long long>(T.Batches),
