@@ -109,6 +109,8 @@ struct ServiceRun {
   uint64_t Batches = 0;
   uint64_t Functions = 0;
   uint64_t Selections = 0; ///< Covered operation selections.
+  uint64_t RulesTried = 0;
+  uint64_t NodesVisited = 0;
   double WallSeconds = 0;
   std::vector<double> LatenciesUs; ///< Per-function selection time.
 };
@@ -138,6 +140,8 @@ ServiceRun drive(SelectionService &Service, uint64_t TargetFunctions,
     for (const BatchReply::Result &R : Reply->Results) {
       ++Run.Functions;
       Run.Selections += R.CoveredOperations;
+      Run.RulesTried += R.RulesTried;
+      Run.NodesVisited += R.NodesVisited;
       Run.LatenciesUs.push_back(R.SelectUs);
     }
   }
@@ -362,13 +366,12 @@ int main() {
               "excluded; an operation selection covers one subject\n"
               "operation with a rule or fallback emission)\n");
 
-  const ServiceTelemetry &T = Service.telemetry();
   std::printf("service telemetry: %llu batches, %llu functions, "
               "%llu rules tried, %llu automaton states visited\n",
-              static_cast<unsigned long long>(T.Batches),
-              static_cast<unsigned long long>(T.Functions),
-              static_cast<unsigned long long>(T.RulesTried),
-              static_cast<unsigned long long>(T.NodesVisited));
+              static_cast<unsigned long long>(Run.Batches),
+              static_cast<unsigned long long>(Run.Functions),
+              static_cast<unsigned long long>(Run.RulesTried),
+              static_cast<unsigned long long>(Run.NodesVisited));
 
   if (Run.Functions < TargetFunctions) {
     std::fprintf(stderr, "FAILURE: served fewer functions than target\n");

@@ -9,7 +9,6 @@
 
 #include "isel/SelectionEngine.h"
 #include "support/Error.h"
-#include "support/Statistics.h"
 
 #include <utility>
 
@@ -104,15 +103,6 @@ uint64_t MappedCandidateSource::takeNodesVisited() {
   return std::exchange(StatesVisited, 0);
 }
 
-/// Records the automaton's size once per selector, whichever way the
-/// image was obtained.
-static void noteAutomatonStatistics(const BinaryAutomatonView &View) {
-  Statistics &Stats = Statistics::get();
-  Stats.add("automaton.states", static_cast<int64_t>(View.numStates()));
-  Stats.add("automaton.transitions",
-            static_cast<int64_t>(View.numTransitions()));
-}
-
 MappedAutomatonSelector::MappedAutomatonSelector(
     const PatternDatabase &Database, const GoalLibrary &Goals)
     : Library(Database, Goals), Compiled(buildMatcherAutomaton(Library)),
@@ -131,5 +121,7 @@ MappedAutomatonSelector::MappedAutomatonSelector(
 
 SelectionResult MappedAutomatonSelector::select(const Function &F) {
   MappedCandidateSource Source(Library, View);
-  return runRuleSelection(F, Library, Source, name());
+  SelectionResult Result = runRuleSelection(F, Library, Source, name());
+  noteSelectionStatistics(Result);
+  return Result;
 }

@@ -61,5 +61,7 @@ GeneratedSelector::GeneratedSelector(const PatternDatabase &Database,
 
 SelectionResult GeneratedSelector::select(const Function &F) {
   LinearCandidateSource Source(Library);
-  return runRuleSelection(F, Library, Source, name());
+  SelectionResult Result = runRuleSelection(F, Library, Source, name());
+  noteSelectionStatistics(Result);
+  return Result;
 }

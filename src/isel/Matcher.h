@@ -44,8 +44,8 @@ struct MatchResult {
 /// \p Roles are the goal's argument roles (parallel to the pattern's
 /// arguments). Returns std::nullopt on mismatch. \p NodesVisited, if
 /// non-null, is incremented by the number of pattern positions the
-/// match walk examined (the matcher-work metric of the selection
-/// telemetry).
+/// match walk examined (the matcher-work metric,
+/// SelectionResult::NodesVisited).
 std::optional<MatchResult> matchPattern(const Graph &Pattern,
                                         const std::vector<ArgRole> &Roles,
                                         const Node *PatternRoot,

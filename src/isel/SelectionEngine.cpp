@@ -11,6 +11,7 @@
 #include "ir/Printer.h"
 #include "isel/Lowering.h"
 #include "isel/Matcher.h"
+#include "matchergen/BinaryAutomaton.h"
 #include "support/Error.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
@@ -435,8 +436,7 @@ public:
 SelectionResult selgen::runRuleSelection(const Function &F,
                                          const PreparedLibrary &Library,
                                          RuleCandidateSource &Source,
-                                         const std::string &SelectorName,
-                                         SelectionObserver *Observer) {
+                                         const std::string &SelectorName) {
   Timer Clock;
   SelectionResult Result;
   FunctionLowering Lowering(F, SelectorName);
@@ -454,34 +454,28 @@ SelectionResult selgen::runRuleSelection(const Function &F,
   Result.MF = Lowering.takeMachineFunction();
   removeDeadInstructions(*Result.MF);
   Result.SelectionSeconds = Clock.elapsedSeconds();
+  Result.RulesTried = Counters.RulesTried;
+  Result.NodesVisited = Counters.NodesVisited;
+  Result.PrecondProved = Counters.PrecondProved;
+  return Result;
+}
 
-  if (Observer) {
-    Observer->RulesTried += Counters.RulesTried;
-    Observer->NodesVisited += Counters.NodesVisited;
-    Observer->PrecondProved += Counters.PrecondProved;
-    Observer->SelectUs += Result.SelectionSeconds * 1e6;
-    return Result;
-  }
-
+void selgen::noteSelectionStatistics(const SelectionResult &Result) {
   Statistics &Stats = Statistics::get();
-  Stats.add("selector.rules_tried",
-            static_cast<int64_t>(Counters.RulesTried));
+  Stats.add("selector.rules_tried", static_cast<int64_t>(Result.RulesTried));
   Stats.add("matcher.nodes_visited",
-            static_cast<int64_t>(Counters.NodesVisited));
+            static_cast<int64_t>(Result.NodesVisited));
   Stats.add("matcher.precond_proved",
-            static_cast<int64_t>(Counters.PrecondProved));
+            static_cast<int64_t>(Result.PrecondProved));
   Stats.add("selector.select_us",
             static_cast<int64_t>(Result.SelectionSeconds * 1e6));
-  SelectionTelemetry Telemetry;
-  Telemetry.Function = F.name();
-  Telemetry.Selector = SelectorName;
-  Telemetry.SelectUs = Result.SelectionSeconds * 1e6;
-  Telemetry.RulesTried = Counters.RulesTried;
-  Telemetry.MatcherNodesVisited = Counters.NodesVisited;
-  Telemetry.CoveredOperations = Result.CoveredOperations;
-  Telemetry.FallbackOperations = Result.FallbackOperations;
-  Stats.recordSelection(std::move(Telemetry));
-  return Result;
+}
+
+void selgen::noteAutomatonStatistics(const BinaryAutomatonView &View) {
+  Statistics &Stats = Statistics::get();
+  Stats.add("automaton.states", static_cast<int64_t>(View.numStates()));
+  Stats.add("automaton.transitions",
+            static_cast<int64_t>(View.numTransitions()));
 }
 
 void selgen::setStaticPrecondElision(bool Enabled) {

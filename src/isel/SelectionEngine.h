@@ -18,6 +18,10 @@
 /// emission, so a candidate source only has to enumerate a superset of
 /// the matching rules in library priority order.
 ///
+/// The engine returns its matching counters in the SelectionResult and
+/// writes nothing global; the selectors' select() adds them to the
+/// Statistics registry, the compile server to its replies.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELGEN_ISEL_SELECTIONENGINE_H
@@ -29,6 +33,8 @@
 #include <functional>
 
 namespace selgen {
+
+class BinaryAutomatonView;
 
 /// Enumerates candidate rules for one subject position. An
 /// implementation must call \p TryRule on candidates in ascending
@@ -55,37 +61,31 @@ public:
                            &TryRule) = 0;
 
   /// Candidate-discovery work performed since the last call (automaton
-  /// state visits); drained into the selection telemetry so the
-  /// matcher.nodes_visited counter reflects total matching work.
+  /// state visits); drained into SelectionResult::NodesVisited so that
+  /// counter reflects total matching work.
   virtual uint64_t takeNodesVisited() { return 0; }
 };
 
-/// Per-run matching counters, for callers that route observability
-/// somewhere other than the global Statistics registry. The resident
-/// compile server and the latency bench pass one per request: the
-/// global registry is mutex-guarded and accumulates a telemetry
-/// record per selection, both of which are wrong for millions of
-/// selections across worker threads.
-struct SelectionObserver {
-  uint64_t RulesTried = 0;
-  uint64_t NodesVisited = 0;
-  uint64_t PrecondProved = 0;
-  double SelectUs = 0;
-};
-
-/// Runs rule-driven selection of \p F using candidates from
-/// \p Source, records matcher observability counters
-/// (selector.rules_tried, matcher.nodes_visited,
-/// matcher.precond_proved, selector.select_us plus a per-function
-/// SelectionTelemetry record under \p SelectorName), and returns the
-/// selection result. With \p Observer non-null the counters go into
-/// it INSTEAD of the global registry — selection decisions and
-/// machine code are identical either way.
+/// Runs rule-driven selection of \p F using candidates from \p Source
+/// and returns the selection result, including its matching counters
+/// (RulesTried, NodesVisited, PrecondProved, SelectionSeconds). A pure
+/// function of its inputs: it touches no global state, so any number
+/// of threads may run it concurrently over a shared library and image.
 SelectionResult runRuleSelection(const Function &F,
                                  const PreparedLibrary &Library,
                                  RuleCandidateSource &Source,
-                                 const std::string &SelectorName,
-                                 SelectionObserver *Observer = nullptr);
+                                 const std::string &SelectorName);
+
+/// Adds \p Result's counters to the global Statistics registry
+/// (selector.rules_tried, matcher.nodes_visited,
+/// matcher.precond_proved, selector.select_us). The rule-driven
+/// select()s call this, so --stats-json reports selection totals.
+void noteSelectionStatistics(const SelectionResult &Result);
+
+/// Adds \p View's size (automaton.states, automaton.transitions) to
+/// the global Statistics registry; called once per automaton-driven
+/// selector, whichever way its image was obtained.
+void noteAutomatonStatistics(const BinaryAutomatonView &View);
 
 /// Toggles the dataflow-based elision of runtime shift-precondition
 /// checks: when the known-bits/range analysis proves every shift

@@ -37,6 +37,13 @@ struct SelectionResult {
   unsigned FallbackOperations = 0;
   /// Wall time of the selection phase (the compile-time experiment).
   double SelectionSeconds = 0;
+  /// Rule-driven selectors only (zero elsewhere): full structural
+  /// match attempts, matcher work (pattern/subject node visits plus
+  /// automaton state visits during candidate discovery), and shift
+  /// preconditions discharged by the dataflow analysis.
+  uint64_t RulesTried = 0;
+  uint64_t NodesVisited = 0;
+  uint64_t PrecondProved = 0;
 
   double coverage() const {
     return TotalOperations == 0

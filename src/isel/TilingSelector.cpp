@@ -10,7 +10,6 @@
 #include "ir/Function.h"
 #include "isel/Matcher.h"
 #include "support/Error.h"
-#include "support/Statistics.h"
 
 #include <algorithm>
 #include <set>
@@ -295,25 +294,18 @@ uint64_t TilingCandidateSource::takeNodesVisited() {
 SelectionResult selgen::runTilingSelection(const Function &F,
                                            const PreparedLibrary &Library,
                                            RuleCandidateSource &Inner,
-                                           CostKind Kind,
-                                           SelectionObserver *Observer) {
+                                           CostKind Kind) {
   TilingCandidateSource Source(Library, Inner, Kind);
   Source.prepare(F);
-  SelectionResult Result = runRuleSelection(F, Library, Source, "tiling",
-                                            Observer);
-  if (!Observer) {
-    Statistics &Stats = Statistics::get();
-    Stats.add("tiling.functions", 1);
-    Stats.add("tiling.best_cover_cost",
-              static_cast<int64_t>(Source.bestCoverCost()));
-  }
-  return Result;
+  return runRuleSelection(F, Library, Source, "tiling");
 }
 
 TilingSelector::TilingSelector(const PatternDatabase &Database,
                                const GoalLibrary &Goals, CostKind Kind)
     : Library(Database, Goals), Compiled(buildMatcherAutomaton(Library)),
-      View(Compiled->view()), Kind(Kind) {}
+      View(Compiled->view()), Kind(Kind) {
+  noteAutomatonStatistics(View);
+}
 
 TilingSelector::TilingSelector(PreparedLibrary &&PrebuiltLibrary,
                                const BinaryAutomatonView &MappedView,
@@ -322,9 +314,12 @@ TilingSelector::TilingSelector(PreparedLibrary &&PrebuiltLibrary,
   std::string Stale = automatonStalenessError(View, Library);
   if (!Stale.empty())
     reportFatalError(Stale);
+  noteAutomatonStatistics(View);
 }
 
 SelectionResult TilingSelector::select(const Function &F) {
   MappedCandidateSource Inner(Library, View);
-  return runTilingSelection(F, Library, Inner, Kind);
+  SelectionResult Result = runTilingSelection(F, Library, Inner, Kind);
+  noteSelectionStatistics(Result);
+  return Result;
 }

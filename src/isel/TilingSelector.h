@@ -89,7 +89,7 @@ public:
   uint64_t takeNodesVisited() override;
 
   /// Total best-cover cost over all selection roots of the prepared
-  /// function (the DP objective value; tiling.* statistics).
+  /// function (the DP objective value).
   uint64_t bestCoverCost() const { return BestCoverCost; }
 
 private:
@@ -101,8 +101,8 @@ private:
   RuleCandidateSource &Inner;
   CostKind Kind;
   /// Pattern positions the DP's own match walks examined (merged into
-  /// the matcher.nodes_visited telemetry alongside Inner's automaton
-  /// state visits).
+  /// SelectionResult::NodesVisited alongside Inner's automaton state
+  /// visits).
   uint64_t MatchWork = 0;
   uint64_t BestCoverCost = 0;
   /// Cost of materializing a constant into a register (the library's
@@ -117,11 +117,11 @@ private:
 /// \p Inner's candidate sets, then the shared engine under selector
 /// name "tiling". This is the entry point for callers that manage
 /// their own candidate sources (the resident compile server builds one
-/// per request thread).
+/// per request thread). Like runRuleSelection, it returns its counters
+/// in the result and writes nothing global.
 SelectionResult runTilingSelection(const Function &F,
                                    const PreparedLibrary &Library,
-                                   RuleCandidateSource &Inner, CostKind Kind,
-                                   SelectionObserver *Observer = nullptr);
+                                   RuleCandidateSource &Inner, CostKind Kind);
 
 /// Instruction selector performing cost-minimal DAG tiling over
 /// automaton-discovered candidate sets. Mirrors MappedAutomatonSelector's

@@ -246,6 +246,13 @@ void SelectionServer::dispatcherMain() {
         Done.Bytes = wire::encodeFrame(wire::Error, encodeServeError(Error));
       } else {
         Stats.Batches.fetch_add(1, std::memory_order_relaxed);
+        Stats.Functions.fetch_add(Reply->Results.size(),
+                                  std::memory_order_relaxed);
+        for (const BatchReply::Result &R : Reply->Results) {
+          Stats.RulesTried.fetch_add(R.RulesTried, std::memory_order_relaxed);
+          Stats.NodesVisited.fetch_add(R.NodesVisited,
+                                       std::memory_order_relaxed);
+        }
         Done.Bytes =
             wire::encodeFrame(wire::Response, encodeBatchReply(*Reply));
         if (Faults.shouldFire("serve_reply_torn"))

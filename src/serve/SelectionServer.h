@@ -92,6 +92,9 @@ struct ServerOptions {
 struct ServerStats {
   std::atomic<uint64_t> Admitted{0};   ///< Requests accepted into the queue.
   std::atomic<uint64_t> Batches{0};    ///< Batches served successfully.
+  std::atomic<uint64_t> Functions{0};  ///< Functions in those batches.
+  std::atomic<uint64_t> RulesTried{0}; ///< Their summed selection counters.
+  std::atomic<uint64_t> NodesVisited{0};
   std::atomic<uint64_t> Shed{0};       ///< Typed Overloaded rejections.
   std::atomic<uint64_t> Timeouts{0};   ///< Typed deadline rejections.
   std::atomic<uint64_t> BadRequests{0};///< Typed malformed-payload replies.
@@ -139,9 +142,6 @@ public:
   void requestStop();
 
   const ServerStats &stats() const { return Stats; }
-  uint64_t batchesServed() const {
-    return Stats.Batches.load(std::memory_order_relaxed);
-  }
 
 private:
   using TimePoint = std::chrono::steady_clock::time_point;

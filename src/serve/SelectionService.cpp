@@ -86,20 +86,19 @@ void SelectionService::processItem(size_t Index) {
   // Everything below is per-request state owned by this worker; the
   // library and automaton are only ever read.
   Function F = buildWorkload(*Profiles[Index], Width);
-  SelectionObserver Observer;
   MappedCandidateSource Source(Library, *BatchView);
   SelectionResult Selected =
-      Tiling ? runTilingSelection(F, Library, Source, Cost, &Observer)
-             : runRuleSelection(F, Library, Source, "automaton", &Observer);
+      Tiling ? runTilingSelection(F, Library, Source, Cost)
+             : runRuleSelection(F, Library, Source, "automaton");
 
   BatchReply::Result &R = (*Out)[Index];
   R.Workload = Profiles[Index]->Name;
   R.TotalOperations = Selected.TotalOperations;
   R.CoveredOperations = Selected.CoveredOperations;
   R.FallbackOperations = Selected.FallbackOperations;
-  R.RulesTried = Observer.RulesTried;
-  R.NodesVisited = Observer.NodesVisited;
-  R.SelectUs = Observer.SelectUs;
+  R.RulesTried = Selected.RulesTried;
+  R.NodesVisited = Selected.NodesVisited;
+  R.SelectUs = Selected.SelectionSeconds * 1e6;
   R.Asm = printMachineFunction(*Selected.MF);
 }
 
@@ -161,13 +160,5 @@ SelectionService::process(const BatchRequest &Request, std::string *Error) {
   Reply.WallUs = std::chrono::duration<double, std::micro>(
                      std::chrono::steady_clock::now() - Start)
                      .count();
-
-  Telemetry.Batches += 1;
-  Telemetry.Functions += Reply.Results.size();
-  for (const BatchReply::Result &R : Reply.Results) {
-    Telemetry.RulesTried += R.RulesTried;
-    Telemetry.NodesVisited += R.NodesVisited;
-    Telemetry.SelectUs += R.SelectUs;
-  }
   return Reply;
 }

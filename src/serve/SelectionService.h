@@ -14,8 +14,8 @@
 /// Ownership and threading model: the library and automaton are
 /// immutable after construction and shared by reference; everything
 /// mutable — the subject Function, the candidate source's scratch
-/// vectors, the SelectionObserver counters, the produced
-/// MachineFunction — lives per request on the worker that handles it
+/// vectors, the produced MachineFunction and the selection counters
+/// returned with it — lives per request on the worker that handles it
 /// (arena-per-request). The only shared mutable state is the batch
 /// work queue under one mutex; selection itself takes no lock and
 /// touches no global, so throughput scales with threads.
@@ -43,15 +43,6 @@
 namespace selgen {
 
 struct WorkloadProfile;
-
-/// Lifetime counters of one service (all batches since start).
-struct ServiceTelemetry {
-  uint64_t Batches = 0;
-  uint64_t Functions = 0;
-  uint64_t RulesTried = 0;
-  uint64_t NodesVisited = 0;
-  double SelectUs = 0;
-};
 
 class SelectionService {
 public:
@@ -97,7 +88,6 @@ public:
 
   unsigned width() const { return Width; }
   unsigned threads() const { return static_cast<unsigned>(Workers.size()); }
-  const ServiceTelemetry &telemetry() const { return Telemetry; }
 
 private:
   void start(unsigned Threads);
@@ -131,8 +121,6 @@ private:
   size_t NextItem = 0;
   size_t ItemsDone = 0;
   bool Stopping = false;
-
-  ServiceTelemetry Telemetry; ///< Updated by process() only.
 };
 
 } // namespace selgen

@@ -40,21 +40,10 @@ std::vector<GoalTelemetry> Statistics::goals() const {
   return Goals;
 }
 
-void Statistics::recordSelection(SelectionTelemetry Telemetry) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  Selections.push_back(std::move(Telemetry));
-}
-
-std::vector<SelectionTelemetry> Statistics::selections() const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  return Selections;
-}
-
 void Statistics::clear() {
   std::lock_guard<std::mutex> Guard(Lock);
   Counters.clear();
   Goals.clear();
-  Selections.clear();
 }
 
 void Statistics::print(std::ostream &OS) const {
@@ -106,20 +95,6 @@ std::string Statistics::toJson() const {
     Out += ", \"prescreen_kills\": " + std::to_string(G.PrescreenKills);
     Out += ", \"corpus_size\": " + std::to_string(G.CorpusSize);
     Out += ", \"corpus_evictions\": " + std::to_string(G.CorpusEvictions);
-    Out += "}";
-    First = false;
-  }
-  Out += "\n  ],\n  \"selections\": [";
-  First = true;
-  for (const SelectionTelemetry &S : Selections) {
-    Out += First ? "\n" : ",\n";
-    Out += "    {\"function\": \"" + jsonEscape(S.Function) + "\"";
-    Out += ", \"selector\": \"" + jsonEscape(S.Selector) + "\"";
-    Out += ", \"select_us\": " + jsonDouble(S.SelectUs);
-    Out += ", \"rules_tried\": " + std::to_string(S.RulesTried);
-    Out += ", \"nodes_visited\": " + std::to_string(S.MatcherNodesVisited);
-    Out += ", \"covered\": " + std::to_string(S.CoveredOperations);
-    Out += ", \"fallback\": " + std::to_string(S.FallbackOperations);
     Out += "}";
     First = false;
   }

@@ -15,6 +15,9 @@
 /// counterexample counts) and can dump everything as JSON for the
 /// benchmark harnesses and CI (--stats-json).
 ///
+/// Memory stays bounded in long-lived processes: the registry holds
+/// named counters and one record per synthesis goal, nothing per call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELGEN_SUPPORT_STATISTICS_H
@@ -63,24 +66,6 @@ struct GoalTelemetry {
   uint64_t CorpusEvictions = 0;
 };
 
-/// Structured telemetry for one instruction-selection run (one
-/// function through one selector). The matcher-throughput experiment
-/// and CI read these so the automaton speedup is measured, never
-/// anecdotal.
-struct SelectionTelemetry {
-  std::string Function;
-  std::string Selector;
-  /// Wall time of the selection phase in microseconds.
-  double SelectUs = 0;
-  /// Full structural match attempts (matchPattern calls).
-  uint64_t RulesTried = 0;
-  /// Matcher work: pattern/subject node visits plus automaton state
-  /// visits during candidate discovery.
-  uint64_t MatcherNodesVisited = 0;
-  unsigned CoveredOperations = 0;
-  unsigned FallbackOperations = 0;
-};
-
 /// Registry of named 64-bit counters. Thread-safe: the parallel
 /// synthesis driver (pattern/ParallelBuilder) bumps counters from
 /// several workers.
@@ -101,21 +86,14 @@ public:
   /// Snapshot of the recorded goal telemetry.
   std::vector<GoalTelemetry> goals() const;
 
-  /// Records one selection run's telemetry record.
-  void recordSelection(SelectionTelemetry Telemetry);
-
-  /// Snapshot of the recorded selection telemetry.
-  std::vector<SelectionTelemetry> selections() const;
-
   /// Resets all counters and goal records. Tests use this for isolation.
   void clear();
 
   /// Prints all counters, sorted by name.
   void print(std::ostream &OS) const;
 
-  /// Renders counters plus per-goal and per-selection telemetry as a
-  /// JSON object ({"counters": {...}, "goals": [...],
-  /// "selections": [...]}).
+  /// Renders counters plus per-goal telemetry as a JSON object
+  /// ({"counters": {...}, "goals": [...]}).
   std::string toJson() const;
 
   /// Writes toJson() to \p Path; returns false on I/O failure.
@@ -125,7 +103,6 @@ private:
   mutable std::mutex Lock;
   std::map<std::string, int64_t> Counters;
   std::vector<GoalTelemetry> Goals;
-  std::vector<SelectionTelemetry> Selections;
 };
 
 } // namespace selgen

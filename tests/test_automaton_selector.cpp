@@ -20,6 +20,7 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/SelectionEngine.h"
+#include "isel/TilingSelector.h"
 #include "refsel/ReferenceSelectors.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -348,37 +349,40 @@ TEST_F(AutomatonSelectorTest, TelemetryCountersRecorded) {
   });
   MappedAutomatonSelector Fresh(GnuRules, Goals);
   GeneratedSelector LinearFresh(GnuRules, Goals);
-  (void)Fresh.select(F);
-  (void)LinearFresh.select(F);
+  SelectionResult Auto = Fresh.select(F);
+  SelectionResult Linear = LinearFresh.select(F);
 
+  EXPECT_GT(Auto.RulesTried, 0u);
+  EXPECT_GT(Auto.NodesVisited, 0u);
+  EXPECT_GT(Linear.RulesTried, 0u);
+  EXPECT_GT(Linear.NodesVisited, 0u);
+
+  // select() adds exactly the counters it returns to the registry.
   Statistics &Stats = Statistics::get();
   EXPECT_GT(Stats.value("automaton.states"), 0);
   EXPECT_GT(Stats.value("automaton.transitions"), 0);
-  EXPECT_GT(Stats.value("selector.rules_tried"), 0);
-  EXPECT_GT(Stats.value("matcher.nodes_visited"), 0);
-
-  bool SawAutomaton = false, SawLinear = false;
-  for (const SelectionTelemetry &T : Stats.selections()) {
-    SawAutomaton |= T.Selector == "automaton";
-    SawLinear |= T.Selector == "synthesized";
-    EXPECT_EQ(T.Function, "f");
-    EXPECT_GT(T.RulesTried, 0u);
-    EXPECT_GT(T.MatcherNodesVisited, 0u);
-  }
-  EXPECT_TRUE(SawAutomaton);
-  EXPECT_TRUE(SawLinear);
+  EXPECT_EQ(Stats.value("selector.rules_tried"),
+            static_cast<int64_t>(Auto.RulesTried + Linear.RulesTried));
+  EXPECT_EQ(Stats.value("matcher.nodes_visited"),
+            static_cast<int64_t>(Auto.NodesVisited + Linear.NodesVisited));
 
   // Candidate discovery is the whole point: the automaton must try
   // strictly fewer rules than the linear scan on the same function.
-  std::vector<SelectionTelemetry> Records = Stats.selections();
-  uint64_t AutoTried = 0, LinearTried = 0;
-  for (const SelectionTelemetry &T : Records) {
-    if (T.Selector == "automaton")
-      AutoTried = T.RulesTried;
-    if (T.Selector == "synthesized")
-      LinearTried = T.RulesTried;
-  }
-  EXPECT_LT(AutoTried, LinearTried);
+  EXPECT_LT(Auto.RulesTried, Linear.RulesTried);
+}
+
+TEST_F(AutomatonSelectorTest, StatisticsStayBoundedAcrossSelections) {
+  // A long-lived caller on the default select() path must not grow the
+  // registry per call: 200 selections leave the same keys as one, and
+  // the JSON dump differs only in the digits of the counter totals.
+  Function F = buildWorkload(cint2000Profiles().front(), W);
+  Statistics::get().clear();
+  (void)Automaton.select(F);
+  size_t AfterOne = Statistics::get().toJson().size();
+  for (int I = 1; I < 200; ++I)
+    (void)Automaton.select(F);
+  size_t AfterMany = Statistics::get().toJson().size();
+  EXPECT_LE(AfterMany, AfterOne + 64);
 }
 
 TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
@@ -466,40 +470,55 @@ TEST_F(AutomatonSelectorTest, MappedImageRecordsAutomatonCounters) {
   EXPECT_EQ(Stats.value("automaton.transitions"),
             static_cast<int64_t>(Compiled.view().numTransitions()));
   EXPECT_GT(Stats.value("automaton.states"), 0);
+
+  // The tiling selector over the same image records the same counters.
+  Statistics::get().clear();
+  TilingSelector Tiling(PreparedLibrary(GnuRules, Goals), Mapped->view(),
+                        CostKind::Unit);
+  EXPECT_EQ(Stats.value("automaton.states"),
+            static_cast<int64_t>(Compiled.view().numStates()));
+  EXPECT_EQ(Stats.value("automaton.transitions"),
+            static_cast<int64_t>(Compiled.view().numTransitions()));
 }
 
-TEST_F(AutomatonSelectorTest, ObserverBypassesGlobalStatistics) {
-  // Per-request observers exist so a resident multi-threaded server
-  // never touches the mutex-guarded global registry: the counters land
-  // in the observer, nothing lands in the global statistics, and the
-  // machine code is unchanged.
-  Function F = singleBlock([](Graph &G) {
-    return G.createBinary(Opcode::Add, G.arg(1), G.arg(2));
-  });
+TEST_F(AutomatonSelectorTest, EngineReturnsCountersAndWritesNoGlobals) {
+  // The selection engine is a pure function, so a resident
+  // multi-threaded server can call it without touching the
+  // mutex-guarded global registry: the counters come back in the
+  // result, nothing lands in the registry, and the machine code is
+  // what the selectors' select() emits.
+  Function F = buildWorkload(cint2000Profiles().front(), W);
   PreparedLibrary Lib(GnuRules, Goals);
   MatcherAutomaton Compiled = buildMatcherAutomaton(Lib);
-
-  SelectionResult Plain;
-  {
-    MappedCandidateSource Source(Lib, Compiled.view());
-    Plain = runRuleSelection(F, Lib, Source, "automaton");
-  }
+  MappedAutomatonSelector FirstMatch(PreparedLibrary(GnuRules, Goals),
+                                     Compiled.view());
+  TilingSelector Tiling(PreparedLibrary(GnuRules, Goals), Compiled.view(),
+                        CostKind::Latency);
+  SelectionResult ViaFirstMatch = FirstMatch.select(F);
+  SelectionResult ViaTiling = Tiling.select(F);
 
   Statistics::get().clear();
-  SelectionObserver Observer;
+  std::string Empty = Statistics::get().toJson();
   MappedCandidateSource Source(Lib, Compiled.view());
-  SelectionResult Observed =
-      runRuleSelection(F, Lib, Source, "automaton", &Observer);
+  SelectionResult Rule = runRuleSelection(F, Lib, Source, "automaton");
+  MappedCandidateSource Inner(Lib, Compiled.view());
+  SelectionResult Tiled =
+      runTilingSelection(F, Lib, Inner, CostKind::Latency);
+  EXPECT_EQ(Statistics::get().toJson(), Empty)
+      << "the engine must not write the global registry";
 
-  EXPECT_GT(Observer.RulesTried, 0u);
-  EXPECT_GT(Observer.NodesVisited, 0u);
-  EXPECT_GT(Observer.SelectUs, 0.0);
-  Statistics &Stats = Statistics::get();
-  EXPECT_EQ(Stats.value("selector.rules_tried"), 0);
-  EXPECT_EQ(Stats.value("matcher.nodes_visited"), 0);
-  EXPECT_TRUE(Stats.selections().empty())
-      << "observer runs must not accumulate per-selection telemetry";
-  ASSERT_TRUE(Plain.MF && Observed.MF);
-  EXPECT_EQ(printMachineFunction(*Plain.MF),
-            printMachineFunction(*Observed.MF));
+  for (const SelectionResult *R : {&Rule, &Tiled}) {
+    EXPECT_GT(R->RulesTried, 0u);
+    EXPECT_GT(R->NodesVisited, 0u);
+  }
+  EXPECT_EQ(Rule.RulesTried, ViaFirstMatch.RulesTried);
+  EXPECT_EQ(Rule.NodesVisited, ViaFirstMatch.NodesVisited);
+  EXPECT_EQ(Rule.PrecondProved, ViaFirstMatch.PrecondProved);
+  EXPECT_EQ(Tiled.RulesTried, ViaTiling.RulesTried);
+  EXPECT_EQ(Tiled.NodesVisited, ViaTiling.NodesVisited);
+  ASSERT_TRUE(Rule.MF && ViaFirstMatch.MF && Tiled.MF && ViaTiling.MF);
+  EXPECT_EQ(printMachineFunction(*Rule.MF),
+            printMachineFunction(*ViaFirstMatch.MF));
+  EXPECT_EQ(printMachineFunction(*Tiled.MF),
+            printMachineFunction(*ViaTiling.MF));
 }

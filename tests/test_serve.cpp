@@ -181,8 +181,6 @@ TEST_F(ServeTest, ConcurrentBatchesMatchSequentialSelection) {
     EXPECT_GT(R.RulesTried, 0u);
     EXPECT_GT(R.NodesVisited, 0u);
   }
-  EXPECT_EQ(Service.telemetry().Batches, 1u);
-  EXPECT_EQ(Service.telemetry().Functions, Request.Workloads.size());
 
   // Identical results again from a service over the image written to
   // a file and mapped back: where the bytes live is not a behavior
@@ -213,8 +211,6 @@ TEST_F(ServeTest, RejectsWidthMismatchAndUnknownWorkloads) {
   Request.Workloads = {"164.gzip", "999.bogus"};
   EXPECT_FALSE(Service.process(Request, &Error));
   EXPECT_NE(Error.find("999.bogus"), std::string::npos);
-  EXPECT_EQ(Service.telemetry().Batches, 0u)
-      << "failed batches must not count as served";
 }
 
 TEST_F(ServeTest, ServerLoopOverSocketpair) {
@@ -240,6 +236,12 @@ TEST_F(ServeTest, ServerLoopOverSocketpair) {
       wire::writeFrame(Fds[1], wire::Request, encodeBatchRequest(Bogus)));
   ASSERT_EQ(wire::readFrame(Fds[1], Frame), wire::ReadStatus::Ok);
   EXPECT_EQ(Frame.Type, wire::Error);
+  // Failed batches count as bad requests, never as served.
+  const ServerStats &Stats = Server.stats();
+  EXPECT_EQ(Stats.BadRequests.load(), 2u);
+  EXPECT_EQ(Stats.Batches.load(), 0u);
+  EXPECT_EQ(Stats.Functions.load(), 0u);
+  EXPECT_EQ(Stats.RulesTried.load(), 0u);
 
   // A real batch round-trips with byte-identical machine code.
   BatchRequest Request;
@@ -257,11 +259,16 @@ TEST_F(ServeTest, ServerLoopOverSocketpair) {
   ASSERT_EQ(Reply->Results.size(), 2u);
   EXPECT_EQ(Reply->Results[0].Asm, sequentialAsm("164.gzip"));
   EXPECT_EQ(Reply->Results[1].Asm, sequentialAsm("181.mcf"));
+  EXPECT_EQ(Stats.Functions.load(), 2u);
+  EXPECT_EQ(Stats.RulesTried.load(),
+            Reply->Results[0].RulesTried + Reply->Results[1].RulesTried);
+  EXPECT_EQ(Stats.NodesVisited.load(),
+            Reply->Results[0].NodesVisited + Reply->Results[1].NodesVisited);
 
   // Shutdown ends the loop with exit code 0.
   ASSERT_TRUE(wire::writeFrame(Fds[1], wire::Shutdown, ""));
   ServerThread.join();
-  EXPECT_EQ(Server.batchesServed(), 1u);
+  EXPECT_EQ(Stats.Batches.load(), 1u);
   close(Fds[0]);
   close(Fds[1]);
 }

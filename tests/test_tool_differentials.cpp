@@ -17,9 +17,15 @@
 //   * A text automaton (the retired .mat format) is refused by
 //     selgen-compile and selgen-served with exit code 1 and a message
 //     saying how to regenerate the image.
+//   * Tiling differential, over the mapped image of both shipped
+//     libraries: unit-cost tiling emits exactly the machine code of
+//     `--selector auto` (all but the header line, which names the
+//     selector) and reports the same automaton.* counters; latency
+//     tiling passes every interpreter check.
+//   * selgen-minimize exits 2 when it cannot write --stats-json.
 //
 // The build injects the tool paths as SELGEN_MATCHERGEN_TOOL,
-// SELGEN_COMPILE_TOOL and SELGEN_SERVED_TOOL.
+// SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL and SELGEN_MINIMIZE_TOOL.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -91,8 +98,26 @@ std::vector<std::string> benchmarkRows(const std::string &Log) {
   return Rows;
 }
 
+/// The value of counter \p Name in a --stats-json dump, or -1 if the
+/// dump does not carry it.
+int64_t counterValue(const std::string &Json, const std::string &Name) {
+  std::string Key = "\"" + Name + "\": ";
+  size_t Pos = Json.find(Key);
+  if (Pos == std::string::npos)
+    return -1;
+  return std::stoll(Json.substr(Pos + Key.size()));
+}
+
+/// \p Text without its first line (the header naming the selector).
+std::string dropFirstLine(const std::string &Text) {
+  return Text.substr(std::min(Text.find('\n'), Text.size()));
+}
+
 const std::string BasicLibrary =
     std::string(SELGEN_ARTIFACTS_DIR) + "/rule-library-basic-w8.dat";
+const std::string ShippedLibraries[] = {
+    BasicLibrary,
+    std::string(SELGEN_ARTIFACTS_DIR) + "/rule-library-full-w8.dat"};
 
 } // namespace
 
@@ -196,4 +221,67 @@ TEST(MatcherDifferential, TextAutomatonRefusedWithRegenerateHint) {
   std::string ServedLog = readLog(Dir + "/served.log");
   EXPECT_NE(ServedLog.find("bad-magic"), std::string::npos) << ServedLog;
   EXPECT_NE(ServedLog.find(Hint), std::string::npos) << ServedLog;
+}
+
+TEST(TilingDifferential, UnitCostReproducesFirstMatchAndLatencyChecks) {
+  // The tiling selector's migration-safety anchor: under the unit cost
+  // model every full cover of a cone costs the same, so the stable
+  // (cost, priority) sort degenerates to library priority order and
+  // the machine code must equal `--selector auto` exactly, through the
+  // mapped image and its per-rule cost table. Latency tiling re-tiles
+  // toward cheaper covers and must still pass every interpreter check.
+  unsigned LibraryIndex = 0;
+  for (const std::string &Library : ShippedLibraries) {
+    std::string Dir = freshDir("tiling_" + std::to_string(LibraryIndex++));
+    std::string Image = Dir + "/lib.matb";
+    ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
+                      {"--library", Library, "--output", Image},
+                      Dir + "/matchergen.log"),
+              0)
+        << readLog(Dir + "/matchergen.log");
+    for (const char *Run : {"auto", "unit", "latency"}) {
+      std::vector<std::string> Args = {"--library", Library, "--automaton",
+                                       Image, "--dump-asm", Dir + "/" + Run,
+                                       "--stats-json",
+                                       Dir + "/" + Run + ".json"};
+      if (std::string(Run) == "auto")
+        Args.insert(Args.end(), {"--selector", "auto"});
+      else
+        Args.insert(Args.end(), {"--selector", "tiling", "--cost-model", Run});
+      std::string LogPath = Dir + "/" + Run + ".log";
+      int Code = runTool(SELGEN_COMPILE_TOOL, Args, LogPath);
+      std::string Log = readLog(LogPath);
+      ASSERT_EQ(Code, 0) << Log;
+      EXPECT_EQ(benchmarkRows(Log).size(), 11u) << Log;
+      EXPECT_EQ(Log.find("MISMATCH"), std::string::npos) << Log;
+    }
+
+    for (const auto &Entry :
+         std::filesystem::directory_iterator(Dir + "/auto")) {
+      std::string Name = Entry.path().filename().string();
+      EXPECT_EQ(dropFirstLine(readLog(Dir + "/unit/" + Name)),
+                dropFirstLine(readLog(Entry.path().string())))
+          << "unit tiling diverged: " << Library << " " << Name;
+    }
+    std::string AutoJson = readLog(Dir + "/auto.json");
+    for (const char *Counter : {"automaton.states", "automaton.transitions"}) {
+      EXPECT_GT(counterValue(AutoJson, Counter), 0) << Counter;
+      EXPECT_EQ(counterValue(readLog(Dir + "/unit.json"), Counter),
+                counterValue(AutoJson, Counter))
+          << Counter << " for " << Library;
+    }
+  }
+}
+
+TEST(MinimizeTool, UnwritableStatsJsonExitsTwo) {
+  std::string Dir = freshDir("minimize_stats");
+  std::string Unwritable = Dir + "/no-such-dir/stats.json";
+  EXPECT_EQ(runTool(SELGEN_MINIMIZE_TOOL,
+                    {"--library", BasicLibrary, "--output",
+                     Dir + "/min.dat", "--stats-json", Unwritable},
+                    Dir + "/minimize.log"),
+            2);
+  std::string Log = readLog(Dir + "/minimize.log");
+  EXPECT_NE(Log.find("cannot write " + Unwritable), std::string::npos)
+      << Log;
 }

@@ -135,8 +135,11 @@ int main(int argc, char **argv) {
     return 2;
   }
   std::string StatsPath = Cli.stringOption("stats-json", "");
-  if (!StatsPath.empty())
-    Statistics::get().writeJsonFile(StatsPath);
+  if (!StatsPath.empty() && !Statistics::get().writeJsonFile(StatsPath)) {
+    std::fprintf(stderr, "selgen-minimize: cannot write %s\n",
+                 StatsPath.c_str());
+    return 2;
+  }
 
   if (!Cli.hasFlag("quiet")) {
     size_t Unfireable = 0, Shadowed = 0, Dominated = 0;

@@ -273,7 +273,15 @@ int main(int argc, char **argv) {
       Stats.add(Name, static_cast<int64_t>(
                           Value.load(std::memory_order_relaxed)));
     };
+    std::fprintf(stderr,
+                 "selgen-served: served %llu batches, %llu functions\n",
+                 static_cast<unsigned long long>(SS.Batches.load()),
+                 static_cast<unsigned long long>(SS.Functions.load()));
     Note("served.admitted", SS.Admitted);
+    Note("served.batches", SS.Batches);
+    Note("served.functions", SS.Functions);
+    Note("served.rules_tried", SS.RulesTried);
+    Note("served.nodes_visited", SS.NodesVisited);
     Note("served.shed", SS.Shed);
     Note("served.timeouts", SS.Timeouts);
     Note("served.bad_requests", SS.BadRequests);
@@ -293,15 +301,6 @@ int main(int argc, char **argv) {
               static_cast<int64_t>(Reloader->failures()));
   }
 
-  const ServiceTelemetry &T = Service.telemetry();
-  std::fprintf(stderr,
-               "selgen-served: served %llu batches, %llu functions\n",
-               static_cast<unsigned long long>(T.Batches),
-               static_cast<unsigned long long>(T.Functions));
-  Stats.add("served.batches", static_cast<int64_t>(T.Batches));
-  Stats.add("served.functions", static_cast<int64_t>(T.Functions));
-  Stats.add("served.rules_tried", static_cast<int64_t>(T.RulesTried));
-  Stats.add("served.nodes_visited", static_cast<int64_t>(T.NodesVisited));
   std::string StatsPath = Cli.stringOption("stats-json", "");
   if (!StatsPath.empty() && !Stats.writeJsonFile(StatsPath)) {
     std::fprintf(stderr, "error: cannot write %s\n", StatsPath.c_str());
