@@ -17,6 +17,7 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/TilingSelector.h"
 #include "support/Error.h"
+#include "support/Rng.h"
 #include "support/Statistics.h"
 #include "pattern/ParallelBuilder.h"
 
@@ -223,4 +224,39 @@ void selgen::bench::printBenchHeader(const std::string &Title,
   std::printf("=================================================================="
               "=============\n");
   std::fflush(stdout);
+}
+
+PatternDatabase selgen::bench::inflateLibrary(const PatternDatabase &Base,
+                                              size_t TargetSize) {
+  PatternDatabase Inflated;
+  for (const Rule &R : Base.rules())
+    Inflated.add(R.GoalName, R.Pattern.clone());
+  Rng Random(0xBEEF);
+  size_t Stuck = 0;
+  while (Inflated.size() < TargetSize && Stuck < 10 * TargetSize) {
+    for (const Rule &R : Base.rules()) {
+      if (Inflated.size() >= TargetSize)
+        break;
+      Graph Clone = R.Pattern.clone();
+      bool Mutated = false;
+      for (Node *N : Clone.liveNodes()) {
+        if (N->opcode() == Opcode::Const) {
+          N->setConstValue(Random.nextBitValue(N->constValue().width()));
+          Mutated = true;
+        } else if (N->numOperands() == 2 && Random.nextBelow(2) == 1) {
+          NodeRef A = N->operand(0), B = N->operand(1);
+          if (A.Def->resultSort(A.Index) == B.Def->resultSort(B.Index)) {
+            N->setOperand(0, B);
+            N->setOperand(1, A);
+            Mutated = true;
+          }
+        }
+      }
+      if (!Mutated)
+        continue;
+      if (!Inflated.add(R.GoalName, std::move(Clone)))
+        ++Stuck;
+    }
+  }
+  return Inflated;
 }

@@ -88,6 +88,14 @@ PatternDatabase loadOrSynthesizeLibrary(SmtContext &Smt,
 /// Cache file path for a library kind.
 std::string libraryCachePath(const std::string &Kind);
 
+/// Inflates \p Base to \p TargetSize rules, the paper's library scale,
+/// without hours of synthesis. Each pass over Base re-draws every
+/// constant and swaps the operands of two-operand nodes at random
+/// (seed 0xBEEF); the variants are structurally valid rules that
+/// essentially never match. Stops early if variants keep colliding.
+PatternDatabase inflateLibrary(const PatternDatabase &Base,
+                               size_t TargetSize);
+
 /// Prints a header line for one benchmark binary.
 void printBenchHeader(const std::string &Title, const std::string &PaperRef);
 

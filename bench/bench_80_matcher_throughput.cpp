@@ -28,7 +28,6 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/HandwrittenSelector.h"
-#include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 
@@ -163,41 +162,6 @@ int main() {
       "Buchwald et al., CGO'18, Section 7.3 (the 60 000-rule library "
       "behind the 1217x slowdown)");
 
-  auto inflate = [&](size_t TargetSize) {
-    PatternDatabase Inflated;
-    for (const Rule &R : FullDb.rules())
-      Inflated.add(R.GoalName, R.Pattern.clone());
-    Rng Random(0xBEEF);
-    size_t Stuck = 0;
-    while (Inflated.size() < TargetSize && Stuck < 10 * TargetSize) {
-      for (const Rule &R : FullDb.rules()) {
-        if (Inflated.size() >= TargetSize)
-          break;
-        Graph Clone = R.Pattern.clone();
-        bool Mutated = false;
-        for (Node *N : Clone.liveNodes()) {
-          if (N->opcode() == Opcode::Const) {
-            N->setConstValue(
-                Random.nextBitValue(N->constValue().width()));
-            Mutated = true;
-          } else if (N->numOperands() == 2 && Random.nextBelow(2) == 1) {
-            NodeRef A = N->operand(0), B = N->operand(1);
-            if (A.Def->resultSort(A.Index) == B.Def->resultSort(B.Index)) {
-              N->setOperand(0, B);
-              N->setOperand(1, A);
-              Mutated = true;
-            }
-          }
-        }
-        if (!Mutated)
-          continue;
-        if (!Inflated.add(R.GoalName, std::move(Clone)))
-          ++Stuck;
-      }
-    }
-    return Inflated;
-  };
-
   // Each library size gets a before/after pair of rows: the inflated
   // library as built, and the same library after selgen-minimize's
   // first-match pass (analysis/LibraryMinimizer) deleted its provably
@@ -245,7 +209,7 @@ int main() {
 
   for (size_t Target : {FullDb.size(), size_t(1000), size_t(4000),
                         size_t(16000)}) {
-    PatternDatabase Inflated = inflate(Target);
+    PatternDatabase Inflated = inflateLibrary(FullDb, Target);
     MinimizeResult Min = minimizeLibrary(Inflated, FullGoals.Goals);
     int Reps = Target > 4000 ? 3 : 10;
     ArmResult Before = runArm("before", Inflated, Reps);

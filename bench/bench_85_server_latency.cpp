@@ -31,7 +31,6 @@
 #include "matchergen/BinaryAutomaton.h"
 #include "serve/SelectionServer.h"
 #include "serve/SelectionService.h"
-#include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
@@ -53,43 +52,6 @@ using namespace selgen;
 using namespace selgen::bench;
 
 namespace {
-
-/// Inflates \p Base with distinct-constant and operand-swapped rule
-/// variants (as in bench_10/bench_80) to reach the paper's library
-/// scale without hours of synthesis.
-PatternDatabase inflate(const PatternDatabase &Base, size_t TargetSize) {
-  PatternDatabase Inflated;
-  for (const Rule &R : Base.rules())
-    Inflated.add(R.GoalName, R.Pattern.clone());
-  Rng Random(0xBEEF);
-  size_t Stuck = 0;
-  while (Inflated.size() < TargetSize && Stuck < 10 * TargetSize) {
-    for (const Rule &R : Base.rules()) {
-      if (Inflated.size() >= TargetSize)
-        break;
-      Graph Clone = R.Pattern.clone();
-      bool Mutated = false;
-      for (Node *N : Clone.liveNodes()) {
-        if (N->opcode() == Opcode::Const) {
-          N->setConstValue(Random.nextBitValue(N->constValue().width()));
-          Mutated = true;
-        } else if (N->numOperands() == 2 && Random.nextBelow(2) == 1) {
-          NodeRef A = N->operand(0), B = N->operand(1);
-          if (A.Def->resultSort(A.Index) == B.Def->resultSort(B.Index)) {
-            N->setOperand(0, B);
-            N->setOperand(1, A);
-            Mutated = true;
-          }
-        }
-      }
-      if (!Mutated)
-        continue;
-      if (!Inflated.add(R.GoalName, std::move(Clone)))
-        ++Stuck;
-    }
-  }
-  return Inflated;
-}
 
 uint64_t envOr(const char *Name, uint64_t Default) {
   const char *Value = std::getenv(Name);
@@ -166,7 +128,7 @@ int main() {
   FullDb.sortSpecificFirst();
 
   const size_t TargetRules = envOr("SELGEN_BENCH_SERVER_RULES", 12000);
-  PatternDatabase Inflated = inflate(FullDb, TargetRules);
+  PatternDatabase Inflated = inflateLibrary(FullDb, TargetRules);
   PreparedLibrary Library(Inflated, FullGoals.Goals);
 
   Timer CompileTimer;
@@ -240,13 +202,26 @@ int main() {
   // the same inflated library read back from its text form.
   const std::string LibraryPath = "rule-library-bench85.dat";
   Inflated.saveToFile(LibraryPath);
+  // Each phase is timed on its own as well; the phases of one rep run
+  // back to back, so their sum is the total up to the destructors.
   const int LibraryReps = 3;
+  enum { Deserialize, Filter, Sort, Prepare, NumPhases };
+  std::array<double, NumPhases> PhaseSec{};
   Timer LibraryTimer;
   for (int Rep = 0; Rep < LibraryReps; ++Rep) {
+    Timer PhaseTimer;
+    auto endPhase = [&](int Phase) {
+      PhaseSec[Phase] += PhaseTimer.elapsedSeconds() / LibraryReps;
+      PhaseTimer.reset();
+    };
     PatternDatabase Loaded = PatternDatabase::loadFromFile(LibraryPath);
+    endPhase(Deserialize);
     Loaded.filterNonNormalized();
+    endPhase(Filter);
     Loaded.sortSpecificFirst();
+    endPhase(Sort);
     PreparedLibrary Reloaded(Loaded, FullGoals.Goals);
+    endPhase(Prepare);
     if (Reloaded.rules().empty()) {
       std::fprintf(stderr, "FAILURE: reloaded library has no rules\n");
       return 1;
@@ -259,6 +234,13 @@ int main() {
                         LibraryPath + ")",
                     formatDouble(LibrarySec * 1e3, 2) + " ms",
                     formatGrouped(Inflated.serialize().size()) + " B"});
+  const char *PhaseNames[NumPhases] = {
+      "  deserialize (PatternDatabase::loadFromFile)",
+      "  non-normalized filter", "  specific-first sort",
+      "  prepare (PreparedLibrary)"};
+  for (int Phase = 0; Phase < NumPhases; ++Phase)
+    ColdTable.addRow({PhaseNames[Phase],
+                      formatDouble(PhaseSec[Phase] * 1e3, 2) + " ms", ""});
   ColdTable.addRow({"mmap + validate (" + BinPath + ")",
                     formatDouble(MapSec * 1e6, 1) + " us",
                     formatGrouped(MappedBytes) + " B"});

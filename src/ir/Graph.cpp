@@ -31,10 +31,10 @@ std::vector<Sort> Graph::argSorts() const {
   return Sorts;
 }
 
-Node *Graph::addNode(Opcode Op, std::vector<NodeRef> Operands,
-                     std::vector<Sort> ResultSorts) {
-  NodeList.push_back(std::make_unique<Node>(NextId++, Op, std::move(Operands),
-                                            std::move(ResultSorts)));
+Node *Graph::addNode(Opcode Op, const OperandList &Operands,
+                     const SortList &ResultSorts) {
+  NodeList.push_back(
+      std::make_unique<Node>(NextId++, Op, Operands, ResultSorts));
   return NodeList.back().get();
 }
 
@@ -99,13 +99,15 @@ Node *Graph::createCond(NodeRef Selector) {
 
 Node *Graph::createNode(Opcode Op, const std::vector<NodeRef> &Operands) {
   assert(Op != Opcode::Arg && "arguments are created with the graph");
-  std::vector<Sort> Expected = opcodeArgSorts(Op, Width);
+  SortList Expected = opcodeArgSorts(Op, Width);
+  (void)Expected;
   assert(Operands.size() == Expected.size() && "operand count mismatch");
   for (unsigned I = 0; I < Operands.size(); ++I) {
     (void)I;
     assert(Operands[I].sort() == Expected[I] && "operand sort mismatch");
   }
-  return addNode(Op, Operands, opcodeResultSorts(Op, Width));
+  return addNode(Op, OperandList(Operands.begin(), Operands.end()),
+                 opcodeResultSorts(Op, Width));
 }
 
 void Graph::setResults(std::vector<NodeRef> NewResults) {
@@ -143,6 +145,7 @@ std::vector<Node *> Graph::liveNodes() const { return liveNodesFrom(Results); }
 std::vector<char> Graph::liveMask(const std::vector<NodeRef> &Roots) const {
   std::vector<char> Live(NextId, 0);
   std::vector<Node *> Worklist;
+  Worklist.reserve(NodeList.size());
   auto mark = [&](Node *N) {
     if (!Live[N->id()]) {
       Live[N->id()] = 1;
@@ -165,6 +168,7 @@ std::vector<Node *>
 Graph::liveNodesFrom(const std::vector<NodeRef> &Roots) const {
   std::vector<char> Live = liveMask(Roots);
   std::vector<Node *> Ordered;
+  Ordered.reserve(NodeList.size());
   for (const auto &N : NodeList)
     if (Live[N->id()])
       Ordered.push_back(N.get());
@@ -197,6 +201,7 @@ std::string Graph::fingerprint() const {
   constexpr unsigned Unnumbered = ~0u;
   std::vector<unsigned> Numbering(NextId, Unnumbered);
   std::vector<const Node *> Live;
+  Live.reserve(NodeList.size());
   auto visit = [&](auto &&Self, const Node *N) -> void {
     if (Numbering[N->id()] != Unnumbered)
       return;
@@ -210,7 +215,10 @@ std::string Graph::fingerprint() const {
     if (Ref.isValid())
       visit(visit, Ref.Def);
 
-  std::string Result;
+  // Built in a per-thread buffer and copied out at its exact size:
+  // every rule stores its fingerprint.
+  static thread_local std::string Result;
+  Result.clear();
   auto appendRef = [&](const NodeRef &Ref) {
     assert(Ref.isValid() && "fingerprint of an unset reference");
     appendNumber(Result, Numbering[Ref.Def->id()]);
@@ -266,16 +274,10 @@ Graph Graph::clone() const {
   for (const auto &N : NodeList) {
     if (N->opcode() == Opcode::Arg)
       continue;
-    std::vector<NodeRef> Operands;
-    Operands.reserve(N->numOperands());
+    OperandList Operands;
     for (const NodeRef &Operand : N->operands())
-      Operands.emplace_back(Mapping[Operand.Def->id()], Operand.Index);
-    Node *NewNode = Copy.addNode(N->opcode(), std::move(Operands), [&] {
-      std::vector<Sort> Sorts;
-      for (unsigned I = 0; I < N->numResults(); ++I)
-        Sorts.push_back(N->resultSort(I));
-      return Sorts;
-    }());
+      Operands.push_back(NodeRef(Mapping[Operand.Def->id()], Operand.Index));
+    Node *NewNode = Copy.addNode(N->opcode(), Operands, N->resultSorts());
     if (N->opcode() == Opcode::Const)
       NewNode->setConstValue(N->constValue());
     if (N->opcode() == Opcode::Cmp)
@@ -301,16 +303,10 @@ Graph Graph::canonicalized() const {
       return;
     for (const NodeRef &Operand : N->operands())
       Self(Self, Operand.Def);
-    std::vector<NodeRef> Operands;
-    Operands.reserve(N->numOperands());
+    OperandList Operands;
     for (const NodeRef &Operand : N->operands())
-      Operands.emplace_back(Mapping.at(Operand.Def), Operand.Index);
-    Node *NewNode = Copy.addNode(N->opcode(), std::move(Operands), [&] {
-      std::vector<Sort> Sorts;
-      for (unsigned I = 0; I < N->numResults(); ++I)
-        Sorts.push_back(N->resultSort(I));
-      return Sorts;
-    }());
+      Operands.push_back(NodeRef(Mapping.at(Operand.Def), Operand.Index));
+    Node *NewNode = Copy.addNode(N->opcode(), Operands, N->resultSorts());
     if (N->opcode() == Opcode::Const)
       NewNode->setConstValue(N->constValue());
     if (N->opcode() == Opcode::Cmp)

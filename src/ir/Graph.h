@@ -78,6 +78,10 @@ public:
   /// All nodes, including Arg nodes, in creation order.
   const std::vector<std::unique_ptr<Node>> &nodes() const { return NodeList; }
 
+  /// Every node id, dead or alive, is below idBound(), so per-node
+  /// state can live in a vector indexed by Node::id().
+  unsigned idBound() const { return NextId; }
+
   /// All non-Arg operation nodes in a dependency-respecting order.
   std::vector<Node *> scheduledNodes() const;
 
@@ -122,8 +126,8 @@ private:
   /// Reachability from \p Roots, indexed by Node::id().
   std::vector<char> liveMask(const std::vector<NodeRef> &Roots) const;
 
-  Node *addNode(Opcode Op, std::vector<NodeRef> Operands,
-                std::vector<Sort> ResultSorts);
+  Node *addNode(Opcode Op, const OperandList &Operands,
+                const SortList &ResultSorts);
 };
 
 } // namespace selgen

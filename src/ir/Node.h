@@ -16,10 +16,11 @@
 #ifndef SELGEN_IR_NODE_H
 #define SELGEN_IR_NODE_H
 
+#include "ir/InlineList.h"
 #include "ir/Opcode.h"
 #include "support/BitValue.h"
 
-#include <vector>
+#include <optional>
 
 namespace selgen {
 
@@ -42,6 +43,9 @@ struct NodeRef {
   bool operator!=(const NodeRef &RHS) const { return !(*this == RHS); }
 };
 
+/// The operands of one node; no opcode has more than three.
+using OperandList = InlineList<NodeRef, 3>;
+
 /// A single IR operation instance inside a Graph.
 ///
 /// Attribute storage is unified: Const carries its value, Cmp its
@@ -49,40 +53,34 @@ struct NodeRef {
 /// identified by a graph-unique id.
 class Node {
 public:
-  Node(unsigned Id, Opcode Op, std::vector<NodeRef> Operands,
-       std::vector<Sort> ResultSorts)
-      : Id(Id), Op(Op), Operands(std::move(Operands)),
-        ResultSorts(std::move(ResultSorts)) {}
+  Node(unsigned Id, Opcode Op, const OperandList &Operands,
+       const SortList &ResultSorts)
+      : Id(Id), Op(Op), Operands(Operands), ResultSorts(ResultSorts) {
+    if (Op == Opcode::Const)
+      ConstValue.emplace();
+  }
 
   unsigned id() const { return Id; }
   Opcode opcode() const { return Op; }
 
   unsigned numOperands() const { return Operands.size(); }
-  NodeRef operand(unsigned I) const {
-    assert(I < Operands.size() && "operand index out of range");
-    return Operands[I];
-  }
-  void setOperand(unsigned I, NodeRef Ref) {
-    assert(I < Operands.size() && "operand index out of range");
-    Operands[I] = Ref;
-  }
-  const std::vector<NodeRef> &operands() const { return Operands; }
+  NodeRef operand(unsigned I) const { return Operands[I]; }
+  void setOperand(unsigned I, NodeRef Ref) { Operands[I] = Ref; }
+  const OperandList &operands() const { return Operands; }
 
   unsigned numResults() const { return ResultSorts.size(); }
-  Sort resultSort(unsigned I) const {
-    assert(I < ResultSorts.size() && "result index out of range");
-    return ResultSorts[I];
-  }
+  Sort resultSort(unsigned I) const { return ResultSorts[I]; }
+  const SortList &resultSorts() const { return ResultSorts; }
   NodeRef result(unsigned I = 0) { return NodeRef(this, I); }
 
   // Attribute accessors; asserted against the opcode.
   const BitValue &constValue() const {
     assert(Op == Opcode::Const && "not a Const node");
-    return ConstValue;
+    return *ConstValue;
   }
-  void setConstValue(BitValue Value) {
+  void setConstValue(const BitValue &Value) {
     assert(Op == Opcode::Const && "not a Const node");
-    ConstValue = std::move(Value);
+    *ConstValue = Value;
   }
 
   Relation relation() const {
@@ -106,10 +104,11 @@ public:
 private:
   unsigned Id;
   Opcode Op;
-  std::vector<NodeRef> Operands;
-  std::vector<Sort> ResultSorts;
+  OperandList Operands;
+  SortList ResultSorts;
 
-  BitValue ConstValue;
+  /// Set for Const nodes only, so other nodes carry no heap value.
+  std::optional<BitValue> ConstValue;
   Relation Rel = Relation::Eq;
   unsigned ArgIdx = 0;
 };

@@ -11,30 +11,81 @@
 #include "ir/Interpreter.h"
 #include "support/Error.h"
 
-#include <map>
+#include <array>
+#include <initializer_list>
+#include <unordered_map>
 
 using namespace selgen;
 
 namespace {
 
+/// Value-numbering key of an output-graph node: its opcode, its
+/// attribute (relation or constant) and its operands as (id, result
+/// index) pairs. No opcode has more than three operands.
+struct ValueKey {
+  Opcode Op;
+  Relation Rel = Relation::Eq;
+  /// The constant of a Const; points at the probed value while
+  /// looking up, and at the node's own value once stored.
+  const BitValue *Value = nullptr;
+  unsigned NumOperands = 0;
+  std::array<std::pair<unsigned, unsigned>, 3> Operands{};
+
+  ValueKey(Opcode Op, std::initializer_list<NodeRef> Refs) : Op(Op) {
+    for (const NodeRef &Ref : Refs)
+      Operands[NumOperands++] = {Ref.Def->id(), Ref.Index};
+  }
+
+  bool operator==(const ValueKey &RHS) const {
+    if (Op != RHS.Op || Rel != RHS.Rel || NumOperands != RHS.NumOperands ||
+        Operands != RHS.Operands)
+      return false;
+    return !Value || (Value->width() == RHS.Value->width() &&
+                      *Value == *RHS.Value);
+  }
+};
+
+struct ValueKeyHash {
+  size_t operator()(const ValueKey &Key) const {
+    // FNV-1a over the fields.
+    size_t Hash = 1469598103934665603ull;
+    auto mix = [&Hash](uint64_t Value) {
+      Hash ^= Value;
+      Hash *= 1099511628211ull;
+    };
+    mix(uint64_t(Key.Op) << 8 | uint64_t(Key.Rel));
+    for (unsigned I = 0; I < Key.NumOperands; ++I)
+      mix(uint64_t(Key.Operands[I].first) << 2 | Key.Operands[I].second);
+    if (Key.Value)
+      mix(Key.Value->hash());
+    return Hash;
+  }
+};
+
 /// Rewrites a graph bottom-up, applying local rules and value
 /// numbering (CSE). A single pass suffices because operands are always
 /// rewritten before their users and every rule produces already-normal
 /// nodes.
+///
+/// Every output node is created through numbered(), so the output
+/// graph is hash-consed: two references into it are structurally equal
+/// exactly when they are the same NodeRef.
 class NormalizerImpl {
 public:
   NormalizerImpl(const Graph &Old)
-      : Old(Old), New(Old.width(), Old.argSorts()) {}
+      : Old(Old), New(Old.width(), Old.argSorts()), Mapping(Old.idBound()),
+        Zero(BitValue::zero(Old.width())), One(Old.width(), 1) {}
 
   Graph run() {
     for (unsigned I = 0; I < Old.numArgs(); ++I)
-      Mapping[{Old.arg(I).Def, 0}] = New.arg(I);
+      Mapping[Old.arg(I).Def->id()][0] = New.arg(I);
     for (Node *N : Old.liveNodes())
       if (N->opcode() != Opcode::Arg)
         rewriteNode(N);
     std::vector<NodeRef> Results;
+    Results.reserve(Old.results().size());
     for (const NodeRef &Ref : Old.results())
-      Results.push_back(Mapping.at({Ref.Def, Ref.Index}));
+      Results.push_back(mapped(Ref));
     New.setResults(std::move(Results));
     New.removeDeadNodes();
     return std::move(New);
@@ -48,93 +99,110 @@ private:
   /// users, so querying while New grows is safe (facts memoize per
   /// node, and nodes never change once created).
   GraphFacts NewFacts{New};
-  std::map<std::pair<const Node *, unsigned>, NodeRef> Mapping;
-  std::map<std::string, Node *> ValueNumbers;
-  std::map<std::pair<const Node *, unsigned>, std::string> KeyCache;
+  /// Output value of every input value, indexed by the input node's id
+  /// and result index; no opcode has more than two results.
+  std::vector<std::array<NodeRef, 2>> Mapping;
+  std::unordered_map<ValueKey, Node *, ValueKeyHash> ValueNumbers;
+  /// Structural key of each output node, indexed by its id; empty until
+  /// built.
+  std::vector<std::string> Keys;
+  std::string LhsKey, RhsKey;
+  const BitValue Zero, One;
 
   unsigned width() const { return Old.width(); }
+
+  NodeRef mapped(NodeRef OldRef) const {
+    NodeRef Ref = Mapping[OldRef.Def->id()][OldRef.Index];
+    assert(Ref.isValid() && "operand rewritten after its user");
+    return Ref;
+  }
 
   static const Node *asConst(NodeRef Ref) {
     return Ref.Def->opcode() == Opcode::Const ? Ref.Def : nullptr;
   }
 
   NodeRef makeConst(const BitValue &Value) {
-    return numbered(Opcode::Const, {}, Value.toHexString(), [&] {
-      return New.createConst(Value).Def;
-    });
+    ValueKey Key(Opcode::Const, {});
+    Key.Value = &Value;
+    return numbered(Key, [&] { return New.createConst(Value).Def; });
   }
 
-  /// Deterministic structural key of an already-rewritten value, used
-  /// to order commutative operands. Memoized, so shared subgraphs cost
-  /// linear time.
-  std::string operandKey(NodeRef Ref) {
-    auto CacheKey = std::make_pair(const_cast<const Node *>(Ref.Def),
-                                   Ref.Index);
-    auto It = KeyCache.find(CacheKey);
-    if (It != KeyCache.end())
-      return It->second;
+  /// Appends the deterministic structural key of an output value, used
+  /// only to order commutative operands. Keys are memoized per node, so
+  /// shared subgraphs cost linear time; Keys must cover every node id.
+  void appendOperandKey(std::string &Out, NodeRef Ref) {
     const Node *N = Ref.Def;
-    std::string Key;
-    switch (N->opcode()) {
-    case Opcode::Arg:
-      Key = "a" + std::to_string(N->argIndex());
-      break;
-    case Opcode::Const:
-      Key = "c" + N->constValue().toHexString();
-      break;
-    default:
-      Key = opcodeName(N->opcode());
-      if (N->opcode() == Opcode::Cmp)
-        Key += relationName(N->relation());
-      Key += "(";
-      for (const NodeRef &Operand : N->operands())
-        Key += operandKey(Operand) + ",";
-      Key += ")";
+    std::string &Key = Keys[N->id()];
+    if (Key.empty()) {
+      switch (N->opcode()) {
+      case Opcode::Arg:
+        Key = "a" + std::to_string(N->argIndex());
+        break;
+      case Opcode::Const:
+        Key = "c" + N->constValue().toHexString();
+        break;
+      default:
+        Key = opcodeName(N->opcode());
+        if (N->opcode() == Opcode::Cmp)
+          Key += relationName(N->relation());
+        Key += "(";
+        for (const NodeRef &Operand : N->operands()) {
+          appendOperandKey(Key, Operand);
+          Key += ",";
+        }
+        Key += ")";
+      }
     }
+    Out += Key;
     if (N->numResults() > 1)
-      Key += "." + std::to_string(Ref.Index);
-    KeyCache[CacheKey] = Key;
-    return Key;
+      Out += "." + std::to_string(Ref.Index);
+  }
+
+  /// True if \p A orders before \p B by structural key.
+  bool keyLess(NodeRef A, NodeRef B) {
+    Keys.resize(New.idBound());
+    LhsKey.clear();
+    appendOperandKey(LhsKey, A);
+    RhsKey.clear();
+    appendOperandKey(RhsKey, B);
+    return LhsKey < RhsKey;
   }
 
   /// Value numbering: returns the existing node for \p Key or creates
   /// one via \p Create.
   template <typename CreateFn>
-  NodeRef numbered(Opcode Op, const std::vector<NodeRef> &Operands,
-                   const std::string &Attribute, CreateFn Create) {
-    std::string Key = std::string(opcodeName(Op)) + "[" + Attribute + "]";
-    for (const NodeRef &Operand : Operands)
-      Key += std::to_string(Operand.Def->id()) + "." +
-             std::to_string(Operand.Index) + ",";
+  NodeRef numbered(ValueKey Key, CreateFn Create) {
     auto It = ValueNumbers.find(Key);
     if (It != ValueNumbers.end())
       return NodeRef(It->second, 0);
     Node *N = Create();
-    ValueNumbers[Key] = N;
+    if (Key.Value)
+      Key.Value = &N->constValue();
+    ValueNumbers.emplace(Key, N);
     return NodeRef(N, 0);
   }
 
   NodeRef makeUnary(Opcode Op, NodeRef Operand) {
-    return numbered(Op, {Operand}, "",
+    return numbered(ValueKey(Op, {Operand}),
                     [&] { return New.createUnary(Op, Operand).Def; });
   }
 
   NodeRef makeBinaryRaw(Opcode Op, NodeRef Lhs, NodeRef Rhs) {
-    return numbered(Op, {Lhs, Rhs}, "",
+    return numbered(ValueKey(Op, {Lhs, Rhs}),
                     [&] { return New.createBinary(Op, Lhs, Rhs).Def; });
   }
 
-  void rewriteNode(Node *N) {
-    std::vector<NodeRef> Operands;
-    Operands.reserve(N->numOperands());
-    for (const NodeRef &Operand : N->operands())
-      Operands.push_back(Mapping.at({Operand.Def, Operand.Index}));
+  void rewriteNode(const Node *N) {
+    std::array<NodeRef, 3> Operands;
+    for (unsigned I = 0; I < N->numOperands(); ++I)
+      Operands[I] = mapped(N->operand(I));
+    std::array<NodeRef, 2> &Result = Mapping[N->id()];
 
     switch (N->opcode()) {
     case Opcode::Arg:
       SELGEN_UNREACHABLE("Arg nodes are premapped");
     case Opcode::Const:
-      Mapping[{N, 0}] = makeConst(N->constValue());
+      Result[0] = makeConst(N->constValue());
       return;
     case Opcode::Add:
     case Opcode::Sub:
@@ -145,11 +213,11 @@ private:
     case Opcode::Shl:
     case Opcode::Shr:
     case Opcode::Shrs:
-      Mapping[{N, 0}] = simplifyBinary(N->opcode(), Operands[0], Operands[1]);
+      Result[0] = simplifyBinary(N->opcode(), Operands[0], Operands[1]);
       return;
     case Opcode::Not:
     case Opcode::Minus:
-      Mapping[{N, 0}] = simplifyUnary(N->opcode(), Operands[0]);
+      Result[0] = simplifyUnary(N->opcode(), Operands[0]);
       return;
     case Opcode::Cmp: {
       Relation Rel = N->relation();
@@ -158,49 +226,49 @@ private:
         std::swap(Operands[0], Operands[1]);
         Rel = swapRelation(Rel);
       }
-      Mapping[{N, 0}] = numbered(Opcode::Cmp, Operands, relationName(Rel),
-                                 [&] {
-                                   return New.createCmp(Rel, Operands[0],
-                                                        Operands[1])
-                                       .Def;
-                                 });
+      ValueKey Key(Opcode::Cmp, {Operands[0], Operands[1]});
+      Key.Rel = Rel;
+      Result[0] = numbered(Key, [&] {
+        return New.createCmp(Rel, Operands[0], Operands[1]).Def;
+      });
       return;
     }
     case Opcode::Mux:
-      if (operandKey(Operands[1]) == operandKey(Operands[2])) {
-        Mapping[{N, 0}] = Operands[1];
+      if (Operands[1] == Operands[2]) {
+        Result[0] = Operands[1];
         return;
       }
       // A selector the range analysis decides folds the Mux to one arm.
       if (std::optional<bool> Sel = NewFacts.boolFact(Operands[0])) {
-        Mapping[{N, 0}] = Operands[*Sel ? 1 : 2];
+        Result[0] = Operands[*Sel ? 1 : 2];
         return;
       }
-      Mapping[{N, 0}] = numbered(Opcode::Mux, Operands, "", [&] {
-        return New.createMux(Operands[0], Operands[1], Operands[2]).Def;
-      });
+      Result[0] = numbered(
+          ValueKey(Opcode::Mux, {Operands[0], Operands[1], Operands[2]}),
+          [&] {
+            return New.createMux(Operands[0], Operands[1], Operands[2]).Def;
+          });
       return;
     case Opcode::Load: {
-      NodeRef Placeholder = numbered(Opcode::Load, Operands, "", [&] {
-        return New.createLoad(Operands[0], Operands[1]);
-      });
-      Mapping[{N, 0}] = NodeRef(Placeholder.Def, 0);
-      Mapping[{N, 1}] = NodeRef(Placeholder.Def, 1);
+      Node *Load =
+          numbered(ValueKey(Opcode::Load, {Operands[0], Operands[1]}), [&] {
+            return New.createLoad(Operands[0], Operands[1]);
+          }).Def;
+      Result = {NodeRef(Load, 0), NodeRef(Load, 1)};
       return;
     }
-    case Opcode::Store: {
-      NodeRef Placeholder = numbered(Opcode::Store, Operands, "", [&] {
-        return New.createStore(Operands[0], Operands[1], Operands[2]).Def;
-      });
-      Mapping[{N, 0}] = Placeholder;
+    case Opcode::Store:
+      Result[0] = numbered(
+          ValueKey(Opcode::Store, {Operands[0], Operands[1], Operands[2]}),
+          [&] {
+            return New.createStore(Operands[0], Operands[1], Operands[2]).Def;
+          });
       return;
-    }
     case Opcode::Cond: {
-      NodeRef Placeholder = numbered(Opcode::Cond, Operands, "", [&] {
-        return New.createCond(Operands[0]);
-      });
-      Mapping[{N, 0}] = NodeRef(Placeholder.Def, 0);
-      Mapping[{N, 1}] = NodeRef(Placeholder.Def, 1);
+      Node *Cond = numbered(ValueKey(Opcode::Cond, {Operands[0]}), [&] {
+                     return New.createCond(Operands[0]);
+                   }).Def;
+      Result = {NodeRef(Cond, 0), NodeRef(Cond, 1)};
       return;
     }
     }
@@ -239,9 +307,6 @@ private:
       std::swap(LhsConst, RhsConst);
     }
 
-    BitValue Zero = BitValue::zero(width());
-    BitValue One(width(), 1);
-
     switch (Op) {
     case Opcode::Add:
       if (RhsConst && RhsConst->constValue().isZero())
@@ -256,7 +321,7 @@ private:
         }
       break;
     case Opcode::Sub:
-      if (operandKey(Lhs) == operandKey(Rhs))
+      if (Lhs == Rhs)
         return makeConst(Zero);
       // x - c -> x + (-c): the canonical form production compilers use.
       if (RhsConst)
@@ -280,7 +345,7 @@ private:
       }
       break;
     case Opcode::And:
-      if (operandKey(Lhs) == operandKey(Rhs))
+      if (Lhs == Rhs)
         return Lhs;
       if (RhsConst && RhsConst->constValue().isZero())
         return makeConst(Zero);
@@ -288,7 +353,7 @@ private:
         return Lhs;
       break;
     case Opcode::Or:
-      if (operandKey(Lhs) == operandKey(Rhs))
+      if (Lhs == Rhs)
         return Lhs;
       if (RhsConst && RhsConst->constValue().isZero())
         return Lhs;
@@ -296,7 +361,7 @@ private:
         return makeConst(BitValue::allOnes(width()));
       break;
     case Opcode::Xor:
-      if (operandKey(Lhs) == operandKey(Rhs))
+      if (Lhs == Rhs)
         return makeConst(Zero);
       if (RhsConst && RhsConst->constValue().isZero())
         return Lhs;
@@ -346,9 +411,9 @@ private:
     }
 
     // Order commutative operands deterministically when neither side
-    // is constant.
-    if (opcodeIsCommutative(Op) && !LhsConst && !RhsConst &&
-        operandKey(Rhs) < operandKey(Lhs))
+    // is constant. Equal operands have equal keys and stay put.
+    if (opcodeIsCommutative(Op) && !LhsConst && !RhsConst && Lhs != Rhs &&
+        keyLess(Rhs, Lhs))
       std::swap(Lhs, Rhs);
 
     return makeBinaryRaw(Op, Lhs, Rhs);

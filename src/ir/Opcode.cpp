@@ -81,7 +81,7 @@ const char *selgen::relationName(Relation Rel) {
   SELGEN_UNREACHABLE("bad relation");
 }
 
-std::optional<Opcode> selgen::tryOpcodeFromName(const std::string &Name) {
+std::optional<Opcode> selgen::tryOpcodeFromName(std::string_view Name) {
   static const Opcode All[] = {
       Opcode::Arg, Opcode::Const, Opcode::Add,  Opcode::Sub,   Opcode::Mul,
       Opcode::And, Opcode::Or,    Opcode::Xor,  Opcode::Not,   Opcode::Minus,
@@ -166,7 +166,7 @@ const std::vector<Relation> &selgen::allRelations() {
   return All;
 }
 
-std::vector<Sort> selgen::opcodeArgSorts(Opcode Op, unsigned Width) {
+SortList selgen::opcodeArgSorts(Opcode Op, unsigned Width) {
   Sort V = Sort::value(Width);
   Sort B = Sort::boolean();
   Sort M = Sort::memory();
@@ -200,7 +200,7 @@ std::vector<Sort> selgen::opcodeArgSorts(Opcode Op, unsigned Width) {
   SELGEN_UNREACHABLE("bad opcode");
 }
 
-std::vector<Sort> selgen::opcodeResultSorts(Opcode Op, unsigned Width) {
+SortList selgen::opcodeResultSorts(Opcode Op, unsigned Width) {
   Sort V = Sort::value(Width);
   Sort B = Sort::boolean();
   Sort M = Sort::memory();

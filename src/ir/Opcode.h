@@ -21,6 +21,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace selgen {
@@ -73,7 +74,7 @@ const char *relationName(Relation Rel);
 Opcode opcodeFromName(const std::string &Name);
 
 /// Parses an opcode name; returns std::nullopt on unknown names.
-std::optional<Opcode> tryOpcodeFromName(const std::string &Name);
+std::optional<Opcode> tryOpcodeFromName(std::string_view Name);
 
 /// Parses a relation name; asserts on unknown names.
 Relation relationFromName(const std::string &Name);
@@ -88,10 +89,10 @@ Relation swapRelation(Relation Rel);
 const std::vector<Relation> &allRelations();
 
 /// The argument sorts Sa of \p Op for data width \p Width.
-std::vector<Sort> opcodeArgSorts(Opcode Op, unsigned Width);
+SortList opcodeArgSorts(Opcode Op, unsigned Width);
 
 /// The result sorts Sr of \p Op for data width \p Width.
-std::vector<Sort> opcodeResultSorts(Opcode Op, unsigned Width);
+SortList opcodeResultSorts(Opcode Op, unsigned Width);
 
 /// Returns true if \p Op carries an internal attribute (paper: values
 /// "chosen at synthesis time"): the constant for Const, the relation

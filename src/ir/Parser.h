@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parses the textual graph format produced by ir/Printer. Used by the
-/// pattern database loader; errors abort via reportFatalError (pattern
-/// files are machine-generated, so malformed input is a bug, not a
-/// user error).
+/// Parses the textual graph format produced by ir/Printer. Its input is
+/// untrusted: rule-library files, synthesis-cache shards, worker
+/// frames and hand-written IR all come through here. Malformed text
+/// never aborts; parseGraph() returns nullopt and describes the first
+/// problem, with its line number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +21,14 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace selgen {
 
-/// Parses one graph from \p Text. \p ErrorMessage (if non-null)
-/// receives a description on failure.
-std::optional<Graph> parseGraph(const std::string &Text,
+/// Parses one graph from \p Text in a single pass; \p Text need only
+/// outlive the call. \p ErrorMessage (if non-null) receives a
+/// description on failure.
+std::optional<Graph> parseGraph(std::string_view Text,
                                 std::string *ErrorMessage = nullptr);
 
 } // namespace selgen

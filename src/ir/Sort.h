@@ -22,6 +22,8 @@
 #ifndef SELGEN_IR_SORT_H
 #define SELGEN_IR_SORT_H
 
+#include "ir/InlineList.h"
+
 #include <cassert>
 #include <string>
 
@@ -67,6 +69,9 @@ struct Sort {
     return "<invalid>";
   }
 };
+
+/// The operand or result sorts of one operation.
+using SortList = InlineList<Sort, 3>;
 
 } // namespace selgen
 

@@ -31,7 +31,7 @@ std::vector<std::string> selgen::verifyGraph(const Graph &G) {
 
     // Operand count and sorts.
     if (N->opcode() != Opcode::Arg) {
-      std::vector<Sort> Expected = opcodeArgSorts(N->opcode(), G.width());
+      SortList Expected = opcodeArgSorts(N->opcode(), G.width());
       if (N->numOperands() != Expected.size()) {
         problem(Where + ": expected " + std::to_string(Expected.size()) +
                 " operands, got " + std::to_string(N->numOperands()));

@@ -312,7 +312,7 @@ void BinaryAutomatonView::collect(uint32_t StateId,
       continue;
     Stack.pop_back();
     size_t Restore = Stack.size();
-    const std::vector<NodeRef> &Operands = V.Def->operands();
+    const OperandList &Operands = V.Def->operands();
     for (auto It = Operands.rbegin(); It != Operands.rend(); ++It)
       Stack.push_back(*It);
     collect(E.To, Stack, RulesOut, StatesVisited);
@@ -343,7 +343,7 @@ void BinaryAutomatonView::matchBody(const Node *Subject,
     if (!nodeEdgeAccepts(E, Subject))
       continue;
     Stack.clear();
-    const std::vector<NodeRef> &Operands = Subject->operands();
+    const OperandList &Operands = Subject->operands();
     for (auto OpIt = Operands.rbegin(); OpIt != Operands.rend(); ++OpIt)
       Stack.push_back(*OpIt);
     collect(E.To, Stack, RulesOut, StatesVisited);

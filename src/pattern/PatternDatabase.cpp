@@ -146,21 +146,22 @@ std::string PatternDatabase::serialize() const {
   return Result;
 }
 
-PatternDatabase PatternDatabase::deserialize(const std::string &Text,
+PatternDatabase PatternDatabase::deserialize(std::string_view Text,
                                              std::string *ErrorMessage) {
   PatternDatabase Database;
   std::string GoalName;
-  std::string GraphText;
   bool InRule = false;
   auto fail = [&](const std::string &Message) {
     if (ErrorMessage)
       *ErrorMessage = Message;
     return PatternDatabase();
   };
-  // Lines are views into Text; only pattern bodies are copied, into the
-  // one GraphText buffer handed to the parser.
+  // Lines are views into Text, and each pattern body goes to the
+  // parser as the view from the line after "rule" up to "endrule".
+  size_t BodyBegin = 0;
   std::string_view Rest(Text);
   while (!Rest.empty()) {
+    size_t LineBegin = Text.size() - Rest.size();
     size_t Newline = Rest.find('\n');
     std::string_view Line = Rest.substr(0, Newline);
     Rest.remove_prefix(Newline == std::string_view::npos ? Rest.size()
@@ -172,7 +173,7 @@ PatternDatabase PatternDatabase::deserialize(const std::string &Text,
       if (InRule)
         return fail("nested rule record");
       GoalName = trimView(Trimmed.substr(5));
-      GraphText.clear();
+      BodyBegin = Text.size() - Rest.size();
       InRule = true;
       continue;
     }
@@ -180,7 +181,8 @@ PatternDatabase PatternDatabase::deserialize(const std::string &Text,
       if (!InRule)
         return fail("endrule without rule");
       std::string ParseError;
-      std::optional<Graph> Pattern = parseGraph(GraphText, &ParseError);
+      std::optional<Graph> Pattern = parseGraph(
+          Text.substr(BodyBegin, LineBegin - BodyBegin), &ParseError);
       if (!Pattern)
         return fail("bad pattern for " + GoalName + ": " + ParseError);
       Database.add(GoalName, std::move(*Pattern));
@@ -190,8 +192,6 @@ PatternDatabase PatternDatabase::deserialize(const std::string &Text,
     if (!InRule)
       return fail("unexpected line outside rule record: " +
                   std::string(Trimmed));
-    GraphText += Line;
-    GraphText += '\n';
   }
   if (InRule)
     return fail("unterminated rule record");

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -93,7 +94,7 @@ public:
 
   /// Serialization (text, self-delimiting records).
   std::string serialize() const;
-  static PatternDatabase deserialize(const std::string &Text,
+  static PatternDatabase deserialize(std::string_view Text,
                                      std::string *ErrorMessage = nullptr);
 
   /// File convenience wrappers; abort on I/O errors.

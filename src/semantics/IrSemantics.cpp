@@ -21,9 +21,14 @@ static std::vector<Sort> internalSortsFor(Opcode Op, unsigned Width) {
   return {};
 }
 
+static std::vector<Sort> toVector(const SortList &Sorts) {
+  return std::vector<Sort>(Sorts.begin(), Sorts.end());
+}
+
 IrOpSpec::IrOpSpec(Opcode Op, unsigned Width)
-    : InstrSpec(opcodeName(Op), opcodeArgSorts(Op, Width),
-                internalSortsFor(Op, Width), opcodeResultSorts(Op, Width)),
+    : InstrSpec(opcodeName(Op), toVector(opcodeArgSorts(Op, Width)),
+                internalSortsFor(Op, Width),
+                toVector(opcodeResultSorts(Op, Width))),
       Op(Op), Width(Width) {}
 
 unsigned selgen::relationCode(Relation Rel) {

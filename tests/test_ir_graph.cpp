@@ -10,6 +10,9 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "pattern/PatternDatabase.h"
+#include "support/AtomicFile.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 
@@ -285,6 +288,172 @@ TEST(Parser, MalformedInputsDoNotRoundTrip) {
                           &Error)
                    .has_value());
   EXPECT_NE(Error.find("does not fit"), std::string::npos);
+}
+
+// --- Hostile bytes ----------------------------------------------------------
+
+namespace {
+
+std::string shippedLibraryText(const char *Name) {
+  std::optional<std::string> Text =
+      readFileToString(std::string(SELGEN_ARTIFACTS_DIR) + "/" + Name);
+  EXPECT_TRUE(Text.has_value()) << Name;
+  return Text.value_or("");
+}
+
+/// \p Text split into lines, each keeping its '\n'.
+std::vector<std::string> splitLines(const std::string &Text) {
+  std::vector<std::string> Lines;
+  for (size_t Start = 0; Start < Text.size();) {
+    size_t End = std::min(Text.find('\n', Start), Text.size() - 1) + 1;
+    Lines.push_back(Text.substr(Start, End - Start));
+    Start = End;
+  }
+  return Lines;
+}
+
+std::string joinLines(const std::vector<std::string> &Lines) {
+  std::string Text;
+  for (const std::string &Line : Lines)
+    Text += Line;
+  return Text;
+}
+
+/// Truncation at every line boundary, every line dropped, every line
+/// duplicated, and \p Flips seeded single-byte flips.
+std::vector<std::string> lineMutants(const std::string &Text, Rng &Random,
+                                     unsigned Flips) {
+  std::vector<std::string> Lines = splitLines(Text);
+  std::vector<std::string> Mutants;
+  for (size_t Cut = 0; Cut <= Lines.size(); ++Cut)
+    Mutants.push_back(joinLines(
+        std::vector<std::string>(Lines.begin(), Lines.begin() + Cut)));
+  for (size_t I = 0; I < Lines.size(); ++I) {
+    std::vector<std::string> Dropped = Lines;
+    Dropped.erase(Dropped.begin() + I);
+    Mutants.push_back(joinLines(Dropped));
+    std::vector<std::string> Duplicated = Lines;
+    Duplicated.insert(Duplicated.begin() + I, Lines[I]);
+    Mutants.push_back(joinLines(Duplicated));
+  }
+  for (unsigned Flip = 0; Flip < Flips && !Text.empty(); ++Flip) {
+    std::string Mutant = Text;
+    Mutant[Random.nextBelow(Mutant.size())] ^=
+        static_cast<char>(1 + Random.nextBelow(255));
+    Mutants.push_back(Mutant);
+  }
+  return Mutants;
+}
+
+/// Per-line edits of one graph: its first number grown to 11 and 20
+/// digits, its first reference pointed at result 7, a definition
+/// rebinding n0 or a0, and a definition moved up to the header (so its
+/// operands are used before they are defined).
+std::vector<std::string> graphMutants(const std::string &Text) {
+  std::vector<std::string> Lines = splitLines(Text);
+  std::vector<std::string> Mutants;
+  for (size_t I = 0; I < Lines.size(); ++I) {
+    const std::string &Line = Lines[I];
+    auto withLine = [&](const std::string &Replacement) {
+      std::vector<std::string> Copy = Lines;
+      Copy[I] = Replacement;
+      return joinLines(Copy);
+    };
+    size_t Digit = Line.find_first_of("0123456789");
+    if (Digit != std::string::npos) {
+      size_t End = Line.find_first_not_of("0123456789", Digit);
+      for (const char *Big : {"12345678901", "99999999999999999999"})
+        Mutants.push_back(
+            withLine(Line.substr(0, Digit) + Big + Line.substr(End)));
+    }
+    size_t Open = Line.find('(');
+    size_t End = Line.find_first_of(",)", Open);
+    if (Open != std::string::npos && End != std::string::npos &&
+        End > Open + 1)
+      Mutants.push_back(
+          withLine(Line.substr(0, End) + ".7" + Line.substr(End)));
+    size_t Equals = Line.find(" = ");
+    if (Equals != std::string::npos && I > 0) {
+      for (const char *Name : {"  n0", "  a0"})
+        Mutants.push_back(withLine(Name + Line.substr(Equals)));
+      std::vector<std::string> Moved = Lines;
+      Moved.erase(Moved.begin() + I);
+      Moved.insert(Moved.begin() + 1, Line);
+      Mutants.push_back(joinLines(Moved));
+    }
+  }
+  return Mutants;
+}
+
+struct SweepSummary {
+  size_t Mutants = 0;
+  size_t Accepted = 0;
+  uint32_t OutcomeCrc = 0; ///< Of every mutant's outcome line.
+};
+
+} // namespace
+
+TEST(ParserHostileBytes, GraphMutantsParseOrFailWithMessage) {
+  // Every mutant of every rule of the shipped basic library yields a
+  // graph or a non-empty error, never an abort. The pin is the parent
+  // parser's outcomes: the fingerprint of each accepted mutant and the
+  // exact error text, line number included, of each rejected one.
+  PatternDatabase Database = PatternDatabase::deserialize(
+      shippedLibraryText("rule-library-basic-w8.dat"));
+  ASSERT_GT(Database.size(), 100u);
+  Rng Random(0x5E1);
+  SweepSummary Summary;
+  std::string Outcomes;
+  for (const Rule &R : Database.rules()) {
+    std::string Text = printGraph(R.Pattern);
+    std::vector<std::string> Mutants = lineMutants(Text, Random, 8);
+    for (std::string &Mutant : graphMutants(Text))
+      Mutants.push_back(std::move(Mutant));
+    for (const std::string &Mutant : Mutants) {
+      std::string Error;
+      std::optional<Graph> G = parseGraph(Mutant, &Error);
+      ++Summary.Mutants;
+      if (G) {
+        ++Summary.Accepted;
+        Outcomes += "graph " + G->fingerprint() + "\n";
+      } else {
+        EXPECT_FALSE(Error.empty()) << Mutant;
+        Outcomes += "error " + Error + "\n";
+      }
+    }
+  }
+  Summary.OutcomeCrc = crc32(Outcomes);
+  EXPECT_EQ(Summary.Mutants, 5757u);
+  EXPECT_EQ(Summary.Accepted, 1173u);
+  EXPECT_EQ(Summary.OutcomeCrc, 0x984046cfu);
+}
+
+TEST(ParserHostileBytes, LibraryMutantsLoadOrFailWithMessage) {
+  // The same line-level mutations of the whole library file through
+  // PatternDatabase::deserialize. The pin is the parent loader's
+  // accept/reject decision and, for accepted mutants, the rules.
+  std::string Text = shippedLibraryText("rule-library-basic-w8.dat");
+  Rng Random(0xF11B);
+  SweepSummary Summary;
+  std::string Outcomes;
+  for (const std::string &Mutant : lineMutants(Text, Random, 400)) {
+    std::string Error;
+    PatternDatabase Database = PatternDatabase::deserialize(Mutant, &Error);
+    ++Summary.Mutants;
+    if (!Error.empty()) {
+      Outcomes += "error\n";
+      continue;
+    }
+    ++Summary.Accepted;
+    std::string Rules;
+    for (const Rule &R : Database.rules())
+      Rules += R.GoalName + " " + R.fingerprint() + "\n";
+    Outcomes += "library " + crc32Hex(Rules) + "\n";
+  }
+  Summary.OutcomeCrc = crc32(Outcomes);
+  EXPECT_EQ(Summary.Mutants, 3314u);
+  EXPECT_EQ(Summary.Accepted, 877u);
+  EXPECT_EQ(Summary.OutcomeCrc, 0x82549612u);
 }
 
 TEST(Verifier, DetectsSortErrors) {

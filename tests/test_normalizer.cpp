@@ -9,6 +9,8 @@
 #include "ir/Normalizer.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "pattern/PatternDatabase.h"
+#include "support/AtomicFile.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -257,4 +259,96 @@ TEST(NormalizerProperty, NeverGrows) {
     Graph N = normalizeGraph(G);
     EXPECT_LE(N.numOperations(), G.numOperations());
   }
+}
+
+// --- Canonical-form identity pin ----------------------------------------
+
+namespace {
+
+/// Variants of \p Base's rules built the way bench_85 inflates its
+/// library (bench::inflateLibrary): every pass re-draws each constant
+/// and swaps the operands of two-operand nodes at random, seed 0xBEEF,
+/// until the library holds \p TargetSize distinct rules.
+PatternDatabase inflated(const PatternDatabase &Base, size_t TargetSize) {
+  PatternDatabase Inflated;
+  for (const Rule &R : Base.rules())
+    Inflated.add(R.GoalName, R.Pattern.clone());
+  Rng Random(0xBEEF);
+  size_t Stuck = 0;
+  while (Inflated.size() < TargetSize && Stuck < 10 * TargetSize) {
+    for (const Rule &R : Base.rules()) {
+      if (Inflated.size() >= TargetSize)
+        break;
+      Graph Clone = R.Pattern.clone();
+      bool Mutated = false;
+      for (Node *N : Clone.liveNodes()) {
+        if (N->opcode() == Opcode::Const) {
+          N->setConstValue(Random.nextBitValue(N->constValue().width()));
+          Mutated = true;
+        } else if (N->numOperands() == 2 && Random.nextBelow(2) == 1) {
+          NodeRef A = N->operand(0), B = N->operand(1);
+          if (A.sort() == B.sort()) {
+            N->setOperand(0, B);
+            N->setOperand(1, A);
+            Mutated = true;
+          }
+        }
+      }
+      if (Mutated && !Inflated.add(R.GoalName, std::move(Clone)))
+        ++Stuck;
+    }
+  }
+  return Inflated;
+}
+
+PatternDatabase shippedLibrary(const char *Name) {
+  return PatternDatabase::loadFromFile(std::string(SELGEN_ARTIFACTS_DIR) +
+                                       "/" + Name);
+}
+
+struct CanonicalForms {
+  uint32_t FingerprintCrc; ///< Of every normalizeGraph(G).fingerprint().
+  size_t Survivors;        ///< Rules filterNonNormalized() keeps.
+};
+
+CanonicalForms canonicalForms(PatternDatabase Database) {
+  std::string Fingerprints;
+  for (const Rule &R : Database.rules())
+    Fingerprints += normalizeGraph(R.Pattern).fingerprint();
+  Database.filterNonNormalized();
+  return {crc32(Fingerprints), Database.size()};
+}
+
+} // namespace
+
+TEST(NormalizerIdentity, CanonicalFormsArePinned) {
+  // Values the string-keyed normalizer produced. Any change to a
+  // canonical form, commutative-operand order included, changes a CRC.
+  PatternDatabase Basic = shippedLibrary("rule-library-basic-w8.dat");
+  PatternDatabase Full = shippedLibrary("rule-library-full-w8.dat");
+  PatternDatabase Base = shippedLibrary("rule-library-full-w8.dat");
+  Base.filterNonNormalized();
+  Base.sortSpecificFirst();
+  PatternDatabase Variants = inflated(Base, 2000);
+  ASSERT_EQ(Variants.size(), 2000u);
+
+  CanonicalForms BasicForms = canonicalForms(std::move(Basic));
+  EXPECT_EQ(BasicForms.FingerprintCrc, 0x9f7f8530u);
+  EXPECT_EQ(BasicForms.Survivors, 136u);
+  CanonicalForms FullForms = canonicalForms(std::move(Full));
+  EXPECT_EQ(FullForms.FingerprintCrc, 0x34a3bbbcu);
+  EXPECT_EQ(FullForms.Survivors, 309u);
+  CanonicalForms VariantForms = canonicalForms(std::move(Variants));
+  EXPECT_EQ(VariantForms.FingerprintCrc, 0x288be8ffu);
+  EXPECT_EQ(VariantForms.Survivors, 990u);
+
+  // Random graphs add Mux, Cmp and shared subexpressions the libraries
+  // rarely carry.
+  Rng Random(15);
+  std::string Fingerprints;
+  for (int Trial = 0; Trial < 2000; ++Trial)
+    Fingerprints +=
+        normalizeGraph(randomGraph(Random, 8, 2 + Random.nextBelow(12)))
+            .fingerprint();
+  EXPECT_EQ(crc32(Fingerprints), 0x41566aeeu);
 }
