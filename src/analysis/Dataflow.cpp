@@ -10,6 +10,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace selgen;
 
@@ -479,11 +480,16 @@ std::optional<bool> ValueFact::evalRelation(Relation Rel, const ValueFact &A,
 // GraphFacts
 //===----------------------------------------------------------------------===//
 
+GraphFacts::NodeMemo &GraphFacts::memo(const Node *N) {
+  if (N->id() >= Memo.size())
+    Memo.resize(G.idBound());
+  return Memo[N->id()];
+}
+
 const ValueFact &GraphFacts::fact(NodeRef Ref) {
-  ValueKey Key{Ref.Def, Ref.Index};
-  auto It = Facts.find(Key);
-  if (It != Facts.end())
-    return It->second;
+  assert(Ref.Index < 2 && "no opcode has more than two results");
+  if (uint32_t Slot = memo(Ref.Def).Fact[Ref.Index])
+    return Facts[Slot - 1];
 
   const Node *N = Ref.Def;
   unsigned W = G.width();
@@ -521,21 +527,23 @@ const ValueFact &GraphFacts::fact(NodeRef Ref) {
   default:
     break; // Top.
   }
-  return Facts.emplace(Key, std::move(F)).first->second;
+  Facts.push_back(std::move(F));
+  memo(N).Fact[Ref.Index] = static_cast<uint32_t>(Facts.size());
+  return Facts.back();
 }
 
 std::optional<bool> GraphFacts::boolFact(NodeRef Ref) {
-  ValueKey Key{Ref.Def, Ref.Index};
-  auto It = BoolFacts.find(Key);
-  if (It != BoolFacts.end())
-    return It->second;
+  assert(Ref.Index < 2 && "no opcode has more than two results");
+  if (const std::optional<std::optional<bool>> &Memoized =
+          memo(Ref.Def).Bool[Ref.Index])
+    return *Memoized;
 
   std::optional<bool> Known;
   const Node *N = Ref.Def;
   if (N->opcode() == Opcode::Cmp)
     Known = ValueFact::evalRelation(N->relation(), fact(N->operand(0)),
                                     fact(N->operand(1)));
-  BoolFacts.emplace(Key, Known);
+  memo(N).Bool[Ref.Index] = Known;
   return Known;
 }
 

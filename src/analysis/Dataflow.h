@@ -33,7 +33,8 @@
 #include "ir/Graph.h"
 #include "support/BitValue.h"
 
-#include <map>
+#include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -145,11 +146,25 @@ public:
   std::vector<const Node *> unprovenShifts();
 
 private:
-  using ValueKey = std::pair<const Node *, unsigned>;
+  /// Memo slots of one node, indexed by result index (no opcode has
+  /// more than two results).
+  struct NodeMemo {
+    /// Position of the fact in Facts plus one; 0 until computed.
+    uint32_t Fact[2] = {0, 0};
+    /// boolFact()'s answer; empty until computed.
+    std::optional<std::optional<bool>> Bool[2];
+  };
+
+  /// The memo of \p N, growing the table to the graph's current id
+  /// bound first.
+  NodeMemo &memo(const Node *N);
 
   const Graph &G;
-  std::map<ValueKey, ValueFact> Facts;
-  std::map<ValueKey, std::optional<bool>> BoolFacts;
+  /// Indexed by Node::id().
+  std::vector<NodeMemo> Memo;
+  /// A deque keeps references to earlier facts valid while the memo
+  /// grows.
+  std::deque<ValueFact> Facts;
 };
 
 } // namespace selgen

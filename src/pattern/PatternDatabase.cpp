@@ -12,16 +12,26 @@
 #include "ir/Printer.h"
 #include "support/AtomicFile.h"
 #include "support/Error.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string_view>
 
 using namespace selgen;
+
+Rule::Rule(std::string GoalName, Graph Pattern)
+    : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
+      Fingerprint(this->Pattern.fingerprint()),
+      Operations(this->Pattern.numOperations()), Constants(0) {
+  for (const Node *N : this->Pattern.liveNodes())
+    if (N->opcode() == Opcode::Const)
+      ++Constants;
+}
 
 namespace {
 
@@ -92,37 +102,36 @@ size_t PatternDatabase::filterCommutativeDuplicates() {
 
 size_t PatternDatabase::filterNonNormalized() {
   size_t Before = Rules.size();
-  std::vector<Rule> Kept;
-  for (Rule &R : Rules)
-    if (normalizeGraph(R.Pattern).fingerprint() == R.fingerprint())
-      Kept.push_back(std::move(R));
-  Rules = std::move(Kept);
+  std::vector<char> Keep(Rules.size());
+  parallelFor(Rules.size(), [&](size_t I) {
+    Keep[I] = normalizeGraph(Rules[I].Pattern).fingerprint() ==
+              Rules[I].fingerprint();
+    if (!Keep[I]) {
+      Rule Rejected = std::move(Rules[I]); // Freed on this thread.
+    }
+  });
+  size_t Kept = 0;
+  for (size_t I = 0; I < Rules.size(); ++I)
+    if (Keep[I]) {
+      if (Kept != I)
+        Rules[Kept] = std::move(Rules[I]);
+      ++Kept;
+    }
+  Rules.erase(Rules.begin() + Kept, Rules.end());
   rebuildIndex();
   return Before - Rules.size();
 }
 
 void selgen::sortRulesSpecificFirst(std::vector<Rule> &Rules) {
-  struct SortKey {
-    unsigned Operations;
-    unsigned Constants;
-  };
-  std::vector<SortKey> Keys;
-  Keys.reserve(Rules.size());
-  for (const Rule &R : Rules) {
-    unsigned Constants = 0;
-    for (const Node *N : R.Pattern.liveNodes())
-      if (N->opcode() == Opcode::Const)
-        ++Constants;
-    Keys.push_back({R.Pattern.numOperations(), Constants});
-  }
   std::vector<uint32_t> Order(Rules.size());
   std::iota(Order.begin(), Order.end(), 0);
   std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-    if (Keys[A].Operations != Keys[B].Operations)
-      return Keys[A].Operations > Keys[B].Operations;
-    if (Keys[A].Constants != Keys[B].Constants)
-      return Keys[A].Constants > Keys[B].Constants;
-    return Rules[A].fingerprint() < Rules[B].fingerprint();
+    const Rule &RA = Rules[A], &RB = Rules[B];
+    if (RA.numOperations() != RB.numOperations())
+      return RA.numOperations() > RB.numOperations();
+    if (RA.numConstants() != RB.numConstants())
+      return RA.numConstants() > RB.numConstants();
+    return RA.fingerprint() < RB.fingerprint();
   });
   std::vector<Rule> Sorted;
   Sorted.reserve(Rules.size());
@@ -148,19 +157,19 @@ std::string PatternDatabase::serialize() const {
 
 PatternDatabase PatternDatabase::deserialize(std::string_view Text,
                                              std::string *ErrorMessage) {
-  PatternDatabase Database;
-  std::string GoalName;
-  bool InRule = false;
-  auto fail = [&](const std::string &Message) {
-    if (ErrorMessage)
-      *ErrorMessage = Message;
-    return PatternDatabase();
+  // Split the text into records, stopping at the first structural
+  // error. Lines are views into Text, and each record's body is the
+  // view from the line after "rule" up to "endrule".
+  struct Record {
+    std::string_view GoalName, Body;
   };
-  // Lines are views into Text, and each pattern body goes to the
-  // parser as the view from the line after "rule" up to "endrule".
+  std::vector<Record> Records;
+  std::string StructuralError;
+  std::string_view GoalName;
+  bool InRule = false;
   size_t BodyBegin = 0;
   std::string_view Rest(Text);
-  while (!Rest.empty()) {
+  while (!Rest.empty() && StructuralError.empty()) {
     size_t LineBegin = Text.size() - Rest.size();
     size_t Newline = Rest.find('\n');
     std::string_view Line = Rest.substr(0, Newline);
@@ -171,38 +180,58 @@ PatternDatabase PatternDatabase::deserialize(std::string_view Text,
       continue;
     if (Trimmed.substr(0, 5) == "rule ") {
       if (InRule)
-        return fail("nested rule record");
+        StructuralError = "nested rule record";
       GoalName = trimView(Trimmed.substr(5));
       BodyBegin = Text.size() - Rest.size();
       InRule = true;
-      continue;
-    }
-    if (Trimmed == "endrule") {
+    } else if (Trimmed == "endrule") {
       if (!InRule)
-        return fail("endrule without rule");
-      std::string ParseError;
-      std::optional<Graph> Pattern = parseGraph(
-          Text.substr(BodyBegin, LineBegin - BodyBegin), &ParseError);
-      if (!Pattern)
-        return fail("bad pattern for " + GoalName + ": " + ParseError);
-      Database.add(GoalName, std::move(*Pattern));
+        StructuralError = "endrule without rule";
+      else
+        Records.push_back(
+            {GoalName, Text.substr(BodyBegin, LineBegin - BodyBegin)});
       InRule = false;
-      continue;
+    } else if (!InRule) {
+      StructuralError =
+          "unexpected line outside rule record: " + std::string(Trimmed);
     }
-    if (!InRule)
-      return fail("unexpected line outside rule record: " +
-                  std::string(Trimmed));
   }
-  if (InRule)
-    return fail("unterminated rule record");
+  if (InRule && StructuralError.empty())
+    StructuralError = "unterminated rule record";
+
+  // Parse and fingerprint every record body in parallel.
+  std::vector<std::optional<Rule>> Parsed(Records.size());
+  std::vector<std::string> ParseErrors(Records.size());
+  parallelFor(Records.size(), [&](size_t I) {
+    std::optional<Graph> Pattern = parseGraph(Records[I].Body, &ParseErrors[I]);
+    if (Pattern)
+      Parsed[I].emplace(std::string(Records[I].GoalName), std::move(*Pattern));
+  });
+
+  // Insert in file order. Every record precedes the structural error,
+  // so the earliest error in the file is the first bad body, if any.
+  auto fail = [&](const std::string &Message) {
+    if (ErrorMessage)
+      *ErrorMessage = Message;
+    return PatternDatabase();
+  };
+  PatternDatabase Database;
+  Database.Rules.reserve(Records.size());
+  Database.Index.reserve(Records.size());
+  for (size_t I = 0; I < Records.size(); ++I) {
+    if (!Parsed[I])
+      return fail("bad pattern for " + std::string(Records[I].GoalName) +
+                  ": " + ParseErrors[I]);
+    Database.insert(std::move(*Parsed[I]));
+  }
+  if (!StructuralError.empty())
+    return fail(StructuralError);
   return Database;
 }
 
 void PatternDatabase::saveToFile(const std::string &Path) const {
-  std::ofstream Out(Path);
-  if (!Out)
+  if (!writeFileAtomic(Path, serialize()))
     reportFatalError("cannot write pattern database: " + Path);
-  Out << serialize();
 }
 
 PatternDatabase PatternDatabase::loadFromFile(const std::string &Path) {

@@ -31,35 +31,48 @@ namespace selgen {
 
 /// One instruction selection rule: "if Pattern matches, emit Goal".
 ///
-/// The pattern's fingerprint is computed once, at construction, and
-/// every later duplicate check, sort and content hash reads the stored
-/// copy. Patterns are therefore never mutated once they are in a rule.
+/// The pattern's fingerprint and its specific-first sort key are
+/// computed once, at construction, and every later duplicate check,
+/// sort and content hash reads the stored copies. Patterns are
+/// therefore never mutated once they are in a rule.
 struct Rule {
   std::string GoalName;
   Graph Pattern;
 
-  Rule(std::string GoalName, Graph Pattern)
-      : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
-        Fingerprint(this->Pattern.fingerprint()) {}
+  Rule(std::string GoalName, Graph Pattern);
 
   /// Pattern.fingerprint(), as computed at construction.
   const std::string &fingerprint() const { return Fingerprint; }
 
-  /// Deep copy that carries the stored fingerprint over.
-  Rule clone() const { return Rule(GoalName, Pattern.clone(), Fingerprint); }
+  /// Pattern.numOperations(), as computed at construction.
+  unsigned numOperations() const { return Operations; }
+
+  /// Number of live Const nodes in Pattern, as computed at
+  /// construction.
+  unsigned numConstants() const { return Constants; }
+
+  /// Deep copy that carries the stored fingerprint and sort key over.
+  Rule clone() const {
+    return Rule(GoalName, Pattern.clone(), Fingerprint, Operations,
+                Constants);
+  }
 
 private:
   std::string Fingerprint;
+  unsigned Operations;
+  unsigned Constants;
 
-  Rule(std::string GoalName, Graph Pattern, std::string Fingerprint)
+  Rule(std::string GoalName, Graph Pattern, std::string Fingerprint,
+       unsigned Operations, unsigned Constants)
       : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
-        Fingerprint(std::move(Fingerprint)) {}
+        Fingerprint(std::move(Fingerprint)), Operations(Operations),
+        Constants(Constants) {}
 };
 
 /// Sorts \p Rules from more specific to less specific patterns
 /// (Section 5.6): more operations first; ties broken toward patterns
-/// with more constants, then by fingerprint. Each rule's sort key is
-/// computed once; the sort is stable.
+/// with more constants, then by fingerprint. The sort reads each
+/// rule's stored key and is stable.
 void sortRulesSpecificFirst(std::vector<Rule> &Rules);
 
 /// A library of rules.
@@ -86,7 +99,9 @@ public:
 
   /// Removes rules whose pattern is not in normal form; the compiler
   /// would never present such IR to the instruction selector
-  /// (Section 5.6). Returns the number of rules removed.
+  /// (Section 5.6). Rules are checked in parallel (parallelFor) and
+  /// the survivors keep their order. Returns the number of rules
+  /// removed.
   size_t filterNonNormalized();
 
   /// Sorts the library with sortRulesSpecificFirst().
@@ -94,10 +109,19 @@ public:
 
   /// Serialization (text, self-delimiting records).
   std::string serialize() const;
+
+  /// Loads serialize()'s format. The records are split on the calling
+  /// thread, which stops at the first structural error; their bodies
+  /// are then parsed in parallel (parallelFor) and the rules inserted
+  /// in file order. On error, \p ErrorMessage receives the earliest
+  /// error in the file, a bad body or the structural one, and the
+  /// result is empty.
   static PatternDatabase deserialize(std::string_view Text,
                                      std::string *ErrorMessage = nullptr);
 
-  /// File convenience wrappers; abort on I/O errors.
+  /// File convenience wrappers; abort on I/O errors. saveToFile()
+  /// publishes atomically (writeFileAtomic): a crash leaves the old
+  /// file or the new one, never a truncated library.
   void saveToFile(const std::string &Path) const;
   static PatternDatabase loadFromFile(const std::string &Path);
 

@@ -8,26 +8,48 @@
 #include "support/BitValue.h"
 
 #include <algorithm>
+#include <vector>
 
 using namespace selgen;
 
-BitValue::BitValue(unsigned Width, uint64_t Value) : Width(Width) {
-  assert(Width >= 1 && "bit-vector width must be positive");
-  Words.assign(numWords(), 0);
-  Words[0] = Value;
-  clearUnusedBits();
+void BitValue::allocateWide(uint64_t LowWord) {
+  WideWords = new uint64_t[numWords()]();
+  WideWords[0] = LowWord;
+}
+
+void BitValue::copyWide(const BitValue &Other) {
+  WideWords = new uint64_t[numWords()];
+  std::copy_n(Other.WideWords, numWords(), WideWords);
+}
+
+BitValue &BitValue::assignWide(const BitValue &Other) {
+  if (this == &Other)
+    return *this;
+  if (Other.isInline()) {
+    release();
+    Width = Other.Width;
+    InlineWord = Other.InlineWord;
+    return *this;
+  }
+  if (isInline() || numWords() != Other.numWords()) {
+    uint64_t *Fresh = new uint64_t[Other.numWords()];
+    release();
+    WideWords = Fresh;
+  }
+  Width = Other.Width;
+  std::copy_n(Other.WideWords, numWords(), WideWords);
+  return *this;
 }
 
 void BitValue::clearUnusedBits() {
   unsigned Used = Width % 64;
   if (Used != 0)
-    Words.back() &= (~uint64_t(0)) >> (64 - Used);
+    words()[numWords() - 1] &= lowBits(Used);
 }
 
 BitValue BitValue::allOnes(unsigned Width) {
   BitValue Result(Width, 0);
-  for (uint64_t &Word : Result.Words)
-    Word = ~uint64_t(0);
+  std::fill_n(Result.words(), Result.numWords(), ~uint64_t(0));
   Result.clearUnusedBits();
   return Result;
 }
@@ -70,13 +92,13 @@ BitValue BitValue::fromString(unsigned Width, const std::string &Str,
 
 uint64_t BitValue::zextValue() const {
   for (unsigned I = 1, E = numWords(); I < E; ++I)
-    assert(Words[I] == 0 && "value does not fit into 64 bits");
-  return Words[0];
+    assert(words()[I] == 0 && "value does not fit into 64 bits");
+  return words()[0];
 }
 
 int64_t BitValue::sextValue() const {
   assert(Width <= 64 && "value wider than 64 bits");
-  uint64_t Value = Words[0];
+  uint64_t Value = InlineWord;
   if (Width < 64 && isNegative())
     Value |= (~uint64_t(0)) << Width;
   return static_cast<int64_t>(Value);
@@ -84,20 +106,21 @@ int64_t BitValue::sextValue() const {
 
 bool BitValue::bit(unsigned Index) const {
   assert(Index < Width && "bit index out of range");
-  return (Words[Index / 64] >> (Index % 64)) & 1;
+  return (words()[Index / 64] >> (Index % 64)) & 1;
 }
 
 void BitValue::setBit(unsigned Index, bool Value) {
   assert(Index < Width && "bit index out of range");
   uint64_t Mask = uint64_t(1) << (Index % 64);
   if (Value)
-    Words[Index / 64] |= Mask;
+    words()[Index / 64] |= Mask;
   else
-    Words[Index / 64] &= ~Mask;
+    words()[Index / 64] &= ~Mask;
 }
 
 bool BitValue::isZero() const {
-  return std::all_of(Words.begin(), Words.end(),
+  const uint64_t *Words = words();
+  return std::all_of(Words, Words + numWords(),
                      [](uint64_t W) { return W == 0; });
 }
 
@@ -105,8 +128,8 @@ bool BitValue::isAllOnes() const { return *this == allOnes(Width); }
 
 unsigned BitValue::popcount() const {
   unsigned Count = 0;
-  for (uint64_t Word : Words)
-    Count += __builtin_popcountll(Word);
+  for (unsigned I = 0, E = numWords(); I < E; ++I)
+    Count += __builtin_popcountll(words()[I]);
   return Count;
 }
 
@@ -127,13 +150,15 @@ unsigned BitValue::countTrailingZeros() const {
 BitValue BitValue::add(const BitValue &RHS) const {
   assert(Width == RHS.Width && "width mismatch");
   BitValue Result(Width, 0);
+  const uint64_t *Words = words(), *RHSWords = RHS.words();
+  uint64_t *ResultWords = Result.words();
   uint64_t Carry = 0;
   for (unsigned I = 0, E = numWords(); I < E; ++I) {
     uint64_t Sum = Words[I] + Carry;
     uint64_t CarryOut = Sum < Words[I];
-    Sum += RHS.Words[I];
-    CarryOut |= Sum < RHS.Words[I];
-    Result.Words[I] = Sum;
+    Sum += RHSWords[I];
+    CarryOut |= Sum < RHSWords[I];
+    ResultWords[I] = Sum;
     Carry = CarryOut;
   }
   Result.clearUnusedBits();
@@ -153,15 +178,21 @@ BitValue BitValue::mul(const BitValue &RHS) const {
   // Schoolbook multiplication over 32-bit half-words so that partial
   // products fit into uint64_t without overflow.
   unsigned HalfWords = numWords() * 2;
-  auto half = [](const std::vector<uint64_t> &Words, unsigned I) {
+  auto half = [](const uint64_t *Words, unsigned I) {
     uint64_t Word = Words[I / 2];
     return (I % 2) ? (Word >> 32) : (Word & 0xFFFFFFFFu);
   };
-  std::vector<uint64_t> Acc(HalfWords, 0);
+  uint64_t InlineAcc[2] = {0, 0};
+  std::vector<uint64_t> WideAcc;
+  uint64_t *Acc = InlineAcc;
+  if (!isInline()) {
+    WideAcc.assign(HalfWords, 0);
+    Acc = WideAcc.data();
+  }
   for (unsigned I = 0; I < HalfWords; ++I) {
     uint64_t Carry = 0;
     for (unsigned J = 0; I + J < HalfWords; ++J) {
-      uint64_t Product = half(Words, I) * half(RHS.Words, J);
+      uint64_t Product = half(words(), I) * half(RHS.words(), J);
       uint64_t Sum = Acc[I + J] + (Product & 0xFFFFFFFFu) + Carry;
       Acc[I + J] = Sum & 0xFFFFFFFFu;
       Carry = (Sum >> 32) + (Product >> 32);
@@ -169,7 +200,7 @@ BitValue BitValue::mul(const BitValue &RHS) const {
   }
   BitValue Result(Width, 0);
   for (unsigned I = 0, E = numWords(); I < E; ++I)
-    Result.Words[I] = Acc[2 * I] | (Acc[2 * I + 1] << 32);
+    Result.words()[I] = Acc[2 * I] | (Acc[2 * I + 1] << 32);
   Result.clearUnusedBits();
   return Result;
 }
@@ -203,7 +234,7 @@ BitValue BitValue::bitAnd(const BitValue &RHS) const {
   assert(Width == RHS.Width && "width mismatch");
   BitValue Result(Width, 0);
   for (unsigned I = 0, E = numWords(); I < E; ++I)
-    Result.Words[I] = Words[I] & RHS.Words[I];
+    Result.words()[I] = words()[I] & RHS.words()[I];
   return Result;
 }
 
@@ -211,7 +242,7 @@ BitValue BitValue::bitOr(const BitValue &RHS) const {
   assert(Width == RHS.Width && "width mismatch");
   BitValue Result(Width, 0);
   for (unsigned I = 0, E = numWords(); I < E; ++I)
-    Result.Words[I] = Words[I] | RHS.Words[I];
+    Result.words()[I] = words()[I] | RHS.words()[I];
   return Result;
 }
 
@@ -219,14 +250,14 @@ BitValue BitValue::bitXor(const BitValue &RHS) const {
   assert(Width == RHS.Width && "width mismatch");
   BitValue Result(Width, 0);
   for (unsigned I = 0, E = numWords(); I < E; ++I)
-    Result.Words[I] = Words[I] ^ RHS.Words[I];
+    Result.words()[I] = words()[I] ^ RHS.words()[I];
   return Result;
 }
 
 BitValue BitValue::bitNot() const {
   BitValue Result(Width, 0);
   for (unsigned I = 0, E = numWords(); I < E; ++I)
-    Result.Words[I] = ~Words[I];
+    Result.words()[I] = ~words()[I];
   Result.clearUnusedBits();
   return Result;
 }
@@ -277,7 +308,7 @@ BitValue BitValue::rotr(unsigned Amount) const {
 BitValue BitValue::zext(unsigned NewWidth) const {
   assert(NewWidth >= Width && "zext must not shrink");
   BitValue Result(NewWidth, 0);
-  std::copy(Words.begin(), Words.end(), Result.Words.begin());
+  std::copy_n(words(), numWords(), Result.words());
   return Result;
 }
 
@@ -293,8 +324,7 @@ BitValue BitValue::sext(unsigned NewWidth) const {
 BitValue BitValue::trunc(unsigned NewWidth) const {
   assert(NewWidth <= Width && "trunc must not grow");
   BitValue Result(NewWidth, 0);
-  std::copy(Words.begin(), Words.begin() + Result.numWords(),
-            Result.Words.begin());
+  std::copy_n(words(), Result.numWords(), Result.words());
   Result.clearUnusedBits();
   return Result;
 }
@@ -320,14 +350,14 @@ BitValue BitValue::insert(unsigned Lo, const BitValue &Patch) const {
 
 bool BitValue::operator==(const BitValue &RHS) const {
   assert(Width == RHS.Width && "width mismatch");
-  return Words == RHS.Words;
+  return std::equal(words(), words() + numWords(), RHS.words());
 }
 
 bool BitValue::ult(const BitValue &RHS) const {
   assert(Width == RHS.Width && "width mismatch");
   for (unsigned I = numWords(); I-- > 0;) {
-    if (Words[I] != RHS.Words[I])
-      return Words[I] < RHS.Words[I];
+    if (words()[I] != RHS.words()[I])
+      return words()[I] < RHS.words()[I];
   }
   return false;
 }
@@ -393,7 +423,7 @@ size_t BitValue::hash() const {
     Hash *= 1099511628211ull;
   };
   mix(Width);
-  for (uint64_t Word : Words)
-    mix(Word);
+  for (unsigned I = 0, E = numWords(); I < E; ++I)
+    mix(words()[I]);
   return Hash;
 }

@@ -20,7 +20,6 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace selgen {
 
@@ -29,14 +28,61 @@ namespace selgen {
 /// The width is fixed at construction time and all operands of binary
 /// operations must agree on it (checked by assertion). Unused high bits
 /// of the internal word storage are kept at zero as a class invariant.
+///
+/// Values of up to 64 bits, which is every constant of the IR widths
+/// the library uses, keep their one word inline; wider values own a
+/// heap array. A moved-from value is the zero value of width 1.
 class BitValue {
 public:
   /// Builds the zero value of width 1. Needed so BitValue can live in
   /// standard containers; prefer the explicit constructors.
-  BitValue() : BitValue(1, 0) {}
+  constexpr BitValue() : Width(1), InlineWord(0) {}
 
   /// Builds a value of \p Width bits from the low bits of \p Value.
-  BitValue(unsigned Width, uint64_t Value);
+  BitValue(unsigned Width, uint64_t Value) : Width(Width) {
+    assert(Width >= 1 && "bit-vector width must be positive");
+    if (isInline())
+      InlineWord = Value & lowBits(Width);
+    else
+      allocateWide(Value);
+  }
+
+  BitValue(const BitValue &Other) : Width(Other.Width) {
+    if (isInline())
+      InlineWord = Other.InlineWord;
+    else
+      copyWide(Other);
+  }
+  BitValue(BitValue &&Other) noexcept : Width(Other.Width) {
+    if (isInline())
+      InlineWord = Other.InlineWord;
+    else
+      WideWords = Other.WideWords;
+    Other.Width = 1;
+    Other.InlineWord = 0;
+  }
+  BitValue &operator=(const BitValue &Other) {
+    if (isInline() && Other.isInline()) {
+      Width = Other.Width;
+      InlineWord = Other.InlineWord;
+      return *this;
+    }
+    return assignWide(Other);
+  }
+  BitValue &operator=(BitValue &&Other) noexcept {
+    if (this != &Other) {
+      release();
+      Width = Other.Width;
+      if (isInline())
+        InlineWord = Other.InlineWord;
+      else
+        WideWords = Other.WideWords;
+      Other.Width = 1;
+      Other.InlineWord = 0;
+    }
+    return *this;
+  }
+  ~BitValue() { release(); }
 
   /// Returns the all-zero value of \p Width bits.
   static BitValue zero(unsigned Width) { return BitValue(Width, 0); }
@@ -151,14 +197,37 @@ public:
   /// equal-width values are equal iff all their words are.
   uint64_t word(unsigned Index) const {
     assert(Index < numWords() && "word index out of range");
-    return Words[Index];
+    return words()[Index];
   }
 
 private:
   unsigned Width;
-  std::vector<uint64_t> Words;
+  /// The single word of a value of up to 64 bits; the numWords()-word
+  /// heap array of a wider one.
+  union {
+    uint64_t InlineWord;
+    uint64_t *WideWords;
+  };
 
+  bool isInline() const { return Width <= 64; }
   unsigned numWords() const { return (Width + 63) / 64; }
+  uint64_t *words() { return isInline() ? &InlineWord : WideWords; }
+  const uint64_t *words() const {
+    return isInline() ? &InlineWord : WideWords;
+  }
+  /// The mask of the low \p Bits bits, 1 <= Bits <= 64.
+  static uint64_t lowBits(unsigned Bits) {
+    return ~uint64_t(0) >> (64 - Bits);
+  }
+
+  /// Out-of-line halves of the special members, for wide values.
+  void allocateWide(uint64_t LowWord);
+  void copyWide(const BitValue &Other);
+  BitValue &assignWide(const BitValue &Other);
+  void release() {
+    if (!isInline())
+      delete[] WideWords;
+  }
   /// Zeroes the unused bits of the most significant word.
   void clearUnusedBits();
 };

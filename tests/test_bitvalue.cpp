@@ -210,3 +210,119 @@ TEST_P(BitValueProperty, AlgebraicIdentities) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitValueProperty,
                          ::testing::Values(7u, 8u, 16u, 24u, 32u, 64u));
+
+// --- Storage boundaries: one inline word up to 64 bits, heap above ------
+
+namespace {
+
+constexpr unsigned BoundaryWidths[] = {1, 63, 64, 65, 128, 129};
+
+/// A value of \p Width bits with every third bit and the sign bit set,
+/// so every backing word is distinct from zero and all-ones.
+BitValue patterned(unsigned Width) {
+  BitValue V = BitValue::zero(Width);
+  for (unsigned I = 0; I < Width; I += 3)
+    V.setBit(I, true);
+  V.setBit(Width - 1, true);
+  return V;
+}
+
+} // namespace
+
+TEST(BitValueStorage, WordLayoutAtBoundaries) {
+  for (unsigned Width : BoundaryWidths) {
+    BitValue Ones = BitValue::allOnes(Width);
+    ASSERT_EQ(Ones.wordCount(), (Width + 63) / 64) << Width;
+    for (unsigned I = 0; I < Ones.wordCount(); ++I) {
+      unsigned Bits = std::min(64u, Width - 64 * I);
+      EXPECT_EQ(Ones.word(I), ~uint64_t(0) >> (64 - Bits)) << Width;
+    }
+    EXPECT_EQ(Ones.popcount(), Width);
+    EXPECT_EQ(BitValue(Width, ~uint64_t(0)).popcount(), std::min(Width, 64u));
+  }
+}
+
+TEST(BitValueStorage, CopyMoveAndSelfAssignmentAcrossStorage) {
+  for (unsigned From : BoundaryWidths) {
+    const BitValue Source = patterned(From);
+    for (unsigned To : BoundaryWidths) {
+      BitValue Copied(Source);
+      EXPECT_EQ(Copied, Source);
+      BitValue CopyAssigned = patterned(To);
+      CopyAssigned = Source;
+      ASSERT_EQ(CopyAssigned.width(), From);
+      EXPECT_EQ(CopyAssigned, Source);
+
+      BitValue Donor = Source;
+      BitValue MoveAssigned = patterned(To);
+      MoveAssigned = std::move(Donor);
+      EXPECT_EQ(MoveAssigned, Source);
+      // A moved-from value is the zero value of width 1 and reusable.
+      EXPECT_EQ(Donor.width(), 1u);
+      EXPECT_TRUE(Donor.isZero());
+      Donor = patterned(To);
+      EXPECT_EQ(Donor, patterned(To));
+      BitValue MoveConstructed(std::move(Donor));
+      EXPECT_EQ(MoveConstructed, patterned(To));
+      EXPECT_EQ(Donor.width(), 1u);
+    }
+    BitValue Self = Source;
+    BitValue &Alias = Self;
+    Self = Alias;
+    EXPECT_EQ(Self, Source);
+    Self = std::move(Alias);
+    EXPECT_EQ(Self, Source);
+  }
+}
+
+TEST(BitValueStorage, CompareAndResizeAcross64Bits) {
+  for (unsigned Width : BoundaryWidths) {
+    BitValue V = patterned(Width);
+    EXPECT_EQ(V, patterned(Width));
+    EXPECT_NE(V, BitValue::zero(Width));
+    EXPECT_TRUE(BitValue::zero(Width).ult(V));
+    EXPECT_FALSE(V.ult(V));
+    EXPECT_TRUE(V.slt(BitValue::zero(Width))); // The sign bit is set.
+    for (unsigned Wider : BoundaryWidths) {
+      if (Wider < Width)
+        continue;
+      BitValue Extended = V.zext(Wider);
+      EXPECT_EQ(Extended.trunc(Width), V) << Width << " -> " << Wider;
+      EXPECT_EQ(Extended.popcount(), V.popcount());
+      EXPECT_EQ(V.sext(Wider).trunc(Width), V);
+      if (Wider > Width) {
+        EXPECT_TRUE(V.sext(Wider).isNegative());
+        EXPECT_FALSE(Extended.isNegative());
+      }
+    }
+  }
+  // The high word decides unsigned order; only the low word differs in
+  // the second pair.
+  BitValue LowOnes(129, ~uint64_t(0)), High = BitValue::signBit(129);
+  EXPECT_TRUE(LowOnes.ult(High));
+  EXPECT_TRUE(High.slt(LowOnes));
+  EXPECT_TRUE(BitValue(65, 1).ult(BitValue(65, 2)));
+  EXPECT_EQ(BitValue::allOnes(65).trunc(64), BitValue::allOnes(64));
+  EXPECT_EQ(BitValue::allOnes(64).zext(65).add(BitValue(65, 1)),
+            BitValue::signBit(65));
+  EXPECT_EQ(BitValue::signBit(65).trunc(64), BitValue::zero(64));
+  EXPECT_EQ(BitValue::signBit(129).lshr(65).trunc(64),
+            BitValue::signBit(64));
+}
+
+TEST(BitValueStorage, HashIsUnchanged) {
+  // hash() is FNV-1a over the width and the backing words; storage
+  // does not enter it. Values pinned from the vector-backed layout.
+  std::vector<size_t> Hashes;
+  for (unsigned Width : BoundaryWidths) {
+    Hashes.push_back(BitValue::zero(Width).hash());
+    Hashes.push_back(patterned(Width).hash());
+  }
+  EXPECT_EQ(Hashes, (std::vector<size_t>{
+      0x9a65ad00c545d5d2ull, 0x9a65ae00c545d785ull,
+      0x9b2ac900c5ed4d1cull, 0xead374561b42a5a7ull,
+      0x9b429300c601833bull, 0x2b18c4561b8d1d30ull,
+      0xcaf98a506fa9fe96ull, 0xb3e17e50c1f98194ull,
+      0x5486c54cc692fd01ull, 0x48532b15d9172e3cull,
+      0x9403966d158e2c22ull, 0xb8f81b360f53412eull}));
+}

@@ -5,12 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "InflatedLibrary.h"
 #include "pattern/PatternDatabase.h"
+#include "support/AtomicFile.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <random>
 
 using namespace selgen;
@@ -45,10 +48,18 @@ Graph nonNormalizedPattern() {
   return G;
 }
 
-/// Every rule's stored fingerprint must equal a fresh one.
+/// Every rule's stored fingerprint and sort key must equal fresh ones.
 void expectFingerprintsFresh(const PatternDatabase &DB) {
-  for (const Rule &R : DB.rules())
+  for (const Rule &R : DB.rules()) {
     EXPECT_EQ(R.fingerprint(), R.Pattern.fingerprint()) << R.GoalName;
+    EXPECT_EQ(R.numOperations(), R.Pattern.numOperations()) << R.GoalName;
+    std::vector<Node *> Live = R.Pattern.liveNodes();
+    EXPECT_EQ(R.numConstants(),
+              std::count_if(Live.begin(), Live.end(), [](const Node *N) {
+                return N->opcode() == Opcode::Const;
+              }))
+        << R.GoalName;
+  }
 }
 
 /// (goal, fingerprint) pairs in library order.
@@ -234,4 +245,156 @@ TEST(PatternDatabase, FileRoundTrip) {
   EXPECT_EQ(Loaded.rules()[0].Pattern.fingerprint(),
             DB.rules()[0].Pattern.fingerprint());
   std::remove(Path.c_str());
+}
+
+TEST(PatternDatabase, SaveReplacesAnExistingLibraryAtomically) {
+  std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / "selgen_save_test";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  std::string Path = (Dir / "rules.dat").string();
+  // An older, longer library: a plain overwrite that stopped early
+  // would leave its tail behind.
+  PatternDatabase Old;
+  for (int I = 0; I < 50; ++I)
+    Old.add("blsr_" + std::to_string(I), blsrPattern());
+  Old.saveToFile(Path);
+
+  PatternDatabase New;
+  New.add("add_rr", addPattern(false));
+  New.add("blsr", blsrPattern());
+  New.saveToFile(Path);
+  EXPECT_EQ(readFileToString(Path), New.serialize());
+  std::vector<std::string> Entries;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Entries.push_back(Entry.path().filename().string());
+  EXPECT_EQ(Entries, std::vector<std::string>{"rules.dat"});
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(PatternDatabaseDeathTest, SaveFailureIsFatal) {
+  PatternDatabase DB;
+  DB.add("blsr", blsrPattern());
+  EXPECT_DEATH(DB.saveToFile("/nonexistent-selgen-dir/rules.dat"),
+               "cannot write pattern database");
+}
+
+// --- Parallel load ----------------------------------------------------------
+
+namespace {
+
+/// The full shipped library followed by seeded variants of its rules,
+/// serialized: 3 000 records, enough that deserialize() parses them on
+/// several threads.
+const std::string &largeLibraryText() {
+  static const std::string Text =
+      inflated(shippedLibrary("rule-library-full-w8.dat"), 3000).serialize();
+  return Text;
+}
+
+/// \p Text split into lines, each keeping its '\n'.
+std::vector<std::string> splitLines(const std::string &Text) {
+  std::vector<std::string> Lines;
+  for (size_t Start = 0; Start < Text.size();) {
+    size_t End = std::min(Text.find('\n', Start), Text.size() - 1) + 1;
+    Lines.push_back(Text.substr(Start, End - Start));
+    Start = End;
+  }
+  return Lines;
+}
+
+std::string joinLines(const std::vector<std::string> &Lines) {
+  std::string Text;
+  for (const std::string &Line : Lines)
+    Text += Line;
+  return Text;
+}
+
+/// Line index of the "rule" line of record \p Record.
+size_t recordLine(const std::vector<std::string> &Lines, size_t Record) {
+  for (size_t I = 0; I < Lines.size(); ++I)
+    if (Lines[I].rfind("rule ", 0) == 0 && Record-- == 0)
+      return I;
+  ADD_FAILURE() << "no record " << Record;
+  return 0;
+}
+
+/// deserialize()'s outcome: the exact error text, or the loaded rules.
+std::string loadOutcome(const std::string &Text) {
+  std::string Error;
+  PatternDatabase Database = PatternDatabase::deserialize(Text, &Error);
+  if (!Error.empty()) {
+    EXPECT_EQ(Database.size(), 0u);
+    return "error " + Error + "\n";
+  }
+  std::string Rules;
+  for (const Rule &R : Database.rules())
+    Rules += R.GoalName + " " + R.fingerprint() + "\n";
+  return "library " + std::to_string(Database.size()) + " " +
+         crc32Hex(Rules) + "\n";
+}
+
+} // namespace
+
+TEST(PatternDatabase, ParallelLoadMatchesFileOrder) {
+  // Seeded mutants of the large library, each with one to three line
+  // edits (truncation, dropped, duplicated or swapped lines, byte
+  // flips), so a mutant often carries several errors and the pin
+  // checks that the earliest one in the file is reported. The pin is
+  // the sequential loader's outcome for every mutant.
+  const std::string &Text = largeLibraryText();
+  std::vector<std::string> Lines = splitLines(Text);
+  ASSERT_EQ(loadOutcome(Text).substr(0, 13), "library 3000 ");
+  Rng Random(0x10AD);
+  std::string Outcomes;
+  size_t Accepted = 0;
+  for (int Trial = 0; Trial < 120; ++Trial) {
+    std::vector<std::string> Mutant = Lines;
+    for (uint64_t Edits = 1 + Random.nextBelow(3); Edits > 0; --Edits) {
+      size_t At = Random.nextBelow(Mutant.size());
+      switch (Random.nextBelow(5)) {
+      case 0:
+        Mutant.resize(std::max<size_t>(At, Mutant.size() * 3 / 4));
+        break;
+      case 1:
+        Mutant.erase(Mutant.begin() + At);
+        break;
+      case 2:
+        Mutant.insert(Mutant.begin() + At, Mutant[At]);
+        break;
+      case 3:
+        std::swap(Mutant[At], Mutant[Random.nextBelow(Mutant.size())]);
+        break;
+      default:
+        if (!Mutant[At].empty())
+          Mutant[At][Random.nextBelow(Mutant[At].size())] ^=
+              static_cast<char>(1 + Random.nextBelow(255));
+      }
+    }
+    std::string Outcome = loadOutcome(joinLines(Mutant));
+    Accepted += Outcome.rfind("library ", 0) == 0;
+    Outcomes += Outcome;
+  }
+  EXPECT_EQ(Accepted, 15u);
+  EXPECT_EQ(crc32(Outcomes), 0x7275571au);
+}
+
+TEST(PatternDatabase, ParallelLoadReportsBadBodyBeforeLaterStructuralError) {
+  std::vector<std::string> Lines = splitLines(largeLibraryText());
+  size_t Late = recordLine(Lines, 2500), Early = recordLine(Lines, 100);
+  Lines.insert(Lines.begin() + Late, "stray\n");
+  Lines.insert(Lines.begin() + Early + 2, "  n99 = Frob(a0)\n");
+  std::string Goal = Lines[Early].substr(5, Lines[Early].size() - 6);
+  std::string Outcome = loadOutcome(joinLines(Lines));
+  EXPECT_EQ(Outcome.rfind("error bad pattern for " + Goal + ": ", 0), 0u)
+      << Outcome;
+}
+
+TEST(PatternDatabase, ParallelLoadReportsStructuralErrorBeforeLaterBadBody) {
+  std::vector<std::string> Lines = splitLines(largeLibraryText());
+  size_t Late = recordLine(Lines, 2500), Early = recordLine(Lines, 100);
+  Lines.insert(Lines.begin() + Late + 2, "  n99 = Frob(a0)\n");
+  Lines.insert(Lines.begin() + Early, "stray\n");
+  EXPECT_EQ(loadOutcome(joinLines(Lines)),
+            "error unexpected line outside rule record: stray\n");
 }

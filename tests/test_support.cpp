@@ -9,6 +9,7 @@
 #include "support/FaultInjection.h"
 #include "support/Json.h"
 #include "support/Multicombination.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -17,9 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 using namespace selgen;
 
@@ -419,4 +424,41 @@ TEST(FaultInjection, DescribeNamesArmedSites) {
   EXPECT_NE(Banner.find("solver_throw"), std::string::npos);
   EXPECT_NE(Banner.find("shard_truncate"), std::string::npos);
   Faults.disarm();
+}
+
+TEST(ParallelFor, RunsEveryItemExactlyOnce) {
+  for (size_t Count : {size_t(0), size_t(1), ParallelItemsPerThread - 1,
+                       8 * ParallelItemsPerThread + 3}) {
+    std::vector<std::atomic<int>> Calls(Count);
+    parallelFor(Count, [&](size_t I) { Calls[I].fetch_add(1); });
+    for (size_t I = 0; I < Count; ++I)
+      ASSERT_EQ(Calls[I].load(), 1) << "item " << I << " of " << Count;
+  }
+}
+
+TEST(ParallelFor, RethrowsAfterEveryThreadFinished) {
+  const size_t Count = 8 * ParallelItemsPerThread;
+  std::atomic<size_t> Running{0}, Calls{0};
+  auto Body = [&](size_t I) {
+    if (I == 5)
+      throw std::runtime_error("item 5");
+    // Keep the other threads busy while item 5 throws.
+    Running.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    Calls.fetch_add(1);
+    Running.fetch_sub(1);
+  };
+  EXPECT_THROW(
+      {
+        try {
+          parallelFor(Count, Body);
+        } catch (const std::runtime_error &Error) {
+          EXPECT_STREQ(Error.what(), "item 5");
+          EXPECT_EQ(Running.load(), 0u);
+          throw;
+        }
+      },
+      std::runtime_error);
+  // Items still queued behind the failure were never handed out.
+  EXPECT_LT(Calls.load(), Count - 1);
 }
