@@ -186,25 +186,29 @@ selgen::computeSubsumption(const PreparedLibrary &Library,
         continue;
 
       // Precondition entailment: on any defined execution of B's
-      // pattern, A's (mapped) precondition must hold too.
-      SmtContext Smt;
-      SymbolicPattern BSym(Smt, B.TheRule->Pattern, "s");
-      std::vector<z3::expr> PA;
-      unsigned W = B.TheRule->Pattern.width();
+      // pattern, A's (mapped) precondition must hold too. A's
+      // precondition bounds its shift amounts; a subsumer without
+      // shifts entails trivially and needs no Z3 context (~1-3 ms to
+      // build each).
+      std::vector<std::pair<const Node *, unsigned>> ShiftAmounts;
       for (Node *N : A.TheRule->Pattern.liveNodes()) {
         Opcode Op = N->opcode();
-        if (Op != Opcode::Shl && Op != Opcode::Shr && Op != Opcode::Shrs)
-          continue;
-        auto [Def, Index] = mappedPatternRef(*Match, N->operand(1));
-        PA.push_back(
-            z3::ult(BSym.value(Def, Index), Smt.literal(BitValue(W, W))));
+        if (Op == Opcode::Shl || Op == Opcode::Shr || Op == Opcode::Shrs)
+          ShiftAmounts.push_back(mappedPatternRef(*Match, N->operand(1)));
       }
 
       SubsumptionEdge Edge;
       Edge.Subsumer = AIndex;
       Edge.Subsumed = B.Index;
       bool Entailed = true;
-      if (!PA.empty()) {
+      if (!ShiftAmounts.empty()) {
+        SmtContext Smt;
+        SymbolicPattern BSym(Smt, B.TheRule->Pattern, "s");
+        std::vector<z3::expr> PA;
+        unsigned W = B.TheRule->Pattern.width();
+        for (auto [Def, Index] : ShiftAmounts)
+          PA.push_back(
+              z3::ult(BSym.value(Def, Index), Smt.literal(BitValue(W, W))));
         z3::expr Assumption = Smt.mkAnd(BSym.shiftPreconditions());
         z3::expr NegatedGoal = !Smt.mkAnd(PA);
         // Deterministic rendering of the proof obligation: Z3 prints

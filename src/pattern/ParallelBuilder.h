@@ -13,16 +13,21 @@
 /// machine).
 ///
 /// Scheduling: a work-stealing deque scheduler. Each worker owns a
-/// deque of tasks (goal start-ups and enumeration chunks) and its own
-/// Z3 context — contexts are confined to a thread, but independent
-/// contexts are safe. Owners pop from the back of their deque; idle
-/// workers steal from the front of a victim's deque. Crucially, the
-/// dominant long-pole goals (large multicombination enumerations, the
-/// tail that serializes a static per-goal dispatch) are split into
-/// rank sub-ranges via Synthesizer::synthesizeRange, so stragglers are
-/// shared among workers instead of pinning one. Per-size chunk
-/// outcomes are merged in rank order, which keeps the resulting
-/// database equal to a sequential run's.
+/// deque of tasks (goal start-ups and enumeration chunks) and holds at
+/// most one live Z3 context — contexts are confined to a thread, but
+/// independent contexts are safe. Every in-process chunk replaces the
+/// worker's context with a fresh one (chunk outcomes must not depend
+/// on solver history); goal start-ups reuse whichever context the
+/// worker holds. A build thus never holds more live contexts than it
+/// has workers, and a bare context costs ~16 MB. Owners pop from the
+/// back of their deque; idle workers steal from the front of a
+/// victim's deque. Crucially, the dominant long-pole goals (large
+/// multicombination enumerations, the tail that serializes a static
+/// per-goal dispatch) are split into rank sub-ranges via
+/// Synthesizer::synthesizeRange, so stragglers are shared among
+/// workers instead of pinning one. Per-size chunk outcomes are merged
+/// in rank order, which keeps the resulting database equal to a
+/// sequential run's.
 ///
 /// Caching: with a SynthesisCache attached, each goal's cache key
 /// (content hash of its SMT spec, width, options, and encoder version)

@@ -13,6 +13,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <limits>
 #include <mutex>
@@ -21,6 +22,35 @@
 #include <thread>
 
 using namespace selgen;
+
+namespace {
+std::atomic<uint64_t> ContextsCreated{0};
+std::atomic<uint64_t> LiveContexts{0};
+std::atomic<uint64_t> PeakLiveContexts{0};
+
+void raisePeak(uint64_t Live) {
+  uint64_t Peak = PeakLiveContexts.load();
+  while (Live > Peak && !PeakLiveContexts.compare_exchange_weak(Peak, Live)) {
+  }
+}
+} // namespace
+
+// The census brackets the lifetime of the z3::context member: it is
+// counted once built and uncounted before it is destroyed.
+SmtContext::SmtContext() {
+  ContextsCreated.fetch_add(1);
+  raisePeak(LiveContexts.fetch_add(1) + 1);
+}
+
+SmtContext::~SmtContext() { LiveContexts.fetch_sub(1); }
+
+uint64_t SmtContext::contextsCreated() { return ContextsCreated.load(); }
+
+uint64_t SmtContext::peakLiveContexts() { return PeakLiveContexts.load(); }
+
+void SmtContext::resetPeakLiveContexts() {
+  PeakLiveContexts.store(LiveContexts.load());
+}
 
 z3::expr SmtContext::literal(const BitValue &Value) {
   if (Value.width() <= 64)

@@ -48,6 +48,37 @@ TEST(ParallelBuilder, MatchesSequentialResult) {
   EXPECT_EQ(SequentialReport.TotalPatterns, ParallelReport.TotalPatterns);
 }
 
+TEST(ParallelBuilder, OneLiveContextPerWorker) {
+  GoalLibrary All = GoalLibrary::build(W, {"Basic"});
+  GoalLibrary Goals = GoalLibrary::subset(
+      std::move(All), {"add_rr", "and_rr", "neg_r", "not_r", "xor_rr"});
+
+  SynthesisOptions Options;
+  Options.Width = W;
+  Options.QueryTimeoutMs = 30000;
+  Options.TimeBudgetSeconds = 30;
+
+  PatternDatabase Sequential;
+  {
+    SmtContext Smt;
+    Sequential = synthesizeRuleLibrary(Smt, Goals, Options);
+  }
+
+  constexpr unsigned Threads = 3;
+  uint64_t CreatedBefore = SmtContext::contextsCreated();
+  SmtContext::resetPeakLiveContexts();
+  PatternDatabase Parallel =
+      synthesizeRuleLibraryParallel(Goals, Options, Threads);
+  // Each worker holds one context at a time: the per-chunk context
+  // replaces, rather than joins, the one it used for goal start-up.
+  EXPECT_LE(SmtContext::peakLiveContexts(), Threads);
+  EXPECT_GT(SmtContext::contextsCreated(), CreatedBefore);
+
+  Sequential.sortSpecificFirst();
+  Parallel.sortSpecificFirst();
+  EXPECT_EQ(Sequential.serialize(), Parallel.serialize());
+}
+
 TEST(ParallelBuilder, TotalModeListApplies) {
   GoalLibrary All = GoalLibrary::build(W, {"Bmi"});
   GoalLibrary Goals = GoalLibrary::subset(std::move(All), {"blsr"});

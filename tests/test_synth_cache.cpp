@@ -81,6 +81,26 @@ TEST(SpecFingerprint, StableAcrossContexts) {
   EXPECT_NE(instrSpecFingerprint(A, Neg, W), instrSpecFingerprint(A, Not, W));
   // The same semantics at another width is a different entry.
   EXPECT_NE(instrSpecFingerprint(A, Neg, W), instrSpecFingerprint(A, Neg, 16));
+
+  // A synthesis worker computes keys and fingerprints on whichever
+  // context it holds, often one that has just run CEGIS: they must
+  // equal those computed on a fresh context, for every goal.
+  GoalLibrary Basic = GoalLibrary::build(W, {"Basic"});
+  SynthesisOptions Options = baseOptions();
+  SmtContext Used;
+  for (const char *Name : {"add_rr", "neg_r"}) {
+    Synthesizer Synth(Used, Options);
+    ASSERT_TRUE(Synth.synthesize(*Basic.find(Name)->Spec).Complete) << Name;
+  }
+  for (const GoalInstruction &Goal : Basic.goals()) {
+    SmtContext Fresh;
+    EXPECT_EQ(synthesisCacheKey(Used, *Goal.Spec, Options),
+              synthesisCacheKey(Fresh, *Goal.Spec, Options))
+        << Goal.Name;
+    EXPECT_EQ(instrSpecFingerprint(Used, *Goal.Spec, W),
+              instrSpecFingerprint(Fresh, *Goal.Spec, W))
+        << Goal.Name;
+  }
 }
 
 TEST(SpecFingerprint, OptionsExcludeBudgetsButNotPolicy) {

@@ -23,9 +23,13 @@
 //     selector) and reports the same automaton.* counters; latency
 //     tiling passes every interpreter check.
 //   * selgen-minimize exits 2 when it cannot write --stats-json.
+//   * A cache-less three-thread selgen-synth run screens candidates
+//     concretely, grows its counterexample corpus, and never holds
+//     more Z3 contexts than it has workers.
 //
 // The build injects the tool paths as SELGEN_MATCHERGEN_TOOL,
-// SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL and SELGEN_MINIMIZE_TOOL.
+// SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL, SELGEN_MINIMIZE_TOOL and
+// SELGEN_SYNTH_TOOL.
 //
 //===----------------------------------------------------------------------===//
 
@@ -284,4 +288,25 @@ TEST(MinimizeTool, UnwritableStatsJsonExitsTwo) {
   std::string Log = readLog(Dir + "/minimize.log");
   EXPECT_NE(Log.find("cannot write " + Unwritable), std::string::npos)
       << Log;
+}
+
+TEST(SynthTool, PrescreenActiveAndOneContextPerWorker) {
+  // A warm-cache run never enters CEGIS, so this run goes without a
+  // cache.
+  std::string Dir = freshDir("synth_prescreen");
+  std::string Stats = Dir + "/stats.json";
+  ASSERT_EQ(runTool(SELGEN_SYNTH_TOOL,
+                    {"--goals", "add_rr,and_rr,inc_r", "--width", "8",
+                     "--budget", "20", "--no-cache", "--threads", "3",
+                     "--output", Dir + "/rules.dat", "--stats-json", Stats},
+                    Dir + "/synth.log"),
+            0)
+      << readLog(Dir + "/synth.log");
+  std::string Json = readLog(Stats);
+  EXPECT_GT(counterValue(Json, "prescreen.candidates"), 0) << Json;
+  EXPECT_GT(counterValue(Json, "corpus.insertions"), 0) << Json;
+  int64_t PeakLive = counterValue(Json, "smt.contexts_peak_live");
+  EXPECT_GE(PeakLive, 1) << Json;
+  EXPECT_LE(PeakLive, 3) << Json;
+  EXPECT_GE(counterValue(Json, "smt.contexts_created"), PeakLive) << Json;
 }

@@ -24,6 +24,7 @@
 
 #include "pattern/ParallelBuilder.h"
 #include "pattern/RunJournal.h"
+#include "smt/SmtContext.h"
 #include "smt/SolverPool.h"
 #include "support/AtomicFile.h"
 #include "support/CommandLine.h"
@@ -345,6 +346,10 @@ int main(int argc, char **argv) {
   if (!StatsPath.empty()) {
     Statistics::get().add("driver.wall_ms",
                           static_cast<int64_t>(Clock.elapsedSeconds() * 1e3));
+    Statistics::get().add("smt.contexts_created",
+                          static_cast<int64_t>(SmtContext::contextsCreated()));
+    Statistics::get().add("smt.contexts_peak_live",
+                          static_cast<int64_t>(SmtContext::peakLiveContexts()));
     if (Statistics::get().writeJsonFile(StatsPath))
       std::printf("wrote stats to %s\n", StatsPath.c_str());
     else
