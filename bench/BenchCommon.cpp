@@ -14,8 +14,6 @@
 #include <map>
 #include <memory>
 
-#include "isel/AutomatonSelector.h"
-#include "isel/TilingSelector.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -37,25 +35,6 @@ const unsigned selgen::bench::Width = [] {
 bool selgen::bench::fullScale() {
   const char *Scale = std::getenv("SELGEN_BENCH_SCALE");
   return Scale && std::string(Scale) == "full";
-}
-
-std::optional<CostKind> selgen::bench::benchCostModel() {
-  const char *Env = std::getenv("SELGEN_COST_MODEL");
-  if (!Env || !*Env)
-    return std::nullopt;
-  std::optional<CostKind> Kind = parseCostKind(Env);
-  if (!Kind)
-    reportFatalError("SELGEN_COST_MODEL must be unit, latency, or size (got "
-                     "\"" + std::string(Env) + "\")");
-  return Kind;
-}
-
-std::unique_ptr<InstructionSelector>
-selgen::bench::makeRuleDrivenSelector(const PatternDatabase &Db,
-                                      const GoalLibrary &Goals) {
-  if (std::optional<CostKind> Kind = benchCostModel())
-    return std::make_unique<TilingSelector>(Db, Goals, *Kind);
-  return std::make_unique<MappedAutomatonSelector>(Db, Goals);
 }
 
 static double goalBudgetSeconds() {

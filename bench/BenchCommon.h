@@ -27,15 +27,11 @@
 #ifndef SELGEN_BENCH_BENCHCOMMON_H
 #define SELGEN_BENCH_BENCHCOMMON_H
 
-#include "cost/CostModel.h"
-#include "isel/Selector.h"
 #include "pattern/LibraryBuilder.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 #include "x86/Goals.h"
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,20 +44,6 @@ extern const unsigned Width;
 
 /// True if SELGEN_BENCH_SCALE=full.
 bool fullScale();
-
-/// The cost model requested via SELGEN_COST_MODEL (unit | latency |
-/// size), or nullopt when the variable is unset/empty — the benchmarks
-/// then time the first-match selectors exactly as before. An
-/// unrecognized value is a fatal error (silently benchmarking the
-/// wrong selector would poison the recorded numbers).
-std::optional<CostKind> benchCostModel();
-
-/// The rule-driven selector the benchmark harnesses should measure
-/// over \p Db: the first-match MappedAutomatonSelector by default, or a
-/// cost-minimal TilingSelector under SELGEN_COST_MODEL (see
-/// benchCostModel()).
-std::unique_ptr<InstructionSelector>
-makeRuleDrivenSelector(const PatternDatabase &Db, const GoalLibrary &Goals);
 
 /// The goal subsets used by the benchmarks, mirroring the paper's
 /// setups: "basic" is the Basic group; "full" adds load/store,

@@ -23,7 +23,6 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/HandwrittenSelector.h"
-#include "isel/TilingSelector.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -37,14 +36,6 @@ using namespace selgen;
 using namespace selgen::bench;
 
 namespace {
-
-/// Machine code of \p MF without the header line (the function name
-/// embeds the selector name, which legitimately differs).
-std::string asmBody(const MachineFunction &MF) {
-  std::string Text = printMachineFunction(MF);
-  size_t Eol = Text.find('\n');
-  return Eol == std::string::npos ? std::string() : Text.substr(Eol + 1);
-}
 
 struct DynTotals {
   uint64_t Instructions = 0; ///< Dynamic instructions executed.
@@ -147,38 +138,35 @@ int main() {
               "— the Check column must read ok)\n");
 
   // --- Cost-minimal tiling vs first-match (full library) ---------------
-  // Beyond-paper extension: the tiling selector re-orders the
-  // automaton's candidate sets so the engine commits to the cheapest
-  // legal cover instead of the first (most-specific) match. Unit-cost
-  // tiling must stay byte-identical to first-match (the migration
-  // anchor CI enforces); the latency model must never produce a
-  // statically costlier function, and its dynamic instruction count
-  // must not regress. The greppable totals below feed the CI perf
-  // guard (tools/ci/perf_compare.py --metric tiling_static_cost=...).
+  // Beyond-paper extension: under the latency cost model the
+  // automaton selector's tiling pre-pass re-orders the candidate sets
+  // so the engine commits to the cheapest legal cover instead of the
+  // first (most-specific) match. It must never produce a statically
+  // costlier function, and its dynamic instruction count must not
+  // regress. The greppable totals below feed the CI perf guard
+  // (tools/ci/perf_compare.py --metric tiling_static_cost=...).
   printBenchHeader(
       "Cost-minimal DAG tiling vs first-match selection (full library)",
-      "beyond-paper extension (DESIGN.md Section 4f): --selector tiling "
-      "--cost-model latency");
+      "beyond-paper extension (DESIGN.md Section 4f): --cost-model "
+      "latency");
 
   MappedAutomatonSelector FirstMatch(FullDb, FullGoals.Goals);
-  TilingSelector TilingUnit(FullDb, FullGoals.Goals, CostKind::Unit);
-  TilingSelector TilingLatency(FullDb, FullGoals.Goals, CostKind::Latency);
+  MappedAutomatonSelector TilingLatency(FullDb, FullGoals.Goals,
+                                        CostKind::Latency);
 
   uint64_t FmStaticCost = 0, TiStaticCost = 0;
   uint64_t FmStaticInstrs = 0, TiStaticInstrs = 0;
   uint64_t FmDynInstrs = 0, TiDynInstrs = 0;
   uint64_t FmDynCycles = 0, TiDynCycles = 0;
   unsigned StrictlyCheaper = 0;
-  bool UnitIdentical = true, TilingOk = true;
+  bool TilingOk = true;
 
   TablePrinter TileTable({"Benchmark", "Static instrs", "Static latency",
                           "Dyn instrs", "Dyn cycles", "Check"});
   for (const WorkloadProfile &Profile : cint2000Profiles()) {
     Function F = buildWorkload(Profile, Width);
     SelectionResult Fm = FirstMatch.select(F);
-    SelectionResult Unit = TilingUnit.select(F);
     SelectionResult Tile = TilingLatency.select(F);
-    UnitIdentical = UnitIdentical && asmBody(*Fm.MF) == asmBody(*Unit.MF);
 
     uint64_t FmCost = machineStaticCost(*Fm.MF, CostKind::Latency);
     uint64_t TiCost = machineStaticCost(*Tile.MF, CostKind::Latency);
@@ -213,9 +201,7 @@ int main() {
   std::printf("\n(each cell reads first-match -> latency tiling; Check "
               "requires interpreter\nagreement, static latency cost <=, "
               "and dynamic instruction count <=)\n");
-  std::printf("\nunit-cost tiling byte-identical to first-match: %s\n",
-              UnitIdentical ? "yes" : "NO");
-  std::printf("workloads with strictly lower static cost: %u of %zu\n",
+  std::printf("\nworkloads with strictly lower static cost: %u of %zu\n",
               StrictlyCheaper, cint2000Profiles().size());
   std::printf("first_match_static_cost = %llu\n",
               static_cast<unsigned long long>(FmStaticCost));
@@ -232,10 +218,8 @@ int main() {
               static_cast<unsigned long long>(FmDynCycles));
   Statistics::get().add("tiling.static_cost",
                         static_cast<int64_t>(TiStaticCost));
-  if (!UnitIdentical || !TilingOk || StrictlyCheaper == 0 ||
-      TiStaticCost >= FmStaticCost) {
-    std::printf("FAILURE: tiling arm violated its cost/identity "
-                "guarantees\n");
+  if (!TilingOk || StrictlyCheaper == 0 || TiStaticCost >= FmStaticCost) {
+    std::printf("FAILURE: tiling arm violated its cost guarantees\n");
     return 1;
   }
 

@@ -90,28 +90,16 @@ int main() {
     Workloads.push_back(buildWorkload(Profile, Width));
 
   // --- Per-workload comparison on the synthesized library -------------
-  // SELGEN_COST_MODEL swaps the automaton arm for the cost-minimal
-  // tiling selector under that model; code identity with the linear
-  // scan is then only enforced for the unit model (latency/size
-  // legitimately re-order candidate tiles).
   HandwrittenSelector Handwritten;
   GeneratedSelector Linear(FullDb, FullGoals.Goals);
   MappedAutomatonSelector Automaton(FullDb, FullGoals.Goals);
-  std::unique_ptr<InstructionSelector> RuleDriven =
-      makeRuleDrivenSelector(FullDb, FullGoals.Goals);
-  std::optional<CostKind> Model = benchCostModel();
-  bool ExpectIdentical = !Model || *Model == CostKind::Unit;
-  std::string RuleDrivenLabel =
-      Model ? "Tiling/" + std::string(costKindName(*Model)) : "Automaton";
-  std::printf("library: %zu rules; automaton: %zu states, %llu transitions; "
-              "rule-driven arm: %s\n",
+  std::printf("library: %zu rules; automaton: %zu states, %llu transitions\n",
               Linear.numRules(), Automaton.view().numStates(),
               static_cast<unsigned long long>(
-                  Automaton.view().numTransitions()),
-              RuleDrivenLabel.c_str());
+                  Automaton.view().numTransitions()));
 
   bool Identical = true;
-  TablePrinter Table({"Benchmark", "Handwritten", "Linear", RuleDrivenLabel,
+  TablePrinter Table({"Benchmark", "Handwritten", "Linear", "Automaton",
                       "Lin/Auto", "Code"});
   for (const Function &F : Workloads) {
     const int Reps = 10;
@@ -120,7 +108,7 @@ int main() {
     for (int Rep = 0; Rep < Reps; ++Rep) {
       HandSec += Handwritten.select(F).SelectionSeconds;
       SelectionResult Lin = Linear.select(F);
-      SelectionResult Auto = RuleDriven->select(F);
+      SelectionResult Auto = Automaton.select(F);
       LinSec += Lin.SelectionSeconds;
       AutoSec += Auto.SelectionSeconds;
       LinAsm = asmBody(*Lin.MF);
@@ -135,18 +123,12 @@ int main() {
                   Same ? "identical" : "DIFFERS"});
   }
   std::printf("\n%s", Table.render().c_str());
-  if (ExpectIdentical) {
-    std::printf("\n(Code compares the machine code emitted by the linear and "
-                "rule-driven selectors\nbyte for byte — every row must read "
-                "identical)\n");
-    if (!Identical) {
-      std::printf("FAILURE: rule-driven selector diverged from linear scan\n");
-      return 1;
-    }
-  } else {
-    std::printf("\n(cost model %s re-orders candidate tiles, so DIFFERS "
-                "rows are expected here)\n",
-                costKindName(*Model));
+  std::printf("\n(Code compares the machine code emitted by the linear and "
+              "automaton selectors\nbyte for byte — every row must read "
+              "identical)\n");
+  if (!Identical) {
+    std::printf("FAILURE: automaton selector diverged from linear scan\n");
+    return 1;
   }
 
   // --- Scaling with library size ---------------------------------------
@@ -184,14 +166,9 @@ int main() {
                     int Reps) {
     ArmResult Arm;
     GeneratedSelector ScaledLinear(Db, FullGoals.Goals);
-    // The automaton selector stays for the state count and the
-    // byte-identity differential; under SELGEN_COST_MODEL the timed
-    // arm is the tiling selector.
     MappedAutomatonSelector ScaledAutomaton(Db, FullGoals.Goals);
-    std::unique_ptr<InstructionSelector> ScaledRuleDriven =
-        makeRuleDrivenSelector(Db, FullGoals.Goals);
     Measurement Lin = measure(ScaledLinear, Workloads, Reps);
-    Measurement Auto = measure(*ScaledRuleDriven, Workloads, Reps);
+    Measurement Auto = measure(ScaledAutomaton, Workloads, Reps);
     double Speedup = Lin.Seconds / Auto.Seconds;
     MaxSpeedup = std::max(MaxSpeedup, Speedup);
     Arm.States = ScaledAutomaton.view().numStates();

@@ -291,25 +291,12 @@ int main() {
       envOr("SELGEN_BENCH_SERVER_FUNCTIONS", 1000000);
   const unsigned Repeat = 8; ///< Workload copies per batch.
 
-  // SELGEN_COST_MODEL serves every request through the cost-minimal
-  // tiling pre-pass instead of first-match (same mapped image — the
-  // binary format carries the per-rule cost table).
-  std::optional<CostKind> Model = benchCostModel();
-  if (Model)
-    std::printf("selector: tiling under the %s cost model "
-                "(SELGEN_COST_MODEL)\n",
-                costKindName(*Model));
-
   // Thread-scaling reference: the same service shape with one worker.
-  SelectionService Single(Library, Mapped->view(), Width, 1,
-                          Model.has_value(),
-                          Model.value_or(CostKind::Unit));
+  SelectionService Single(Library, Mapped->view(), Width, 1);
   ServiceRun SingleRun =
       drive(Single, std::max<uint64_t>(TargetFunctions / 20, 1), Repeat);
 
-  SelectionService Service(Library, Mapped->view(), Width, Threads,
-                           Model.has_value(),
-                           Model.value_or(CostKind::Unit));
+  SelectionService Service(Library, Mapped->view(), Width, Threads);
   ServiceRun Run = drive(Service, TargetFunctions, Repeat);
 
   std::sort(Run.LatenciesUs.begin(), Run.LatenciesUs.end());
@@ -378,9 +365,7 @@ int main() {
   const unsigned PerClient =
       static_cast<unsigned>(envOr("SELGEN_BENCH_SERVER_OVERLOAD_REQS", 24));
 
-  SelectionService OverloadService(Library, Mapped->view(), Width, 1,
-                                   Model.has_value(),
-                                   Model.value_or(CostKind::Unit));
+  SelectionService OverloadService(Library, Mapped->view(), Width, 1);
   ServerOptions ServerOpts;
   ServerOpts.MaxQueue = 4;
   ServerOpts.RetryAfterMs = 2;

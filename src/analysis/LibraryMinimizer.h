@@ -10,10 +10,10 @@
 /// computes the full subsumption relation (analysis/Subsumption) over
 /// a prepared library, classifies every rule as live, unfireable (its
 /// shift precondition P+ is unsatisfiable), shadowed (unreachable
-/// under first-match priority), or cost-dominated (never selected by
-/// cost-minimal tiling under a given model either), and emits a
-/// minimized library plus one machine-checkable deletion certificate
-/// per removed rule.
+/// under first-match priority, i.e. the unit cost model), or
+/// cost-dominated (never selected by the tiling pre-pass under a given
+/// latency or size model either), and emits a minimized library plus
+/// one machine-checkable deletion certificate per removed rule.
 ///
 /// Soundness contract (DESIGN.md section 4g):
 ///
@@ -78,8 +78,9 @@ enum class MinimizePolicy {
   /// Delete every shadowed rule. Sound for all first-match selectors
   /// (linear, automaton, server): selection is byte-identical.
   FirstMatch,
-  /// Delete only cost-dominated rules: deletions the cost-minimal
-  /// tiling selector can also never regret under the chosen model.
+  /// Delete only cost-dominated rules: deletions the automaton
+  /// selector's tiling pre-pass can also never regret under the
+  /// chosen model.
   Dominated,
 };
 

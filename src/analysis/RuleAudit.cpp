@@ -162,15 +162,14 @@ void checkJumpApplicability(const PreparedLibrary &Library,
 /// discharges the preconditions.
 ///
 /// The same scan also powers the cost-dominated finding. Shadowing
-/// alone stopped being a death sentence when the tiling selector
+/// alone stopped being a death sentence when cost-minimal tiling
 /// landed: a shadowed-but-cheaper rule can still fire under a cost
-/// model (--selector tiling picks add_ri over the more general add_rr
-/// on add(x, const) under the latency model). A rule is only truly
-/// unreachable when an earlier subsumer is also no more expensive
-/// under every cost-consulting shipped model (latency and size; the
-/// unit model ignores rule costs and ties break toward the earlier
-/// index) — then neither first-match nor any cost-minimal cover can
-/// ever prefer it.
+/// model (`--cost-model latency` picks add_ri over the more general
+/// add_rr on add(x, const)). A rule is only truly unreachable when an
+/// earlier subsumer is also no more expensive under every
+/// cost-consulting shipped model (latency and size; the unit model is
+/// first-match and ignores rule costs) — then neither first-match nor
+/// any cost-minimal cover can ever prefer it.
 void checkShadowing(const PreparedLibrary &Library,
                     const std::string &LibraryName,
                     const LintOptions &Options,

@@ -15,9 +15,9 @@
 ///   tree walk proposes candidates, a structural pattern-as-subject
 ///   match plus an SMT subsumption query on the preconditions
 ///   confirms), rules additionally cost-dominated by such a subsumer
-///   (no cheaper under any shipped cost model, so even cost-minimal
-///   tiling never selects them), jump rules the selection engine can
-///   never try, and rules the normalizer would reject today.
+///   (no cheaper under any shipped cost model, so even the latency and
+///   size models' tiling never selects them), jump rules the selection
+///   engine can never try, and rules the normalizer would reject today.
 ///
 /// * Textual IR files: parse errors, ir::Verifier findings, and shift
 ///   operations whose UB-freedom the analysis cannot discharge.

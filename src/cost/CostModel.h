@@ -7,18 +7,16 @@
 ///
 /// \file
 /// The cost subsystem: every prepared rule carries a small cost vector
-/// derived from its goal's emission recipe, and the tiling selector
-/// (src/isel/TilingSelector.h) minimizes the chosen component over a
-/// whole covering instead of taking the first match.
+/// derived from its goal's emission recipe. Under the latency and size
+/// models the automaton selector's tiling pre-pass
+/// (src/isel/TilingSelector.h) minimizes that component over a whole
+/// covering instead of taking the first match.
 ///
-/// The vector has three components, each a different shipped cost
-/// model:
+/// The vector has three components, one per shipped cost model:
 ///
-/// * Instructions — how many machine instructions the recipe emits.
-///   Under this "unit" model every rule that covers the same cone of
-///   IR ties (see TilingSelector.h), so tie-breaking by prepared index
-///   reproduces first-match selection byte-identically: the migration
-///   anchor CI enforces.
+/// * Instructions — how many machine instructions the recipe emits,
+///   the component the "unit" model reads. Selection under the unit
+///   model is first match in library priority order, without the DP.
 /// * Latency — the emulator's cycle estimate (x86/Emulator.h
 ///   instructionCost), summed over the recipe.
 /// * Size — an approximate x86 encoding size in bytes, summed over the
@@ -58,7 +56,7 @@ constexpr uint32_t ModelVersion = 1;
 
 /// Which cost-vector component selection minimizes.
 enum class CostKind {
-  Unit,    ///< Emitted-instruction count (first-match-compatible).
+  Unit,    ///< Emitted-instruction count; selection is first-match.
   Latency, ///< Approximate cycles (Emulator::instructionCost).
   Size,    ///< Approximate encoded bytes.
 };
@@ -88,7 +86,7 @@ struct RuleCost {
   bool operator!=(const RuleCost &Other) const { return !(*this == Other); }
 };
 
-/// CLI/env name of a cost kind: "unit", "latency", "size".
+/// CLI name of a cost kind: "unit", "latency", "size".
 const char *costKindName(CostKind Kind);
 
 /// Parses a cost-kind name; nullopt on anything unknown.

@@ -8,11 +8,22 @@
 #include "isel/AutomatonSelector.h"
 
 #include "isel/SelectionEngine.h"
+#include "isel/TilingSelector.h"
 #include "support/Error.h"
 
 #include <utility>
 
 using namespace selgen;
+
+namespace {
+
+/// Selector name under cost model \p Kind; it is part of the emitted
+/// machine function's header line.
+const char *selectorName(CostKind Kind) {
+  return Kind == CostKind::Unit ? "automaton" : "tiling";
+}
+
+} // namespace
 
 MatcherAutomaton selgen::buildMatcherAutomaton(const PreparedLibrary &Library) {
   std::vector<AutomatonPattern> Patterns;
@@ -103,25 +114,41 @@ uint64_t MappedCandidateSource::takeNodesVisited() {
   return std::exchange(StatesVisited, 0);
 }
 
+SelectionResult selgen::runAutomatonSelection(const Function &F,
+                                              const PreparedLibrary &Library,
+                                              const BinaryAutomatonView &View,
+                                              CostKind Kind) {
+  MappedCandidateSource Source(Library, View);
+  if (Kind == CostKind::Unit)
+    return runRuleSelection(F, Library, Source, selectorName(Kind));
+  TilingCandidateSource Tiled(Library, Source, Kind);
+  Tiled.prepare(F);
+  return runRuleSelection(F, Library, Tiled, selectorName(Kind));
+}
+
 MappedAutomatonSelector::MappedAutomatonSelector(
-    const PatternDatabase &Database, const GoalLibrary &Goals)
+    const PatternDatabase &Database, const GoalLibrary &Goals, CostKind Kind)
     : Library(Database, Goals), Compiled(buildMatcherAutomaton(Library)),
-      View(Compiled->view()) {
+      View(Compiled->view()), Kind(Kind) {
   noteAutomatonStatistics(View);
 }
 
 MappedAutomatonSelector::MappedAutomatonSelector(
-    PreparedLibrary &&PrebuiltLibrary, const BinaryAutomatonView &View)
-    : Library(std::move(PrebuiltLibrary)), View(View) {
+    PreparedLibrary &&PrebuiltLibrary, const BinaryAutomatonView &View,
+    CostKind Kind)
+    : Library(std::move(PrebuiltLibrary)), View(View), Kind(Kind) {
   std::string Stale = automatonStalenessError(View, Library);
   if (!Stale.empty())
     reportFatalError(Stale);
   noteAutomatonStatistics(View);
 }
 
+std::string MappedAutomatonSelector::name() const {
+  return selectorName(Kind);
+}
+
 SelectionResult MappedAutomatonSelector::select(const Function &F) {
-  MappedCandidateSource Source(Library, View);
-  SelectionResult Result = runRuleSelection(F, Library, Source, name());
+  SelectionResult Result = runAutomatonSelection(F, Library, View, Kind);
   noteSelectionStatistics(Result);
   return Result;
 }

@@ -15,6 +15,12 @@
 /// machine code produced is byte-identical to the linear selector's —
 /// only the time to find it changes.
 ///
+/// The cost model is the selector's only setting. Under the unit model
+/// (the default) it is the paper's greedy most-specific-first matcher
+/// described above. Under the latency or size model a tiling DP
+/// (isel/TilingSelector.h) first re-orders each candidate set so the
+/// engine tries the cheapest legal tile first.
+///
 /// The automaton has one form, the bin-v2 image: compiled in memory
 /// (buildMatcherAutomaton) or mapped from a .matb file written by the
 /// selgen-matchergen tool. Either way selection runs over a
@@ -27,6 +33,7 @@
 #ifndef SELGEN_ISEL_AUTOMATONSELECTOR_H
 #define SELGEN_ISEL_AUTOMATONSELECTOR_H
 
+#include "cost/CostModel.h"
 #include "isel/PreparedLibrary.h"
 #include "isel/SelectionEngine.h"
 #include "isel/Selector.h"
@@ -76,27 +83,42 @@ private:
   uint64_t StatesVisited = 0;
 };
 
+/// Selects \p F with candidates discovered through \p View, under cost
+/// model \p Kind. Unit runs the engine straight over the automaton's
+/// candidate sets in library priority order (first match); latency
+/// and size run the tiling DP pre-pass first. The one dispatch shared
+/// by MappedAutomatonSelector and the compile server's workers. Like
+/// runRuleSelection, it returns its counters in the result and writes
+/// nothing global.
+SelectionResult runAutomatonSelection(const Function &F,
+                                      const PreparedLibrary &Library,
+                                      const BinaryAutomatonView &View,
+                                      CostKind Kind);
+
 /// Instruction selector driven by a synthesized pattern database, with
-/// automaton-based candidate discovery. Reports selector name
-/// "automaton" whichever way the image was obtained — the differential
-/// tests rely on output files from the in-memory and mapped paths
-/// comparing equal.
+/// automaton-based candidate discovery. Its name is "automaton" under
+/// the unit cost model and "tiling" under latency and size, whichever
+/// way the image was obtained — the differential tests rely on output
+/// files from the in-memory and mapped paths comparing equal.
 class MappedAutomatonSelector : public InstructionSelector {
 public:
   /// Prepares the library and compiles the automaton in memory from
-  /// \p Database (same parameters as GeneratedSelector; the two are
-  /// interchangeable). The selector owns the compiled image.
+  /// \p Database (same parameters as GeneratedSelector; under the unit
+  /// model the two are interchangeable). The selector owns the
+  /// compiled image.
   MappedAutomatonSelector(const PatternDatabase &Database,
-                          const GoalLibrary &Goals);
+                          const GoalLibrary &Goals,
+                          CostKind Kind = CostKind::Unit);
 
   /// Adopts an already-prepared library and runs off \p View (e.g. a
   /// mapped .matb file), which must outlive the selector. Aborts if
   /// \p View is stale — check automatonStalenessError() first for a
   /// graceful error.
   MappedAutomatonSelector(PreparedLibrary &&Library,
-                          const BinaryAutomatonView &View);
+                          const BinaryAutomatonView &View,
+                          CostKind Kind = CostKind::Unit);
 
-  std::string name() const override { return "automaton"; }
+  std::string name() const override;
   SelectionResult select(const Function &F) override;
 
   /// Number of usable (goal-resolved) rules.
@@ -110,6 +132,7 @@ private:
   /// when running off a caller's view.
   std::optional<MatcherAutomaton> Compiled;
   BinaryAutomatonView View;
+  CostKind Kind;
 };
 
 } // namespace selgen

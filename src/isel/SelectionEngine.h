@@ -7,9 +7,10 @@
 ///
 /// \file
 /// The greedy DAG selection engine shared by the linear-scan
-/// GeneratedSelector, the discrimination-tree MappedAutomatonSelector
-/// and the TilingSelector. The first-match selectors pick the same
-/// rules and emit the same machine code; they differ only in how
+/// GeneratedSelector and the discrimination-tree
+/// MappedAutomatonSelector, under every cost model. The first-match
+/// selectors pick the same rules and emit the same machine code; they
+/// differ only in how
 /// candidate rules for a subject node are discovered, which is
 /// abstracted as a RuleCandidateSource (a linear scan, or
 /// MappedCandidateSource walking the automaton image). The

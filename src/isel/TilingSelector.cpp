@@ -1,4 +1,4 @@
-//===- TilingSelector.cpp - Cost-minimal DAG tiling selector -------------===//
+//===- TilingSelector.cpp - Cost-minimal DAG tiling pre-pass -------------===//
 //
 // Part of the selgen project (CGO'18 instruction-selection synthesis
 // reproduction).
@@ -9,7 +9,6 @@
 
 #include "ir/Function.h"
 #include "isel/Matcher.h"
-#include "support/Error.h"
 
 #include <algorithm>
 #include <set>
@@ -20,9 +19,8 @@ using namespace selgen;
 namespace {
 
 /// Per-node cost estimate of the engine's naive fallback lowering,
-/// used for cones no rule covers. The unit model always charges 1 per
-/// node (see the anchor argument in the header); the other models
-/// mirror emitFallback's instruction choices.
+/// used for cones no rule covers; mirrors emitFallback's instruction
+/// choices.
 RuleCost fallbackNodeCost(const Node *N) {
   switch (N->opcode()) {
   case Opcode::Mul:
@@ -52,9 +50,8 @@ bool isBoolOnlyProducer(const Node *S) {
 void TilingCandidateSource::prepare(const Function &F) {
   if (!ConstCostComputed) {
     ConstCostComputed = true;
-    if (Kind != CostKind::Unit)
-      if (const GoalInstruction *Mov = Library.immediateMoveGoal())
-        ConstMaterializeCost = deriveRuleCost(*Mov).get(Kind);
+    if (const GoalInstruction *Mov = Library.immediateMoveGoal())
+      ConstMaterializeCost = deriveRuleCost(*Mov).get(Kind);
   }
   for (const auto &BB : F.blocks())
     prepareBlock(BB.get());
@@ -144,8 +141,7 @@ void TilingCandidateSource::prepareBlock(const BasicBlock *BB) {
   // What covering one node costs when no rule fires (the engine's
   // per-opcode fallback), with the same input accounting.
   auto fallbackCoverCost = [&](const Node *S) {
-    uint64_t Total =
-        Kind == CostKind::Unit ? 1 : fallbackNodeCost(S).get(Kind);
+    uint64_t Total = fallbackNodeCost(S).get(Kind);
     std::set<const Node *> Seen;
     for (const NodeRef &Operand : S->operands()) {
       const Node *D = Operand.Def;
@@ -189,12 +185,9 @@ void TilingCandidateSource::prepareBlock(const BasicBlock *BB) {
         Unmatched.push_back(R.Index);
         return false;
       }
-      uint64_t TileCost =
-          Kind == CostKind::Unit
-              ? static_cast<uint64_t>(Match->CoveredNodes.size())
-              : R.Cost.get(Kind);
       Costed.emplace_back(
-          TileCost + inputContribution(*Match, R.Goal->Spec->argRoles()),
+          R.Cost.get(Kind) +
+              inputContribution(*Match, R.Goal->Spec->argRoles()),
           R.Index);
       return false; // Enumerate everything; the DP picks the order.
     });
@@ -235,13 +228,10 @@ void TilingCandidateSource::prepareBlock(const BasicBlock *BB) {
       Unmatched.push_back(R.Index);
       return false;
     }
-    uint64_t TileCost =
-        Kind == CostKind::Unit
-            ? static_cast<uint64_t>(Match->CoveredNodes.size())
-            : R.Cost.get(Kind);
-    Costed.emplace_back(
-        TileCost + inputContribution(*Match, R.Goal->Spec->argRoles()),
-        R.Index);
+    Costed.emplace_back(R.Cost.get(Kind) +
+                            inputContribution(*Match,
+                                              R.Goal->Spec->argRoles()),
+                        R.Index);
     return false;
   });
   std::sort(Costed.begin(), Costed.end());
@@ -289,37 +279,4 @@ void TilingCandidateSource::forEachJumpCandidate(
 
 uint64_t TilingCandidateSource::takeNodesVisited() {
   return std::exchange(MatchWork, 0) + Inner.takeNodesVisited();
-}
-
-SelectionResult selgen::runTilingSelection(const Function &F,
-                                           const PreparedLibrary &Library,
-                                           RuleCandidateSource &Inner,
-                                           CostKind Kind) {
-  TilingCandidateSource Source(Library, Inner, Kind);
-  Source.prepare(F);
-  return runRuleSelection(F, Library, Source, "tiling");
-}
-
-TilingSelector::TilingSelector(const PatternDatabase &Database,
-                               const GoalLibrary &Goals, CostKind Kind)
-    : Library(Database, Goals), Compiled(buildMatcherAutomaton(Library)),
-      View(Compiled->view()), Kind(Kind) {
-  noteAutomatonStatistics(View);
-}
-
-TilingSelector::TilingSelector(PreparedLibrary &&PrebuiltLibrary,
-                               const BinaryAutomatonView &MappedView,
-                               CostKind Kind)
-    : Library(std::move(PrebuiltLibrary)), View(MappedView), Kind(Kind) {
-  std::string Stale = automatonStalenessError(View, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
-  noteAutomatonStatistics(View);
-}
-
-SelectionResult TilingSelector::select(const Function &F) {
-  MappedCandidateSource Inner(Library, View);
-  SelectionResult Result = runTilingSelection(F, Library, Inner, Kind);
-  noteSelectionStatistics(Result);
-  return Result;
 }

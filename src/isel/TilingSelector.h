@@ -1,4 +1,4 @@
-//===- TilingSelector.h - Cost-minimal DAG tiling selector -------*- C++ -*-===//
+//===- TilingSelector.h - Cost-minimal DAG tiling pre-pass -------*- C++ -*-===//
 //
 // Part of the selgen project (CGO'18 instruction-selection synthesis
 // reproduction).
@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cost-driven instruction selection on top of the shared selection
-/// engine: instead of committing to the first rule that matches (the
-/// library's most-specific-first priority order), a bottom-up dynamic
-/// program computes, for every selectable IR node, the cheapest way to
-/// cover its operand cone under a chosen cost model, and re-orders the
-/// automaton's candidate sets so the engine tries the cheapest legal
-/// tile first. Emission, legality checking, and fallback lowering stay
-/// in the engine — tiling only changes the order candidates are
-/// offered in, so it inherits every correctness property of the
-/// first-match selectors.
+/// The cost-driven half of MappedAutomatonSelector (AutomatonSelector.h),
+/// run under the latency and size cost models. Instead of committing
+/// to the first rule that matches (the library's most-specific-first
+/// priority order), a bottom-up dynamic program computes, for every
+/// selectable IR node, the cheapest way to cover its operand cone
+/// under the chosen model, and re-orders the automaton's candidate
+/// sets so the engine tries the cheapest legal tile first. Emission,
+/// legality checking, and fallback lowering stay in the engine — tiling
+/// only changes the order candidates are offered in, so it inherits
+/// every correctness property of first-match selection.
 ///
 /// Cost accounting (CSE-aware, DAG re-convergence safe):
 ///   * A tile rooted at node S costs its rule's RuleCost component
@@ -34,14 +34,12 @@
 ///     the instruction and contributes zero; bound to a Reg/Addr role
 ///     it contributes the cost of the library's immediate-move rule
 ///     (the engine will materialize it with exactly that rule).
+///   * A cone no rule covers is priced as the engine's per-opcode
+///     fallback lowering.
 ///
-/// The *unit* model is the migration-safety anchor: a tile costs the
-/// number of IR nodes it covers and constant materialization is free,
-/// so every full cover of a cone has the same total (the cone's node
-/// count) and the stable (cost, priority-index) sort degenerates to
-/// the library priority order — byte-identical output to the
-/// first-match selectors, which CI enforces. The latency and size
-/// models use the derived per-rule cost vectors and actually re-order.
+/// The unit model needs no DP: it is the library's priority order,
+/// which the automaton's candidate sets already follow, so
+/// runAutomatonSelection never builds this source for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,14 +47,11 @@
 #define SELGEN_ISEL_TILINGSELECTOR_H
 
 #include "cost/CostModel.h"
-#include "isel/AutomatonSelector.h"
 #include "isel/PreparedLibrary.h"
 #include "isel/SelectionEngine.h"
-#include "isel/Selector.h"
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -106,51 +101,11 @@ private:
   uint64_t MatchWork = 0;
   uint64_t BestCoverCost = 0;
   /// Cost of materializing a constant into a register (the library's
-  /// immediate-move rule under the active model; zero under unit).
+  /// immediate-move rule under the active model).
   uint64_t ConstMaterializeCost = 0;
   bool ConstCostComputed = false;
   std::map<const Node *, std::vector<uint32_t>> BodyOrder;
   std::map<ValueKey, std::vector<uint32_t>> JumpOrder;
-};
-
-/// Runs cost-minimal tiling selection of \p F: tiling DP pre-pass over
-/// \p Inner's candidate sets, then the shared engine under selector
-/// name "tiling". This is the entry point for callers that manage
-/// their own candidate sources (the resident compile server builds one
-/// per request thread). Like runRuleSelection, it returns its counters
-/// in the result and writes nothing global.
-SelectionResult runTilingSelection(const Function &F,
-                                   const PreparedLibrary &Library,
-                                   RuleCandidateSource &Inner, CostKind Kind);
-
-/// Instruction selector performing cost-minimal DAG tiling over
-/// automaton-discovered candidate sets. Mirrors MappedAutomatonSelector's
-/// two construction paths (in-memory compile, caller's image).
-class TilingSelector : public InstructionSelector {
-public:
-  /// Compiles the automaton in memory from \p Database and owns it.
-  TilingSelector(const PatternDatabase &Database, const GoalLibrary &Goals,
-                 CostKind Kind);
-
-  /// Adopts an already-prepared library and runs off \p View (e.g. a
-  /// mapped .matb file), which must outlive the selector. Aborts if
-  /// the image is stale — callers wanting a graceful error should
-  /// check automatonStalenessError() first.
-  TilingSelector(PreparedLibrary &&Library, const BinaryAutomatonView &View,
-                 CostKind Kind);
-
-  std::string name() const override { return "tiling"; }
-  SelectionResult select(const Function &F) override;
-
-  CostKind costKind() const { return Kind; }
-  const PreparedLibrary &library() const { return Library; }
-
-private:
-  PreparedLibrary Library;
-  /// The in-memory image; empty when running off a caller's view.
-  std::optional<MatcherAutomaton> Compiled;
-  BinaryAutomatonView View;
-  CostKind Kind;
 };
 
 } // namespace selgen

@@ -8,7 +8,6 @@
 #include "serve/SelectionService.h"
 
 #include "eval/Workloads.h"
-#include "isel/TilingSelector.h"
 #include "x86/MachineIR.h"
 
 #include <chrono>
@@ -18,9 +17,8 @@ using namespace selgen;
 SelectionService::SelectionService(const PreparedLibrary &Library,
                                    const BinaryAutomatonView &View,
                                    unsigned Width, unsigned Threads,
-                                   bool Tiling, CostKind Cost)
-    : Library(Library), View(View), Width(Width), Tiling(Tiling),
-      Cost(Cost) {
+                                   CostKind Cost)
+    : Library(Library), View(View), Width(Width), Cost(Cost) {
   start(Threads);
 }
 
@@ -86,10 +84,8 @@ void SelectionService::processItem(size_t Index) {
   // Everything below is per-request state owned by this worker; the
   // library and automaton are only ever read.
   Function F = buildWorkload(*Profiles[Index], Width);
-  MappedCandidateSource Source(Library, *BatchView);
   SelectionResult Selected =
-      Tiling ? runTilingSelection(F, Library, Source, Cost)
-             : runRuleSelection(F, Library, Source, "automaton");
+      runAutomatonSelection(F, Library, *BatchView, Cost);
 
   BatchReply::Result &R = (*Out)[Index];
   R.Workload = Profiles[Index]->Name;

@@ -21,10 +21,10 @@
 /// touches no global, so throughput scales with threads.
 ///
 /// Results are byte-identical to a single-shot
-/// `selgen-compile --selector auto` run: the workers run the same
-/// selection engine over the same candidate sets in the same priority
-/// order, and workload functions are regenerated deterministically
-/// from their profile names.
+/// `selgen-compile --selector auto` run under the same `--cost-model`:
+/// the workers call the same runAutomatonSelection over the same
+/// candidate sets, and workload functions are regenerated
+/// deterministically from their profile names.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,14 +48,11 @@ class SelectionService {
 public:
   /// Runs off \p View, a validated automaton image (mapped or compiled
   /// in memory; zero deserialization). \p Library and the view's
-  /// backing memory must outlive the service. With \p Tiling set,
-  /// every request runs the cost-minimal tiling pre-pass under \p Cost
-  /// instead of first-match (selector name "tiling"; unit-cost tiling
-  /// stays byte-identical).
+  /// backing memory must outlive the service. Every request selects
+  /// under cost model \p Cost (runAutomatonSelection).
   SelectionService(const PreparedLibrary &Library,
                    const BinaryAutomatonView &View, unsigned Width,
-                   unsigned Threads, bool Tiling = false,
-                   CostKind Cost = CostKind::Unit);
+                   unsigned Threads, CostKind Cost = CostKind::Unit);
 
   ~SelectionService();
   SelectionService(const SelectionService &) = delete;
@@ -106,7 +103,6 @@ private:
   /// Mutex at batch dispatch, untouched by mid-batch swaps).
   const BinaryAutomatonView *BatchView = nullptr;
   unsigned Width;
-  bool Tiling = false; ///< Cost-minimal tiling instead of first-match.
   CostKind Cost = CostKind::Unit;
 
   std::vector<std::thread> Workers;

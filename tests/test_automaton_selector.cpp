@@ -20,7 +20,6 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/SelectionEngine.h"
-#include "isel/TilingSelector.h"
 #include "refsel/ReferenceSelectors.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -471,10 +470,11 @@ TEST_F(AutomatonSelectorTest, MappedImageRecordsAutomatonCounters) {
             static_cast<int64_t>(Compiled.view().numTransitions()));
   EXPECT_GT(Stats.value("automaton.states"), 0);
 
-  // The tiling selector over the same image records the same counters.
+  // A cost-model selector over the same image records the same
+  // counters.
   Statistics::get().clear();
-  TilingSelector Tiling(PreparedLibrary(GnuRules, Goals), Mapped->view(),
-                        CostKind::Unit);
+  MappedAutomatonSelector Tiling(PreparedLibrary(GnuRules, Goals),
+                                 Mapped->view(), CostKind::Latency);
   EXPECT_EQ(Stats.value("automaton.states"),
             static_cast<int64_t>(Compiled.view().numStates()));
   EXPECT_EQ(Stats.value("automaton.transitions"),
@@ -492,8 +492,8 @@ TEST_F(AutomatonSelectorTest, EngineReturnsCountersAndWritesNoGlobals) {
   MatcherAutomaton Compiled = buildMatcherAutomaton(Lib);
   MappedAutomatonSelector FirstMatch(PreparedLibrary(GnuRules, Goals),
                                      Compiled.view());
-  TilingSelector Tiling(PreparedLibrary(GnuRules, Goals), Compiled.view(),
-                        CostKind::Latency);
+  MappedAutomatonSelector Tiling(PreparedLibrary(GnuRules, Goals),
+                                 Compiled.view(), CostKind::Latency);
   SelectionResult ViaFirstMatch = FirstMatch.select(F);
   SelectionResult ViaTiling = Tiling.select(F);
 
@@ -501,9 +501,8 @@ TEST_F(AutomatonSelectorTest, EngineReturnsCountersAndWritesNoGlobals) {
   std::string Empty = Statistics::get().toJson();
   MappedCandidateSource Source(Lib, Compiled.view());
   SelectionResult Rule = runRuleSelection(F, Lib, Source, "automaton");
-  MappedCandidateSource Inner(Lib, Compiled.view());
   SelectionResult Tiled =
-      runTilingSelection(F, Lib, Inner, CostKind::Latency);
+      runAutomatonSelection(F, Lib, Compiled.view(), CostKind::Latency);
   EXPECT_EQ(Statistics::get().toJson(), Empty)
       << "the engine must not write the global registry";
 

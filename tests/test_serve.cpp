@@ -6,11 +6,11 @@
 // The compile server's contract is the same as the automaton
 // selector's, one level up: machine code streamed back by a resident
 // multi-threaded selgen-served must be byte-identical to what a
-// single-shot `selgen-compile --selector auto` run produces. These
-// tests cover the batch payload codec (total decoders), the
-// multi-threaded SelectionService against sequential selection, the
-// frame loop over a socketpair, and the real spawned server binary
-// including its SIGTERM shutdown path.
+// single-shot `selgen-compile --selector auto` run produces under the
+// same cost model. These tests cover the batch payload codec (total
+// decoders), the multi-threaded SelectionService against sequential
+// selection, the frame loop over a socketpair, and the real spawned
+// server binary including its SIGTERM shutdown path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -56,11 +57,13 @@ struct ServeTest : public ::testing::Test {
   MatcherAutomaton Compiled = buildMatcherAutomaton(Library);
   const BinaryAutomatonView &View = Compiled.view();
 
-  /// What single-shot sequential selection produces for \p Name.
-  std::string sequentialAsm(const std::string &Name) {
+  /// What single-shot sequential selection produces for \p Name under
+  /// cost model \p Kind.
+  std::string sequentialAsm(const std::string &Name,
+                            CostKind Kind = CostKind::Unit) {
     for (const WorkloadProfile &Profile : cint2000Profiles())
       if (Profile.Name == Name) {
-        MappedAutomatonSelector Selector(Rules, Goals);
+        MappedAutomatonSelector Selector(Rules, Goals, Kind);
         return printMachineFunction(
             *Selector.select(buildWorkload(Profile, W)).MF);
       }
@@ -159,8 +162,8 @@ TEST(ServeProtocol, DecodersAreTotal) {
 TEST_F(ServeTest, ConcurrentBatchesMatchSequentialSelection) {
   // The acceptance bar: a multi-threaded service compiling a shuffled,
   // duplicated batch returns, per entry, bytes identical to one-shot
-  // sequential selection.
-  SelectionService Service(Library, View, W, 4);
+  // sequential selection under the same cost model — first-match
+  // (unit) and the tiling pre-pass (latency) alike.
   BatchRequest Request;
   Request.Id = 7;
   Request.Width = W;
@@ -169,33 +172,50 @@ TEST_F(ServeTest, ConcurrentBatchesMatchSequentialSelection) {
       Request.Workloads.push_back(Name);
 
   std::string Error;
-  std::optional<BatchReply> Reply = Service.process(Request, &Error);
-  ASSERT_TRUE(Reply) << Error;
-  EXPECT_EQ(Reply->Id, Request.Id);
-  ASSERT_EQ(Reply->Results.size(), Request.Workloads.size());
-  for (size_t I = 0; I < Reply->Results.size(); ++I) {
-    const BatchReply::Result &R = Reply->Results[I];
-    EXPECT_EQ(R.Workload, Request.Workloads[I]);
-    EXPECT_EQ(R.Asm, sequentialAsm(R.Workload)) << R.Workload;
-    EXPECT_GT(R.TotalOperations, 0u);
-    EXPECT_GT(R.RulesTried, 0u);
-    EXPECT_GT(R.NodesVisited, 0u);
-  }
-
-  // Identical results again from a service over the image written to
-  // a file and mapped back: where the bytes live is not a behavior
-  // change.
   std::string Path = ::testing::TempDir() + "serve_concurrent.matb";
   ASSERT_TRUE(Compiled.writeBinaryFile(Path));
   std::unique_ptr<MappedAutomaton> Mapped =
       MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Mapped) << Error;
-  SelectionService MappedService(Library, Mapped->view(), W, 2);
-  std::optional<BatchReply> MappedReply =
-      MappedService.process(Request, &Error);
-  ASSERT_TRUE(MappedReply) << Error;
-  for (size_t I = 0; I < Reply->Results.size(); ++I)
-    EXPECT_EQ(MappedReply->Results[I].Asm, Reply->Results[I].Asm);
+
+  for (CostKind Kind : {CostKind::Unit, CostKind::Latency}) {
+    SCOPED_TRACE(costKindName(Kind));
+    SelectionService Service(Library, View, W, 4, Kind);
+    std::optional<BatchReply> Reply = Service.process(Request, &Error);
+    ASSERT_TRUE(Reply) << Error;
+    EXPECT_EQ(Reply->Id, Request.Id);
+    ASSERT_EQ(Reply->Results.size(), Request.Workloads.size());
+    for (size_t I = 0; I < Reply->Results.size(); ++I) {
+      const BatchReply::Result &R = Reply->Results[I];
+      EXPECT_EQ(R.Workload, Request.Workloads[I]);
+      EXPECT_EQ(R.Asm, sequentialAsm(R.Workload, Kind)) << R.Workload;
+      EXPECT_GT(R.TotalOperations, 0u);
+      EXPECT_GT(R.RulesTried, 0u);
+      EXPECT_GT(R.NodesVisited, 0u);
+    }
+
+    // Identical results again from a service over the image written
+    // to a file and mapped back: where the bytes live is not a
+    // behavior change.
+    SelectionService MappedService(Library, Mapped->view(), W, 2, Kind);
+    std::optional<BatchReply> MappedReply =
+        MappedService.process(Request, &Error);
+    ASSERT_TRUE(MappedReply) << Error;
+    for (size_t I = 0; I < Reply->Results.size(); ++I)
+      EXPECT_EQ(MappedReply->Results[I].Asm, Reply->Results[I].Asm);
+  }
+
+  // The two cost models really emit different code on this library,
+  // below the header line that names the selector, so the latency
+  // pass above is not first-match under another name.
+  auto body = [](const std::string &Asm) {
+    return Asm.substr(std::min(Asm.find('\n'), Asm.size()));
+  };
+  bool Differs = false;
+  for (const std::string &Name : allWorkloadNames())
+    Differs = Differs || body(sequentialAsm(Name, CostKind::Unit)) !=
+                             body(sequentialAsm(Name, CostKind::Latency));
+  EXPECT_TRUE(Differs);
 }
 
 TEST_F(ServeTest, RejectsWidthMismatchAndUnknownWorkloads) {

@@ -17,11 +17,12 @@
 //   * A text automaton (the retired .mat format) is refused by
 //     selgen-compile and selgen-served with exit code 1 and a message
 //     saying how to regenerate the image.
-//   * Tiling differential, over the mapped image of both shipped
-//     libraries: unit-cost tiling emits exactly the machine code of
-//     `--selector auto` (all but the header line, which names the
-//     selector) and reports the same automaton.* counters; latency
-//     tiling passes every interpreter check.
+//   * Cost-model differential, over the mapped image of both shipped
+//     libraries: `--cost-model latency` and `--cost-model size` pass
+//     every interpreter check (return values and final memory), and
+//     their --dump-asm output is pinned by CRC. The retired `tiling`
+//     selector value and a cost model on a non-automaton selector are
+//     usage errors.
 //   * selgen-minimize exits 2 when it cannot write --stats-json.
 //   * A cache-less three-thread selgen-synth run screens candidates
 //     concretely, grows its counterexample corpus, and never holds
@@ -110,11 +111,6 @@ int64_t counterValue(const std::string &Json, const std::string &Name) {
   if (Pos == std::string::npos)
     return -1;
   return std::stoll(Json.substr(Pos + Key.size()));
-}
-
-/// \p Text without its first line (the header naming the selector).
-std::string dropFirstLine(const std::string &Text) {
-  return Text.substr(std::min(Text.find('\n'), Text.size()));
 }
 
 const std::string BasicLibrary =
@@ -227,54 +223,75 @@ TEST(MatcherDifferential, TextAutomatonRefusedWithRegenerateHint) {
   EXPECT_NE(ServedLog.find(Hint), std::string::npos) << ServedLog;
 }
 
-TEST(TilingDifferential, UnitCostReproducesFirstMatchAndLatencyChecks) {
-  // The tiling selector's migration-safety anchor: under the unit cost
-  // model every full cover of a cone costs the same, so the stable
-  // (cost, priority) sort degenerates to library priority order and
-  // the machine code must equal `--selector auto` exactly, through the
-  // mapped image and its per-rule cost table. Latency tiling re-tiles
-  // toward cheaper covers and must still pass every interpreter check.
+TEST(CostModelDifferential, LatencyAndSizeCheckAndMatchPinnedCode) {
+  // The cost model is the automaton selector's only setting. Latency
+  // and size run the tiling pre-pass through the mapped image and its
+  // per-rule cost table; every interpreter check must pass, and the
+  // emitted machine code, header line included, must stay what it
+  // was when these runs went through the retired `tiling` selector
+  // value. The pins are the CRC-32 of the workloads' .s files
+  // concatenated in file-name order.
+  struct Pin {
+    const char *Model;
+    uint32_t Crc[2]; ///< Basic, full library.
+  };
+  const Pin Pins[] = {{"latency", {0x896983c4u, 0xa885119fu}},
+                      {"size", {0x896983c4u, 0x3f4db766u}}};
   unsigned LibraryIndex = 0;
   for (const std::string &Library : ShippedLibraries) {
-    std::string Dir = freshDir("tiling_" + std::to_string(LibraryIndex++));
+    std::string Dir = freshDir("costmodel_" + std::to_string(LibraryIndex));
     std::string Image = Dir + "/lib.matb";
     ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
                       {"--library", Library, "--output", Image},
                       Dir + "/matchergen.log"),
               0)
         << readLog(Dir + "/matchergen.log");
-    for (const char *Run : {"auto", "unit", "latency"}) {
-      std::vector<std::string> Args = {"--library", Library, "--automaton",
-                                       Image, "--dump-asm", Dir + "/" + Run,
-                                       "--stats-json",
-                                       Dir + "/" + Run + ".json"};
-      if (std::string(Run) == "auto")
-        Args.insert(Args.end(), {"--selector", "auto"});
-      else
-        Args.insert(Args.end(), {"--selector", "tiling", "--cost-model", Run});
-      std::string LogPath = Dir + "/" + Run + ".log";
-      int Code = runTool(SELGEN_COMPILE_TOOL, Args, LogPath);
+    for (const Pin &P : Pins) {
+      std::string AsmDir = Dir + "/" + P.Model;
+      std::string LogPath = AsmDir + ".log";
+      int Code = runTool(SELGEN_COMPILE_TOOL,
+                         {"--library", Library, "--automaton", Image,
+                          "--cost-model", P.Model, "--dump-asm", AsmDir},
+                         LogPath);
       std::string Log = readLog(LogPath);
       ASSERT_EQ(Code, 0) << Log;
       EXPECT_EQ(benchmarkRows(Log).size(), 11u) << Log;
       EXPECT_EQ(Log.find("MISMATCH"), std::string::npos) << Log;
-    }
 
-    for (const auto &Entry :
-         std::filesystem::directory_iterator(Dir + "/auto")) {
-      std::string Name = Entry.path().filename().string();
-      EXPECT_EQ(dropFirstLine(readLog(Dir + "/unit/" + Name)),
-                dropFirstLine(readLog(Entry.path().string())))
-          << "unit tiling diverged: " << Library << " " << Name;
+      std::vector<std::string> Files;
+      for (const auto &Entry : std::filesystem::directory_iterator(AsmDir))
+        Files.push_back(Entry.path().string());
+      std::sort(Files.begin(), Files.end());
+      EXPECT_EQ(Files.size(), 11u);
+      std::string All;
+      for (const std::string &File : Files)
+        All += readLog(File);
+      EXPECT_EQ(selgen::crc32(All), P.Crc[LibraryIndex])
+          << P.Model << " code changed for " << Library;
     }
-    std::string AutoJson = readLog(Dir + "/auto.json");
-    for (const char *Counter : {"automaton.states", "automaton.transitions"}) {
-      EXPECT_GT(counterValue(AutoJson, Counter), 0) << Counter;
-      EXPECT_EQ(counterValue(readLog(Dir + "/unit.json"), Counter),
-                counterValue(AutoJson, Counter))
-          << Counter << " for " << Library;
-    }
+    ++LibraryIndex;
   }
+}
+
+TEST(CostModelDifferential, RetiredTilingSelectorIsAUsageError) {
+  std::string Dir = freshDir("costmodel_usage");
+  EXPECT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                    {"--library", BasicLibrary, "--selector", "tiling"},
+                    Dir + "/tiling.log"),
+            1);
+  std::string TilingLog = readLog(Dir + "/tiling.log");
+  EXPECT_NE(TilingLog.find("auto|linear|handwritten"), std::string::npos)
+      << TilingLog;
+
+  EXPECT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                    {"--library", BasicLibrary, "--cost-model", "latency",
+                     "--selector", "linear"},
+                    Dir + "/linear.log"),
+            1);
+  std::string LinearLog = readLog(Dir + "/linear.log");
+  EXPECT_NE(LinearLog.find("--cost-model requires --selector auto"),
+            std::string::npos)
+      << LinearLog;
 }
 
 TEST(MinimizeTool, UnwritableStatsJsonExitsTwo) {

@@ -13,14 +13,16 @@
 //   selgen-compile --library rules.dat            # all benchmarks
 //   selgen-compile --library rules.dat --selector linear
 //   selgen-compile --library rules.dat --automaton rules.matb --stats-json s.json
+//   selgen-compile --library rules.dat --cost-model latency
 //
 // --selector picks how rules are matched: "auto" (default) compiles
-// the library into a discrimination-tree automaton, "tiling" adds the
-// cost-minimal DAG-tiling pre-pass on top of the automaton (see
-// --cost-model; "unit" reproduces auto's output byte-identically),
-// "linear" tries the rules one by one as the paper's prototype does
-// (same machine code, slower matching), "handwritten" bypasses the
-// rule library entirely.
+// the library into a discrimination-tree automaton, "linear" tries the
+// rules one by one as the paper's prototype does (same machine code,
+// slower matching), "handwritten" bypasses the rule library entirely.
+// --cost-model (auto only) picks what the automaton selector
+// minimizes: "unit" (default) is first-match in library priority
+// order; "latency" and "size" add the cost-minimal DAG-tiling
+// pre-pass.
 // --automaton maps a pre-compiled .matb image emitted by
 // selgen-matchergen (mmap'ed, zero deserialization) instead of
 // compiling in memory; a file that is not a current image, or a stale
@@ -29,6 +31,10 @@
 // library (selector.prepare_skipped). --dump-asm DIR writes the primary
 // selector's machine code to DIR/<benchmark>.s, one file per
 // benchmark — the byte-identity anchor for the compile-server tests.
+// The Check column reads MISMATCH when the selected code's return
+// value or any final memory byte differs from the IR interpreter's on
+// one of the --runs seeded inputs, or when the interpreter run itself
+// is undefined or hits its step limit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +42,6 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/HandwrittenSelector.h"
-#include "isel/TilingSelector.h"
 #include "support/CommandLine.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -70,6 +75,10 @@ RunOutcome runSelected(const Function &F, const MachineFunction &MF,
     for (unsigned B = 0; B < 256; ++B)
       Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
     FunctionResult Reference = runFunction(F, Args, Memory, 1u << 22);
+    if (Reference.Undefined || Reference.StepLimitHit) {
+      Outcome.Mismatch = true;
+      continue;
+    }
 
     std::map<MReg, BitValue> Regs;
     const auto &ArgRegs = MF.entry()->ArgRegs;
@@ -78,10 +87,13 @@ RunOutcome runSelected(const Function &F, const MachineFunction &MF,
     MachineRunResult Machine =
         runMachineFunction(MF, Regs, Memory, 1u << 24);
     Outcome.Cycles += Machine.Cycles;
-    if (Reference.ReturnValues.empty() ||
-        Machine.ReturnValues.size() != 1 ||
-        Machine.ReturnValues[0] != Reference.ReturnValues[0])
+    if (Machine.StepLimitHit ||
+        Machine.ReturnValues != Reference.ReturnValues)
       Outcome.Mismatch = true;
+    if (Reference.FinalMemory)
+      for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
+        if (Machine.Memory.peekByte(Address) != Value)
+          Outcome.Mismatch = true;
   }
   return Outcome;
 }
@@ -107,18 +119,15 @@ int main(int argc, char **argv) {
   std::string LibraryPath = Cli.stringOption("library", "rules.dat");
   std::string SelectorName = Cli.stringOption("selector", "auto");
   std::string AutomatonPath = Cli.stringOption("automaton", "");
-  if (SelectorName != "auto" && SelectorName != "tiling" &&
-      SelectorName != "linear" && SelectorName != "handwritten") {
-    std::fprintf(
-        stderr,
-        "error: unknown --selector '%s' (auto|tiling|linear|handwritten)\n",
-        SelectorName.c_str());
+  if (SelectorName != "auto" && SelectorName != "linear" &&
+      SelectorName != "handwritten") {
+    std::fprintf(stderr,
+                 "error: unknown --selector '%s' (auto|linear|handwritten)\n",
+                 SelectorName.c_str());
     return 1;
   }
-  if (!AutomatonPath.empty() && SelectorName != "auto" &&
-      SelectorName != "tiling") {
-    std::fprintf(stderr,
-                 "error: --automaton requires --selector auto or tiling\n");
+  if (!AutomatonPath.empty() && SelectorName != "auto") {
+    std::fprintf(stderr, "error: --automaton requires --selector auto\n");
     return 1;
   }
   std::string CostModelName = Cli.stringOption("cost-model", "unit");
@@ -129,8 +138,8 @@ int main(int argc, char **argv) {
                  CostModelName.c_str());
     return 1;
   }
-  if (Cli.stringOption("cost-model", "").size() && SelectorName != "tiling") {
-    std::fprintf(stderr, "error: --cost-model requires --selector tiling\n");
+  if (Cli.stringOption("cost-model", "").size() && SelectorName != "auto") {
+    std::fprintf(stderr, "error: --cost-model requires --selector auto\n");
     return 1;
   }
 
@@ -141,11 +150,13 @@ int main(int argc, char **argv) {
 
   HandwrittenSelector Handwritten;
   std::unique_ptr<InstructionSelector> RuleDriven;
-  // Keeps a mapped binary image alive for the selector borrowing it.
+  // The automaton the selector runs off: a mapped binary image, or one
+  // compiled in memory. Either outlives the selector borrowing it.
   std::unique_ptr<MappedAutomaton> Mapped;
+  std::optional<MatcherAutomaton> Compiled;
   size_t UsableRules = 0;
-  const bool Tiling = SelectorName == "tiling";
-  if (SelectorName == "auto" || Tiling) {
+  if (SelectorName == "auto") {
+    PreparedLibrary Prepared(Database, Goals);
     if (!AutomatonPath.empty()) {
       // Pre-built image: mmap, validate, and match off the mapped bytes.
       std::string LoadError;
@@ -154,7 +165,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "error: %s\n", LoadError.c_str());
         return 1;
       }
-      PreparedLibrary Prepared(Database, Goals);
       std::string Stale =
           automatonStalenessError(Mapped->view(), Prepared);
       if (!Stale.empty()) {
@@ -164,35 +174,21 @@ int main(int argc, char **argv) {
       // The staleness check above already prepared the library; hand
       // it to the selector instead of re-preparing (re-sorting) it.
       Statistics::get().add("selector.prepare_skipped", 1);
-      UsableRules = Prepared.rules().size();
-      std::printf("automaton: %zu states, %llu transitions (mapped from "
-                  "%s)\n",
-                  Mapped->view().numStates(),
-                  static_cast<unsigned long long>(
-                      Mapped->view().numTransitions()),
-                  AutomatonPath.c_str());
-      if (Tiling)
-        RuleDriven = std::make_unique<TilingSelector>(
-            std::move(Prepared), Mapped->view(), *CostModel);
-      else
-        RuleDriven = std::make_unique<MappedAutomatonSelector>(
-            std::move(Prepared), Mapped->view());
-    } else if (Tiling) {
-      auto Tiled =
-          std::make_unique<TilingSelector>(Database, Goals, *CostModel);
-      UsableRules = Tiled->library().rules().size();
-      std::printf("tiling: cost model %s over %zu rules\n",
-                  costKindName(*CostModel), UsableRules);
-      RuleDriven = std::move(Tiled);
     } else {
-      auto Auto = std::make_unique<MappedAutomatonSelector>(Database, Goals);
-      UsableRules = Auto->numRules();
-      std::printf("automaton: %zu states, %llu transitions\n",
-                  Auto->view().numStates(),
-                  static_cast<unsigned long long>(
-                      Auto->view().numTransitions()));
-      RuleDriven = std::move(Auto);
+      Compiled = buildMatcherAutomaton(Prepared);
     }
+    const BinaryAutomatonView &View =
+        Mapped ? Mapped->view() : Compiled->view();
+    std::printf("automaton: %zu states, %llu transitions (%s), cost model "
+                "%s\n",
+                View.numStates(),
+                static_cast<unsigned long long>(View.numTransitions()),
+                Mapped ? ("mapped from " + AutomatonPath).c_str()
+                       : "in memory",
+                costKindName(*CostModel));
+    UsableRules = Prepared.rules().size();
+    RuleDriven = std::make_unique<MappedAutomatonSelector>(
+        std::move(Prepared), View, *CostModel);
   } else if (SelectorName == "linear") {
     auto Linear = std::make_unique<GeneratedSelector>(Database, Goals);
     UsableRules = Linear->numRules();

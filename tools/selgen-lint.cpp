@@ -14,8 +14,9 @@
 //   * shadowed-rule (warning): an earlier, more general rule claims
 //     every subject this rule matches.
 //   * cost-dominated (warning): a shadowing rule is also no cheaper
-//     under every shipped cost model, so not even the cost-minimal
-//     tiling selector (--selector tiling) can ever pick this rule.
+//     under every shipped cost model, so not even cost-minimal tiling
+//     (selgen-compile --cost-model latency|size) can ever pick this
+//     rule.
 //   * inapplicable-jump-rule (warning): a compare-and-jump rule the
 //     selection engine never tries.
 //   * non-normalized-rule (warning): normalized subjects can never

@@ -13,11 +13,13 @@
 /// selection requests over the selgen frame protocol. Selection fans
 /// out over a pool of worker threads sharing the read-only automaton;
 /// results are byte-identical to single-shot
-/// `selgen-compile --selector auto` runs.
+/// `selgen-compile --selector auto` runs under the same --cost-model
+/// (unit, the default, is first-match; latency and size tile).
 ///
 ///   selgen-matchergen --library rules.dat --output rules.matb
 ///   selgen-served --library rules.dat --automaton rules.matb --threads 4
 ///   selgen-served --library rules.dat --automaton rules.matb --socket S
+///   selgen-served --library rules.dat --cost-model latency
 ///
 /// Without --socket the protocol runs on stdin/stdout (the solver-pool
 /// worker convention: the protocol fd is claimed and stdout redirected
@@ -102,11 +104,11 @@ int listenUnixSocket(const std::string &Path) {
 
 int main(int argc, char **argv) {
   const std::vector<std::string> Flags = {
-      "library",      "width",           "automaton",
-      "threads",      "socket",          "selector",
-      "cost-model",   "stats-json",      "request-deadline-ms",
-      "write-stall-ms", "max-queue",     "max-inflight-bytes",
-      "retry-after-ms", "help"};
+      "library",        "width",          "automaton",
+      "threads",        "socket",         "cost-model",
+      "stats-json",     "request-deadline-ms", "write-stall-ms",
+      "max-queue",      "max-inflight-bytes",  "retry-after-ms",
+      "help"};
   CommandLine Cli(argc, argv, Flags);
   if (!Cli.errors().empty() || Cli.hasFlag("help") ||
       !Cli.positional().empty()) {
@@ -122,23 +124,12 @@ int main(int argc, char **argv) {
   std::string LibraryPath = Cli.stringOption("library", "rules.dat");
   std::string AutomatonPath = Cli.stringOption("automaton", "");
   std::string SocketPath = Cli.stringOption("socket", "");
-  std::string SelectorName = Cli.stringOption("selector", "auto");
-  if (SelectorName != "auto" && SelectorName != "tiling") {
-    std::fprintf(stderr, "error: unknown --selector '%s' (auto|tiling)\n",
-                 SelectorName.c_str());
-    return 1;
-  }
-  const bool Tiling = SelectorName == "tiling";
   std::optional<CostKind> CostModel =
       parseCostKind(Cli.stringOption("cost-model", "unit"));
   if (!CostModel) {
     std::fprintf(stderr,
                  "error: unknown --cost-model '%s' (unit|latency|size)\n",
                  Cli.stringOption("cost-model", "").c_str());
-    return 1;
-  }
-  if (!Tiling && !Cli.stringOption("cost-model", "").empty()) {
-    std::fprintf(stderr, "error: --cost-model requires --selector tiling\n");
     return 1;
   }
 
@@ -197,8 +188,7 @@ int main(int argc, char **argv) {
   const BinaryAutomatonView &View =
       Mapped ? Mapped->view() : Compiled->view();
 
-  SelectionService Service(Library, View, Width, Threads, Tiling,
-                           *CostModel);
+  SelectionService Service(Library, View, Width, Threads, *CostModel);
 
   // SIGHUP hot reload is only meaningful for an on-disk image (an
   // in-memory automaton has nothing to re-map).
@@ -226,11 +216,10 @@ int main(int argc, char **argv) {
 
   std::fprintf(stderr,
                "selgen-served: %zu rules, %zu states (%s), %u threads, "
-               "selector %s%s%s\n",
+               "cost model %s\n",
                Library.rules().size(), View.numStates(),
-               Mapped ? "mapped" : "in-memory",
-               Threads, SelectorName.c_str(), Tiling ? "/" : "",
-               Tiling ? costKindName(*CostModel) : "");
+               Mapped ? "mapped" : "in-memory", Threads,
+               costKindName(*CostModel));
 
   int Code;
   Statistics &Stats = Statistics::get();
