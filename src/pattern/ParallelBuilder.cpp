@@ -8,7 +8,6 @@
 #include "pattern/ParallelBuilder.h"
 
 #include "cost/CostModel.h"
-#include "pattern/RunJournal.h"
 #include "smt/SolverPool.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
@@ -86,7 +85,6 @@ struct GoalState {
   SynthesisPlan Plan;
   std::string CacheKey;
   bool CacheHit = false;
-  bool ResumedFromJournal = false;
   /// The goal's shared counterexample corpus (from the scheduler's
   /// CorpusStore, keyed by goal fingerprint): internally locked, so
   /// all chunks of the goal — stolen or not — screen against and feed
@@ -231,7 +229,6 @@ private:
     S.SizeBuffer.clear();
     S.PendingChunks = 0;
     S.CacheHit = false;
-    S.ResumedFromJournal = false;
     S.SolverSeconds = 0;
     S.Chunks = 0;
     S.StolenChunks = 0;
@@ -284,27 +281,8 @@ private:
     S.PoolStallMs.store(0, std::memory_order_relaxed);
     S.Result.GoalName = S.Goal->Name;
 
-    if (Build.Cache || Build.Journal || Build.Resume)
-      S.CacheKey = synthesisCacheKey(*Smt, *S.Goal->Spec, S.Options);
-
-    // Resume probe first: a goal whose finish record survived the
-    // previous run is served from the journal with zero re-synthesis
-    // (and independently of any cache).
-    if (Build.Resume) {
-      auto It = Build.Resume->find(S.CacheKey);
-      if (It != Build.Resume->end()) {
-        Statistics::get().add("journal.hits");
-        S.ResumedFromJournal = true;
-        S.Result = std::move(It->second);
-        finishGoal(S);
-        return;
-      }
-    }
-
-    if (Build.Journal)
-      Build.Journal->recordStart(S.CacheKey, S.Goal->Name);
-
     if (Build.Cache) {
+      S.CacheKey = synthesisCacheKey(*Smt, *S.Goal->Spec, S.Options);
       if (std::optional<GoalSynthesisResult> Cached =
               Build.Cache->lookup(S.CacheKey)) {
         Statistics::get().add("cache.hits");
@@ -477,10 +455,10 @@ private:
   }
 
   void finishGoal(GoalState &S) {
-    // Stamp the recipe's cost vector before the result is cached or
-    // journaled. Results served from pre-cost cache shards arrive
-    // without one; derivation is deterministic, so re-deriving here
-    // keeps them interchangeable with fresh results.
+    // Stamp the recipe's cost vector before the result is cached.
+    // Results served from pre-cost cache shards arrive without one;
+    // derivation is deterministic, so re-deriving here keeps them
+    // interchangeable with fresh results.
     if (!S.Result.HasCost) {
       RuleCost Cost = deriveRuleCost(*S.Goal);
       S.Result.HasCost = true;
@@ -492,27 +470,16 @@ private:
       Statistics::get().add("synth.cost_cached", 1);
     }
 
-    if (!S.CacheHit && !S.ResumedFromJournal) {
+    if (!S.CacheHit) {
       S.Result.Seconds = S.SolverSeconds;
       if (Build.Cache && S.Result.Complete)
         Build.Cache->store(S.CacheKey, S.Result);
-    }
-
-    // Journal the outcome (for cache hits too: resume must work with
-    // the cache gone). Resume hits are already in the journal.
-    if (Build.Journal && !S.ResumedFromJournal) {
-      if (S.Result.Complete)
-        Build.Journal->recordFinish(S.CacheKey, S.Result);
-      else
-        Build.Journal->recordIncomplete(S.CacheKey, S.Goal->Name,
-                                        incompleteCauseName(S.Result.Cause));
     }
 
     GoalTelemetry Telemetry;
     Telemetry.Goal = S.Goal->Name;
     Telemetry.Group = S.Goal->Group;
     Telemetry.CacheHit = S.CacheHit;
-    Telemetry.ResumedFromJournal = S.ResumedFromJournal;
     Telemetry.Complete = S.Result.Complete;
     if (!S.Result.Complete)
       Telemetry.IncompleteCause = incompleteCauseName(S.Result.Cause);

@@ -32,7 +32,8 @@
 /// Caching: with a SynthesisCache attached, each goal's cache key
 /// (content hash of its SMT spec, width, options, and encoder version)
 /// is probed before any solving; hits are served from disk and
-/// complete results are stored back, so warm reruns skip Z3 entirely.
+/// complete results are stored back, so warm reruns skip Z3 entirely
+/// and a killed run restarted on the same cache resumes where it died.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,11 +43,8 @@
 #include "pattern/LibraryBuilder.h"
 #include "pattern/SynthesisCache.h"
 
-#include <map>
-
 namespace selgen {
 
-class RunJournal;
 class SolverPool;
 
 /// Configuration of one parallel library build.
@@ -58,15 +56,6 @@ struct ParallelBuildOptions {
   std::vector<std::string> TotalModeGoals;
   /// Persistent result cache; null disables caching.
   SynthesisCache *Cache = nullptr;
-  /// Crash-safe run journal (see pattern/RunJournal.h); null disables
-  /// journaling. Every goal's pickup and outcome is recorded with an
-  /// fsync'd append, making the run resumable after SIGKILL.
-  RunJournal *Journal = nullptr;
-  /// Finished results replayed from a prior run's journal, keyed by
-  /// cache key. Goals found here are served directly ("journal.hits")
-  /// with zero re-synthesis; null disables resume. Served entries are
-  /// consumed (moved out of the map).
-  std::map<std::string, GoalSynthesisResult> *Resume = nullptr;
   /// Budget multiplier for the end-of-run escalation pass: goals that
   /// ended incomplete are retried once with wall-clock, query-timeout,
   /// and rlimit budgets scaled by this factor before the library is

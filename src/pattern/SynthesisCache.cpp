@@ -14,11 +14,13 @@
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <system_error>
+
+#include <unistd.h>
 
 using namespace selgen;
 
@@ -221,16 +223,7 @@ bool SynthesisCache::store(const std::string &Key,
     Contents.resize(Contents.size() / 2);
   if (!writeFileAtomic(shardPath(Key), Contents))
     return false;
-  appendIndexLine(Key, Result);
+  if (FaultInjector::get().shouldFire("kill_after_finish"))
+    ::kill(::getpid(), SIGKILL);
   return true;
-}
-
-void SynthesisCache::appendIndexLine(const std::string &Key,
-                                     const GoalSynthesisResult &Result) const {
-  // Advisory only: one line per store, append mode, failures ignored.
-  std::ofstream Index(Directory + "/index.log", std::ios::app);
-  if (!Index)
-    return;
-  Index << Key << " " << Result.GoalName << " " << Result.Patterns.size()
-        << " " << formatDouble(Result.Seconds, 3) << "\n";
 }

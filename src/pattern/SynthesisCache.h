@@ -14,10 +14,10 @@
 /// across runs, machines, and CI jobs.
 ///
 /// Layout: a versioned directory (`<dir>/v2/`) of per-goal shard files
-/// named by cache key (`<key>.shard`), plus an append-only advisory
-/// index (`index.log`). Each shard is a checksummed text record: a
-/// magic line, a `crc <hex> <length>` frame line, then the body
-/// (header fields, serialized pattern graphs, explicit `end` trailer).
+/// named by cache key (`<key>.shard`). Each shard is a checksummed
+/// text record: a magic line, a `crc <hex> <length>` frame line, then
+/// the body (header fields, serialized pattern graphs, explicit `end`
+/// trailer).
 /// Lookups never trust a shard blindly — a length or CRC-32 mismatch,
 /// a missing trailer, a pattern-count mismatch, or a parse error all
 /// degrade to a cache miss, the offending shard is quarantined to
@@ -29,8 +29,13 @@
 /// writeFileAtomic (unique temp file, full write, fsync, atomic
 /// rename), so concurrent builders (or concurrent CI jobs sharing a
 /// cache volume) can race freely and a SIGKILL mid-store never leaves
-/// a half-written shard under the final name. The index is advisory
-/// only and not required for correctness.
+/// a half-written shard under the final name.
+///
+/// The cache is also the only durable record of a run's finished
+/// goals: a synthesis run killed at any point and restarted on the
+/// same cache directory skips every goal whose shard was published
+/// and re-solves only the rest. Content addressing keeps runs under
+/// different goal sets, widths or options apart — they simply miss.
 ///
 /// Only *complete* results (no budget/timeout casualties) are stored:
 /// an incomplete pattern set depends on the time budget and would leak
@@ -73,7 +78,9 @@ public:
 
   /// Stores \p Result under \p Key via fsync'd temp file + atomic
   /// rename. Incomplete results are rejected. Returns true if the
-  /// shard was published.
+  /// shard was published. Once it is durable, the "kill_after_finish"
+  /// fault site can SIGKILL the process — the deterministic crash
+  /// point the resume tests use.
   bool store(const std::string &Key, const GoalSynthesisResult &Result) const;
 
   /// Path of the shard file for \p Key (exists only after a store).
@@ -87,9 +94,6 @@ public:
 private:
   std::string Directory; ///< The versioned subdirectory (<root>/v2).
   bool Usable = false;   ///< False if the directory cannot be created.
-
-  void appendIndexLine(const std::string &Key,
-                       const GoalSynthesisResult &Result) const;
 };
 
 } // namespace selgen

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// Crash-isolated solver execution: a pool of supervised `selgen-solverd`
-/// worker processes that receive serialized queries over a pipe and
-/// stream back typed results. PR 5 contained solver failures *inside*
-/// the process (typed SmtFailure, retry ladder, journal); this layer
-/// moves the solver out of the process entirely, so a Z3 segfault, an
-/// OOM kill, or a wedged query costs one child process and one retried
-/// query — never the scheduler.
+/// worker processes that receive serialized enumeration chunks over a
+/// pipe and stream back typed results. In-process supervision contains
+/// solver failures *inside* the process (typed SmtFailure, retry
+/// ladder); this layer moves the solver out of the process entirely, so
+/// a Z3 segfault, an OOM kill, or a wedged query costs one child process
+/// and one retried query — never the scheduler.
 ///
 /// Wire protocol: the shared CRC-framed transport in support/Wire.h.
 /// Any magic / length / CRC mismatch classifies the worker as crashed

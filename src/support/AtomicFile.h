@@ -7,15 +7,13 @@
 ///
 /// \file
 /// One shared write-temp + fsync + rename helper for everything the
-/// pipeline publishes to disk: synthesis-cache shards, the run
-/// journal's quarantine rewrites, --stats-json / --failures-json, and
-/// the lint findings report. A reader can then never observe a
-/// half-written file: it sees the old content, the new content, or no
-/// file — a SIGKILL between any two instructions leaves at worst an
-/// orphaned temp file. Plus the CRC-32 used by the cache shard and
-/// journal record integrity checks, and the quarantine helper that
-/// moves corrupt artifacts aside as `<path>.bad` instead of deleting
-/// the evidence.
+/// pipeline publishes to disk: synthesis-cache shards, --stats-json /
+/// --failures-json, and the lint findings report. A reader can then
+/// never observe a half-written file: it sees the old content, the new
+/// content, or no file — a SIGKILL between any two instructions leaves
+/// at worst an orphaned temp file. Plus the CRC-32 used by the cache
+/// shard integrity check, and the quarantine helper that moves corrupt
+/// artifacts aside as `<path>.bad` instead of deleting the evidence.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -23,10 +23,9 @@
 ///   solver_unknown    SmtSolver::check reports unknown (budget blown)
 ///   shard_truncate    SynthesisCache::store publishes a torn shard
 ///   shard_read        SynthesisCache::lookup sees a corrupt read
-///   journal_truncate  RunJournal append writes a torn record
-///   kill_after_finish RunJournal delivers SIGKILL after a finish
-///                     record lands (crash-exactly-here for the
-///                     checkpoint/resume tests)
+///   kill_after_finish SynthesisCache::store delivers SIGKILL right
+///                     after a goal's shard is durable (crash-exactly-
+///                     here for the resume tests)
 ///   watchdog_late     SmtSolver::check parks past the deadline after
 ///                     the query returned, forcing the deadline
 ///                     watchdog to wake on a retired generation (the

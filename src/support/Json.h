@@ -7,10 +7,9 @@
 ///
 /// \file
 /// The small amount of JSON the project needs: escaping for the
-/// writers (--stats-json, lint findings, the run journal) and a parser
-/// for single-level objects, which is exactly the shape of a journal
-/// record. Deliberately not a general JSON library — nested values are
-/// rejected, which doubles as corruption detection for journal lines.
+/// writers (--stats-json, --failures-json, lint findings) and a parser
+/// for single-level objects. Deliberately not a general JSON library —
+/// nested values are rejected, which doubles as corruption detection.
 ///
 //===----------------------------------------------------------------------===//
 

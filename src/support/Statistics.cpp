@@ -79,8 +79,6 @@ std::string Statistics::toJson() const {
     Out += "    {\"goal\": \"" + jsonEscape(G.Goal) + "\"";
     Out += ", \"group\": \"" + jsonEscape(G.Group) + "\"";
     Out += std::string(", \"cache_hit\": ") + (G.CacheHit ? "true" : "false");
-    Out += std::string(", \"resumed\": ") +
-           (G.ResumedFromJournal ? "true" : "false");
     Out += std::string(", \"complete\": ") + (G.Complete ? "true" : "false");
     Out += ", \"incomplete_cause\": \"" + jsonEscape(G.IncompleteCause) + "\"";
     Out += ", \"queue_wait_seconds\": " + jsonDouble(G.QueueWaitSeconds);

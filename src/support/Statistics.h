@@ -37,8 +37,6 @@ struct GoalTelemetry {
   std::string Goal;
   std::string Group;
   bool CacheHit = false;
-  /// Served from a prior run's journal by --resume (no re-synthesis).
-  bool ResumedFromJournal = false;
   bool Complete = true;
   /// Why the goal is incomplete ("timeout", "rlimit", "exception",
   /// "deadline", "budget"); empty when Complete.

@@ -96,16 +96,6 @@ std::optional<IncompleteCause> causeFromName(const std::string &Name) {
   return std::nullopt;
 }
 
-std::optional<SmtFailure> failureFromName(const std::string &Name) {
-  static const SmtFailure All[] = {SmtFailure::None, SmtFailure::Timeout,
-                                   SmtFailure::Rlimit, SmtFailure::Exception,
-                                   SmtFailure::Deadline};
-  for (SmtFailure Failure : All)
-    if (Name == smtFailureName(Failure))
-      return Failure;
-  return std::nullopt;
-}
-
 void encodeCorpus(std::ostream &Out,
                   const std::vector<TestCorpus::Entry> &Entries) {
   Out << "tests " << Entries.size() << "\n";
@@ -234,21 +224,6 @@ bool expectHeader(std::istream &Stream, const std::string &Expected) {
 }
 
 } // namespace
-
-WorkerRequestKind selgen::peekRequestKind(const std::string &Payload) {
-  std::istringstream Stream(Payload);
-  std::string Line;
-  if (!std::getline(Stream, Line) || trimString(Line) != MagicLine)
-    return WorkerRequestKind::Unknown;
-  if (!std::getline(Stream, Line))
-    return WorkerRequestKind::Unknown;
-  std::string Kind = trimString(Line);
-  if (Kind == "kind range")
-    return WorkerRequestKind::Range;
-  if (Kind == "kind smt")
-    return WorkerRequestKind::SmtQuery;
-  return WorkerRequestKind::Unknown;
-}
 
 std::string selgen::encodeRangeRequest(const RangeRequest &Request) {
   std::ostringstream Out;
@@ -477,180 +452,6 @@ std::optional<RangeReply> selgen::decodeRangeReply(const std::string &Payload,
         fail(Error, "bad corpus");
         return std::nullopt;
       }
-    } else {
-      fail(Error, "unknown field: " + Trimmed);
-      return std::nullopt;
-    }
-  }
-  if (!SawEnd) {
-    fail(Error, "truncated reply");
-    return std::nullopt;
-  }
-  return Reply;
-}
-
-std::string selgen::encodeSmtQueryRequest(const SmtQueryRequest &Request) {
-  std::ostringstream Out;
-  Out << MagicLine << "\n";
-  Out << "kind smt\n";
-  Out << "policy " << Request.Policy.TimeoutMs << " "
-      << Request.Policy.RlimitPerQuery << " "
-      << encodeDouble(Request.Policy.DeadlineSeconds) << "\n";
-  Out << "retry-scale";
-  for (unsigned Scale : Request.Policy.RetryScale)
-    Out << " " << Scale;
-  Out << "\n";
-  for (const auto &[Name, Width] : Request.Eval)
-    Out << "eval " << Name << " " << Width << "\n";
-  // Raw SMT-LIB2 lines, length-prefixed so they need no escaping.
-  size_t Lines = 0;
-  for (char C : Request.Smt2)
-    if (C == '\n')
-      ++Lines;
-  if (!Request.Smt2.empty() && Request.Smt2.back() != '\n')
-    ++Lines;
-  Out << "smt2-lines " << Lines << "\n";
-  Out << Request.Smt2;
-  if (!Request.Smt2.empty() && Request.Smt2.back() != '\n')
-    Out << "\n";
-  Out << EndLine << "\n";
-  return Out.str();
-}
-
-std::optional<SmtQueryRequest>
-selgen::decodeSmtQueryRequest(const std::string &Payload, std::string *Error) {
-  std::istringstream Stream(Payload);
-  if (!expectHeader(Stream, "smt")) {
-    fail(Error, "bad header");
-    return std::nullopt;
-  }
-
-  SmtQueryRequest Request;
-  std::string Line;
-  bool SawEnd = false;
-  while (std::getline(Stream, Line)) {
-    std::string Trimmed = trimString(Line);
-    if (Trimmed.empty())
-      continue;
-    if (Trimmed == EndLine) {
-      SawEnd = true;
-      break;
-    }
-    if (startsWith(Trimmed, "policy ")) {
-      std::istringstream Fields(Trimmed.substr(7));
-      if (!(Fields >> Request.Policy.TimeoutMs >>
-            Request.Policy.RlimitPerQuery >> Request.Policy.DeadlineSeconds)) {
-        fail(Error, "bad policy");
-        return std::nullopt;
-      }
-    } else if (Trimmed == "retry-scale" ||
-               startsWith(Trimmed, "retry-scale ")) {
-      std::istringstream Fields(
-          Trimmed.size() > 11 ? Trimmed.substr(12) : "");
-      std::vector<unsigned> Scale;
-      unsigned Value = 0;
-      while (Fields >> Value)
-        Scale.push_back(Value);
-      Request.Policy.RetryScale = std::move(Scale);
-    } else if (startsWith(Trimmed, "eval ")) {
-      std::istringstream Fields(Trimmed.substr(5));
-      std::string Name;
-      unsigned Width = 0;
-      if (!(Fields >> Name >> Width) || Width == 0) {
-        fail(Error, "bad eval");
-        return std::nullopt;
-      }
-      Request.Eval.emplace_back(Name, Width);
-    } else if (startsWith(Trimmed, "smt2-lines ")) {
-      size_t Lines = static_cast<size_t>(std::atoll(Trimmed.substr(11).c_str()));
-      if (Lines > 1u << 20) {
-        fail(Error, "bad smt2 length");
-        return std::nullopt;
-      }
-      for (size_t I = 0; I < Lines; ++I) {
-        if (!std::getline(Stream, Line)) {
-          fail(Error, "truncated smt2");
-          return std::nullopt;
-        }
-        Request.Smt2 += Line + "\n";
-      }
-    } else {
-      fail(Error, "unknown field: " + Trimmed);
-      return std::nullopt;
-    }
-  }
-  if (!SawEnd) {
-    fail(Error, "truncated request");
-    return std::nullopt;
-  }
-  return Request;
-}
-
-std::string selgen::encodeSmtQueryReply(const SmtQueryReply &Reply) {
-  std::ostringstream Out;
-  Out << MagicLine << "\n";
-  Out << "kind smt-reply\n";
-  Out << "result "
-      << (Reply.Result == SmtResult::Sat
-              ? "sat"
-              : Reply.Result == SmtResult::Unsat ? "unsat" : "unknown")
-      << "\n";
-  Out << "failure " << smtFailureName(Reply.Failure) << "\n";
-  Out << "model";
-  for (const BitValue &V : Reply.Model)
-    Out << " " << encodeBits(V);
-  Out << "\n";
-  Out << EndLine << "\n";
-  return Out.str();
-}
-
-std::optional<SmtQueryReply>
-selgen::decodeSmtQueryReply(const std::string &Payload, std::string *Error) {
-  std::istringstream Stream(Payload);
-  if (!expectHeader(Stream, "smt-reply")) {
-    fail(Error, "bad header");
-    return std::nullopt;
-  }
-
-  SmtQueryReply Reply;
-  std::string Line;
-  bool SawEnd = false;
-  while (std::getline(Stream, Line)) {
-    std::string Trimmed = trimString(Line);
-    if (Trimmed.empty())
-      continue;
-    if (Trimmed == EndLine) {
-      SawEnd = true;
-      break;
-    }
-    if (startsWith(Trimmed, "result ")) {
-      std::string Name = trimString(Trimmed.substr(7));
-      if (Name == "sat")
-        Reply.Result = SmtResult::Sat;
-      else if (Name == "unsat")
-        Reply.Result = SmtResult::Unsat;
-      else if (Name == "unknown")
-        Reply.Result = SmtResult::Unknown;
-      else {
-        fail(Error, "bad result");
-        return std::nullopt;
-      }
-    } else if (startsWith(Trimmed, "failure ")) {
-      std::optional<SmtFailure> Failure =
-          failureFromName(trimString(Trimmed.substr(8)));
-      if (!Failure) {
-        fail(Error, "bad failure");
-        return std::nullopt;
-      }
-      Reply.Failure = *Failure;
-    } else if (Trimmed == "model" || startsWith(Trimmed, "model ")) {
-      std::optional<std::vector<BitValue>> Model =
-          decodeBitsList(Trimmed.size() > 5 ? Trimmed.substr(6) : "");
-      if (!Model) {
-        fail(Error, "bad model");
-        return std::nullopt;
-      }
-      Reply.Model = std::move(*Model);
     } else {
       fail(Error, "unknown field: " + Trimmed);
       return std::nullopt;

@@ -8,24 +8,17 @@
 /// \file
 /// Payload encoding for the out-of-process solver pool: what travels
 /// inside the wire frames of smt/SolverPool between the scheduler and
-/// `selgen-solverd` workers. Two request kinds exist:
-///
-/// * `range` — one enumeration chunk of one goal, the scheduler's own
-///   work-stealing granularity (Synthesizer::synthesizeRange). A chunk
-///   runs on a fresh SmtContext in-process and the worker replays it on
-///   a fresh context too, so the outcome — and therefore the final
-///   library — is bit-exact either way. The request carries the goal
-///   *name* (both sides build the same GoalLibrary), the effective
-///   options, the enumeration plan, the rank range, and a snapshot of
-///   the goal's counterexample corpus; the reply carries the
-///   RangeOutcome plus the worker's corpus so new counterexamples flow
-///   back into the shared pool.
-///
-/// * `smt` — one standalone solver query: SMT-LIB2 assertions, a
-///   SolverPolicy, and the names of bit-vector constants to evaluate
-///   under a sat model. This is the protocol's "serialized query" form
-///   used by the protocol tests and available for future query-level
-///   offload.
+/// `selgen-solverd` workers. There is one request kind, `range`: one
+/// enumeration chunk of one goal, the scheduler's own work-stealing
+/// granularity (Synthesizer::synthesizeRange). A chunk runs on a fresh
+/// SmtContext in-process and the worker replays it on a fresh context
+/// too, so the outcome — and therefore the final library — is
+/// bit-exact either way. The request carries the goal *name* (both
+/// sides build the same GoalLibrary), the effective options, the
+/// enumeration plan, the rank range, and a snapshot of the goal's
+/// counterexample corpus; the reply carries the RangeOutcome plus the
+/// worker's corpus so new counterexamples flow back into the shared
+/// pool.
 ///
 /// The format follows the SynthesisCache text conventions (field
 /// lines, `pattern`/`endpattern` graph blocks, `end` trailer). Framing
@@ -49,10 +42,6 @@
 namespace selgen {
 
 class SolverPool;
-
-/// Distinguishes the request kinds without fully decoding the payload.
-enum class WorkerRequestKind { Range, SmtQuery, Unknown };
-WorkerRequestKind peekRequestKind(const std::string &Payload);
 
 /// One enumeration chunk of one goal, shipped to a worker.
 struct RangeRequest {
@@ -83,31 +72,6 @@ std::optional<RangeRequest> decodeRangeRequest(const std::string &Payload,
 std::string encodeRangeReply(const RangeReply &Reply);
 std::optional<RangeReply> decodeRangeReply(const std::string &Payload,
                                            std::string *Error = nullptr);
-
-/// One standalone solver query in SMT-LIB2 form.
-struct SmtQueryRequest {
-  /// Assertions, parseable by Z3's SMT-LIB2 front end.
-  std::string Smt2;
-  SolverPolicy Policy;
-  /// Bit-vector constants (name, width) to evaluate under a sat model.
-  std::vector<std::pair<std::string, unsigned>> Eval;
-};
-
-/// The worker's verdict on an SmtQueryRequest.
-struct SmtQueryReply {
-  SmtResult Result = SmtResult::Unknown;
-  SmtFailure Failure = SmtFailure::None;
-  /// Model values of the requested constants, in request order
-  /// (sat only).
-  std::vector<BitValue> Model;
-};
-
-std::string encodeSmtQueryRequest(const SmtQueryRequest &Request);
-std::optional<SmtQueryRequest>
-decodeSmtQueryRequest(const std::string &Payload, std::string *Error = nullptr);
-std::string encodeSmtQueryReply(const SmtQueryReply &Reply);
-std::optional<SmtQueryReply> decodeSmtQueryReply(const std::string &Payload,
-                                                 std::string *Error = nullptr);
 
 /// Runs one chunk remotely: snapshots \p Corpus into the request,
 /// round-trips it through \p Pool, merges returned counterexamples

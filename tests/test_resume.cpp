@@ -7,15 +7,21 @@
 //
 // The robustness layer, proven rather than assumed:
 //
-//   * RunJournal unit tests: record round-trips, torn-tail quarantine,
-//     config fingerprint survival.
 //   * Fault determinism: a library synthesized under injected solver
 //     faults is byte-identical to a clean run's.
 //   * The headline end-to-end property: a selgen-synth run SIGKILLed
-//     mid-flight (at the deterministic kill_after_finish crash point)
-//     and resumed with --resume produces a byte-identical rule library
-//     to an uninterrupted run, with zero re-synthesis of the goals
-//     whose finish records survived.
+//     right after a goal's cache shard became durable (the
+//     deterministic kill_after_finish crash point) and rerun on the
+//     same --cache-dir produces a byte-identical rule library, serving
+//     the published goals from the cache with zero re-synthesis.
+//   * Content addressing: rerunning on the same cache with a different
+//     goal set reuses only the matching shards and never mixes results.
+//   * Fault sweep: under each injected fault class a run survives
+//     (solver throws and unknowns, a torn shard write, a corrupt shard
+//     read), the library equals a cacheless control's, the stats JSON
+//     records the armed injection and carries every robustness
+//     counter, and a clean rerun on the cache the faulted run left
+//     behind yields the same library.
 //
 // The end-to-end tests exec the real selgen-synth binary, whose path
 // the build injects as SELGEN_SYNTH_TOOL.
@@ -23,7 +29,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "pattern/ParallelBuilder.h"
-#include "pattern/RunJournal.h"
 #include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include "support/Statistics.h"
@@ -32,7 +37,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -50,122 +54,7 @@ std::string freshDir(const std::string &Name) {
   return Dir;
 }
 
-GoalSynthesisResult makeResult(const std::string &Name, bool Complete) {
-  GoalSynthesisResult Result;
-  Result.GoalName = Name;
-  Result.Complete = Complete;
-  Result.MinimalSize = 2;
-  Result.Counterexamples = 7;
-  return Result;
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// RunJournal unit tests.
-//===----------------------------------------------------------------------===//
-
-TEST(RunJournal, RecordRoundTrip) {
-  std::string Dir = freshDir("roundtrip");
-  {
-    std::unique_ptr<RunJournal> Journal = RunJournal::open(Dir, "cfg-abc");
-    ASSERT_NE(Journal, nullptr);
-    Journal->recordStart("k1", "goalA");
-    Journal->recordFinish("k1", makeResult("goalA", true));
-    Journal->recordStart("k2", "goalB"); // In flight at the "crash".
-    Journal->recordStart("k3", "goalC");
-    Journal->recordIncomplete("k3", "goalC", "timeout");
-  }
-
-  RunJournal::LoadResult Replay = RunJournal::load(Dir);
-  EXPECT_TRUE(Replay.Existed);
-  EXPECT_EQ(Replay.ConfigFingerprint, "cfg-abc");
-  EXPECT_EQ(Replay.CorruptRecords, 0u);
-
-  ASSERT_EQ(Replay.Finished.count("k1"), 1u);
-  const GoalSynthesisResult &Result = Replay.Finished.at("k1");
-  EXPECT_EQ(Result.GoalName, "goalA");
-  EXPECT_TRUE(Result.Complete);
-  EXPECT_EQ(Result.MinimalSize, 2u);
-  EXPECT_EQ(Result.Counterexamples, 7u);
-
-  EXPECT_EQ(Replay.InFlight, (std::set<std::string>{"k2"}));
-  EXPECT_EQ(Replay.IncompleteCauses.at("k3"), "timeout");
-}
-
-TEST(RunJournal, TornTailIsQuarantined) {
-  std::string Dir = freshDir("torntail");
-  {
-    std::unique_ptr<RunJournal> Journal = RunJournal::open(Dir, "cfg");
-    ASSERT_NE(Journal, nullptr);
-    Journal->recordFinish("k1", makeResult("goalA", true));
-  }
-  // A crash mid-append: a finish record missing its tail (no newline).
-  std::string Path = RunJournal::journalPath(Dir);
-  {
-    std::ofstream Tear(Path, std::ios::app | std::ios::binary);
-    Tear << "{\"type\":\"finish\",\"key\":\"k2\",\"goal\":\"goalB\",\"le";
-  }
-
-  RunJournal::LoadResult Replay = RunJournal::load(Dir);
-  EXPECT_EQ(Replay.CorruptRecords, 1u);
-  EXPECT_EQ(Replay.Finished.count("k1"), 1u); // Valid prefix survives.
-  EXPECT_EQ(Replay.Finished.count("k2"), 0u);
-  // Evidence preserved, journal truncated back to the valid prefix.
-  EXPECT_TRUE(std::filesystem::exists(Path + ".bad"));
-  RunJournal::LoadResult Again = RunJournal::load(Dir);
-  EXPECT_EQ(Again.CorruptRecords, 0u);
-  EXPECT_EQ(Again.Finished.count("k1"), 1u);
-
-  // The truncated journal accepts new appends cleanly.
-  std::unique_ptr<RunJournal> Journal = RunJournal::open(Dir, "cfg");
-  ASSERT_NE(Journal, nullptr);
-  Journal->recordFinish("k2", makeResult("goalB", true));
-  Journal.reset();
-  RunJournal::LoadResult Final = RunJournal::load(Dir);
-  EXPECT_EQ(Final.Finished.size(), 2u);
-  EXPECT_EQ(Final.ConfigFingerprint, "cfg");
-}
-
-TEST(RunJournal, CorruptedChecksumRejectsRecord) {
-  std::string Dir = freshDir("badcrc");
-  {
-    std::unique_ptr<RunJournal> Journal = RunJournal::open(Dir, "cfg");
-    ASSERT_NE(Journal, nullptr);
-    Journal->recordFinish("k1", makeResult("goalA", true));
-  }
-  // Flip one byte inside the finish record's payload: the line is
-  // still well-formed JSON, but the CRC frame must reject it.
-  std::string Path = RunJournal::journalPath(Dir);
-  std::string Contents = readFileToString(Path).value_or("");
-  size_t Pos = Contents.find("goalA", Contents.find("\"result\""));
-  ASSERT_NE(Pos, std::string::npos);
-  Contents[Pos] = 'X';
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out << Contents;
-  }
-
-  RunJournal::LoadResult Replay = RunJournal::load(Dir);
-  EXPECT_GE(Replay.CorruptRecords, 1u);
-  EXPECT_EQ(Replay.Finished.count("k1"), 0u);
-}
-
-TEST(RunJournal, InjectedTornAppendIsDetected) {
-  std::string Dir = freshDir("faultappend");
-  ASSERT_TRUE(FaultInjector::get().configure("journal_truncate@n=2"));
-  {
-    std::unique_ptr<RunJournal> Journal = RunJournal::open(Dir, "cfg");
-    ASSERT_NE(Journal, nullptr);
-    Journal->recordFinish("k1", makeResult("goalA", true)); // Torn.
-  }
-  FaultInjector::get().disarm();
-
-  RunJournal::LoadResult Replay = RunJournal::load(Dir);
-  EXPECT_GE(Replay.CorruptRecords, 1u);
-  EXPECT_EQ(Replay.Finished.count("k1"), 0u);
-  EXPECT_EQ(Replay.ConfigFingerprint, "cfg"); // Header record intact.
-}
 
 //===----------------------------------------------------------------------===//
 // Fault injection must never change a completed run's library.
@@ -201,13 +90,17 @@ TEST(FaultDeterminism, SolverFaultsPreserveLibraryBytes) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end: SIGKILL mid-run, resume, byte-identical library.
+// End-to-end: SIGKILL mid-run, rerun on the same cache, byte-identical
+// library.
 //===----------------------------------------------------------------------===//
 
 #ifdef SELGEN_SYNTH_TOOL
 
+namespace {
+
 /// Runs selgen-synth with \p Args (plus an optional SELGEN_FAULTS
-/// value), stdout/stderr to \p LogPath; returns the raw wait status.
+/// value), stdout/stderr appended to \p LogPath; returns the raw wait
+/// status.
 int runTool(const std::vector<std::string> &Args, const std::string &Faults,
             const std::string &LogPath) {
   pid_t Child = ::fork();
@@ -234,77 +127,171 @@ int runTool(const std::vector<std::string> &Args, const std::string &Faults,
   return Status;
 }
 
+/// Runs selgen-synth on \p Goals at width 8 with the shared flags plus
+/// \p Extra, and asserts a clean exit.
+void runClean(const std::string &Goals, const std::vector<std::string> &Extra,
+              const std::string &Faults, const std::string &LogPath) {
+  std::vector<std::string> Args = {"--goals", Goals,  "--width",  "8",
+                                   "--budget", "30",  "--threads", "2"};
+  Args.insert(Args.end(), Extra.begin(), Extra.end());
+  int Status = runTool(Args, Faults, LogPath);
+  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+      << "status " << Status << "\n"
+      << readFileToString(LogPath).value_or("");
+}
+
+std::string fileBytes(const std::string &Path) {
+  std::optional<std::string> Bytes = readFileToString(Path);
+  EXPECT_TRUE(Bytes.has_value()) << Path;
+  return Bytes.value_or("");
+}
+
+/// The value of counter \p Name in a --stats-json dump, or -1 if the
+/// dump does not carry it.
+int64_t counterValue(const std::string &Json, const std::string &Name) {
+  std::string Key = "\"" + Name + "\": ";
+  size_t Pos = Json.find(Key);
+  if (Pos == std::string::npos)
+    return -1;
+  return std::stoll(Json.substr(Pos + Key.size()));
+}
+
+} // namespace
+
 TEST(ResumeEndToEnd, KilledRunResumesByteIdentical) {
   std::string Dir = freshDir("endtoend");
   std::string Log = Dir + "/log.txt";
-  const std::vector<std::string> Common = {
-      "--goals", "mov_ri,neg_r,not_r,add_rr", "--width", "8",
-      "--threads", "1",  "--budget", "30",    "--no-cache"};
+  const std::string Goals = "mov_ri,neg_r,not_r,add_rr";
 
-  // Control: one uninterrupted run.
-  std::vector<std::string> Control = Common;
-  Control.insert(Control.end(), {"--output", Dir + "/control.dat"});
-  int Status = runTool(Control, "", Log);
-  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
-      << readFileToString(Log).value_or("");
+  // Control: one uninterrupted, cacheless run.
+  runClean(Goals, {"--no-cache", "--output", Dir + "/control.dat"}, "", Log);
 
-  // Crash run: SIGKILL lands right after the second finish record is
-  // durable — the worst possible moment short of tearing a write.
-  std::vector<std::string> Crash = Common;
-  Crash.insert(Crash.end(), {"--run-dir", Dir + "/run", "--output",
-                             Dir + "/resumed.dat"});
-  Status = runTool(Crash, "kill_after_finish@n=2", Log);
+  // Crash run: SIGKILL lands right after the second goal's shard is
+  // durable — the worst possible moment short of tearing a write. One
+  // thread, so exactly two goals have finished.
+  int Status = runTool({"--goals", Goals, "--width", "8", "--budget", "30",
+                        "--threads", "1", "--cache-dir", Dir + "/cache",
+                        "--output", Dir + "/resumed.dat"},
+                       "kill_after_finish@n=2", Log);
   ASSERT_TRUE(WIFSIGNALED(Status) && WTERMSIG(Status) == SIGKILL)
       << "status " << Status << "\n"
       << readFileToString(Log).value_or("");
   EXPECT_FALSE(std::filesystem::exists(Dir + "/resumed.dat"));
 
-  // Resume: the two journaled goals are served with zero re-synthesis,
-  // the remaining two run, and the library comes out byte-identical.
-  std::vector<std::string> Resume = Common;
-  Resume.insert(Resume.end(),
-                {"--resume", Dir + "/run", "--output", Dir + "/resumed.dat",
-                 "--stats-json", Dir + "/stats.json"});
-  Status = runTool(Resume, "", Log);
-  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
-      << readFileToString(Log).value_or("");
-
-  std::optional<std::string> ControlBytes =
-      readFileToString(Dir + "/control.dat");
-  std::optional<std::string> ResumedBytes =
-      readFileToString(Dir + "/resumed.dat");
-  ASSERT_TRUE(ControlBytes.has_value());
-  ASSERT_TRUE(ResumedBytes.has_value());
-  EXPECT_EQ(*ControlBytes, *ResumedBytes);
-
-  // The journal, not re-synthesis, supplied the finished goals.
-  std::string Stats = readFileToString(Dir + "/stats.json").value_or("");
-  EXPECT_NE(Stats.find("\"journal.hits\": 2"), std::string::npos) << Stats;
+  // Rerun on the same cache: the two published goals are served with
+  // zero re-synthesis, the remaining two run, and the library comes
+  // out byte-identical.
+  runClean(Goals,
+           {"--cache-dir", Dir + "/cache", "--output", Dir + "/resumed.dat",
+            "--stats-json", Dir + "/stats.json"},
+           "", Log);
+  EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/resumed.dat"));
+  std::string Stats = fileBytes(Dir + "/stats.json");
+  EXPECT_EQ(counterValue(Stats, "cache.hits"), 2) << Stats;
 }
 
-TEST(ResumeEndToEnd, MismatchedConfigIsRefused) {
-  std::string Dir = freshDir("mismatch");
+TEST(ResumeEndToEnd, ChangedGoalSetNeverMixes) {
+  std::string Dir = freshDir("changedgoals");
   std::string Log = Dir + "/log.txt";
 
-  std::vector<std::string> First = {
-      "--goals",   "mov_ri", "--width",  "8",
-      "--threads", "1",      "--budget", "30",
-      "--no-cache", "--run-dir", Dir + "/run",
-      "--output",  Dir + "/first.dat"};
-  int Status = runTool(First, "", Log);
-  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
-      << readFileToString(Log).value_or("");
+  runClean("mov_ri", {"--cache-dir", Dir + "/cache", "--output",
+                      Dir + "/first.dat"},
+           "", Log);
+  runClean("mov_ri,not_r", {"--no-cache", "--output", Dir + "/control.dat"},
+           "", Log);
 
-  // Same directory, different goal set: must refuse, not mix.
-  std::vector<std::string> Second = {
-      "--goals",   "mov_ri,not_r", "--width",  "8",
-      "--threads", "1",            "--budget", "30",
-      "--no-cache", "--resume", Dir + "/run",
-      "--output",  Dir + "/second.dat"};
-  Status = runTool(Second, "", Log);
-  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 1)
-      << readFileToString(Log).value_or("");
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/second.dat"));
+  // Same cache, larger goal set: mov_ri's shard is reused, not_r's key
+  // misses and is solved, and nothing from the first run leaks into
+  // not_r's rules.
+  runClean("mov_ri,not_r",
+           {"--cache-dir", Dir + "/cache", "--output", Dir + "/second.dat",
+            "--stats-json", Dir + "/stats.json"},
+           "", Log);
+  EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/second.dat"));
+  std::string Stats = fileBytes(Dir + "/stats.json");
+  EXPECT_EQ(counterValue(Stats, "cache.hits"), 1) << Stats;
 }
+
+//===----------------------------------------------------------------------===//
+// Fault sweep: every survivable fault class leaves the library intact.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Counters every selgen-synth stats dump carries, at worst as zero, so
+/// dashboards and sweeps can gate on them without probing for presence.
+const char *const RobustnessCounters[] = {
+    "smt.retries",          "smt.exceptions",
+    "smt.rlimit_exhausted", "smt.deadline_expired",
+    "smt.stale_interrupts_suppressed",
+    "cegis.bad_models",     "cache.corrupt_shards",
+    "synth.escalations",    "pool.spawns",
+    "pool.recycles",        "pool.crashes",
+    "pool.respawn_retries", "pool.deadline_kills",
+    "pool.queries",         "pool.stalled_ms"};
+
+struct FaultCase {
+  const char *Name;
+  const char *Spec;
+  /// The read-side shard fault needs shards to read: fill the cache
+  /// with a clean run first.
+  bool Prewarm;
+};
+
+void PrintTo(const FaultCase &Case, std::ostream *Out) { *Out << Case.Spec; }
+
+class FaultSweep : public ::testing::TestWithParam<FaultCase> {};
+
+} // namespace
+
+TEST_P(FaultSweep, LibraryMatchesControlAndCountersLand) {
+  const FaultCase &Case = GetParam();
+  std::string Dir = freshDir(std::string("sweep_") + Case.Name);
+  std::string Log = Dir + "/log.txt";
+  const std::string Goals = "mov_ri,neg_r,not_r,add_rr,sub_rr,and_rr,inc_r";
+
+  runClean(Goals, {"--no-cache", "--output", Dir + "/control.dat"}, "", Log);
+  // Each case gets its own cold cache, so the shard read/write fault
+  // sites are actually on the path.
+  if (Case.Prewarm)
+    runClean(Goals,
+             {"--cache-dir", Dir + "/cache", "--output", Dir + "/prewarm.dat"},
+             "", Log);
+  runClean(Goals,
+           {"--cache-dir", Dir + "/cache", "--output", Dir + "/faulted.dat",
+            "--stats-json", Dir + "/stats.json", "--failures-json",
+            Dir + "/failures.json"},
+           Case.Spec, Log);
+
+  EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/faulted.dat"));
+  std::string Stats = fileBytes(Dir + "/stats.json");
+  EXPECT_EQ(counterValue(Stats, "faults.armed"), 1) << Stats;
+  // The run went through the fault path, not around it.
+  EXPECT_GE(counterValue(Stats, "faults." + std::string(Case.Name) + ".fired"),
+            1)
+      << Stats;
+  for (const char *Counter : RobustnessCounters)
+    EXPECT_GE(counterValue(Stats, Counter), 0) << "missing " << Counter;
+  std::string Failures = fileBytes(Dir + "/failures.json");
+  EXPECT_EQ(Failures.find("\"goal\""), std::string::npos) << Failures;
+
+  // Whatever the faulted run left in the cache (a torn shard, a
+  // quarantined one) must serve a clean rerun the same library.
+  runClean(Goals,
+           {"--cache-dir", Dir + "/cache", "--output", Dir + "/rerun.dat"},
+           "", Log);
+  EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/rerun.dat"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SurvivableFaults, FaultSweep,
+    ::testing::Values(FaultCase{"solver_throw", "solver_throw@p=0.05", false},
+                      FaultCase{"solver_unknown", "solver_unknown@p=0.05",
+                                false},
+                      FaultCase{"shard_truncate", "shard_truncate@n=2", false},
+                      FaultCase{"shard_read", "shard_read@n=2", true}),
+    [](const ::testing::TestParamInfo<FaultCase> &Info) {
+      return std::string(Info.param.Name);
+    });
 
 #endif // SELGEN_SYNTH_TOOL

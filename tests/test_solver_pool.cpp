@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Printer.h"
 #include "pattern/ParallelBuilder.h"
 #include "smt/SolverPool.h"
 #include "support/Statistics.h"
@@ -250,40 +251,7 @@ TEST(WorkerProtocol, MalformedPayloadsDecodeToNullopt) {
   EXPECT_FALSE(decodeRangeRequest("selgen-worker v1\nkind range\nbogus x\n"
                                   "end\n"));
   EXPECT_FALSE(decodeRangeReply("selgen-worker v1\nkind range\nend\n"));
-  EXPECT_FALSE(decodeSmtQueryReply("total garbage"));
-  EXPECT_EQ(peekRequestKind("nonsense"), WorkerRequestKind::Unknown);
-}
-
-TEST(WorkerProtocol, SmtQueryRoundTrip) {
-  SmtQueryRequest Request;
-  Request.Smt2 = "(declare-const q (_ BitVec 8))\n(assert (= q #x2a))";
-  Request.Policy.TimeoutMs = 5000;
-  Request.Policy.RlimitPerQuery = 100000;
-  Request.Policy.RetryScale = {1, 4};
-  Request.Eval = {{"q", 8}};
-
-  std::string Error;
-  std::optional<SmtQueryRequest> Decoded =
-      decodeSmtQueryRequest(encodeSmtQueryRequest(Request), &Error);
-  ASSERT_TRUE(Decoded) << Error;
-  EXPECT_EQ(Decoded->Smt2, Request.Smt2 + "\n");
-  EXPECT_EQ(Decoded->Policy.TimeoutMs, 5000u);
-  EXPECT_EQ(Decoded->Policy.RlimitPerQuery, 100000u);
-  EXPECT_EQ(Decoded->Policy.RetryScale, Request.Policy.RetryScale);
-  ASSERT_EQ(Decoded->Eval.size(), 1u);
-  EXPECT_EQ(Decoded->Eval[0].first, "q");
-  EXPECT_EQ(Decoded->Eval[0].second, 8u);
-
-  SmtQueryReply Reply;
-  Reply.Result = SmtResult::Sat;
-  Reply.Model = {BitValue(8, 0x2A)};
-  std::optional<SmtQueryReply> ReplyBack =
-      decodeSmtQueryReply(encodeSmtQueryReply(Reply));
-  ASSERT_TRUE(ReplyBack);
-  EXPECT_EQ(ReplyBack->Result, SmtResult::Sat);
-  EXPECT_EQ(ReplyBack->Failure, SmtFailure::None);
-  ASSERT_EQ(ReplyBack->Model.size(), 1u);
-  EXPECT_EQ(ReplyBack->Model[0], BitValue(8, 0x2A));
+  EXPECT_FALSE(decodeRangeReply("total garbage"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,26 +270,64 @@ SolverPoolOptions liveOptions(unsigned Workers) {
   return Options;
 }
 
-/// "q == Value" at width 8, evaluating q back.
-std::string equalityQuery(unsigned Value) {
-  SmtQueryRequest Request;
-  char Hex[8];
-  std::snprintf(Hex, sizeof(Hex), "#x%02x", Value & 0xFF);
-  Request.Smt2 = "(declare-const q (_ BitVec 8))\n(assert (= q " +
-                 std::string(Hex) + "))";
-  Request.Eval = {{"q", 8}};
-  return encodeSmtQueryRequest(Request);
+/// The probe every live-pool test sends: a small enumeration chunk of
+/// mov_ri, with its outcome computed in-process on a fresh context,
+/// exactly as ParallelBuilder::runChunk would.
+struct Probe {
+  RangeRequest Request;
+  RangeOutcome Expected;
+};
+
+const Probe &probe() {
+  static const Probe P = [] {
+    Probe P;
+    GoalLibrary Goals =
+        GoalLibrary::subset(GoalLibrary::build(8, {"Basic"}), {"mov_ri"});
+    const GoalInstruction &Goal = Goals.goals().front();
+    P.Request.GoalName = Goal.Name;
+    P.Request.Options.Width = 8;
+    P.Request.Options.MaxPatternSize = Goal.MaxPatternSize;
+    {
+      SmtContext Smt;
+      P.Request.Plan = Synthesizer(Smt, P.Request.Options).plan(*Goal.Spec);
+    }
+    P.Request.Size = P.Request.Plan.MinSize;
+    P.Request.EndRank = Synthesizer::numMultisets(P.Request.Plan,
+                                                  P.Request.Size);
+    SmtContext Smt;
+    TestCorpus Corpus(P.Request.Options.CorpusCapacity);
+    P.Expected = Synthesizer(Smt, P.Request.Options)
+                     .synthesizeRange(*Goal.Spec, P.Request.Plan,
+                                      P.Request.Size, P.Request.BeginRank,
+                                      P.Request.EndRank, Corpus,
+                                      P.Request.BudgetSeconds);
+    return P;
+  }();
+  return P;
 }
 
-/// Runs one equality query and checks the worker solved it correctly.
-void expectSolves(SolverPool &Pool, unsigned Value, double Budget = 0) {
-  PoolReply Reply = Pool.run(equalityQuery(Value), Budget);
+std::string probePayload() { return encodeRangeRequest(probe().Request); }
+
+/// Runs the probe chunk through \p Pool and checks the worker's
+/// outcome equals the in-process one.
+void expectSolves(SolverPool &Pool, double Budget = 0) {
+  PoolReply Reply = Pool.run(probePayload(), Budget);
   ASSERT_TRUE(Reply.Ok) << "failure: " << smtFailureName(Reply.Failure);
-  std::optional<SmtQueryReply> Decoded = decodeSmtQueryReply(Reply.Payload);
+  std::optional<RangeReply> Decoded = decodeRangeReply(Reply.Payload);
   ASSERT_TRUE(Decoded);
-  ASSERT_EQ(Decoded->Result, SmtResult::Sat);
-  ASSERT_EQ(Decoded->Model.size(), 1u);
-  EXPECT_EQ(Decoded->Model[0], BitValue(8, Value & 0xFF));
+  const RangeOutcome &Got = Decoded->Outcome;
+  const RangeOutcome &Want = probe().Expected;
+  ASSERT_TRUE(Want.FoundAny); // The probe must exercise a real solve.
+  EXPECT_EQ(Got.FoundAny, Want.FoundAny);
+  EXPECT_EQ(Got.Complete, Want.Complete);
+  EXPECT_EQ(Got.Cause, Want.Cause);
+  EXPECT_EQ(Got.MultisetsRun, Want.MultisetsRun);
+  EXPECT_EQ(Got.Counterexamples, Want.Counterexamples);
+  EXPECT_EQ(Got.SynthesisQueries, Want.SynthesisQueries);
+  EXPECT_EQ(Got.VerificationQueries, Want.VerificationQueries);
+  ASSERT_EQ(Got.Patterns.size(), Want.Patterns.size());
+  for (size_t I = 0; I < Want.Patterns.size(); ++I)
+    EXPECT_EQ(printGraph(Got.Patterns[I]), printGraph(Want.Patterns[I]));
 }
 
 /// Pids of live (non-zombie) selgen-solverd children of this process,
@@ -364,26 +370,6 @@ TEST(SolverPool, UnexecutableWorkerFailsStart) {
   EXPECT_FALSE(Pool.usable());
 }
 
-TEST(SolverPool, SmtQueryThroughWorker) {
-  SolverPool Pool(liveOptions(1));
-  ASSERT_TRUE(Pool.start());
-  expectSolves(Pool, 42);
-  expectSolves(Pool, 7);
-}
-
-TEST(SolverPool, UnsatQueryThroughWorker) {
-  SolverPool Pool(liveOptions(1));
-  ASSERT_TRUE(Pool.start());
-  SmtQueryRequest Request;
-  Request.Smt2 = "(declare-const u (_ BitVec 8))\n"
-                 "(assert (= u #x01))\n(assert (= u #x02))";
-  PoolReply Reply = Pool.run(encodeSmtQueryRequest(Request));
-  ASSERT_TRUE(Reply.Ok);
-  std::optional<SmtQueryReply> Decoded = decodeSmtQueryReply(Reply.Payload);
-  ASSERT_TRUE(Decoded);
-  EXPECT_EQ(Decoded->Result, SmtResult::Unsat);
-}
-
 TEST(SolverPool, WorkerKilledMidQueryIsRespawnedAndRetried) {
   // worker_kill@n=2: every worker process SIGKILLs itself on its 2nd
   // request, so query 2 crashes once, is retried on a fresh respawn
@@ -395,9 +381,9 @@ TEST(SolverPool, WorkerKilledMidQueryIsRespawnedAndRetried) {
   Options.WorkerEnv["SELGEN_FAULTS"] = "worker_kill@n=2";
   SolverPool Pool(Options);
   ASSERT_TRUE(Pool.start());
-  expectSolves(Pool, 1);
-  expectSolves(Pool, 2); // Crash + respawn + retry behind the scenes.
-  expectSolves(Pool, 3);
+  expectSolves(Pool);
+  expectSolves(Pool); // Crash + respawn + retry behind the scenes.
+  expectSolves(Pool);
   EXPECT_GE(Statistics::get().value("pool.crashes"), Crashes + 1);
   EXPECT_GE(Statistics::get().value("pool.spawns"), Spawns + 2);
 }
@@ -411,7 +397,7 @@ TEST(SolverPool, ExhaustedCrashRetriesSurfaceAsException) {
   Options.MaxCrashRetries = 1;
   SolverPool Pool(Options);
   ASSERT_TRUE(Pool.start());
-  PoolReply Reply = Pool.run(equalityQuery(5));
+  PoolReply Reply = Pool.run(probePayload());
   EXPECT_FALSE(Reply.Ok);
   EXPECT_EQ(Reply.Failure, SmtFailure::Exception);
 }
@@ -423,7 +409,7 @@ TEST(SolverPool, RecyclesAfterConfiguredQueries) {
   SolverPool Pool(Options);
   ASSERT_TRUE(Pool.start());
   for (unsigned I = 0; I < 5; ++I)
-    expectSolves(Pool, I);
+    expectSolves(Pool);
   // Recycled after queries 2 and 4; the replacement workers answered
   // seamlessly.
   EXPECT_GE(Statistics::get().value("pool.recycles"), Recycles + 2);
@@ -442,8 +428,8 @@ TEST(SolverPool, DeadlineKillClassifiesAsDeadline) {
   Options.MaxDeadlineRetries = 0;
   SolverPool Pool(Options);
   ASSERT_TRUE(Pool.start());
-  expectSolves(Pool, 8); // Warm-up: the worker's first (non-hanging) query.
-  PoolReply Reply = Pool.run(equalityQuery(9), /*BudgetSeconds=*/0.5);
+  expectSolves(Pool); // Warm-up: the worker's first (non-hanging) query.
+  PoolReply Reply = Pool.run(probePayload(), /*BudgetSeconds=*/0.5);
   EXPECT_FALSE(Reply.Ok);
   EXPECT_EQ(Reply.Failure, SmtFailure::Deadline);
   EXPECT_GE(Statistics::get().value("pool.deadline_kills"), Kills + 1);
@@ -451,7 +437,7 @@ TEST(SolverPool, DeadlineKillClassifiesAsDeadline) {
   // so budget-enforcing callers can refund it.
   EXPECT_GT(Reply.StalledSeconds, 0.4);
   // The pool replaced the hung worker; the next query is fine.
-  expectSolves(Pool, 10);
+  expectSolves(Pool);
 }
 
 TEST(SolverPool, GarbageRepliesAreRejectedAndRetried) {
@@ -459,9 +445,9 @@ TEST(SolverPool, GarbageRepliesAreRejectedAndRetried) {
   Options.WorkerEnv["SELGEN_FAULTS"] = "worker_garbage_reply@n=2";
   SolverPool Pool(Options);
   ASSERT_TRUE(Pool.start());
-  expectSolves(Pool, 20);
-  expectSolves(Pool, 21); // Garbage frame, CRC reject, respawn, retry.
-  expectSolves(Pool, 22);
+  expectSolves(Pool);
+  expectSolves(Pool); // Garbage frame, CRC reject, respawn, retry.
+  expectSolves(Pool);
 }
 
 TEST(SolverPool, WorkerDeadWhileIdleCostsOneRespawnNotTheProcess) {
@@ -472,7 +458,7 @@ TEST(SolverPool, WorkerDeadWhileIdleCostsOneRespawnNotTheProcess) {
   int64_t Crashes = Statistics::get().value("pool.crashes");
   SolverPool Pool(liveOptions(1));
   ASSERT_TRUE(Pool.start());
-  expectSolves(Pool, 1);
+  expectSolves(Pool);
 
   std::vector<pid_t> Workers = liveSolverdChildren();
   ASSERT_EQ(Workers.size(), 1u);
@@ -483,7 +469,7 @@ TEST(SolverPool, WorkerDeadWhileIdleCostsOneRespawnNotTheProcess) {
     usleep(1000);
   ASSERT_TRUE(liveSolverdChildren().empty());
 
-  expectSolves(Pool, 2); // EPIPE -> crash -> respawn -> retry.
+  expectSolves(Pool); // EPIPE -> crash -> respawn -> retry.
   EXPECT_GE(Statistics::get().value("pool.crashes"), Crashes + 1);
 }
 
@@ -499,8 +485,9 @@ TEST(SolverPool, ShutdownDrainsInFlightQueries) {
   ASSERT_TRUE(Pool.start());
 
   PoolReply InFlight;
+  std::string Payload = probePayload();
   std::thread Query([&] {
-    InFlight = Pool.run(equalityQuery(1), /*BudgetSeconds=*/0.3);
+    InFlight = Pool.run(Payload, /*BudgetSeconds=*/0.3);
   });
   // Let the query check its worker out before shutting down.
   usleep(100 * 1000);
@@ -512,7 +499,7 @@ TEST(SolverPool, ShutdownDrainsInFlightQueries) {
   EXPECT_FALSE(InFlight.Ok);
   EXPECT_EQ(InFlight.Failure, SmtFailure::Deadline);
   // Post-shutdown queries fail typed instead of touching dead slots.
-  PoolReply After = Pool.run(equalityQuery(2));
+  PoolReply After = Pool.run(probePayload());
   EXPECT_FALSE(After.Ok);
   EXPECT_EQ(After.Failure, SmtFailure::Exception);
 }
@@ -526,7 +513,7 @@ TEST(SolverPool, WorkerErrorFrameIsNonRetryableFailure) {
   EXPECT_FALSE(Reply.Payload.empty()); // Carries the worker's message.
   // A malformed request is the caller's bug, not the worker's: the
   // worker survives and keeps serving.
-  expectSolves(Pool, 33);
+  expectSolves(Pool);
 }
 
 //===----------------------------------------------------------------------===//

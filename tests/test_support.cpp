@@ -352,7 +352,7 @@ TEST(Json, ParseFlatObject) {
 
 TEST(Json, ParseRejectsMalformed) {
   // Nested, truncated, or trailing-garbage inputs must all be
-  // rejected — the journal relies on this as corruption detection.
+  // rejected: the parser doubles as corruption detection.
   EXPECT_FALSE(parseFlatJsonObject("{\"a\": {\"b\": 1}}").has_value());
   EXPECT_FALSE(parseFlatJsonObject("{\"a\": [1]}").has_value());
   EXPECT_FALSE(parseFlatJsonObject("{\"a\": \"unterminated").has_value());

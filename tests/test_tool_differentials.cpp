@@ -27,6 +27,8 @@
 //   * A cache-less three-thread selgen-synth run screens candidates
 //     concretely, grows its counterexample corpus, and never holds
 //     more Z3 contexts than it has workers.
+//   * selgen-synth refuses a negative --threads and a --width that is
+//     not a power of two >= 8 with exit 1 before any goal work.
 //
 // The build injects the tool paths as SELGEN_MATCHERGEN_TOOL,
 // SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL, SELGEN_MINIMIZE_TOOL and
@@ -326,4 +328,39 @@ TEST(SynthTool, PrescreenActiveAndOneContextPerWorker) {
   EXPECT_GE(PeakLive, 1) << Json;
   EXPECT_LE(PeakLive, 3) << Json;
   EXPECT_GE(counterValue(Json, "smt.contexts_created"), PeakLive) << Json;
+}
+
+namespace {
+
+/// Runs a one-goal selgen-synth with \p BadFlag set to \p Value and
+/// checks it is refused up front: exit 1, an `error: <flag>` line, no
+/// synthesis banner and no library written.
+void expectSynthRefuses(const std::string &Name, const std::string &BadFlag,
+                        const std::string &Value) {
+  std::string Dir = freshDir("synth_" + Name);
+  std::string Log = Dir + "/synth.log";
+  EXPECT_EQ(runTool(SELGEN_SYNTH_TOOL,
+                    {"--goals", "mov_ri", "--budget", "5", "--no-cache",
+                     BadFlag, Value, "--output", Dir + "/rules.dat"},
+                    Log),
+            1)
+      << readLog(Log);
+  std::string Text = readLog(Log);
+  EXPECT_NE(Text.find("error: " + BadFlag), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("synthesizing"), std::string::npos) << Text;
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/rules.dat"));
+}
+
+} // namespace
+
+TEST(SynthTool, NegativeThreadsIsRejected) {
+  expectSynthRefuses("threads_negative", "--threads", "-1");
+}
+
+TEST(SynthTool, ZeroWidthIsRejected) {
+  expectSynthRefuses("width_zero", "--width", "0");
+}
+
+TEST(SynthTool, NonPowerOfTwoWidthIsRejected) {
+  expectSynthRefuses("width_twelve", "--width", "12");
 }

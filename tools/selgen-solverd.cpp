@@ -87,35 +87,6 @@ std::string handleRange(const std::string &Payload, std::string &Error) {
   return encodeRangeReply(Reply);
 }
 
-std::string handleSmtQuery(const std::string &Payload, std::string &Error) {
-  std::optional<SmtQueryRequest> Request =
-      decodeSmtQueryRequest(Payload, &Error);
-  if (!Request)
-    return "";
-
-  SmtQueryReply Reply;
-  SmtContext Smt;
-  SmtSolver Solver(Smt);
-  Solver.applyPolicy(Request->Policy);
-  try {
-    z3::expr_vector Assertions = Smt.ctx().parse_string(Request->Smt2.c_str());
-    for (unsigned I = 0; I < Assertions.size(); ++I)
-      Solver.add(Assertions[I]);
-  } catch (const z3::exception &E) {
-    Error = std::string("smt2 parse error: ") + E.msg();
-    return "";
-  }
-  Reply.Result = Solver.check();
-  Reply.Failure = Solver.lastFailure();
-  if (Reply.Result == SmtResult::Sat) {
-    z3::model Model = Solver.model();
-    for (const auto &[Name, Width] : Request->Eval)
-      Reply.Model.push_back(
-          Smt.evalBits(Model, Smt.bvConst(Name, Width)));
-  }
-  return encodeSmtQueryReply(Reply);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -162,17 +133,7 @@ int main(int Argc, char **Argv) {
     std::string Error;
     std::string ReplyPayload;
     try {
-      switch (peekRequestKind(Frame.Payload)) {
-      case WorkerRequestKind::Range:
-        ReplyPayload = handleRange(Frame.Payload, Error);
-        break;
-      case WorkerRequestKind::SmtQuery:
-        ReplyPayload = handleSmtQuery(Frame.Payload, Error);
-        break;
-      case WorkerRequestKind::Unknown:
-        Error = "unrecognized request payload";
-        break;
-      }
+      ReplyPayload = handleRange(Frame.Payload, Error);
     } catch (const std::exception &E) {
       Error = std::string("worker exception: ") + E.what();
     }

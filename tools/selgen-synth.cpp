@@ -13,28 +13,25 @@
 //   selgen-synth --goals andn,blsr --total --width 16 --output bmi.dat
 //   selgen-synth --groups Flags --merge-into rules.dat
 //
-// Long runs are fault tolerant: with --run-dir every goal outcome is
-// journaled crash-safely, and --resume restarts a killed run without
-// re-synthesizing the goals whose finish records survived:
+// Long runs are fault tolerant: every finished goal is published
+// crash-safely to the synthesis cache, so rerunning a killed run on the
+// same --cache-dir re-synthesizes only the goals that had not finished:
 //
-//   selgen-synth --groups Basic --run-dir run/   # killed mid-way
-//   selgen-synth --groups Basic --resume run/    # picks up the rest
+//   selgen-synth --groups Basic --cache-dir cache/   # killed mid-way
+//   selgen-synth --groups Basic --cache-dir cache/   # picks up the rest
 //
 //===----------------------------------------------------------------------===//
 
 #include "pattern/ParallelBuilder.h"
-#include "pattern/RunJournal.h"
 #include "smt/SmtContext.h"
 #include "smt/SolverPool.h"
 #include "support/AtomicFile.h"
 #include "support/CommandLine.h"
 #include "support/FaultInjection.h"
-#include "support/Hashing.h"
 #include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
-#include "synth/SpecFingerprint.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -45,34 +42,14 @@ using namespace selgen;
 
 namespace {
 
-/// Fingerprint of everything a run's journal records depend on: the
-/// goal set, the data width, the result-relevant synthesis options,
-/// and the encoder version. --resume refuses a journal written under a
-/// different configuration instead of silently mixing results.
-std::string runConfigFingerprint(const GoalLibrary &Library,
-                                 const SynthesisOptions &Options) {
-  std::vector<std::string> Names;
-  for (const GoalInstruction &Goal : Library.goals())
-    Names.push_back(Goal.Name + "#" + std::to_string(Goal.MaxPatternSize));
-  std::sort(Names.begin(), Names.end());
-  StableHasher Hasher;
-  Hasher.str("selgen-run-config");
-  Hasher.u64(Options.Width);
-  for (const std::string &Name : Names)
-    Hasher.str(Name);
-  Hasher.str(synthesisOptionsFingerprint(Options));
-  Hasher.str(EncoderVersionTag);
-  return Hasher.hex();
-}
-
 /// Ensures the robustness counters exist (at zero) in every stats
-/// dump, so CI can guard on them without probing for presence first.
+/// dump, so sweeps and dashboards can gate on them without probing for
+/// presence first.
 void touchRobustnessCounters() {
   for (const char *Name :
        {"smt.retries", "smt.exceptions", "smt.rlimit_exhausted",
         "smt.deadline_expired", "smt.stale_interrupts_suppressed",
-        "cegis.bad_models", "cache.corrupt_shards", "journal.hits",
-        "journal.records", "journal.corrupt_records", "synth.escalations",
+        "cegis.bad_models", "cache.corrupt_shards", "synth.escalations",
         "pool.spawns", "pool.recycles", "pool.crashes",
         "pool.respawn_retries", "pool.deadline_kills", "pool.queries",
         "pool.stalled_ms"})
@@ -118,13 +95,12 @@ std::string buildFailureReport() {
 
 int main(int argc, char **argv) {
   const std::vector<std::string> Flags = {
-      "groups",       "goals",       "width",       "budget",
-      "total",        "threads",     "output",      "merge-into",
-      "max-size",     "cache-dir",   "no-cache",    "stats-json",
-      "no-prescreen", "corpus-size", "run-dir",     "resume",
-      "failures-json", "rlimit",     "retry-scale", "escalation",
-      "solver-pool",  "pool-recycle", "pool-grace", "pool-worker",
-      "help"};
+      "groups",        "goals",        "width",        "budget",
+      "total",         "threads",      "output",       "merge-into",
+      "max-size",      "cache-dir",    "no-cache",     "stats-json",
+      "no-prescreen",  "corpus-size",  "failures-json", "rlimit",
+      "retry-scale",   "escalation",   "solver-pool",  "pool-recycle",
+      "pool-grace",    "pool-worker",  "help"};
   CommandLine Cli(argc, argv, Flags);
   if (!Cli.errors().empty() || Cli.hasFlag("help")) {
     for (const std::string &Error : Cli.errors())
@@ -135,7 +111,8 @@ int main(int argc, char **argv) {
                  "  --groups   comma list of Basic,LoadStore,Unary,Binary,"
                  "Flags,Bmi (default Basic)\n"
                  "  --goals    comma list of goal names (overrides groups)\n"
-                 "  --width    data width in bits (default 8)\n"
+                 "  --width    data width in bits, a power of two >= 8 "
+                 "(default 8)\n"
                  "  --budget   per-goal budget in seconds (default 10)\n"
                  "  --total    require total patterns\n"
                  "  --threads  worker threads (default hardware)\n"
@@ -153,9 +130,6 @@ int main(int argc, char **argv) {
                  "verifier)\n"
                  "  --corpus-size   per-goal counterexample corpus capacity "
                  "(default 512; LRU-evicted beyond that)\n"
-                 "  --run-dir  directory for the crash-safe run journal\n"
-                 "  --resume   resume a journaled run from this directory, "
-                 "skipping goals whose finish records survived\n"
                  "  --failures-json  write a structured report of "
                  "incomplete goals and their causes\n"
                  "  --rlimit   deterministic Z3 resource budget per query "
@@ -176,7 +150,25 @@ int main(int argc, char **argv) {
     return Cli.hasFlag("help") ? 0 : 1;
   }
 
-  unsigned Width = static_cast<unsigned>(Cli.intOption("width", 8));
+  // Reject bad numbers before any goal work: a negative thread count
+  // would wrap to ~4 billion workers, and the x86 shift goals mask
+  // their count to width-1 bits, which is only right for powers of two.
+  int64_t WidthOption = Cli.intOption("width", 8);
+  if (WidthOption < 8 || WidthOption > (int64_t(1) << 31) ||
+      (WidthOption & (WidthOption - 1)) != 0) {
+    std::fprintf(stderr,
+                 "error: --width must be a power of two from 8 to 2^31 "
+                 "(got %lld)\n",
+                 static_cast<long long>(WidthOption));
+    return 1;
+  }
+  int64_t ThreadsOption = Cli.intOption("threads", 0);
+  if (ThreadsOption < 0) {
+    std::fprintf(stderr, "error: --threads must not be negative (got %lld)\n",
+                 static_cast<long long>(ThreadsOption));
+    return 1;
+  }
+  unsigned Width = static_cast<unsigned>(WidthOption);
   GoalLibrary All = GoalLibrary::build(Width, GoalLibrary::allGroups());
 
   GoalLibrary Selected;
@@ -226,7 +218,7 @@ int main(int argc, char **argv) {
           static_cast<unsigned>(MaxSize);
 
   ParallelBuildOptions Build;
-  Build.NumThreads = static_cast<unsigned>(Cli.intOption("threads", 0));
+  Build.NumThreads = static_cast<unsigned>(ThreadsOption);
   Build.EscalationFactor =
       static_cast<unsigned>(std::max<int64_t>(0, Cli.intOption("escalation", 4)));
 
@@ -269,52 +261,7 @@ int main(int argc, char **argv) {
                    CacheDir.c_str());
   }
 
-  // Crash-safe journaling and resume. --resume implies journaling into
-  // the same directory, so a resumed run that is itself killed can be
-  // resumed again.
   touchRobustnessCounters();
-  std::string RunDir = Cli.stringOption("resume", "");
-  bool Resuming = !RunDir.empty();
-  if (RunDir.empty())
-    RunDir = Cli.stringOption("run-dir", "");
-  std::unique_ptr<RunJournal> Journal;
-  std::map<std::string, GoalSynthesisResult> Resumed;
-  std::string ConfigFingerprint = runConfigFingerprint(Selected, Options);
-  if (!RunDir.empty()) {
-    RunJournal::LoadResult Replay = RunJournal::load(RunDir);
-    if (Replay.Existed) {
-      if (Replay.ConfigFingerprint != ConfigFingerprint) {
-        std::fprintf(stderr,
-                     "error: journal in %s was written under a different "
-                     "configuration (goals/width/options); refusing to mix "
-                     "results. Use a fresh --run-dir.\n",
-                     RunDir.c_str());
-        return 1;
-      }
-      if (Resuming) {
-        Resumed = std::move(Replay.Finished);
-        std::printf("resuming from %s: %zu finished goals journaled, "
-                    "%zu in flight re-queued%s\n",
-                    RunDir.c_str(), Resumed.size(), Replay.InFlight.size(),
-                    Replay.CorruptRecords
-                        ? " (corrupt journal tail quarantined)"
-                        : "");
-      }
-    } else if (Resuming) {
-      std::printf("note: no journal found in %s, running cold\n",
-                  RunDir.c_str());
-    }
-    Journal = RunJournal::open(RunDir, ConfigFingerprint);
-    if (!Journal) {
-      std::fprintf(stderr, "error: cannot open journal in %s\n",
-                   RunDir.c_str());
-      return 1;
-    }
-    Build.Journal = Journal.get();
-    if (!Resumed.empty())
-      Build.Resume = &Resumed;
-  }
-
   if (FaultInjector::get().armed())
     std::printf("fault injection armed: %s\n",
                 FaultInjector::get().describe().c_str());
@@ -338,9 +285,6 @@ int main(int argc, char **argv) {
   if (Build.Cache)
     std::printf("  cache: %u hits, %u misses (%s)\n", Report.CacheHits,
                 Report.CacheMisses, Build.Cache->directory().c_str());
-  if (int64_t Hits = Statistics::get().value("journal.hits"))
-    std::printf("  journal: %lld goals served from the previous run\n",
-                static_cast<long long>(Hits));
 
   std::string StatsPath = Cli.stringOption("stats-json", "");
   if (!StatsPath.empty()) {
