@@ -559,8 +559,7 @@ bool GraphFacts::provesShiftOutOfRange(const Node *Shift) {
 
 std::vector<const Node *> GraphFacts::unprovenShifts() {
   std::vector<const Node *> Result;
-  for (const auto &NPtr : G.nodes()) {
-    const Node *N = NPtr.get();
+  for (const Node *N : G.nodes()) {
     Opcode Op = N->opcode();
     if (Op != Opcode::Shl && Op != Opcode::Shr && Op != Opcode::Shrs)
       continue;

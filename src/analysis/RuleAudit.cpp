@@ -69,12 +69,12 @@ void checkPreconditions(const PreparedLibrary &Library, unsigned Width,
     const Graph &Pattern = R.TheRule->Pattern;
     GraphFacts Facts(Pattern);
     const Node *Violating = nullptr;
-    for (const auto &NPtr : Pattern.nodes()) {
-      Opcode Op = NPtr->opcode();
+    for (const Node *N : Pattern.nodes()) {
+      Opcode Op = N->opcode();
       if (Op != Opcode::Shl && Op != Opcode::Shr && Op != Opcode::Shrs)
         continue;
-      if (Facts.provesShiftOutOfRange(NPtr.get())) {
-        Violating = NPtr.get();
+      if (Facts.provesShiftOutOfRange(N)) {
+        Violating = N;
         break;
       }
     }
@@ -289,8 +289,7 @@ std::vector<LintFinding> selgen::auditIrText(const std::string &Text,
 
   GraphFacts Facts(*G);
   unsigned W = G->width();
-  for (const auto &NPtr : G->nodes()) {
-    const Node *N = NPtr.get();
+  for (const Node *N : G->nodes()) {
     Opcode Op = N->opcode();
     if (Op != Opcode::Shl && Op != Opcode::Shr && Op != Opcode::Shrs)
       continue;

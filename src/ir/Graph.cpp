@@ -11,16 +11,78 @@
 
 #include <algorithm>
 #include <charconv>
-#include <map>
+#include <new>
+#include <utility>
 
 using namespace selgen;
 
-Graph::Graph(unsigned Width, std::vector<Sort> ArgSorts) : Width(Width) {
-  for (unsigned I = 0; I < ArgSorts.size(); ++I) {
+/// A block's header; its node slots follow it in the same allocation.
+struct Graph::NodeBlock {
+  NodeBlock *Older;
+  unsigned Capacity;
+  unsigned Used;
+
+  static NodeBlock *create(unsigned Capacity, NodeBlock *Older) {
+    static_assert(sizeof(NodeBlock) % alignof(Node) == 0,
+                  "node slots must be aligned");
+    void *Memory = ::operator new(sizeof(NodeBlock) + Capacity * sizeof(Node));
+    return new (Memory) NodeBlock{Older, Capacity, 0};
+  }
+  Node *nextSlot() { return reinterpret_cast<Node *>(this + 1) + Used++; }
+};
+
+namespace {
+
+/// Slots of a block a builder gets without a node count, and the least
+/// a full graph grows by; a full graph otherwise doubles.
+constexpr unsigned GrowthNodes = 8;
+
+} // namespace
+
+Graph::Graph(unsigned Width, std::vector<Sort> ArgSorts,
+             unsigned NodeCapacity)
+    : Width(Width) {
+  unsigned NumArgs = static_cast<unsigned>(ArgSorts.size());
+  unsigned Capacity = NodeCapacity ? std::max(NodeCapacity, NumArgs)
+                                   : NumArgs + GrowthNodes;
+  Blocks = NodeBlock::create(Capacity, nullptr);
+  NodeList.reserve(Capacity);
+  Args.reserve(NumArgs);
+  for (unsigned I = 0; I < NumArgs; ++I) {
     Node *ArgNode = addNode(Opcode::Arg, {}, {ArgSorts[I]});
     ArgNode->setArgIndex(I);
     Args.push_back(ArgNode);
   }
+}
+
+Graph::~Graph() { release(); }
+
+Graph::Graph(Graph &&Other) noexcept
+    : Width(Other.Width), Blocks(std::exchange(Other.Blocks, nullptr)),
+      NodeList(std::move(Other.NodeList)), Args(std::move(Other.Args)),
+      Results(std::move(Other.Results)), NextId(Other.NextId) {}
+
+Graph &Graph::operator=(Graph &&Other) noexcept {
+  if (this == &Other)
+    return *this;
+  release();
+  Width = Other.Width;
+  Blocks = std::exchange(Other.Blocks, nullptr);
+  NodeList = std::move(Other.NodeList);
+  Other.NodeList.clear();
+  Args = std::move(Other.Args);
+  Results = std::move(Other.Results);
+  NextId = Other.NextId;
+  return *this;
+}
+
+void Graph::release() {
+  // Nodes removed by removeDeadNodes() are already destroyed.
+  for (Node *N : NodeList)
+    N->~Node();
+  NodeList.clear();
+  while (Blocks)
+    ::operator delete(std::exchange(Blocks, Blocks->Older));
 }
 
 std::vector<Sort> Graph::argSorts() const {
@@ -33,9 +95,12 @@ std::vector<Sort> Graph::argSorts() const {
 
 Node *Graph::addNode(Opcode Op, const OperandList &Operands,
                      const SortList &ResultSorts) {
-  NodeList.push_back(
-      std::make_unique<Node>(NextId++, Op, Operands, ResultSorts));
-  return NodeList.back().get();
+  if (!Blocks || Blocks->Used == Blocks->Capacity)
+    Blocks = NodeBlock::create(
+        std::max(GrowthNodes, static_cast<unsigned>(NodeList.size())), Blocks);
+  Node *N = new (Blocks->nextSlot()) Node(NextId++, Op, Operands, ResultSorts);
+  NodeList.push_back(N);
+  return N;
 }
 
 NodeRef Graph::createConst(const BitValue &Value) {
@@ -126,15 +191,16 @@ std::vector<Node *> Graph::scheduledNodes() const {
   // Creation order already respects dependencies because operands must
   // exist when a node is created; filter out the Arg pseudo-nodes.
   std::vector<Node *> Scheduled;
-  for (const auto &N : NodeList)
+  Scheduled.reserve(NodeList.size() - Args.size());
+  for (Node *N : NodeList)
     if (N->opcode() != Opcode::Arg)
-      Scheduled.push_back(N.get());
+      Scheduled.push_back(N);
   return Scheduled;
 }
 
 unsigned Graph::numOperations() const {
   unsigned Count = 0;
-  for (const auto &N : NodeList)
+  for (const Node *N : NodeList)
     if (N->opcode() != Opcode::Arg)
       ++Count;
   return Count;
@@ -142,11 +208,12 @@ unsigned Graph::numOperations() const {
 
 std::vector<Node *> Graph::liveNodes() const { return liveNodesFrom(Results); }
 
-std::vector<char> Graph::liveMask(const std::vector<NodeRef> &Roots) const {
-  std::vector<char> Live(NextId, 0);
-  std::vector<Node *> Worklist;
-  Worklist.reserve(NodeList.size());
-  auto mark = [&](Node *N) {
+const std::vector<char> &
+Graph::liveMask(const std::vector<NodeRef> &Roots) const {
+  static thread_local std::vector<char> Live;
+  static thread_local std::vector<const Node *> Worklist;
+  Live.assign(NextId, 0);
+  auto mark = [&](const Node *N) {
     if (!Live[N->id()]) {
       Live[N->id()] = 1;
       Worklist.push_back(N);
@@ -156,7 +223,7 @@ std::vector<char> Graph::liveMask(const std::vector<NodeRef> &Roots) const {
     if (Ref.isValid())
       mark(Ref.Def);
   while (!Worklist.empty()) {
-    Node *N = Worklist.back();
+    const Node *N = Worklist.back();
     Worklist.pop_back();
     for (const NodeRef &Operand : N->operands())
       mark(Operand.Def);
@@ -166,22 +233,25 @@ std::vector<char> Graph::liveMask(const std::vector<NodeRef> &Roots) const {
 
 std::vector<Node *>
 Graph::liveNodesFrom(const std::vector<NodeRef> &Roots) const {
-  std::vector<char> Live = liveMask(Roots);
+  const std::vector<char> &Live = liveMask(Roots);
   std::vector<Node *> Ordered;
   Ordered.reserve(NodeList.size());
-  for (const auto &N : NodeList)
+  for (Node *N : NodeList)
     if (Live[N->id()])
-      Ordered.push_back(N.get());
+      Ordered.push_back(N);
   return Ordered;
 }
 
 void Graph::removeDeadNodes() {
-  std::vector<char> Live = liveMask(Results);
-  auto IsDead = [&Live](const std::unique_ptr<Node> &N) {
-    return N->opcode() != Opcode::Arg && !Live[N->id()];
-  };
-  NodeList.erase(std::remove_if(NodeList.begin(), NodeList.end(), IsDead),
-                 NodeList.end());
+  const std::vector<char> &Live = liveMask(Results);
+  auto Kept = NodeList.begin();
+  for (Node *N : NodeList) {
+    if (N->opcode() == Opcode::Arg || Live[N->id()])
+      *Kept++ = N;
+    else
+      N->~Node(); // Its slot is not reused.
+  }
+  NodeList.erase(Kept, NodeList.end());
 }
 
 namespace {
@@ -198,10 +268,12 @@ std::string Graph::fingerprint() const {
   // Number the live nodes by depth-first post-order from the results,
   // so structurally identical graphs fingerprint identically no matter
   // in which order their nodes were created.
+  // Per-thread scratch: every rule fingerprints its pattern on load.
   constexpr unsigned Unnumbered = ~0u;
-  std::vector<unsigned> Numbering(NextId, Unnumbered);
-  std::vector<const Node *> Live;
-  Live.reserve(NodeList.size());
+  static thread_local std::vector<unsigned> Numbering;
+  static thread_local std::vector<const Node *> Live;
+  Numbering.assign(NextId, Unnumbered);
+  Live.clear();
   auto visit = [&](auto &&Self, const Node *N) -> void {
     if (Numbering[N->id()] != Unnumbered)
       return;
@@ -266,12 +338,13 @@ std::string Graph::fingerprint() const {
 }
 
 Graph Graph::clone() const {
-  Graph Copy(Width, argSorts());
+  Graph Copy(Width, argSorts(), static_cast<unsigned>(NodeList.size()));
   // Indexed by the source node's id; ids are dense below NextId.
-  std::vector<Node *> Mapping(NextId, nullptr);
+  static thread_local std::vector<Node *> Mapping;
+  Mapping.assign(NextId, nullptr);
   for (unsigned I = 0; I < Args.size(); ++I)
     Mapping[Args[I]->id()] = Copy.Args[I];
-  for (const auto &N : NodeList) {
+  for (const Node *N : NodeList) {
     if (N->opcode() == Opcode::Arg)
       continue;
     OperandList Operands;
@@ -285,6 +358,7 @@ Graph Graph::clone() const {
     Mapping[N->id()] = NewNode;
   }
   std::vector<NodeRef> NewResults;
+  NewResults.reserve(Results.size());
   for (const NodeRef &Ref : Results)
     NewResults.emplace_back(Mapping[Ref.Def->id()], Ref.Index);
   Copy.setResults(std::move(NewResults));
@@ -292,26 +366,27 @@ Graph Graph::clone() const {
 }
 
 Graph Graph::canonicalized() const {
-  Graph Copy(Width, argSorts());
-  std::map<const Node *, Node *> Mapping;
+  Graph Copy(Width, argSorts(), static_cast<unsigned>(NodeList.size()));
+  // Indexed by the source node's id, like clone().
+  std::vector<Node *> Mapping(NextId, nullptr);
   for (unsigned I = 0; I < Args.size(); ++I)
-    Mapping[Args[I]] = Copy.Args[I];
+    Mapping[Args[I]->id()] = Copy.Args[I];
   // Same traversal as fingerprint(): operands before users, results
   // left to right. Graphs are acyclic, so no visit-in-progress mark.
   auto visit = [&](auto &&Self, const Node *N) -> void {
-    if (Mapping.count(N))
+    if (Mapping[N->id()])
       return;
     for (const NodeRef &Operand : N->operands())
       Self(Self, Operand.Def);
     OperandList Operands;
     for (const NodeRef &Operand : N->operands())
-      Operands.push_back(NodeRef(Mapping.at(Operand.Def), Operand.Index));
+      Operands.push_back(NodeRef(Mapping[Operand.Def->id()], Operand.Index));
     Node *NewNode = Copy.addNode(N->opcode(), Operands, N->resultSorts());
     if (N->opcode() == Opcode::Const)
       NewNode->setConstValue(N->constValue());
     if (N->opcode() == Opcode::Cmp)
       NewNode->setRelation(N->relation());
-    Mapping[N] = NewNode;
+    Mapping[N->id()] = NewNode;
   };
   for (const NodeRef &Ref : Results)
     if (Ref.isValid())
@@ -319,7 +394,7 @@ Graph Graph::canonicalized() const {
   std::vector<NodeRef> NewResults;
   for (const NodeRef &Ref : Results)
     NewResults.push_back(Ref.isValid()
-                             ? NodeRef(Mapping.at(Ref.Def), Ref.Index)
+                             ? NodeRef(Mapping[Ref.Def->id()], Ref.Index)
                              : NodeRef());
   Copy.setResults(std::move(NewResults));
   return Copy;

@@ -20,7 +20,6 @@
 
 #include "ir/Node.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,13 +29,18 @@ namespace selgen {
 class Graph {
 public:
   /// Creates a graph whose data operations act on \p Width-bit values
-  /// and which takes arguments of the given sorts.
-  Graph(unsigned Width, std::vector<Sort> ArgSorts);
+  /// and which takes arguments of the given sorts. \p NodeCapacity, if
+  /// known, is the number of nodes (Arg nodes included) the graph will
+  /// hold; they then share one allocation.
+  Graph(unsigned Width, std::vector<Sort> ArgSorts,
+        unsigned NodeCapacity = 0);
+  ~Graph();
 
   Graph(const Graph &) = delete;
   Graph &operator=(const Graph &) = delete;
-  Graph(Graph &&) = default;
-  Graph &operator=(Graph &&) = default;
+  /// Moving keeps every node at its address.
+  Graph(Graph &&Other) noexcept;
+  Graph &operator=(Graph &&Other) noexcept;
 
   unsigned width() const { return Width; }
 
@@ -76,7 +80,7 @@ public:
 
   // -- Traversal ---------------------------------------------------------
   /// All nodes, including Arg nodes, in creation order.
-  const std::vector<std::unique_ptr<Node>> &nodes() const { return NodeList; }
+  const std::vector<Node *> &nodes() const { return NodeList; }
 
   /// Every node id, dead or alive, is below idBound(), so per-node
   /// state can live in a vector indexed by Node::id().
@@ -115,19 +119,30 @@ public:
   Graph canonicalized() const;
 
 private:
+  /// Node storage: a chain of blocks, newest first, each filled in
+  /// creation order. Blocks never move, so neither do nodes. The first
+  /// block holds the constructor's NodeCapacity; a builder that creates
+  /// more nodes than that gets further blocks.
+  struct NodeBlock;
+
   unsigned Width;
-  std::vector<std::unique_ptr<Node>> NodeList;
+  NodeBlock *Blocks = nullptr;
+  /// The nodes not removed by removeDeadNodes(), in creation order.
+  std::vector<Node *> NodeList;
   std::vector<Node *> Args;
   std::vector<NodeRef> Results;
   /// Node ids are dense below NextId, so per-node traversal state lives
   /// in vectors indexed by Node::id().
   unsigned NextId = 0;
 
-  /// Reachability from \p Roots, indexed by Node::id().
-  std::vector<char> liveMask(const std::vector<NodeRef> &Roots) const;
+  /// Reachability from \p Roots, indexed by Node::id(). The mask is
+  /// per-thread scratch, valid until the next call on this thread.
+  const std::vector<char> &liveMask(const std::vector<NodeRef> &Roots) const;
 
   Node *addNode(Opcode Op, const OperandList &Operands,
                 const SortList &ResultSorts);
+  /// Destroys every node and frees the blocks.
+  void release();
 };
 
 } // namespace selgen

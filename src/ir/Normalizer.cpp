@@ -73,7 +73,10 @@ struct ValueKeyHash {
 class NormalizerImpl {
 public:
   NormalizerImpl(const Graph &Old)
-      : Old(Old), New(Old.width(), Old.argSorts()), Mapping(Old.idBound()),
+      : Old(Old),
+        New(Old.width(), Old.argSorts(),
+            static_cast<unsigned>(Old.nodes().size())),
+        Mapping(Old.idBound()),
         Zero(BitValue::zero(Old.width())), One(Old.width(), 1) {}
 
   Graph run() {

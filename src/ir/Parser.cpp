@@ -9,6 +9,7 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <map>
 
 using namespace selgen;
@@ -42,6 +43,9 @@ std::optional<unsigned> parseUnsigned(std::string_view Text) {
   }
   return Value;
 }
+
+/// Most definitions a parser reserves room for before reading them.
+constexpr size_t MaxReservedDefinitions = 1024;
 
 /// Widths a graph or constant may declare. The cap bounds the
 /// allocation a malformed header like "bv999999999" could trigger.
@@ -261,7 +265,15 @@ private:
         }))
       return std::nullopt;
 
-    Graph G(*Width, std::move(ArgSorts));
+    // Every definition line holds one '=', so counting them sizes the
+    // node block and the name table up front. The cap keeps hostile
+    // input from reserving more than it could ever define.
+    size_t Definitions = std::min<size_t>(
+        std::count(Text.begin() + std::min(Pos, Text.size()), Text.end(), '='),
+        MaxReservedDefinitions);
+    unsigned Capacity = static_cast<unsigned>(ArgSorts.size() + Definitions);
+    Graph G(*Width, std::move(ArgSorts), Capacity);
+    NodeDefs.reserve(Definitions);
     ArgDefs.reserve(G.numArgs());
     for (unsigned I = 0; I < G.numArgs(); ++I)
       ArgDefs.push_back(G.arg(I).Def);

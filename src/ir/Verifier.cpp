@@ -19,13 +19,12 @@ std::vector<std::string> selgen::verifyGraph(const Graph &G) {
   };
 
   std::set<const Node *> Known;
-  for (const auto &N : G.nodes())
-    Known.insert(N.get());
+  for (const Node *N : G.nodes())
+    Known.insert(N);
 
   std::set<const Node *> Seen;
   std::map<const Node *, unsigned> MemoryUses;
-  for (const auto &NPtr : G.nodes()) {
-    Node *N = NPtr.get();
+  for (Node *N : G.nodes()) {
     std::string Where =
         std::string(opcodeName(N->opcode())) + " #" + std::to_string(N->id());
 
@@ -86,8 +85,8 @@ std::vector<std::string> selgen::verifyGraph(const Graph &G) {
   // chain), so the check would misfire there.
   if (!G.results().empty()) {
     std::set<std::pair<const Node *, unsigned>> MemoryEscapes;
-    for (const auto &NPtr : G.nodes())
-      for (const NodeRef &Operand : NPtr->operands())
+    for (const Node *N : G.nodes())
+      for (const NodeRef &Operand : N->operands())
         if (Operand.isValid() && Operand.Index < Operand.Def->numResults() &&
             Operand.sort().isMemory())
           MemoryEscapes.insert({Operand.Def, Operand.Index});
@@ -95,8 +94,7 @@ std::vector<std::string> selgen::verifyGraph(const Graph &G) {
       if (Ref.isValid() && Ref.Index < Ref.Def->numResults() &&
           Ref.sort().isMemory())
         MemoryEscapes.insert({Ref.Def, Ref.Index});
-    for (const auto &NPtr : G.nodes()) {
-      const Node *N = NPtr.get();
+    for (const Node *N : G.nodes()) {
       if (N->opcode() == Opcode::Arg)
         continue;
       for (unsigned I = 0; I < N->numResults(); ++I)

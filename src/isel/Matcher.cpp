@@ -7,8 +7,6 @@
 
 #include "isel/Matcher.h"
 
-#include <set>
-
 using namespace selgen;
 
 namespace {
@@ -147,25 +145,35 @@ const Node *selgen::patternRoot(const Graph &Pattern) {
   // like [Load.0, Add(Load.1, a2)] is rooted at the Add, not at the
   // Load. Patterns without a covering result (e.g. two independent
   // comparisons) cannot be matched and yield null.
-  std::set<const Node *> AllOps;
-  for (Node *N : Pattern.liveNodes())
-    if (N->opcode() != Opcode::Arg)
-      AllOps.insert(N);
-
-  for (const NodeRef &Ref : Pattern.results()) {
-    if (Ref.Def->opcode() == Opcode::Arg)
-      continue;
-    std::set<const Node *> Reached;
-    std::vector<const Node *> Worklist = {Ref.Def};
+  // Counts the operations reachable from [Begin, End), marking them in
+  // per-thread scratch indexed by Node::id().
+  auto reach = [&Pattern](const NodeRef *Begin, const NodeRef *End) {
+    static thread_local std::vector<char> Reached;
+    static thread_local std::vector<const Node *> Worklist;
+    Reached.assign(Pattern.idBound(), 0);
+    for (; Begin != End; ++Begin)
+      if (Begin->isValid())
+        Worklist.push_back(Begin->Def);
+    size_t Count = 0;
     while (!Worklist.empty()) {
       const Node *N = Worklist.back();
       Worklist.pop_back();
-      if (N->opcode() == Opcode::Arg || !Reached.insert(N).second)
+      if (N->opcode() == Opcode::Arg || Reached[N->id()])
         continue;
+      Reached[N->id()] = 1;
+      ++Count;
       for (const NodeRef &Operand : N->operands())
         Worklist.push_back(Operand.Def);
     }
-    if (Reached.size() == AllOps.size())
+    return Count;
+  };
+  const std::vector<NodeRef> &Results = Pattern.results();
+  size_t AllOps = reach(Results.data(), Results.data() + Results.size());
+
+  for (const NodeRef &Ref : Results) {
+    if (Ref.Def->opcode() == Opcode::Arg)
+      continue;
+    if (reach(&Ref, &Ref + 1) == AllOps)
       return Ref.Def;
   }
   return nullptr;

@@ -9,21 +9,36 @@
 
 #include "isel/Matcher.h"
 #include "support/Hashing.h"
+#include "support/Parallel.h"
 
 #include <cassert>
 #include <map>
+#include <optional>
 
 using namespace selgen;
 
 PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
                                  const GoalLibrary &Goals) {
-  // Own a sorted copy of the rules (the database may outlive us or
-  // not; cloning decouples lifetimes). The database holds no duplicates,
-  // and each clone carries its stored fingerprint over.
-  OwnedRules.reserve(Database.size());
-  for (const Rule &R : Database.rules())
-    OwnedRules.push_back(R.clone());
-  sortRulesSpecificFirst(OwnedRules);
+  // Own a copy of the rules in priority order (the database may outlive
+  // us or not; cloning decouples lifetimes). The database holds no
+  // duplicates, and each clone carries its stored fingerprint over.
+  // Cloning, goal lookup and rooting are per rule, so they run in
+  // parallel; a clone keeps its nodes' addresses when it is moved into
+  // OwnedRules, so its root stays valid.
+  const std::vector<Rule> &Source = Database.rules();
+  std::vector<uint32_t> Order = specificFirstOrder(Source);
+  std::vector<std::optional<Rule>> Clones(Order.size());
+  std::vector<const GoalInstruction *> RuleGoals(Order.size());
+  std::vector<const Node *> Roots(Order.size());
+  parallelFor(Order.size(), [&](size_t I) {
+    const Rule &R = Clones[I].emplace(Source[Order[I]].clone());
+    RuleGoals[I] = Goals.find(R.GoalName);
+    if (RuleGoals[I])
+      Roots[I] = patternRoot(R.Pattern);
+  });
+  OwnedRules.reserve(Order.size());
+  for (std::optional<Rule> &R : Clones)
+    OwnedRules.push_back(std::move(*R));
 
   StableHasher Hasher;
   Hasher.str("selgen-prepared-library-v1");
@@ -38,16 +53,17 @@ PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
     return It->second;
   };
 
-  for (const Rule &R : OwnedRules) {
+  for (size_t I = 0; I < OwnedRules.size(); ++I) {
+    const Rule &R = OwnedRules[I];
     assert(R.fingerprint() == R.Pattern.fingerprint() &&
            "stored rule fingerprint is stale");
-    const GoalInstruction *Goal = Goals.find(R.GoalName);
+    const GoalInstruction *Goal = RuleGoals[I];
     if (!Goal)
       continue; // Rule for a goal outside this target subset.
     PreparedRule Prepared;
     Prepared.TheRule = &R;
     Prepared.Goal = Goal;
-    Prepared.Root = patternRoot(R.Pattern);
+    Prepared.Root = Roots[I];
     Prepared.IsJumpRule = false;
     for (const Sort &S : Goal->Spec->resultSorts())
       if (S.isBool())

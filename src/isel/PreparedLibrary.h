@@ -55,10 +55,10 @@ public:
   /// \p Database provides the rules; \p Goals the emission recipes (a
   /// rule whose goal is missing from \p Goals is ignored). The
   /// database should already be filtered (Section 5.6). Preparation
-  /// sorts its own copy specific-first, so an unsorted database gets
-  /// the same priority order; on a sorted one the stable sort keeps
-  /// the order and costs one key computation per rule. \p Goals must
-  /// outlive this object.
+  /// copies the rules in specificFirstOrder(), so an unsorted database
+  /// gets the same priority order; on a sorted one the stable order
+  /// keeps it. Rules are copied and rooted in parallel (parallelFor).
+  /// \p Goals must outlive this object.
   PreparedLibrary(const PatternDatabase &Database, const GoalLibrary &Goals);
 
   PreparedLibrary(const PreparedLibrary &) = delete;

@@ -77,11 +77,11 @@ public:
   bool preconditionsProvedStatically(const Graph &Pattern,
                                      const MatchResult &Match) {
     bool SawShift = false;
-    for (const auto &NPtr : Pattern.nodes()) {
-      Opcode Op = NPtr->opcode();
+    for (const Node *PatternNode : Pattern.nodes()) {
+      Opcode Op = PatternNode->opcode();
       if (Op != Opcode::Shl && Op != Opcode::Shr && Op != Opcode::Shrs)
         continue;
-      auto It = Match.NodeMap.find(NPtr.get());
+      auto It = Match.NodeMap.find(PatternNode);
       if (It == Match.NodeMap.end())
         continue; // Dead pattern node; never executed.
       SawShift = true;

@@ -116,24 +116,92 @@ private:
   }
   /// Follows (or creates) the edge for \p Symbol out of \p From.
   uint32_t extend(uint32_t From, const Edge &Symbol);
+  /// Doubles EdgeSlots and re-inserts every edge.
+  void growEdgeSlots();
+
+  /// One edge in the lookup table: its source state and its position
+  /// in that state's Edges.
+  struct EdgeSlot {
+    uint64_t Hash = 0;
+    uint32_t From = NoState;
+    uint32_t Position = 0;
+  };
+  static constexpr uint32_t NoState = ~0u;
 
   std::vector<State> States;
+  /// Open-addressing table over all edges, keyed by (source state,
+  /// symbol) and at most half full, so extend() finds an edge without
+  /// scanning its state's edges (one per distinct constant, in an
+  /// inflated library).
+  std::vector<EdgeSlot> EdgeSlots = std::vector<EdgeSlot>(64);
+  size_t NumEdges = 0;
+  /// insertPattern()'s symbol string, reused across patterns.
+  std::vector<Edge> Symbols;
   uint32_t BodyRoot = 0;
   uint32_t JumpRoot = 0;
 };
 
+/// Hash of the symbol \p E on an edge out of state \p From; symbols
+/// that symbolsEqual() equates hash alike.
+uint64_t edgeHash(uint32_t From, const Edge &E) {
+  uint64_t Hash = 1469598103934665603ull; // FNV-1a over the fields.
+  auto mix = [&Hash](uint64_t Value) {
+    Hash ^= Value;
+    Hash *= 1099511628211ull;
+  };
+  mix(From);
+  mix(uint64_t(E.EdgeKind));
+  if (E.EdgeKind == Edge::Kind::Wildcard) {
+    mix(uint64_t(E.WildSort.Kind) << 32 | E.WildSort.Width);
+    return Hash;
+  }
+  mix(uint64_t(E.ResultIndex) << 32 | uint64_t(E.Op));
+  if (E.HasConst)
+    mix(E.ConstValue.hash() ^ E.ConstValue.width());
+  if (E.HasRelation)
+    mix(uint64_t(E.Rel) + 1);
+  return Hash;
+}
+
 uint32_t TrieBuilder::extend(uint32_t From, const Edge &Symbol) {
-  for (const Edge &E : States[From].Edges)
-    if (symbolsEqual(E, Symbol))
-      return E.To;
+  uint64_t Hash = edgeHash(From, Symbol);
+  size_t Mask = EdgeSlots.size() - 1;
+  for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+    EdgeSlot &Slot = EdgeSlots[I];
+    if (Slot.From == NoState) {
+      Slot = {Hash, From, static_cast<uint32_t>(States[From].Edges.size())};
+      break;
+    }
+    if (Slot.Hash == Hash && Slot.From == From) {
+      const Edge &E = States[From].Edges[Slot.Position];
+      if (symbolsEqual(E, Symbol))
+        return E.To;
+    }
+  }
   Edge New = Symbol;
   New.To = newState();
   States[From].Edges.push_back(New);
+  if (2 * ++NumEdges > EdgeSlots.size())
+    growEdgeSlots();
   return New.To;
 }
 
+void TrieBuilder::growEdgeSlots() {
+  std::vector<EdgeSlot> Old(2 * EdgeSlots.size());
+  Old.swap(EdgeSlots);
+  size_t Mask = EdgeSlots.size() - 1;
+  for (const EdgeSlot &Slot : Old) {
+    if (Slot.From == NoState)
+      continue;
+    size_t I = Slot.Hash & Mask;
+    while (EdgeSlots[I].From != NoState)
+      I = (I + 1) & Mask;
+    EdgeSlots[I] = Slot;
+  }
+}
+
 void TrieBuilder::insertPattern(const AutomatonPattern &P) {
-  std::vector<Edge> Symbols;
+  Symbols.clear();
   uint32_t Root;
   if (P.IsJump) {
     // Jump rules match their Cond operand against the branch

@@ -47,6 +47,13 @@ bool PatternDatabase::add(std::string GoalName, Graph Pattern) {
 }
 
 bool PatternDatabase::insert(Rule &&R) {
+  if (Index.size() != Rules.size()) {
+    // Stale since the last filter or sort: rebuild it once, here.
+    Index.clear();
+    Index.reserve(Rules.size() + 1);
+    for (uint32_t I = 0; I < Rules.size(); ++I)
+      Index.emplace(indexKey(Rules[I]), I);
+  }
   size_t Key = indexKey(R);
   auto [Begin, End] = Index.equal_range(Key);
   for (auto It = Begin; It != End; ++It) {
@@ -60,18 +67,11 @@ bool PatternDatabase::insert(Rule &&R) {
   return true;
 }
 
-void PatternDatabase::rebuildIndex() {
-  Index.clear();
-  Index.reserve(Rules.size());
-  for (uint32_t I = 0; I < Rules.size(); ++I)
-    Index.emplace(indexKey(Rules[I]), I);
-}
-
 void PatternDatabase::merge(PatternDatabase &&Other) {
   for (Rule &R : Other.Rules)
     insert(std::move(R));
   Other.Rules.clear();
-  Other.Index.clear();
+  Other.dropIndex();
 }
 
 std::vector<const Rule *>
@@ -96,7 +96,7 @@ size_t PatternDatabase::filterCommutativeDuplicates() {
       Kept.push_back(std::move(R));
   }
   Rules = std::move(Kept);
-  rebuildIndex();
+  dropIndex();
   return Before - Rules.size();
 }
 
@@ -118,11 +118,12 @@ size_t PatternDatabase::filterNonNormalized() {
       ++Kept;
     }
   Rules.erase(Rules.begin() + Kept, Rules.end());
-  rebuildIndex();
+  dropIndex();
   return Before - Rules.size();
 }
 
-void selgen::sortRulesSpecificFirst(std::vector<Rule> &Rules) {
+std::vector<uint32_t>
+selgen::specificFirstOrder(const std::vector<Rule> &Rules) {
   std::vector<uint32_t> Order(Rules.size());
   std::iota(Order.begin(), Order.end(), 0);
   std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
@@ -133,16 +134,16 @@ void selgen::sortRulesSpecificFirst(std::vector<Rule> &Rules) {
       return RA.numConstants() > RB.numConstants();
     return RA.fingerprint() < RB.fingerprint();
   });
-  std::vector<Rule> Sorted;
-  Sorted.reserve(Rules.size());
-  for (uint32_t I : Order)
-    Sorted.push_back(std::move(Rules[I]));
-  Rules = std::move(Sorted);
+  return Order;
 }
 
 void PatternDatabase::sortSpecificFirst() {
-  sortRulesSpecificFirst(Rules);
-  rebuildIndex();
+  std::vector<Rule> Sorted;
+  Sorted.reserve(Rules.size());
+  for (uint32_t I : specificFirstOrder(Rules))
+    Sorted.push_back(std::move(Rules[I]));
+  Rules = std::move(Sorted);
+  dropIndex();
 }
 
 std::string PatternDatabase::serialize() const {

@@ -69,11 +69,11 @@ private:
         Constants(Constants) {}
 };
 
-/// Sorts \p Rules from more specific to less specific patterns
-/// (Section 5.6): more operations first; ties broken toward patterns
-/// with more constants, then by fingerprint. The sort reads each
-/// rule's stored key and is stable.
-void sortRulesSpecificFirst(std::vector<Rule> &Rules);
+/// The positions of \p Rules from more specific to less specific
+/// patterns (Section 5.6): more operations first; ties broken toward
+/// patterns with more constants, then by fingerprint. The order reads
+/// each rule's stored key and is stable.
+std::vector<uint32_t> specificFirstOrder(const std::vector<Rule> &Rules);
 
 /// A library of rules.
 class PatternDatabase {
@@ -104,7 +104,7 @@ public:
   /// removed.
   size_t filterNonNormalized();
 
-  /// Sorts the library with sortRulesSpecificFirst().
+  /// Sorts the library into specificFirstOrder().
   void sortSpecificFirst();
 
   /// Serialization (text, self-delimiting records).
@@ -128,14 +128,15 @@ public:
 private:
   std::vector<Rule> Rules;
   /// Duplicate index for O(1) detection: hash of (goal, fingerprint) to
-  /// positions in Rules. It stores no key copies, so it must be rebuilt
-  /// whenever Rules is reordered or filtered; the paper-scale library
-  /// has 154 470 entries.
+  /// positions in Rules; the paper-scale library has 154 470 entries.
+  /// It stores no key copies, so the filters and the sort, which move
+  /// rules, drop it, and the next insert() rebuilds it. It is fresh
+  /// exactly when it holds one entry per rule.
   std::unordered_multimap<size_t, uint32_t> Index;
 
   /// Appends \p R unless an identical rule is already present.
   bool insert(Rule &&R);
-  void rebuildIndex();
+  void dropIndex() { Index = {}; }
 };
 
 } // namespace selgen

@@ -314,6 +314,9 @@ int SelectionServer::run() {
   std::vector<pollfd> Polls;
   // pollfd index -> connection id, for translating revents back.
   std::vector<uint64_t> PollConn;
+  // Set once a stop-drain has completed and one last tick has read
+  // whatever arrived meanwhile.
+  bool FinalReadDone = false;
 
   while (true) {
     if (Options.TickHook)
@@ -411,13 +414,21 @@ int SelectionServer::run() {
       PipelineIdle = Queue.empty() && Dispatching == 0 &&
                      Completions.empty() && PendingAdds.empty();
     }
+    bool FinalRead = false;
     if (PipelineIdle) {
       bool AllFlushed = true;
       for (auto &Entry : Connections)
         if (!Entry.second.Out.empty())
           AllFlushed = false;
-      if (Stopping && AllFlushed)
-        break; // Drain complete.
+      if (Stopping && AllFlushed) {
+        if (FinalReadDone)
+          break; // Drain complete.
+        // Requests may have arrived since the last read. One more tick
+        // reads them without waiting and answers them ShuttingDown, so
+        // none goes unanswered; the next exit check then ends the loop
+        // once those errors have flushed.
+        FinalReadDone = FinalRead = true;
+      }
       if (ListenFd < 0 && Connections.empty())
         break; // Pipe mode: the last stream ended.
     }
@@ -455,7 +466,8 @@ int SelectionServer::run() {
       }
     }
 
-    int Ready = ::poll(Polls.data(), Polls.size(), Options.PollMs);
+    int Ready =
+        ::poll(Polls.data(), Polls.size(), FinalRead ? 0 : Options.PollMs);
     if (Ready < 0) {
       if (errno == EINTR)
         continue;

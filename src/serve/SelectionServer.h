@@ -40,7 +40,8 @@
 ///    every admitted request is served to completion (or answered with
 ///    a typed Timeout), requests arriving after the stop get a typed
 ///    ShuttingDown error, write queues flush (stalled clients are
-///    evicted, not waited on), then run() returns 0.
+///    evicted, not waited on), one last read answers what arrived
+///    during the drain, then run() returns 0.
 ///
 //===----------------------------------------------------------------------===//
 

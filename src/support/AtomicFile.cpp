@@ -9,14 +9,14 @@
 
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -276,14 +276,38 @@ bool selgen::writeFileAtomic(const std::string &Path,
 }
 
 std::optional<std::string> selgen::readFileToString(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return std::nullopt;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  if (In.bad())
-    return std::nullopt;
-  return Buffer.str();
+  // A regular file is read straight into a string of its size; anything
+  // else (a pipe, a character device), and whatever a file gained since
+  // fstat, streams through a buffer.
+  struct stat Status;
+  std::string Text;
+  if (::fstat(Fd, &Status) == 0 && S_ISREG(Status.st_mode))
+    Text.resize(static_cast<size_t>(Status.st_size));
+  size_t Filled = 0;
+  std::array<char, 4096> Buffer;
+  while (true) {
+    bool Presized = Filled < Text.size();
+    char *Into = Presized ? Text.data() + Filled : Buffer.data();
+    size_t Room = Presized ? Text.size() - Filled : Buffer.size();
+    ssize_t Got = ::read(Fd, Into, Room);
+    if (Got < 0 && errno == EINTR)
+      continue;
+    if (Got < 0) {
+      ::close(Fd);
+      return std::nullopt;
+    }
+    if (Got == 0)
+      break;
+    if (!Presized)
+      Text.append(Buffer.data(), static_cast<size_t>(Got));
+    Filled += static_cast<size_t>(Got);
+  }
+  ::close(Fd);
+  Text.resize(Filled); // The file may have shrunk since fstat.
+  return Text;
 }
 
 bool selgen::quarantineFile(const std::string &Path) {

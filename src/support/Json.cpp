@@ -42,172 +42,3 @@ std::string selgen::jsonEscape(const std::string &Value) {
   }
   return Result;
 }
-
-std::optional<std::string> selgen::jsonUnescape(const std::string &Value) {
-  std::string Result;
-  Result.reserve(Value.size());
-  for (size_t I = 0; I < Value.size(); ++I) {
-    char C = Value[I];
-    if (C != '\\') {
-      Result += C;
-      continue;
-    }
-    if (++I >= Value.size())
-      return std::nullopt;
-    switch (Value[I]) {
-    case '"':
-      Result += '"';
-      break;
-    case '\\':
-      Result += '\\';
-      break;
-    case '/':
-      Result += '/';
-      break;
-    case 'n':
-      Result += '\n';
-      break;
-    case 't':
-      Result += '\t';
-      break;
-    case 'r':
-      Result += '\r';
-      break;
-    case 'b':
-      Result += '\b';
-      break;
-    case 'f':
-      Result += '\f';
-      break;
-    case 'u': {
-      if (I + 4 >= Value.size())
-        return std::nullopt;
-      unsigned Code = 0;
-      for (int K = 0; K < 4; ++K) {
-        char H = Value[I + 1 + K];
-        Code <<= 4;
-        if (H >= '0' && H <= '9')
-          Code |= unsigned(H - '0');
-        else if (H >= 'a' && H <= 'f')
-          Code |= unsigned(H - 'a' + 10);
-        else if (H >= 'A' && H <= 'F')
-          Code |= unsigned(H - 'A' + 10);
-        else
-          return std::nullopt;
-      }
-      I += 4;
-      // The writers only emit \u00xx control escapes; reject the rest
-      // rather than mis-decode multi-byte sequences.
-      if (Code > 0xff)
-        return std::nullopt;
-      Result += static_cast<char>(Code);
-      break;
-    }
-    default:
-      return std::nullopt;
-    }
-  }
-  return Result;
-}
-
-namespace {
-
-void skipSpace(const std::string &Text, size_t &Pos) {
-  while (Pos < Text.size() &&
-         (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-          Text[Pos] == '\r'))
-    ++Pos;
-}
-
-/// Scans a JSON string literal starting at the opening quote; returns
-/// the raw (still escaped) body and advances past the closing quote.
-bool scanString(const std::string &Text, size_t &Pos, std::string &Raw) {
-  if (Pos >= Text.size() || Text[Pos] != '"')
-    return false;
-  size_t Begin = ++Pos;
-  while (Pos < Text.size()) {
-    if (Text[Pos] == '\\') {
-      Pos += 2;
-      continue;
-    }
-    if (Text[Pos] == '"') {
-      Raw = Text.substr(Begin, Pos - Begin);
-      ++Pos;
-      return true;
-    }
-    ++Pos;
-  }
-  return false;
-}
-
-} // namespace
-
-std::optional<std::map<std::string, std::string>>
-selgen::parseFlatJsonObject(const std::string &Text) {
-  std::map<std::string, std::string> Result;
-  size_t Pos = 0;
-  skipSpace(Text, Pos);
-  if (Pos >= Text.size() || Text[Pos] != '{')
-    return std::nullopt;
-  ++Pos;
-  skipSpace(Text, Pos);
-  if (Pos < Text.size() && Text[Pos] == '}') {
-    ++Pos;
-  } else {
-    while (true) {
-      skipSpace(Text, Pos);
-      std::string RawKey;
-      if (!scanString(Text, Pos, RawKey))
-        return std::nullopt;
-      std::optional<std::string> Key = jsonUnescape(RawKey);
-      if (!Key)
-        return std::nullopt;
-      skipSpace(Text, Pos);
-      if (Pos >= Text.size() || Text[Pos] != ':')
-        return std::nullopt;
-      ++Pos;
-      skipSpace(Text, Pos);
-      if (Pos >= Text.size())
-        return std::nullopt;
-      if (Text[Pos] == '"') {
-        std::string RawValue;
-        if (!scanString(Text, Pos, RawValue))
-          return std::nullopt;
-        std::optional<std::string> Value = jsonUnescape(RawValue);
-        if (!Value)
-          return std::nullopt;
-        Result[*Key] = std::move(*Value);
-      } else {
-        // Number / true / false / null, kept as literal text.
-        size_t Begin = Pos;
-        while (Pos < Text.size() && Text[Pos] != ',' && Text[Pos] != '}' &&
-               Text[Pos] != ' ' && Text[Pos] != '\t' && Text[Pos] != '\n' &&
-               Text[Pos] != '\r')
-          ++Pos;
-        if (Pos == Begin)
-          return std::nullopt;
-        std::string Literal = Text.substr(Begin, Pos - Begin);
-        if (Literal.find('{') != std::string::npos ||
-            Literal.find('[') != std::string::npos)
-          return std::nullopt;
-        Result[*Key] = std::move(Literal);
-      }
-      skipSpace(Text, Pos);
-      if (Pos >= Text.size())
-        return std::nullopt;
-      if (Text[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (Text[Pos] == '}') {
-        ++Pos;
-        break;
-      }
-      return std::nullopt;
-    }
-  }
-  skipSpace(Text, Pos);
-  if (Pos != Text.size())
-    return std::nullopt; // Trailing garbage: likely a torn record.
-  return Result;
-}

@@ -61,13 +61,13 @@ bool isSignedRelation(Relation Rel) {
 std::vector<NodeRef> inlinePattern(const Graph &Pattern, Graph &Body) {
   std::map<const Node *, Node *> Mapping;
   unsigned NextValueArg = 1;
-  for (const auto &N : Pattern.nodes()) {
+  for (const Node *N : Pattern.nodes()) {
     if (N->opcode() != Opcode::Arg)
       continue;
     NodeRef Target = N->resultSort(0).isMemory()
                          ? Body.arg(0)
                          : Body.arg(NextValueArg++);
-    Mapping[N.get()] = Target.Def;
+    Mapping[N] = Target.Def;
   }
   for (Node *N : Pattern.liveNodes()) {
     if (N->opcode() == Opcode::Arg)
@@ -166,9 +166,9 @@ std::string selgen::emitCTestProgram(const Rule &RuleToTest, unsigned Width,
   }
 
   std::map<std::pair<const Node *, unsigned>, std::string> Names;
-  for (const auto &N : Pattern.nodes())
+  for (Node *N : Pattern.nodes())
     if (N->opcode() == Opcode::Arg)
-      Names[{N.get(), 0}] = "a" + std::to_string(N->argIndex());
+      Names[{N, 0}] = "a" + std::to_string(N->argIndex());
 
   std::string Body;
   unsigned NextTemp = 0;

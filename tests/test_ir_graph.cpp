@@ -180,6 +180,92 @@ TEST(Graph, LiveNodesKeepCreationOrderAfterDeadNodeRemoval) {
   EXPECT_EQ(G.liveNodesFrom({Early}).size(), 2u); // Arg 0 + Minus.
 }
 
+// Nodes live in blocks owned by their graph: the first sized by the
+// constructor's node count, later ones added as a builder outgrows it.
+
+TEST(GraphStorage, NodeAddressesStayStablePastTheFirstBlockAndAcrossMoves) {
+  Graph G(8, {Sort::value(8)}, /*NodeCapacity=*/2);
+  std::vector<Node *> Chain = {G.arg(0).Def};
+  for (int I = 0; I < 100; ++I)
+    Chain.push_back(G.createUnary(I % 2 ? Opcode::Not : Opcode::Minus,
+                                  NodeRef(Chain.back(), 0))
+                        .Def);
+  G.setResults({NodeRef(Chain.back(), 0)});
+  std::string Fingerprint = G.fingerprint();
+  auto expectChain = [&](const Graph &Owner) {
+    ASSERT_EQ(Owner.nodes(), Chain);
+    for (size_t I = 1; I < Chain.size(); ++I) {
+      EXPECT_EQ(Chain[I]->id(), I);
+      EXPECT_EQ(Chain[I]->operand(0).Def, Chain[I - 1]);
+    }
+    EXPECT_EQ(Owner.arg(0).Def, Chain.front());
+    EXPECT_EQ(Owner.results()[0].Def, Chain.back());
+    EXPECT_EQ(Owner.fingerprint(), Fingerprint);
+  };
+  expectChain(G);
+  Graph Moved(std::move(G));
+  expectChain(Moved);
+  Graph Assigned(8, {});
+  Assigned = std::move(Moved);
+  expectChain(Assigned);
+  EXPECT_TRUE(isWellFormed(Assigned));
+}
+
+TEST(GraphStorage, DeadNodeRemovalCloneAndCanonicalFormSpanBlocks) {
+  // Live and dead nodes interleave across several blocks.
+  Graph G(8, {Sort::value(8), Sort::value(8)});
+  NodeRef Sum = G.arg(0);
+  for (int I = 0; I < 40; ++I) {
+    G.createBinary(Opcode::Xor, Sum, G.arg(1)); // Dead.
+    Sum = G.createBinary(Opcode::Add, Sum,
+                         G.createConst(BitValue(8, uint64_t(I))));
+  }
+  G.setResults({Sum});
+  std::string Fingerprint = G.fingerprint();
+  EXPECT_EQ(G.numOperations(), 120u);
+
+  Graph Copy = G.clone();
+  EXPECT_EQ(Copy.nodes().size(), G.nodes().size());
+  EXPECT_EQ(Copy.fingerprint(), Fingerprint);
+  for (size_t I = 0; I < G.nodes().size(); ++I)
+    EXPECT_NE(Copy.nodes()[I], G.nodes()[I]);
+
+  G.removeDeadNodes();
+  EXPECT_EQ(G.numOperations(), 80u);
+  EXPECT_EQ(G.nodes().size(), 82u); // Both arguments stay.
+  EXPECT_EQ(G.fingerprint(), Fingerprint);
+  EXPECT_TRUE(isWellFormed(G));
+
+  Graph Canonical = Copy.canonicalized();
+  EXPECT_EQ(Canonical.numOperations(), 80u);
+  EXPECT_EQ(Canonical.fingerprint(), Fingerprint);
+  EXPECT_EQ(printGraph(Canonical), printGraph(G.canonicalized()));
+  EXPECT_TRUE(isWellFormed(Canonical));
+}
+
+TEST(GraphStorage, WideConstantsAreFreedWithTheirNodes) {
+  // Constants above 64 bits keep their words on the heap. The graph
+  // destroys each node in its block, dead ones at removeDeadNodes();
+  // the sanitizer builds report any that is not.
+  Graph G(128, {Sort::value(128)}, /*NodeCapacity=*/4);
+  NodeRef Sum = G.arg(0);
+  for (unsigned I = 0; I < 30; ++I) {
+    BitValue Wide(128, I);
+    Wide.setBit(64 + I, true);
+    NodeRef C = G.createConst(Wide);
+    if (I % 3)
+      Sum = G.createBinary(Opcode::Add, Sum, C);
+  }
+  G.setResults({Sum});
+  G.removeDeadNodes();
+  EXPECT_EQ(G.numOperations(), 40u);
+  Graph Copy = G.clone();
+  EXPECT_EQ(Copy.fingerprint(), G.fingerprint());
+  Graph Moved(std::move(Copy));
+  Moved = G.canonicalized();
+  EXPECT_EQ(Moved.fingerprint(), G.fingerprint());
+}
+
 TEST(Printer, RoundTripThroughParser) {
   Graph G = makeFigure1Pattern();
   std::string Text = printGraph(G);

@@ -63,9 +63,9 @@ TEST(FunctionLowering, OperandHelpers) {
 
   // The Const node feeding the Add.
   NodeRef ConstRef;
-  for (const auto &N : Body.nodes())
+  for (Node *N : Body.nodes())
     if (N->opcode() == Opcode::Const)
-      ConstRef = NodeRef(N.get(), 0);
+      ConstRef = NodeRef(N, 0);
   ASSERT_TRUE(ConstRef.isValid());
 
   // flexOperand yields an immediate without emitting code.
@@ -95,9 +95,9 @@ TEST(FunctionLowering, TerminatorsAndEdgeMoves) {
   // Lower the entry block's body minimally: give the Add a register.
   const Graph &Body = F.blocks()[0]->body();
   NodeRef SumRef;
-  for (const auto &N : Body.nodes())
+  for (Node *N : Body.nodes())
     if (N->opcode() == Opcode::Add)
-      SumRef = NodeRef(N.get(), 0);
+      SumRef = NodeRef(N, 0);
   MReg SumReg = Lowering.machineFunction().newReg();
   Lowering.setValue(SumRef, MOperand::reg(SumReg));
 

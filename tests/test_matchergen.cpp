@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "InflatedLibrary.h"
 #include "ir/Normalizer.h"
 #include "isel/AutomatonSelector.h"
 #include "isel/Matcher.h"
@@ -543,4 +544,23 @@ TEST(ShippedLibraryIdentity, PreparedFingerprintAndImageBytesArePinned) {
     ASSERT_TRUE(Image);
     EXPECT_EQ(crc32(*Image), Pin.ImageCrc);
   }
+}
+
+TEST(InflatedLibraryIdentity, PreparedFingerprintAndImageBytesArePinned) {
+  // The 10 000-rule library the serve benchmark loads, through the
+  // parallel load, filter and prepare: a rule moved out of priority
+  // order changes the fingerprint and the image.
+  PatternDatabase Database = PatternDatabase::deserialize(
+      inflated(shippedLibrary("rule-library-full-w8.dat"), 10000).serialize());
+  ASSERT_EQ(Database.size(), 10000u);
+  Database.filterNonNormalized();
+  Database.sortSpecificFirst();
+  EXPECT_EQ(Database.size(), 3004u);
+  EXPECT_EQ(crc32(Database.serialize()), 0x6cd0e836u);
+  GoalLibrary Goals = GoalLibrary::build(W, GoalLibrary::allGroups());
+  PreparedLibrary Library(Database, Goals);
+  EXPECT_EQ(Library.fingerprint(), "f3e5557e88d4abd1");
+  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
+  EXPECT_EQ(crc32(Automaton.bytes().data(), Automaton.bytes().size()),
+            0x950a8919u);
 }

@@ -167,6 +167,40 @@ TEST(PatternDatabase, SortSpecificFirst) {
   EXPECT_EQ(DB.rules()[2].GoalName, "add_rr");
 }
 
+TEST(PatternDatabase, DuplicatesStayRejectedAfterFiltersAndSort) {
+  // The filters and the sort move rules and drop the duplicate index;
+  // the next add() or merge() must rebuild it before deciding.
+  const std::pair<const char *, size_t (*)(PatternDatabase &)> Steps[] = {
+      {"filterCommutativeDuplicates",
+       [](PatternDatabase &DB) { return DB.filterCommutativeDuplicates(); }},
+      {"filterNonNormalized",
+       [](PatternDatabase &DB) { return DB.filterNonNormalized(); }},
+      {"sortSpecificFirst", [](PatternDatabase &DB) {
+         DB.sortSpecificFirst();
+         return size_t(0);
+       }}};
+  for (const auto &[Name, Step] : Steps) {
+    SCOPED_TRACE(Name);
+    PatternDatabase DB = shippedLibrary("rule-library-full-w8.dat");
+    Step(DB);
+    size_t Size = DB.size();
+    ASSERT_GT(Size, 0u);
+    for (const Rule &R : DB.rules())
+      EXPECT_FALSE(DB.add(R.GoalName, R.Pattern.clone())) << R.GoalName;
+    EXPECT_EQ(DB.size(), Size);
+
+    Step(DB);
+    PatternDatabase Other;
+    for (const Rule &R : DB.rules())
+      Other.add(R.GoalName, R.Pattern.clone());
+    Other.add("probe", blsrPattern());
+    DB.merge(std::move(Other));
+    EXPECT_EQ(DB.size(), Size + 1);
+    EXPECT_FALSE(DB.add("probe", blsrPattern()));
+    expectFingerprintsFresh(DB);
+  }
+}
+
 TEST(PatternDatabase, SortSpecificFirstIgnoresInputOrder) {
   // On the shipped library many rules tie on operation and constant
   // counts, so the order below them rests on the fingerprint tie-break.

@@ -22,9 +22,13 @@
 //     records the armed injection and carries every robustness
 //     counter, and a clean rerun on the cache the faulted run left
 //     behind yields the same library.
+//   * Worker-crash sweep: pooled synthesis whose worker processes are
+//     killed, hang or reply garbage still yields the control's library
+//     and counts the crashes.
 //
 // The end-to-end tests exec the real selgen-synth binary, whose path
-// the build injects as SELGEN_SYNTH_TOOL.
+// the build injects as SELGEN_SYNTH_TOOL; the pooled runs spawn the
+// selgen-solverd next to it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -293,5 +297,82 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FaultCase> &Info) {
       return std::string(Info.param.Name);
     });
+
+//===----------------------------------------------------------------------===//
+// Worker-crash sweep: pooled synthesis survives every worker fault.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A worker-process fault class at one pool size. n=2 because the
+/// trigger counts per worker process: a respawned worker answers the
+/// retried query before failing again, where n=1 would fail every
+/// respawn and exhaust the retry budget.
+struct WorkerFaultCase {
+  const char *Name;
+  const char *Spec;
+  unsigned PoolSize;
+};
+
+void PrintTo(const WorkerFaultCase &Case, std::ostream *Out) {
+  *Out << Case.Spec << " pool " << Case.PoolSize;
+}
+
+class WorkerCrashSweep : public ::testing::TestWithParam<WorkerFaultCase> {};
+
+} // namespace
+
+TEST_P(WorkerCrashSweep, LibraryMatchesControlAndCrashesAreCounted) {
+  // Pooled synthesis (--solver-pool) under a worker that crashes, hangs
+  // or answers garbage: the scheduler must survive, finish with the
+  // in-process control's library and count the crashes it absorbed.
+  // The short budget arms per-query deadlines without binding (these
+  // goals take well under a second), and the small grace keeps each
+  // hang's deadline kill to seconds.
+  const WorkerFaultCase &Case = GetParam();
+  std::string Dir = freshDir(std::string("workers_") + Case.Name + "_p" +
+                             std::to_string(Case.PoolSize));
+  std::string Log = Dir + "/log.txt";
+  const std::string Goals = "mov_ri,neg_r,not_r,add_rr,sub_rr,and_rr,inc_r";
+  const std::string Pool = std::to_string(Case.PoolSize);
+
+  runClean(Goals, {"--no-cache", "--output", Dir + "/control.dat"}, "", Log);
+  int Status = runTool({"--goals", Goals, "--width", "8", "--budget", "4",
+                        "--no-cache", "--threads", Pool, "--solver-pool",
+                        Pool, "--pool-grace", "1", "--output",
+                        Dir + "/pooled.dat", "--stats-json",
+                        Dir + "/stats.json"},
+                       Case.Spec, Log);
+  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+      << "status " << Status << "\n"
+      << readFileToString(Log).value_or("");
+
+  EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/pooled.dat"));
+  std::string Stats = fileBytes(Dir + "/stats.json");
+  EXPECT_GT(counterValue(Stats, "pool.crashes"), 0) << Stats;
+}
+
+std::string workerCaseName(
+    const ::testing::TestParamInfo<WorkerFaultCase> &Info) {
+  return std::string(Info.param.Name);
+}
+
+// Pool size 1 runs with the rest of the suite. Pool size 4 joins it in
+// the full sweep, which tests/CMakeLists.txt registers under the
+// worker-sweep label.
+INSTANTIATE_TEST_SUITE_P(
+    PoolOfOne, WorkerCrashSweep,
+    ::testing::Values(WorkerFaultCase{"worker_kill", "worker_kill@n=2", 1},
+                      WorkerFaultCase{"worker_garbage_reply",
+                                      "worker_garbage_reply@n=2", 1},
+                      WorkerFaultCase{"worker_hang", "worker_hang@n=2", 1}),
+    workerCaseName);
+INSTANTIATE_TEST_SUITE_P(
+    PoolOfFour, WorkerCrashSweep,
+    ::testing::Values(WorkerFaultCase{"worker_kill", "worker_kill@n=2", 4},
+                      WorkerFaultCase{"worker_garbage_reply",
+                                      "worker_garbage_reply@n=2", 4},
+                      WorkerFaultCase{"worker_hang", "worker_hang@n=2", 4}),
+    workerCaseName);
 
 #endif // SELGEN_SYNTH_TOOL

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -452,6 +453,35 @@ struct FaultGuard {
 wire::ReadStatus readOne(int Fd, wire::Frame &Out, int64_t DeadlineMs = 30000) {
   return wire::readFrame(Fd, Out, DeadlineMs);
 }
+
+/// Runs Server.run() on a thread that is joined on every exit from the
+/// test, so a failed assertion fails the test instead of destroying a
+/// joinable std::thread (std::terminate). An early exit stops the
+/// server and shuts the client's socket end down first, so a drain
+/// that waits on an unread reply cannot hang the join.
+class ServerRunner {
+public:
+  ServerRunner(SelectionServer &Server, int ClientFd)
+      : Server(Server), ClientFd(ClientFd),
+        Thread([this] { EXPECT_EQ(this->Server.run(), 0); }) {}
+  ServerRunner(const ServerRunner &) = delete;
+  ServerRunner &operator=(const ServerRunner &) = delete;
+  ~ServerRunner() {
+    if (!Thread.joinable())
+      return;
+    Server.requestStop();
+    ::shutdown(ClientFd, SHUT_RDWR);
+    Thread.join();
+  }
+
+  /// Waits for run() to return on its own.
+  void join() { Thread.join(); }
+
+private:
+  SelectionServer &Server;
+  int ClientFd;
+  std::thread Thread;
+};
 
 } // namespace
 
@@ -962,8 +992,18 @@ TEST_F(ServeTest, StopDrainsAdmittedRequestsUnderLoad) {
   ServerOptions Options;
   Options.PollMs = 20;
   Options.RetryAfterMs = 200;
+  // Once Stopped is set (just before the stop lands), the loop holds
+  // its next tick until the late request below is on the socket, so
+  // that request reaches the server before the drain can end, however
+  // the threads are scheduled.
+  std::atomic<bool> Stopped{false}, LateWritten{false};
+  Options.TickHook = [&] {
+    if (Stopped.load())
+      while (!LateWritten.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
   SelectionServer Server(Service, Fds[0], Fds[0], Options);
-  std::thread ServerThread([&] { EXPECT_EQ(Server.run(), 0); });
+  ServerRunner Runner(Server, Fds[1]);
 
   // Three sizable batches in flight...
   BatchRequest Request;
@@ -973,12 +1013,16 @@ TEST_F(ServeTest, StopDrainsAdmittedRequestsUnderLoad) {
   for (int I = 0; I < 3; ++I)
     ASSERT_TRUE(wire::writeFrame(Fds[1], wire::Request, Encoded));
   // ...all admitted before the stop lands...
-  for (int Spin = 0; Server.stats().Admitted.load() < 3 && Spin < 500; ++Spin)
+  for (int Spin = 0; Server.stats().Admitted.load() < 3 && Spin < 3000;
+       ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ASSERT_EQ(Server.stats().Admitted.load(), 3u);
+  Stopped.store(true);
   Server.requestStop();
   // ...and one more arriving *after* it.
-  ASSERT_TRUE(wire::writeFrame(Fds[1], wire::Request, Encoded));
+  bool Written = wire::writeFrame(Fds[1], wire::Request, Encoded);
+  LateWritten.store(true);
+  ASSERT_TRUE(Written);
 
   // Drain contract: every admitted request gets its complete reply;
   // the late one gets a typed ShuttingDown error; nothing is dropped.
@@ -1007,9 +1051,55 @@ TEST_F(ServeTest, StopDrainsAdmittedRequestsUnderLoad) {
   EXPECT_EQ(Responses, 3);
   EXPECT_EQ(Rejected, 1);
 
-  ServerThread.join(); // Flushed everything, then exited 0 on its own.
+  Runner.join(); // Flushed everything, then exited 0 on its own.
   EXPECT_EQ(Server.stats().Batches.load(), 3u);
   EXPECT_EQ(Server.stats().ShutdownRejects.load(), 1u);
+  close(Fds[0]);
+  close(Fds[1]);
+}
+
+TEST_F(ServeTest, StopAnswersRequestsThatArriveAsTheDrainEnds) {
+  // Nothing is in flight when the stop lands, so the drain is complete
+  // at the loop's first exit check. A request that reached the socket
+  // just before that check must still get its ShuttingDown error
+  // rather than be left unread when run() returns.
+  int Fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  signal(SIGPIPE, SIG_IGN);
+  SelectionService Service(Library, View, W, 1);
+  BatchRequest Request;
+  Request.Width = W;
+  Request.Workloads = {"164.gzip"};
+  std::string Encoded = encodeBatchRequest(Request);
+  ServerOptions Options;
+  Options.PollMs = 20;
+  Options.RetryAfterMs = 50;
+  // Once armed, the next tick stops the server and writes the request
+  // from the server's own thread, right before that tick's exit check.
+  SelectionServer *Running = nullptr;
+  std::atomic<bool> Armed{false};
+  bool Written = false;
+  Options.TickHook = [&] {
+    if (Armed.load() && !Written) {
+      Running->requestStop();
+      Written = wire::writeFrame(Fds[1], wire::Request, Encoded);
+    }
+  };
+  SelectionServer Server(Service, Fds[0], Fds[0], Options);
+  Running = &Server;
+  ServerRunner Runner(Server, Fds[1]);
+  Armed.store(true);
+  Runner.join();
+  ASSERT_TRUE(Written);
+
+  wire::Frame Frame;
+  ASSERT_EQ(readOne(Fds[1], Frame, 5000), wire::ReadStatus::Ok);
+  ASSERT_EQ(Frame.Type, wire::Error);
+  ServeError Error = decodeServeError(Frame.Payload);
+  EXPECT_EQ(Error.Code, ServeErrorCode::ShuttingDown)
+      << serveErrorCodeName(Error.Code) << ": " << Error.Message;
+  EXPECT_EQ(Server.stats().ShutdownRejects.load(), 1u);
+  EXPECT_EQ(Server.stats().Batches.load(), 0u);
   close(Fds[0]);
   close(Fds[1]);
 }

@@ -26,6 +26,10 @@
 #include <stdexcept>
 #include <thread>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 using namespace selgen;
 
 TEST(Multicombination, EnumeratesAllNondecreasing) {
@@ -307,6 +311,53 @@ TEST(AtomicFile, WriteToBadDirectoryFailsCleanly) {
   EXPECT_FALSE(readFileToString("/nonexistent-dir-xyz/file.txt").has_value());
 }
 
+TEST(AtomicFile, ReadFailsOnMissingFileAndDirectory) {
+  std::string Dir = tempDirFor("readfail");
+  EXPECT_FALSE(readFileToString(Dir + "/missing").has_value());
+  EXPECT_FALSE(readFileToString(Dir).has_value());
+}
+
+TEST(AtomicFile, ReadKeepsEmptyFilesAndEmbeddedNuls) {
+  std::string Dir = tempDirFor("readbytes");
+  ASSERT_TRUE(writeFileAtomic(Dir + "/empty", ""));
+  std::optional<std::string> Empty = readFileToString(Dir + "/empty");
+  ASSERT_TRUE(Empty.has_value());
+  EXPECT_EQ(*Empty, "");
+
+  // Larger than one read buffer, with NULs throughout.
+  std::string Payload;
+  for (size_t I = 0; I < 3 * 4096 + 17; ++I)
+    Payload += static_cast<char>(I % 7 == 0 ? '\0' : 'a' + I % 26);
+  ASSERT_TRUE(writeFileAtomic(Dir + "/nuls", Payload));
+  EXPECT_EQ(readFileToString(Dir + "/nuls").value_or(""), Payload);
+}
+
+TEST(AtomicFile, ReadStreamsNonSeekableInput) {
+  // A FIFO has no size to presize from; the bytes must still arrive
+  // whole, across several reads.
+  std::string Path = tempDirFor("readfifo") + "/fifo";
+  ASSERT_EQ(::mkfifo(Path.c_str(), 0600), 0);
+  std::string Payload;
+  for (size_t I = 0; I < 5 * 4096 + 3; ++I)
+    Payload += static_cast<char>(I % 5 == 0 ? '\0' : 'A' + I % 26);
+  std::thread Writer([&] {
+    int Fd = ::open(Path.c_str(), O_WRONLY);
+    ASSERT_GE(Fd, 0);
+    size_t Written = 0;
+    while (Written < Payload.size()) {
+      ssize_t Got = ::write(Fd, Payload.data() + Written,
+                            std::min<size_t>(1000, Payload.size() - Written));
+      ASSERT_GT(Got, 0);
+      Written += static_cast<size_t>(Got);
+    }
+    ::close(Fd);
+  });
+  std::optional<std::string> Read = readFileToString(Path);
+  Writer.join();
+  ASSERT_TRUE(Read.has_value());
+  EXPECT_EQ(*Read, Payload);
+}
+
 TEST(AtomicFile, QuarantineMovesAside) {
   std::string Dir = tempDirFor("quarantine");
   std::string Path = Dir + "/shard";
@@ -323,43 +374,15 @@ TEST(AtomicFile, QuarantineMovesAside) {
 }
 
 //===----------------------------------------------------------------------===//
-// Json: escaping and the flat-object parser.
+// Json: escaping.
 //===----------------------------------------------------------------------===//
 
-TEST(Json, EscapeRoundTrip) {
-  std::string Nasty = "quote \" backslash \\ newline \n tab \t ctrl \x01";
-  std::string Escaped = jsonEscape(Nasty);
-  EXPECT_EQ(Escaped.find('\n'), std::string::npos);
-  std::optional<std::string> Back = jsonUnescape(Escaped);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(*Back, Nasty);
-
-  EXPECT_FALSE(jsonUnescape("trailing backslash \\").has_value());
-  EXPECT_FALSE(jsonUnescape("bad escape \\q").has_value());
-}
-
-TEST(Json, ParseFlatObject) {
-  std::optional<std::map<std::string, std::string>> Object =
-      parseFlatJsonObject(
-          "{\"type\": \"finish\", \"len\": 42, \"ok\": true, "
-          "\"name\": \"a\\nb\"}");
-  ASSERT_TRUE(Object.has_value());
-  EXPECT_EQ(Object->at("type"), "finish");
-  EXPECT_EQ(Object->at("len"), "42");
-  EXPECT_EQ(Object->at("ok"), "true");
-  EXPECT_EQ(Object->at("name"), "a\nb");
-}
-
-TEST(Json, ParseRejectsMalformed) {
-  // Nested, truncated, or trailing-garbage inputs must all be
-  // rejected: the parser doubles as corruption detection.
-  EXPECT_FALSE(parseFlatJsonObject("{\"a\": {\"b\": 1}}").has_value());
-  EXPECT_FALSE(parseFlatJsonObject("{\"a\": [1]}").has_value());
-  EXPECT_FALSE(parseFlatJsonObject("{\"a\": \"unterminated").has_value());
-  EXPECT_FALSE(parseFlatJsonObject("{\"a\": 1").has_value());
-  EXPECT_FALSE(parseFlatJsonObject("{\"a\": 1} trailing").has_value());
-  EXPECT_FALSE(parseFlatJsonObject("").has_value());
-  EXPECT_TRUE(parseFlatJsonObject("{}").has_value());
+TEST(Json, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(jsonEscape("quote \" backslash \\ newline \n tab \t cr \r"),
+            "quote \\\" backslash \\\\ newline \\n tab \\t cr \\r");
+  EXPECT_EQ(jsonEscape(std::string("ctrl \x01 nul \0 end", 16)),
+            "ctrl \\u0001 nul \\u0000 end");
+  EXPECT_EQ(jsonEscape("plain ascii, no escapes"), "plain ascii, no escapes");
 }
 
 //===----------------------------------------------------------------------===//
