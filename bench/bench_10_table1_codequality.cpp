@@ -30,7 +30,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 using namespace selgen;
 using namespace selgen::bench;
@@ -43,45 +42,16 @@ struct DynTotals {
   bool Ok = true;            ///< Every run agreed with the interpreter.
 };
 
-/// Executes \p MF on \p Runs deterministic input sets (the same
-/// generator as the Table 1 experiment), checking every run against
-/// the IR interpreter.
+/// Executes \p MF on the Table 1 experiment's \p Runs inputs,
+/// checking every run against the IR interpreter.
 DynTotals runDynamic(const MachineFunction &MF, const Function &F,
                      const WorkloadProfile &Profile, unsigned Runs) {
-  Rng Random(Profile.Seed ^ 0xABCDEF);
   DynTotals Totals;
-  for (unsigned Run = 0; Run < Runs; ++Run) {
-    std::vector<BitValue> Args;
-    for (unsigned A = 0; A < 3; ++A)
-      Args.push_back(Random.nextBitValue(Width));
-    MemoryState Memory;
-    for (unsigned B = 0; B < (1u << std::min(Width, 8u)); ++B)
-      Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
-
-    FunctionResult Reference = runFunction(F, Args, Memory, 1u << 24);
-    if (Reference.Undefined || Reference.StepLimitHit) {
-      Totals.Ok = false;
-      continue;
-    }
-    std::map<MReg, BitValue> Regs;
-    const auto &ArgRegs = MF.entry()->ArgRegs;
-    for (size_t I = 0; I < ArgRegs.size(); ++I)
-      Regs[ArgRegs[I]] = Args[I];
-    MachineRunResult Result = runMachineFunction(MF, Regs, Memory, 1u << 24);
-    Totals.Instructions += Result.InstructionCount;
-    Totals.Cycles += Result.Cycles;
-    if (Result.StepLimitHit ||
-        Result.ReturnValues.size() != Reference.ReturnValues.size()) {
-      Totals.Ok = false;
-      continue;
-    }
-    for (size_t I = 0; I < Reference.ReturnValues.size(); ++I)
-      if (Result.ReturnValues[I] != Reference.ReturnValues[I])
-        Totals.Ok = false;
-    if (Reference.FinalMemory)
-      for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-        if (Result.Memory.peekByte(Address) != Value)
-          Totals.Ok = false;
+  for (const WorkloadInput &Input : makeWorkloadInputs(Profile, Width, Runs)) {
+    TranslationCheck Check = checkTranslation(F, MF, Input.Args, Input.Memory);
+    Totals.Instructions += Check.InstructionCount;
+    Totals.Cycles += Check.Cycles;
+    Totals.Ok = Totals.Ok && Check.agrees();
   }
   return Totals;
 }

@@ -7,7 +7,8 @@
 //   1. pick goal machine instructions,
 //   2. synthesize all minimal IR patterns for them (iterative CEGIS),
 //   3. generate an instruction selector from the rule library,
-//   4. compile an IR function and run the machine code.
+//   4. compile an IR function,
+//   5. run the machine code and check it against the IR interpreter.
 //
 // Build and run:
 //   cmake -B build -G Ninja && cmake --build build --target quickstart
@@ -63,7 +64,7 @@ int main() {
               "rules\n",
               Library.size(), Selector.numRules());
 
-  // 4. Compile f(a, b) = -(a ^ b) + (~a & b) and run it.
+  // 4. Compile f(a, b) = -(a ^ b) + (~a & b).
   Function F("demo", Width);
   BasicBlock *Entry = F.createBlock(
       "entry", {Sort::memory(), Sort::value(Width), Sort::value(Width)});
@@ -83,17 +84,13 @@ int main() {
               100 * Selected.coverage(),
               printMachineFunction(*Selected.MF).c_str());
 
-  std::map<MReg, BitValue> Regs;
-  const auto &ArgRegs = Selected.MF->entry()->ArgRegs;
-  BitValue A(Width, 0x35), B(Width, 0x1F);
-  Regs[ArgRegs[0]] = A;
-  Regs[ArgRegs[1]] = B;
-  MachineRunResult Run = runMachineFunction(*Selected.MF, Regs,
-                                            MemoryState());
-  uint64_t Expected =
-      ((-(0x35 ^ 0x1F)) + (~0x35 & 0x1F)) & 0xFF;
-  std::printf("f(0x35, 0x1f) = %s (expected 0x%02lx) in %lu cycles\n",
-              Run.ReturnValues[0].toHexString().c_str(),
-              (unsigned long)Expected, (unsigned long)Run.Cycles);
-  return Run.ReturnValues[0].zextValue() == Expected ? 0 : 1;
+  // 5. Run it on the emulator and check it against the IR interpreter.
+  TranslationCheck Check = checkTranslation(
+      F, *Selected.MF, {BitValue(Width, 0x35), BitValue(Width, 0x1F)},
+      MemoryState());
+  std::printf("f(0x35, 0x1f) on the emulator vs the IR interpreter: %s "
+              "(%lu cycles)\n",
+              Check.agrees() ? "agree" : Check.Difference.c_str(),
+              (unsigned long)Check.Cycles);
+  return Check.agrees() ? 0 : 1;
 }

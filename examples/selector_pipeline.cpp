@@ -71,20 +71,13 @@ int main(int argc, char **argv) {
     MemoryState Memory;
     for (int B = 0; B < 256; ++B)
       Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
-    FunctionResult Reference = runFunction(F, Args, Memory, 1u << 22);
 
     for (auto [Selected, Cycles] :
          {std::pair{&Hand, &HandCycles}, std::pair{&Gen, &GenCycles}}) {
-      std::map<MReg, BitValue> Regs;
-      const auto &ArgRegs = Selected->MF->entry()->ArgRegs;
-      for (size_t I = 0; I < ArgRegs.size(); ++I)
-        Regs[ArgRegs[I]] = Args[I];
-      MachineRunResult Machine =
-          runMachineFunction(*Selected->MF, Regs, Memory, 1u << 24);
-      *Cycles += Machine.Cycles;
-      AllMatch &= !Reference.ReturnValues.empty() &&
-                  Machine.ReturnValues.size() == 1 &&
-                  Machine.ReturnValues[0] == Reference.ReturnValues[0];
+      TranslationCheck Check =
+          checkTranslation(F, *Selected->MF, Args, Memory);
+      *Cycles += Check.Cycles;
+      AllMatch &= Check.agrees();
     }
   }
 

@@ -7,7 +7,6 @@
 
 #include "eval/Evaluation.h"
 
-#include "support/Rng.h"
 #include "support/Timer.h"
 #include "x86/Emulator.h"
 
@@ -16,56 +15,6 @@
 using namespace selgen;
 
 namespace {
-
-/// Runs one selected function on one input set; returns the cycle
-/// count and compares against the reference result.
-uint64_t runOnce(const MachineFunction &MF, const Function &F,
-                 const std::vector<BitValue> &Args,
-                 const MemoryState &InitialMemory,
-                 const FunctionResult &Reference, bool &Mismatch) {
-  std::map<MReg, BitValue> Regs;
-  const auto &ArgRegs = MF.entry()->ArgRegs;
-  for (size_t I = 0; I < ArgRegs.size(); ++I)
-    Regs[ArgRegs[I]] = Args[I];
-  MachineRunResult Result =
-      runMachineFunction(MF, Regs, InitialMemory, /*MaxInstructions=*/1u << 24);
-
-  if (Result.StepLimitHit ||
-      Result.ReturnValues.size() != Reference.ReturnValues.size()) {
-    Mismatch = true;
-    return Result.Cycles;
-  }
-  for (size_t I = 0; I < Reference.ReturnValues.size(); ++I)
-    if (Result.ReturnValues[I] != Reference.ReturnValues[I])
-      Mismatch = true;
-  if (Reference.FinalMemory)
-    for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-      if (Result.Memory.peekByte(Address) != Value)
-        Mismatch = true;
-  (void)F;
-  return Result.Cycles;
-}
-
-/// Deterministic input sets per workload.
-struct InputSet {
-  std::vector<BitValue> Args;
-  MemoryState Memory;
-};
-
-std::vector<InputSet> makeInputs(const WorkloadProfile &Profile,
-                                 unsigned Width, unsigned Count) {
-  Rng Random(Profile.Seed ^ 0xABCDEF);
-  std::vector<InputSet> Inputs;
-  for (unsigned I = 0; I < Count; ++I) {
-    InputSet Set;
-    for (unsigned A = 0; A < 3; ++A)
-      Set.Args.push_back(Random.nextBitValue(Width));
-    for (unsigned B = 0; B < (1u << std::min(Width, 8u)); ++B)
-      Set.Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
-    Inputs.push_back(std::move(Set));
-  }
-  return Inputs;
-}
 
 double geometricMean(const std::vector<double> &Values) {
   if (Values.empty())
@@ -98,22 +47,19 @@ selgen::runCodeQualityExperiment(InstructionSelector &Handwritten,
     Row.Coverage = FullSel.coverage();
     Row.CoverageBasic = BasicSel.coverage();
 
-    for (const InputSet &Inputs :
-         makeInputs(Profile, Width, RunsPerWorkload)) {
-      FunctionResult Reference =
-          runFunction(F, Inputs.Args, Inputs.Memory, /*MaxSteps=*/1u << 24);
-      if (Reference.Undefined || Reference.StepLimitHit) {
-        Row.Mismatch = true;
-        continue;
+    for (const WorkloadInput &Input :
+         makeWorkloadInputs(Profile, Width, RunsPerWorkload))
+      for (auto [Selected, Cycles] :
+           {std::pair{&Hand, &Row.HandwrittenCycles},
+            std::pair{&BasicSel, &Row.BasicCycles},
+            std::pair{&FullSel, &Row.FullCycles}}) {
+        // An undefined or step-limited interpreter run counts as a
+        // mismatch: the workloads are built free of both.
+        TranslationCheck Check =
+            checkTranslation(F, *Selected->MF, Input.Args, Input.Memory);
+        *Cycles += Check.Cycles;
+        Row.Mismatch |= !Check.agrees();
       }
-      Row.HandwrittenCycles += runOnce(*Hand.MF, F, Inputs.Args,
-                                       Inputs.Memory, Reference,
-                                       Row.Mismatch);
-      Row.BasicCycles += runOnce(*BasicSel.MF, F, Inputs.Args,
-                                 Inputs.Memory, Reference, Row.Mismatch);
-      Row.FullCycles += runOnce(*FullSel.MF, F, Inputs.Args, Inputs.Memory,
-                                Reference, Row.Mismatch);
-    }
 
     if (Row.HandwrittenCycles > 0) {
       Row.BasicOverHandwritten =

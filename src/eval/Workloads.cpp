@@ -293,3 +293,17 @@ Function selgen::buildWorkload(const WorkloadProfile &Profile,
     reportFatalError("generated workload is malformed: " + Problems[0]);
   return F;
 }
+
+std::vector<WorkloadInput>
+selgen::makeWorkloadInputs(const WorkloadProfile &Profile, unsigned Width,
+                           unsigned Count) {
+  Rng Random(Profile.Seed ^ 0xABCDEF);
+  std::vector<WorkloadInput> Inputs(Count);
+  for (WorkloadInput &Input : Inputs) {
+    for (unsigned A = 0; A < 3; ++A)
+      Input.Args.push_back(Random.nextBitValue(Width));
+    for (unsigned B = 0; B < (1u << std::min(Width, 8u)); ++B)
+      Input.Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
+  }
+  return Inputs;
+}

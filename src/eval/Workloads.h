@@ -22,6 +22,7 @@
 #define SELGEN_EVAL_WORKLOADS_H
 
 #include "ir/Function.h"
+#include "ir/Memory.h"
 
 #include <string>
 #include <vector>
@@ -53,6 +54,18 @@ const std::vector<WorkloadProfile> &cint2000Profiles();
 /// verifyFunction; its executions are free of undefined behaviour for
 /// any argument values.
 Function buildWorkload(const WorkloadProfile &Profile, unsigned Width);
+
+/// One seeded input of a workload run: its three W-bit arguments and
+/// its initial memory.
+struct WorkloadInput {
+  std::vector<BitValue> Args;
+  MemoryState Memory;
+};
+
+/// The Table 1 experiment's \p Count deterministic inputs for
+/// \p Profile, drawn from a generator seeded by the profile's seed.
+std::vector<WorkloadInput> makeWorkloadInputs(const WorkloadProfile &Profile,
+                                              unsigned Width, unsigned Count);
 
 } // namespace selgen
 

@@ -278,46 +278,6 @@ std::string selgen::emitCTestProgram(const Rule &RuleToTest, unsigned Width,
          "(" + Params + ") {\n" + Body + Return + "}\n";
 }
 
-namespace {
-
-/// Compares one compiled function against the IR interpreter.
-bool behavesLikeInterpreter(const Function &F, const MachineFunction &MF,
-                            unsigned Width, unsigned Runs, Rng &Random) {
-  for (unsigned Run = 0; Run < Runs; ++Run) {
-    std::vector<BitValue> Args;
-    unsigned NumValueArgs = F.entry()->body().numArgs() - 1;
-    for (unsigned I = 0; I < NumValueArgs; ++I)
-      Args.push_back(Random.nextInterestingBitValue(Width));
-    MemoryState Memory;
-    for (unsigned I = 0; I < 8; ++I)
-      Memory.storeByte(Random.nextBelow(1u << Width),
-                       static_cast<uint8_t>(Random.nextBelow(256)));
-
-    FunctionResult Reference = runFunction(F, Args, Memory);
-    if (Reference.Undefined)
-      continue; // Nothing to check on undefined executions.
-
-    std::map<MReg, BitValue> Regs;
-    const auto &ArgRegs = MF.entry()->ArgRegs;
-    for (size_t I = 0; I < ArgRegs.size(); ++I)
-      Regs[ArgRegs[I]] = Args[I];
-    MachineRunResult Machine = runMachineFunction(MF, Regs, Memory);
-
-    if (Machine.ReturnValues.size() != Reference.ReturnValues.size())
-      return false;
-    for (size_t I = 0; I < Reference.ReturnValues.size(); ++I)
-      if (Machine.ReturnValues[I] != Reference.ReturnValues[I])
-        return false;
-    if (Reference.FinalMemory)
-      for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-        if (Machine.Memory.peekByte(Address) != Value)
-          return false;
-  }
-  return true;
-}
-
-} // namespace
-
 MissingPatternReport selgen::runMissingPatternExperiment(
     const PatternDatabase &Database, unsigned Width,
     const std::vector<InstructionSelector *> &Compilers,
@@ -340,10 +300,22 @@ MissingPatternReport selgen::runMissingPatternExperiment(
     for (InstructionSelector *Compiler : Compilers) {
       SelectionResult Selected = Compiler->select(F);
       Row.InstructionCounts.push_back(Selected.MF->numInstructions());
-      if (ValidationRuns > 0 &&
-          !behavesLikeInterpreter(F, *Selected.MF, Width, ValidationRuns,
-                                  Random))
-        Row.BehaviourMismatch = true;
+      for (unsigned Run = 0; Run < ValidationRuns; ++Run) {
+        std::vector<BitValue> Args;
+        for (unsigned I = 1; I < F.entry()->body().numArgs(); ++I)
+          Args.push_back(Random.nextInterestingBitValue(Width));
+        MemoryState Memory;
+        for (unsigned I = 0; I < 8; ++I)
+          Memory.storeByte(Random.nextBelow(1u << Width),
+                           static_cast<uint8_t>(Random.nextBelow(256)));
+        // An undefined interpreter run leaves nothing to check.
+        TranslationCheck Check =
+            checkTranslation(F, *Selected.MF, Args, Memory);
+        if (!Check.agrees() && !Check.referenceFailed()) {
+          Row.BehaviourMismatch = true;
+          break;
+        }
+      }
     }
 
     unsigned Best = *std::min_element(Row.InstructionCounts.begin(),

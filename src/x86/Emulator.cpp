@@ -7,7 +7,12 @@
 
 #include "x86/Emulator.h"
 
+#include "ir/Function.h"
 #include "support/Error.h"
+
+#include <algorithm>
+#include <optional>
+#include <utility>
 
 using namespace selgen;
 
@@ -416,4 +421,71 @@ selgen::runMachineFunction(const MachineFunction &MF,
                            const MemoryState &InitialMemory,
                            uint64_t MaxInstructions) {
   return Machine(MF, InitialRegs, InitialMemory, MaxInstructions).run();
+}
+
+TranslationCheck selgen::checkTranslation(const Function &F,
+                                          const MachineFunction &MF,
+                                          const std::vector<BitValue> &Args,
+                                          const MemoryState &Memory) {
+  constexpr uint64_t MaxSteps = 1u << 24;
+  TranslationCheck Check;
+  auto Fail = [&Check](TranslationVerdict Verdict, std::string Difference) {
+    Check.Verdict = Verdict;
+    Check.Difference = std::move(Difference);
+    return Check;
+  };
+  auto Mismatch = [&Fail](const std::string &Where, const std::string &Got,
+                          const std::string &Expected) {
+    return Fail(TranslationVerdict::Mismatch,
+                Where + ": machine " + Got + ", interpreter " + Expected);
+  };
+
+  FunctionResult Reference = runFunction(F, Args, Memory, MaxSteps);
+  if (Reference.Undefined)
+    return Fail(TranslationVerdict::ReferenceUndefined,
+                "interpreter run is undefined");
+  if (Reference.StepLimitHit)
+    return Fail(TranslationVerdict::ReferenceStepLimit,
+                "interpreter run hit the step limit");
+
+  const std::vector<MReg> &ArgRegs = MF.entry()->ArgRegs;
+  if (ArgRegs.size() != Args.size())
+    reportFatalError("checkTranslation: " + std::to_string(Args.size()) +
+                     " arguments for " + std::to_string(ArgRegs.size()) +
+                     " argument registers");
+  std::map<MReg, BitValue> Regs;
+  for (size_t I = 0; I < ArgRegs.size(); ++I)
+    Regs[ArgRegs[I]] = Args[I];
+  MachineRunResult Machine = runMachineFunction(MF, Regs, Memory, MaxSteps);
+  Check.Cycles = Machine.Cycles;
+  Check.InstructionCount = Machine.InstructionCount;
+  if (Machine.StepLimitHit)
+    return Fail(TranslationVerdict::MachineStepLimit,
+                "machine run hit the step limit");
+
+  const std::vector<BitValue> &Got = Machine.ReturnValues;
+  const std::vector<BitValue> &Expected = Reference.ReturnValues;
+  if (Got.size() != Expected.size())
+    return Mismatch("return count", std::to_string(Got.size()),
+                    std::to_string(Expected.size()));
+  for (size_t I = 0; I < Expected.size(); ++I)
+    if (Got[I] != Expected[I])
+      return Mismatch("return " + std::to_string(I), Got[I].toHexString(),
+                      Expected[I].toHexString());
+
+  // Each map is sorted and every differing address is held by at least
+  // one of them, so the lower of their first differences comes first.
+  const MemoryState &Final = *Reference.FinalMemory;
+  std::optional<uint64_t> First;
+  for (const MemoryState *Holder : {&Final, &std::as_const(Machine.Memory)})
+    for (const auto &Entry : Holder->bytes())
+      if (Final.peekByte(Entry.first) != Machine.Memory.peekByte(Entry.first)) {
+        First = std::min(Entry.first, First.value_or(Entry.first));
+        break;
+      }
+  if (First)
+    return Mismatch("memory " + std::to_string(*First),
+                    BitValue(8, Machine.Memory.peekByte(*First)).toHexString(),
+                    BitValue(8, Final.peekByte(*First)).toHexString());
+  return Check;
 }

@@ -152,21 +152,9 @@ TEST_F(IntegrationTest, SynthesizedSelectorMatchesInterpreter) {
     for (int B = 0; B < 10; ++B)
       Memory.storeByte(Random.nextBelow(256),
                        static_cast<uint8_t>(Random.nextBelow(256)));
-    FunctionResult Reference = runFunction(F, Args, Memory);
-    ASSERT_FALSE(Reference.Undefined);
-
-    std::map<MReg, BitValue> Regs;
-    const auto &ArgRegs = Selected.MF->entry()->ArgRegs;
-    for (size_t I = 0; I < ArgRegs.size(); ++I)
-      Regs[ArgRegs[I]] = Args[I];
-    MachineRunResult Machine =
-        runMachineFunction(*Selected.MF, Regs, Memory);
-
-    ASSERT_EQ(Machine.ReturnValues.size(), Reference.ReturnValues.size());
-    for (size_t I = 0; I < Reference.ReturnValues.size(); ++I)
-      EXPECT_EQ(Machine.ReturnValues[I], Reference.ReturnValues[I]);
-    for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-      EXPECT_EQ(Machine.Memory.peekByte(Address), Value);
+    TranslationCheck Check =
+        checkTranslation(F, *Selected.MF, Args, Memory);
+    EXPECT_TRUE(Check.agrees()) << "run " << Run << ": " << Check.Difference;
   }
 }
 
@@ -190,18 +178,12 @@ TEST_F(IntegrationTest, SynthesizedSelectorHandlesWorkloads) {
     MemoryState Memory;
     for (int B = 0; B < 256; ++B)
       Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
-    FunctionResult Reference = runFunction(F, Args, Memory, 1u << 22);
-    ASSERT_FALSE(Reference.Undefined);
-
     for (SelectionResult *Selected : {&Synth, &Hand}) {
-      std::map<MReg, BitValue> Regs;
-      const auto &ArgRegs = Selected->MF->entry()->ArgRegs;
-      for (size_t I = 0; I < ArgRegs.size(); ++I)
-        Regs[ArgRegs[I]] = Args[I];
-      MachineRunResult Machine =
-          runMachineFunction(*Selected->MF, Regs, Memory, 1u << 24);
-      ASSERT_EQ(Machine.ReturnValues.size(), 1u);
-      EXPECT_EQ(Machine.ReturnValues[0], Reference.ReturnValues[0]);
+      TranslationCheck Check =
+          checkTranslation(F, *Selected->MF, Args, Memory);
+      EXPECT_TRUE(Check.agrees())
+          << Selected->MF->name() << " run " << Run << ": "
+          << Check.Difference;
     }
   }
 }

@@ -29,30 +29,6 @@ unsigned countOpcode(const MachineFunction &MF, MOpcode Op) {
   return Count;
 }
 
-/// Runs both the IR interpreter and the machine function; true if all
-/// return values and memory bytes agree.
-bool agreesWithInterpreter(const Function &F, const MachineFunction &MF,
-                           const std::vector<BitValue> &Args,
-                           const MemoryState &Memory) {
-  FunctionResult Reference = runFunction(F, Args, Memory);
-  if (Reference.Undefined)
-    return true;
-  std::map<MReg, BitValue> Regs;
-  const auto &ArgRegs = MF.entry()->ArgRegs;
-  for (size_t I = 0; I < ArgRegs.size(); ++I)
-    Regs[ArgRegs[I]] = Args[I];
-  MachineRunResult Machine = runMachineFunction(MF, Regs, Memory);
-  if (Machine.ReturnValues.size() != Reference.ReturnValues.size())
-    return false;
-  for (size_t I = 0; I < Reference.ReturnValues.size(); ++I)
-    if (Machine.ReturnValues[I] != Reference.ReturnValues[I])
-      return false;
-  for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-    if (Machine.Memory.peekByte(Address) != Value)
-      return false;
-  return true;
-}
-
 /// One-block function over [mem, a, b] returning [mem', result].
 Function singleBlock(const std::function<NodeRef(Graph &)> &Build,
                      bool WithMemoryResult = false) {
@@ -89,8 +65,11 @@ struct SelectorTest : public ::testing::Test {
       for (int B = 0; B < 12; ++B)
         Memory.storeByte(Random.nextBelow(256),
                          static_cast<uint8_t>(Random.nextBelow(256)));
-      EXPECT_TRUE(agreesWithInterpreter(F, *Selected.MF, Args, Memory))
-          << Selector.name() << " run " << Run;
+      // An undefined interpreter run leaves nothing to check.
+      TranslationCheck Check =
+          checkTranslation(F, *Selected.MF, Args, Memory);
+      EXPECT_TRUE(Check.agrees() || Check.referenceFailed())
+          << Selector.name() << " run " << Run << ": " << Check.Difference;
     }
   }
 };

@@ -23,6 +23,15 @@
 //     their --dump-asm output is pinned by CRC. The retired `tiling`
 //     selector value and a cost model on a non-automaton selector are
 //     usage errors.
+//   * Lint gate: selgen-lint audits both shipped libraries (the basic
+//     one with examples/ir/*.ir) without an error, and with the
+//     committed baselines it reports no finding at all, so any new
+//     finding fails.
+//   * Minimize differential, per shipped library: selgen-minimize
+//     writes one certificate per deletion (the full library sheds at
+//     least 50 rules), its output lints clean of shadowed-rule and
+//     cost-dominated findings, selgen-compile --dump-asm is unchanged
+//     below the header line, and the automaton does not grow.
 //   * selgen-minimize exits 2 when it cannot write --stats-json.
 //   * A cache-less three-thread selgen-synth run screens candidates
 //     concretely, grows its counterexample corpus, and never holds
@@ -31,8 +40,8 @@
 //     not a power of two >= 8 with exit 1 before any goal work.
 //
 // The build injects the tool paths as SELGEN_MATCHERGEN_TOOL,
-// SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL, SELGEN_MINIMIZE_TOOL and
-// SELGEN_SYNTH_TOOL.
+// SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL, SELGEN_MINIMIZE_TOOL,
+// SELGEN_LINT_TOOL and SELGEN_SYNTH_TOOL.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +51,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -294,6 +304,128 @@ TEST(CostModelDifferential, RetiredTilingSelectorIsAUsageError) {
   EXPECT_NE(LinearLog.find("--cost-model requires --selector auto"),
             std::string::npos)
       << LinearLog;
+}
+
+namespace {
+
+/// Runs \p Tool like runTool and expects it to exit 0.
+bool runsClean(const std::string &Tool, const std::vector<std::string> &Args,
+               const std::string &LogPath) {
+  int Code = runTool(Tool, Args, LogPath);
+  EXPECT_EQ(Code, 0) << readLog(LogPath);
+  return Code == 0;
+}
+
+/// The .s files selgen-compile --dump-asm wrote to \p Dir, by name,
+/// without their header line (it names the selector).
+std::map<std::string, std::string> dumpedAsmBodies(const std::string &Dir) {
+  std::map<std::string, std::string> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    std::string Text = readLog(Entry.path().string());
+    Files[Entry.path().filename().string()] =
+        Text.substr(std::min(Text.size(), Text.find('\n') + 1));
+  }
+  return Files;
+}
+
+/// The automaton state count selgen-matchergen reports for \p Library.
+int64_t automatonStates(const std::string &Library, const std::string &Dir) {
+  std::string Stats = Dir + "/matchergen-stats.json";
+  runsClean(SELGEN_MATCHERGEN_TOOL,
+            {"--library", Library, "--output", Dir + "/lib.matb",
+             "--stats-json", Stats},
+            Dir + "/matchergen.log");
+  return counterValue(readLog(Stats), "automaton.states");
+}
+
+} // namespace
+
+TEST(LintGate, ShippedLibrariesHaveNoFindingOutsideTheirBaselines) {
+  std::string Dir = freshDir("lint");
+  std::vector<std::string> IrFiles;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::filesystem::path(SELGEN_ARTIFACTS_DIR) / ".." / "examples" /
+           "ir"))
+    if (Entry.path().extension() == ".ir")
+      IrFiles.push_back(Entry.path().string());
+  ASSERT_FALSE(IrFiles.empty());
+
+  for (std::string Name : {"basic", "full"}) {
+    std::string Library = std::string(SELGEN_ARTIFACTS_DIR) +
+                          "/rule-library-" + Name + "-w8.dat";
+    // selgen-lint exits 1 iff a finding has severity error.
+    std::vector<std::string> Args = {"--library", Library, "--width", "8",
+                                     "--output", Dir + "/all.json",
+                                     "--quiet"};
+    if (Name == "basic")
+      Args.insert(Args.end(), IrFiles.begin(), IrFiles.end());
+    runsClean(SELGEN_LINT_TOOL, Args, Dir + "/" + Name + ".log");
+
+    // The baseline acknowledges today's warnings by fingerprint, so
+    // whatever the report still holds is new.
+    std::string Report = Dir + "/" + Name + "-new.json";
+    runsClean(SELGEN_LINT_TOOL,
+              {"--library", Library, "--width", "8", "--baseline",
+               std::string(SELGEN_ARTIFACTS_DIR) + "/lint-baseline-" + Name +
+                   "-w8.json",
+               "--output", Report, "--quiet"},
+              Dir + "/" + Name + "-new.log");
+    std::string Json = readLog(Report);
+    EXPECT_NE(Json.find("\"findings\": []"), std::string::npos)
+        << "new lint findings on " << Name << ":\n" << Json;
+  }
+}
+
+TEST(MinimizeDifferential, CertifiedDeletionsKeepCodeAndLintClean) {
+  for (unsigned I = 0; I < 2; ++I) {
+    const std::string &Library = ShippedLibraries[I];
+    std::string Dir = freshDir("minimize_" + std::to_string(I));
+    std::string Minimized = Dir + "/min.dat";
+    std::string Certificates = Dir + "/certificates.json";
+    ASSERT_TRUE(runsClean(SELGEN_MINIMIZE_TOOL,
+                          {"--library", Library, "--width", "8", "--output",
+                           Minimized, "--certificate", Certificates},
+                          Dir + "/minimize.log"));
+
+    // One certificate per deleted rule; the full library sheds many.
+    std::string Json = readLog(Certificates);
+    int64_t Deleted = counterValue(Json, "deleted");
+    EXPECT_GE(Deleted, I == 1 ? 50 : 1) << Json;
+    EXPECT_EQ(counterValue(Json, "rulesBefore") -
+                  counterValue(Json, "rulesAfter"),
+              Deleted);
+    size_t Certified = 0;
+    for (size_t Pos = Json.find("\"ruleIndex\""); Pos != std::string::npos;
+         Pos = Json.find("\"ruleIndex\"", Pos + 1))
+      ++Certified;
+    EXPECT_EQ(Certified, static_cast<size_t>(Deleted)) << Json;
+
+    // The pass reaches a fixpoint: no dead rule is left to find.
+    std::string Relint = Dir + "/relint.json";
+    runsClean(SELGEN_LINT_TOOL,
+              {"--library", Minimized, "--width", "8", "--output", Relint,
+               "--quiet"},
+              Dir + "/relint.log");
+    for (const char *Code : {"shadowed-rule", "cost-dominated"})
+      EXPECT_EQ(readLog(Relint).find(Code), std::string::npos)
+          << Library << " minimized output still has " << Code;
+
+    // First-match deletions keep selection byte for byte.
+    for (const auto &[Lib, AsmDir] : {std::pair{Library, Dir + "/control"},
+                                      std::pair{Minimized, Dir + "/after"}})
+      ASSERT_TRUE(runsClean(SELGEN_COMPILE_TOOL,
+                            {"--library", Lib, "--dump-asm", AsmDir},
+                            Dir + "/compile.log"));
+    std::map<std::string, std::string> Control =
+        dumpedAsmBodies(Dir + "/control");
+    EXPECT_EQ(Control.size(), 11u);
+    EXPECT_TRUE(Control == dumpedAsmBodies(Dir + "/after"))
+        << "minimizing " << Library << " changed the machine code";
+
+    int64_t StatesBefore = automatonStates(Library, Dir);
+    EXPECT_GT(StatesBefore, 0);
+    EXPECT_LE(automatonStates(Minimized, Dir), StatesBefore) << Library;
+  }
 }
 
 TEST(MinimizeTool, UnwritableStatsJsonExitsTwo) {

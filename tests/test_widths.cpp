@@ -96,21 +96,10 @@ TEST_P(WidthTest, SelectorsAgreeWithInterpreter) {
   for (int Run = 0; Run < 40; ++Run) {
     std::vector<BitValue> Args = {Random.nextBitValue(Width),
                                   Random.nextBitValue(Width)};
-    MemoryState Memory;
-    FunctionResult Reference = runFunction(F, Args, Memory);
-    ASSERT_FALSE(Reference.Undefined);
-
-    std::map<MReg, BitValue> Regs;
-    const auto &ArgRegs = Selected.MF->entry()->ArgRegs;
-    for (size_t I = 0; I < ArgRegs.size(); ++I)
-      Regs[ArgRegs[I]] = Args[I];
-    MachineRunResult Machine =
-        runMachineFunction(*Selected.MF, Regs, Memory);
-    ASSERT_EQ(Machine.ReturnValues.size(), 1u);
-    EXPECT_EQ(Machine.ReturnValues[0], Reference.ReturnValues[0])
-        << "width " << Width << " run " << Run;
-    for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-      EXPECT_EQ(Machine.Memory.peekByte(Address), Value);
+    TranslationCheck Check =
+        checkTranslation(F, *Selected.MF, Args, MemoryState());
+    EXPECT_TRUE(Check.agrees())
+        << "width " << Width << " run " << Run << ": " << Check.Difference;
   }
 }
 

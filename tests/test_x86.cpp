@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Function.h"
 #include "ir/Interpreter.h"
 #include "x86/AddressingMode.h"
 #include "x86/Emulator.h"
@@ -304,4 +305,106 @@ TEST(MachineIR, Printing) {
                    MOperand::mem(Address),
                    {}};
   EXPECT_EQ(printMachineInstr(Lea), "lea 42(%v1,%v3,4), %v5");
+}
+
+namespace {
+
+/// f(mem, a, b) = (mem, a), or (mem, Op(a, b)): the reference for the
+/// hand-built MiniPrograms below.
+Function referenceFunction(std::optional<Opcode> Op = std::nullopt) {
+  Function F("reference", 8);
+  BasicBlock *Entry = F.createBlock(
+      "entry", {Sort::memory(), Sort::value(8), Sort::value(8)});
+  Graph &G = Entry->body();
+  Entry->setReturn(
+      {G.arg(0), Op ? G.createBinary(*Op, G.arg(1), G.arg(2)) : G.arg(1)});
+  return F;
+}
+
+TranslationCheck check(const MiniProgram &P,
+                       const Function &F = referenceFunction(),
+                       uint64_t AV = 5, uint64_t BV = 9) {
+  return checkTranslation(F, P.MF, {BitValue(8, AV), BitValue(8, BV)},
+                          MemoryState());
+}
+
+} // namespace
+
+TEST(TranslationCheck, AgreesAndReportsTheMachineRunsCost) {
+  MiniProgram P;
+  MReg T = P.MF.newReg();
+  P.Block->append({MOpcode::Add, CondCode::E, MOperand::reg(T),
+                   MOperand::reg(P.A), MOperand::reg(P.B)});
+  P.ret(MOperand::reg(T));
+  TranslationCheck Check = check(P, referenceFunction(Opcode::Add));
+  EXPECT_EQ(Check.Verdict, TranslationVerdict::Agree) << Check.Difference;
+  EXPECT_EQ(Check.InstructionCount, 1u);
+  EXPECT_EQ(Check.Cycles, 2u); // The add and the return.
+}
+
+TEST(TranslationCheck, StoreToAnUntouchedAddressMismatchesUnlessZero) {
+  // The reference's final memory never holds address 0x40, so only a
+  // comparison over the machine's final memory too sees the store.
+  for (uint64_t Value : {7u, 0u}) {
+    MiniProgram P;
+    MemRef Slot;
+    Slot.Disp = 0x40;
+    P.Block->append({MOpcode::Mov, CondCode::E, MOperand::mem(Slot),
+                     MOperand::imm(BitValue(8, Value)), {}});
+    P.ret(MOperand::reg(P.A));
+    TranslationCheck Check = check(P);
+    EXPECT_EQ(Check.Verdict, Value ? TranslationVerdict::Mismatch
+                                   : TranslationVerdict::Agree);
+    EXPECT_EQ(Check.Difference,
+              Value ? "memory 64: machine 0x07, interpreter 0x00" : "");
+  }
+}
+
+TEST(TranslationCheck, WrongReturnCountOrValueIsAMismatch) {
+  MiniProgram Count, Value;
+  Count.ret(MOperand::reg(Count.A));
+  Count.Block->terminator().ReturnValues.push_back(MOperand::reg(Count.A));
+  Value.ret(MOperand::reg(Value.B));
+  for (const MiniProgram *P : {&Count, &Value})
+    EXPECT_EQ(check(*P).Verdict, TranslationVerdict::Mismatch);
+  EXPECT_EQ(check(Count).Difference,
+            "return count: machine 2, interpreter 1");
+  EXPECT_EQ(check(Value).Difference,
+            "return 0: machine 0x09, interpreter 0x05");
+}
+
+TEST(TranslationCheck, MachineStepLimitIsTwoToTheTwentyFour) {
+  MiniProgram P;
+  P.Block->terminator().TermKind = MTerminator::Kind::Jmp;
+  P.Block->terminator().Then = P.Block;
+  TranslationCheck Check = check(P);
+  EXPECT_EQ(Check.Verdict, TranslationVerdict::MachineStepLimit);
+  EXPECT_EQ(Check.InstructionCount, (1u << 24) + 1);
+}
+
+TEST(TranslationCheck, FailedReferenceRunSkipsTheMachineRun) {
+  MiniProgram P;
+  P.ret(MOperand::reg(P.A));
+  // A shift by 9 is undefined at width 8.
+  EXPECT_EQ(check(P, referenceFunction(Opcode::Shl), 1, 9).Verdict,
+            TranslationVerdict::ReferenceUndefined);
+
+  // A loop whose body adds one constant 1024 times reaches 2^24 steps
+  // in 2^14 iterations.
+  Function Spin("spin", 8);
+  BasicBlock *Entry = Spin.createBlock(
+      "entry", {Sort::memory(), Sort::value(8), Sort::value(8)});
+  BasicBlock *Loop =
+      Spin.createBlock("loop", {Sort::memory(), Sort::value(8)});
+  Entry->setJump(Loop, {Entry->body().arg(0), Entry->body().arg(1)});
+  Graph &G = Loop->body();
+  NodeRef One = G.createConst(BitValue(8, 1));
+  NodeRef Value = G.arg(1);
+  for (int I = 0; I < 1024; ++I)
+    Value = G.createBinary(Opcode::Add, Value, One);
+  Loop->setJump(Loop, {G.arg(0), Value});
+  TranslationCheck Check = check(P, Spin);
+  EXPECT_EQ(Check.Verdict, TranslationVerdict::ReferenceStepLimit);
+  EXPECT_TRUE(Check.referenceFailed());
+  EXPECT_EQ(Check.Cycles, 0u);
 }

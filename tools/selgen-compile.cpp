@@ -31,10 +31,12 @@
 // library (selector.prepare_skipped). --dump-asm DIR writes the primary
 // selector's machine code to DIR/<benchmark>.s, one file per
 // benchmark — the byte-identity anchor for the compile-server tests.
-// The Check column reads MISMATCH when the selected code's return
-// value or any final memory byte differs from the IR interpreter's on
-// one of the --runs seeded inputs, or when the interpreter run itself
-// is undefined or hits its step limit.
+// The Check column reads MISMATCH when, on one of the --runs seeded
+// inputs, the selected code's return values differ from the IR
+// interpreter's, or a byte differs at any address that either final
+// memory holds (so a machine store the interpreter never made counts
+// too), or when the interpreter run is undefined or either run hits
+// its step limit (checkTranslation in x86/Emulator.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +65,9 @@ struct RunOutcome {
   bool Mismatch = false;
 };
 
+/// Runs \p MF on \p Runs seeded inputs, each checked against the IR
+/// interpreter; an undefined or step-limited interpreter run counts as
+/// a mismatch.
 RunOutcome runSelected(const Function &F, const MachineFunction &MF,
                        unsigned Width, unsigned Runs) {
   RunOutcome Outcome;
@@ -74,26 +79,9 @@ RunOutcome runSelected(const Function &F, const MachineFunction &MF,
     MemoryState Memory;
     for (unsigned B = 0; B < 256; ++B)
       Memory.storeByte(B, static_cast<uint8_t>(Random.nextBelow(256)));
-    FunctionResult Reference = runFunction(F, Args, Memory, 1u << 22);
-    if (Reference.Undefined || Reference.StepLimitHit) {
-      Outcome.Mismatch = true;
-      continue;
-    }
-
-    std::map<MReg, BitValue> Regs;
-    const auto &ArgRegs = MF.entry()->ArgRegs;
-    for (size_t I = 0; I < ArgRegs.size(); ++I)
-      Regs[ArgRegs[I]] = Args[I];
-    MachineRunResult Machine =
-        runMachineFunction(MF, Regs, Memory, 1u << 24);
-    Outcome.Cycles += Machine.Cycles;
-    if (Machine.StepLimitHit ||
-        Machine.ReturnValues != Reference.ReturnValues)
-      Outcome.Mismatch = true;
-    if (Reference.FinalMemory)
-      for (const auto &[Address, Value] : Reference.FinalMemory->bytes())
-        if (Machine.Memory.peekByte(Address) != Value)
-          Outcome.Mismatch = true;
+    TranslationCheck Check = checkTranslation(F, MF, Args, Memory);
+    Outcome.Cycles += Check.Cycles;
+    Outcome.Mismatch |= !Check.agrees();
   }
   return Outcome;
 }
