@@ -113,8 +113,7 @@ int main() {
   // so the engine commits to the cheapest legal cover instead of the
   // first (most-specific) match. It must never produce a statically
   // costlier function, and its dynamic instruction count must not
-  // regress. The greppable totals below feed the CI perf guard
-  // (tools/ci/perf_compare.py --metric tiling_static_cost=...).
+  // regress.
   printBenchHeader(
       "Cost-minimal DAG tiling vs first-match selection (full library)",
       "beyond-paper extension (DESIGN.md Section 4f): --cost-model "

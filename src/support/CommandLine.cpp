@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 using namespace selgen;
@@ -64,6 +65,31 @@ double CommandLine::doubleOption(const std::string &Name,
   return It == Options.end() || It->second.empty()
              ? Default
              : std::atof(It->second.c_str());
+}
+
+std::optional<unsigned>
+CommandLine::checkedOption(const std::string &Name, unsigned Default,
+                           NumberRule Rule, std::string &Error) const {
+  auto It = Options.find(Name);
+  if (It == Options.end() || It->second.empty())
+    return Default;
+  const std::string &Text = It->second;
+  char *End = nullptr;
+  errno = 0;
+  long long Value = std::strtoll(Text.c_str(), &End, 10);
+  bool Parsed = errno == 0 && *End == '\0';
+  bool Valid = Rule == NumberRule::Width
+                   ? Parsed && Value >= 8 && Value <= (1ll << 31) &&
+                         (Value & (Value - 1)) == 0
+                   : Parsed && Value >= 0 && Value <= UINT32_MAX;
+  if (Valid)
+    return static_cast<unsigned>(Value);
+  Error = "--" + Name +
+          (Rule == NumberRule::Width
+               ? " must be a power of two from 8 to 2^31"
+               : " must be a non-negative integer below 2^32") +
+          " (got " + Text + ")";
+  return std::nullopt;
 }
 
 std::string CommandLine::usage(const std::string &Program,

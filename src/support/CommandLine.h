@@ -18,10 +18,17 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace selgen {
+
+/// What a numeric option must hold, checked before a tool does any work.
+enum class NumberRule {
+  Width, ///< A data width: a power of two from 8 to 2^31.
+  Count, ///< A non-negative count, such as threads or runs, up to 2^32-1.
+};
 
 /// Parsed command line.
 class CommandLine {
@@ -39,6 +46,13 @@ public:
                            const std::string &Default) const;
   int64_t intOption(const std::string &Name, int64_t Default) const;
   double doubleOption(const std::string &Name, double Default) const;
+
+  /// Reads --Name under \p Rule; absent or empty is \p Default. A value
+  /// that is not a decimal integer or breaks the rule yields nullopt and
+  /// sets \p Error to "--name must be ... (got VALUE)".
+  std::optional<unsigned> checkedOption(const std::string &Name,
+                                        unsigned Default, NumberRule Rule,
+                                        std::string &Error) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
   const std::vector<std::string> &errors() const { return Errors; }

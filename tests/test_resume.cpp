@@ -13,7 +13,9 @@
 //     right after a goal's cache shard became durable (the
 //     deterministic kill_after_finish crash point) and rerun on the
 //     same --cache-dir produces a byte-identical rule library, serving
-//     the published goals from the cache with zero re-synthesis.
+//     the published goals from the cache with zero re-synthesis; a
+//     further rerun serves every goal from the cache without one
+//     solver query.
 //   * Content addressing: rerunning on the same cache with a different
 //     goal set reuses only the matching shards and never mixes results.
 //   * Fault sweep: under each injected fault class a run survives
@@ -192,6 +194,19 @@ TEST(ResumeEndToEnd, KilledRunResumesByteIdentical) {
   EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/resumed.dat"));
   std::string Stats = fileBytes(Dir + "/stats.json");
   EXPECT_EQ(counterValue(Stats, "cache.hits"), 2) << Stats;
+
+  // A fully warm rerun serves all four goals from the cache: the same
+  // bytes with no solver query and no retry.
+  runClean(Goals,
+           {"--cache-dir", Dir + "/cache", "--output", Dir + "/warm.dat",
+            "--stats-json", Dir + "/warm.json"},
+           "", Log);
+  EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/warm.dat"));
+  std::string Warm = fileBytes(Dir + "/warm.json");
+  EXPECT_EQ(counterValue(Warm, "cache.hits"), 4) << Warm;
+  // smt.checks lands in the dump only once a query ran (-1: absent).
+  EXPECT_LE(counterValue(Warm, "smt.checks"), 0) << Warm;
+  EXPECT_EQ(counterValue(Warm, "smt.retries"), 0) << Warm;
 }
 
 TEST(ResumeEndToEnd, ChangedGoalSetNeverMixes) {

@@ -9,15 +9,19 @@
 // single-shot `selgen-compile --selector auto` run produces under the
 // same cost model. These tests cover the batch payload codec (total
 // decoders), the multi-threaded SelectionService against sequential
-// selection, the frame loop over a socketpair, and the real spawned
-// server binary including its SIGTERM shutdown path.
+// selection, the frame loop over a socketpair and a unix socket
+// (including each serve_* fault site against a retrying client), and
+// the real spawned server binary including SIGHUP reload and its
+// SIGTERM shutdown path.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SpawnedServer.h"
 #include "eval/Workloads.h"
 #include "refsel/ReferenceSelectors.h"
 #include "serve/ImageReloader.h"
 #include "serve/SelectionServer.h"
+#include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include "support/Wire.h"
 
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include <sys/socket.h>
@@ -318,57 +323,6 @@ TEST_F(ServeTest, RequestStopEndsIdleLoop) {
   close(Fds[0]);
   close(Fds[1]);
 }
-
-namespace {
-
-/// Spawns the real selgen-served with stdin/stdout pipes. The test is
-/// the parent side of the exact deployment topology.
-struct SpawnedServer {
-  pid_t Pid = -1;
-  int ToChild = -1;   ///< Write requests here.
-  int FromChild = -1; ///< Read replies here.
-
-  void start(const std::vector<std::string> &Args) {
-    int In[2], Out[2];
-    ASSERT_EQ(pipe(In), 0);
-    ASSERT_EQ(pipe(Out), 0);
-    Pid = fork();
-    ASSERT_GE(Pid, 0);
-    if (Pid == 0) {
-      dup2(In[0], STDIN_FILENO);
-      dup2(Out[1], STDOUT_FILENO);
-      close(In[0]);
-      close(In[1]);
-      close(Out[0]);
-      close(Out[1]);
-      std::vector<char *> Argv;
-      for (const std::string &A : Args)
-        Argv.push_back(const_cast<char *>(A.c_str()));
-      Argv.push_back(nullptr);
-      execv(Argv[0], Argv.data());
-      _exit(127);
-    }
-    close(In[0]);
-    close(Out[1]);
-    ToChild = In[1];
-    FromChild = Out[0];
-  }
-
-  int wait() {
-    int Status = 0;
-    EXPECT_EQ(waitpid(Pid, &Status, 0), Pid);
-    return Status;
-  }
-
-  ~SpawnedServer() {
-    if (ToChild >= 0)
-      close(ToChild);
-    if (FromChild >= 0)
-      close(FromChild);
-  }
-};
-
-} // namespace
 
 TEST_F(ServeTest, SpawnedServerMatchesSequentialAndExitsCleanly) {
   // End to end against the real binary: write the library and a binary
@@ -874,6 +828,149 @@ TEST_F(ServeTest, WireFrameMutationFuzzYieldsTypedRejectionOrCondemnation) {
             static_cast<uint64_t>(Condemned));
 }
 
+namespace {
+
+/// A retrying batch client, behaving as a deployed client must: each
+/// attempt connects, sends the request and a Shutdown frame, and reads
+/// one reply. EOF or a corrupt or torn frame costs only that attempt,
+/// and the next one reconnects. Overloaded, Timeout and ShuttingDown
+/// are retried after the server's hint; BadRequest and every other
+/// error are final.
+struct RetryingClient {
+  explicit RetryingClient(std::string Path) : Path(std::move(Path)) {}
+
+  std::string Path;
+  int Attempts = 0; ///< Attempts the last send() made.
+  ServeError Final; ///< Why the last send() returned nullopt.
+
+  std::optional<BatchReply> send(const BatchRequest &Request) {
+    std::string Encoded = encodeBatchRequest(Request);
+    Attempts = 0;
+    while (Attempts < 8) {
+      ++Attempts;
+      int Fd = connectTo(Path);
+      if (Fd < 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        continue;
+      }
+      wire::Frame Frame;
+      bool Sent = wire::writeFrame(Fd, wire::Request, Encoded) &&
+                  wire::writeFrame(Fd, wire::Shutdown, "");
+      bool Read = Sent && readOne(Fd, Frame) == wire::ReadStatus::Ok;
+      close(Fd);
+      if (!Read)
+        continue;
+      if (Frame.Type == wire::Response) {
+        std::string Error;
+        std::optional<BatchReply> Reply =
+            decodeBatchReply(Frame.Payload, &Error);
+        EXPECT_TRUE(Reply) << Error;
+        return Reply;
+      }
+      Final = decodeServeError(Frame.Payload);
+      if (Frame.Type != wire::Error ||
+          (Final.Code != ServeErrorCode::Overloaded &&
+           Final.Code != ServeErrorCode::Timeout &&
+           Final.Code != ServeErrorCode::ShuttingDown))
+        return std::nullopt;
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::max(Final.RetryAfterMs, 10u)));
+    }
+    Final = ServeError();
+    Final.Message = "retries exhausted";
+    return std::nullopt;
+  }
+};
+
+/// Arms one serve_* fault site at its first probe.
+class ServeFaultSweep : public ServeTest,
+                        public ::testing::WithParamInterface<const char *> {};
+
+} // namespace
+
+TEST_P(ServeFaultSweep, RetryingClientEndsByteIdentical) {
+  // Each injected server-side fault may cost a request or a
+  // connection, never the server: a retrying client still ends up with
+  // machine code byte-identical to sequential selection, and the
+  // server still stops cleanly.
+  FaultGuard Guard;
+  const std::string Site = GetParam();
+  std::string Path = ::testing::TempDir() + "serve_" + Site + ".sock";
+  int ListenFd = listenAt(Path);
+  ASSERT_GE(ListenFd, 0);
+  signal(SIGPIPE, SIG_IGN);
+
+  SelectionService Service(Library, View, W, 4);
+  ServerOptions Options;
+  Options.PollMs = 20;
+  SelectionServer Server(Service, Options);
+  Server.serveListenFd(ListenFd);
+  ASSERT_TRUE(FaultInjector::get().configure(Site + "@n=1"));
+  ServerRunner Runner(Server, ListenFd);
+
+  BatchRequest Request;
+  Request.Width = W;
+  Request.Workloads = {"164.gzip", "175.vpr", "181.mcf", "256.bzip2"};
+  auto expectSequential = [&](const BatchReply &Reply) {
+    ASSERT_EQ(Reply.Results.size(), Request.Workloads.size());
+    for (const BatchReply::Result &R : Reply.Results)
+      EXPECT_EQ(R.Asm, sequentialAsm(R.Workload)) << R.Workload;
+  };
+
+  if (Site == "serve_request_garbage") {
+    // The payload is garbled after admission. It draws a typed
+    // BadRequest, and the same connection then serves the clean batch.
+    int Fd = connectTo(Path);
+    ASSERT_GE(Fd, 0);
+    std::string Encoded = encodeBatchRequest(Request);
+    wire::Frame Frame;
+    ASSERT_TRUE(wire::writeFrame(Fd, wire::Request, Encoded));
+    ASSERT_EQ(readOne(Fd, Frame), wire::ReadStatus::Ok)
+        << "the garbled request cost its connection";
+    ASSERT_EQ(Frame.Type, wire::Error);
+    EXPECT_EQ(decodeServeError(Frame.Payload).Code, ServeErrorCode::BadRequest);
+    ASSERT_TRUE(wire::writeFrame(Fd, wire::Request, Encoded));
+    ASSERT_EQ(readOne(Fd, Frame), wire::ReadStatus::Ok);
+    ASSERT_EQ(Frame.Type, wire::Response);
+    std::optional<BatchReply> Reply = decodeBatchReply(Frame.Payload);
+    ASSERT_TRUE(Reply);
+    expectSequential(*Reply);
+    close(Fd);
+  }
+
+  RetryingClient Client(Path);
+  std::optional<BatchReply> Reply = Client.send(Request);
+  ASSERT_TRUE(Reply) << serveErrorCodeName(Client.Final.Code) << ": "
+                     << Client.Final.Message;
+  expectSequential(*Reply);
+  // Only a torn or dropped reply costs a connection.
+  bool CostsConnection =
+      Site == "serve_reply_torn" || Site == "serve_drop_client";
+  EXPECT_EQ(Client.Attempts, CostsConnection ? 2 : 1);
+
+  // A permanent error is final: a bad request is not retried.
+  BatchRequest Bogus = Request;
+  Bogus.Workloads = {"999.bogus"};
+  EXPECT_FALSE(Client.send(Bogus));
+  EXPECT_EQ(Client.Final.Code, ServeErrorCode::BadRequest);
+  EXPECT_EQ(Client.Attempts, 1);
+
+  EXPECT_EQ(FaultInjector::get().firedCount(Site), 1u);
+  Server.requestStop();
+  Runner.join(); // run() returned 0.
+  close(ListenFd);
+  ::unlink(Path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(ServeFaults, ServeFaultSweep,
+                         ::testing::Values("serve_request_garbage",
+                                           "serve_reply_torn",
+                                           "serve_drop_client",
+                                           "serve_slow_write"),
+                         [](const ::testing::TestParamInfo<const char *> &I) {
+                           return std::string(I.param);
+                         });
+
 TEST_F(ServeTest, HotReloadUnderLoadIsByteIdenticalAndRefusesCorrupt) {
   // The tentpole guarantee: swapping the automaton image under live
   // traffic changes nothing observable (same library ⇒ byte-identical
@@ -1104,11 +1201,36 @@ TEST_F(ServeTest, StopAnswersRequestsThatArriveAsTheDrainEnds) {
   close(Fds[1]);
 }
 
+namespace {
+
+/// Health-probes the server on \p Fd every 10 ms until \p Done accepts
+/// the reply, for at most 10 s. Returns the last reply, or nullopt if
+/// the probe itself failed.
+std::optional<HealthReply>
+probeUntil(int Fd, const std::function<bool(const HealthReply &)> &Done) {
+  std::optional<HealthReply> Health;
+  for (int Spin = 0; Spin < 1000; ++Spin) {
+    wire::Frame Frame;
+    if (!wire::writeFrame(Fd, wire::Request, encodeHealthRequest()) ||
+        readOne(Fd, Frame) != wire::ReadStatus::Ok)
+      return std::nullopt;
+    Health = decodeHealthReply(Frame.Payload);
+    if (!Health || Done(*Health))
+      return Health;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return Health;
+}
+
+} // namespace
+
 TEST_F(ServeTest, SpawnedSocketServerDrainsOnSigtermAndUnlinksSocket) {
-  // The deployment-shape regression test for orderly shutdown: a large
-  // batch is in flight over the unix socket when SIGTERM lands. The
-  // accepted request must still get its complete, byte-identical
-  // reply; the process must exit 0; the socket file must be gone.
+  // The deployment-shape regression test for SIGHUP reload and orderly
+  // shutdown. A republished image is swapped in and a truncated one is
+  // refused, both on SIGHUP. Then a large batch is in flight over the
+  // unix socket when SIGTERM lands. The accepted request must still
+  // get its complete, byte-identical reply; the process must exit 0;
+  // the socket file must be gone.
   std::string LibraryPath = ::testing::TempDir() + "serve_drain.dat";
   std::string ImagePath = ::testing::TempDir() + "serve_drain.matb";
   std::string SocketPath = ::testing::TempDir() + "serve_drain.sock";
@@ -1133,6 +1255,33 @@ TEST_F(ServeTest, SpawnedSocketServerDrainsOnSigtermAndUnlinksSocket) {
   ASSERT_EQ(readOne(Fd, Frame, 120000), wire::ReadStatus::Ok);
   std::string Error;
   ASSERT_TRUE(decodeHealthReply(Frame.Payload, &Error)) << Error;
+
+  // Publish by write-aside plus rename, as the reload contract asks,
+  // then SIGHUP: the regenerated image is swapped in.
+  std::string StagePath = ImagePath + ".new";
+  ASSERT_TRUE(buildMatcherAutomaton(Library).writeBinaryFile(StagePath));
+  ASSERT_EQ(std::rename(StagePath.c_str(), ImagePath.c_str()), 0);
+  ASSERT_EQ(kill(Server.Pid, SIGHUP), 0);
+  std::optional<HealthReply> Health =
+      probeUntil(Fd, [](const HealthReply &H) { return H.Reloads == 1; });
+  ASSERT_TRUE(Health);
+  EXPECT_EQ(Health->Reloads, 1u) << "SIGHUP did not reload the image";
+  EXPECT_EQ(Health->ReloadFailures, 0u);
+  EXPECT_EQ(Health->ImageGeneration, 1u);
+
+  // A truncated image, published the same way, is refused, and the
+  // resident image keeps serving.
+  std::optional<std::string> Bytes = readFileToString(ImagePath);
+  ASSERT_TRUE(Bytes);
+  ASSERT_TRUE(writeFileAtomic(StagePath, Bytes->substr(0, Bytes->size() / 3)));
+  ASSERT_EQ(std::rename(StagePath.c_str(), ImagePath.c_str()), 0);
+  ASSERT_EQ(kill(Server.Pid, SIGHUP), 0);
+  Health = probeUntil(
+      Fd, [](const HealthReply &H) { return H.ReloadFailures == 1; });
+  ASSERT_TRUE(Health);
+  EXPECT_EQ(Health->ReloadFailures, 1u) << "a truncated image was not refused";
+  EXPECT_EQ(Health->Reloads, 1u);
+  EXPECT_EQ(Health->ImageGeneration, 1u);
 
   BatchRequest Request;
   Request.Width = W;

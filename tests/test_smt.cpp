@@ -134,6 +134,34 @@ TEST(CommandLine, ReportsUnknownOptions) {
   EXPECT_EQ(Cli.intOption("width", 0), 8);
 }
 
+TEST(CommandLine, CheckedOptionsEnforceWidthAndCountRules) {
+  auto check = [](const std::string &Value, NumberRule Rule) {
+    std::vector<std::string> Args = {"prog", "--n=" + Value};
+    std::vector<char *> Argv = argvOf(Args);
+    CommandLine Cli(static_cast<int>(Argv.size()), Argv.data(), {"n"});
+    std::string Error;
+    std::optional<unsigned> Result = Cli.checkedOption("n", 7, Rule, Error);
+    EXPECT_EQ(Result.has_value(), Error.empty()) << Value;
+    return Result;
+  };
+  EXPECT_EQ(check("", NumberRule::Width), 7u); // Empty reads the default.
+  EXPECT_EQ(check("8", NumberRule::Width), 8u);
+  EXPECT_EQ(check("2147483648", NumberRule::Width), 1u << 31);
+  for (const char *Bad : {"0", "4", "12", "-8", "4294967296", "8x", "eight"})
+    EXPECT_FALSE(check(Bad, NumberRule::Width)) << Bad;
+  EXPECT_EQ(check("0", NumberRule::Count), 0u);
+  EXPECT_EQ(check("4294967295", NumberRule::Count), 4294967295u);
+  for (const char *Bad : {"-1", "4294967296", "3 ", "three"})
+    EXPECT_FALSE(check(Bad, NumberRule::Count)) << Bad;
+
+  std::vector<std::string> Args = {"prog", "--width", "12"};
+  std::vector<char *> Argv = argvOf(Args);
+  CommandLine Cli(static_cast<int>(Argv.size()), Argv.data(), {"width"});
+  std::string Error;
+  EXPECT_FALSE(Cli.checkedOption("width", 8, NumberRule::Width, Error));
+  EXPECT_EQ(Error, "--width must be a power of two from 8 to 2^31 (got 12)");
+}
+
 TEST(CommandLine, Usage) {
   std::string Text = CommandLine::usage("prog", {"width", "runs"});
   EXPECT_NE(Text.find("--width"), std::string::npos);

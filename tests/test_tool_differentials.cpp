@@ -12,17 +12,20 @@
 //     basic w8 library into an image; selgen-compile then runs every
 //     workload once off that image and once with the paper's linear
 //     scan. The coverage/cycle rows must agree, and the image run's
-//     --stats-json must carry all five matcher counters.
+//     --stats-json must carry all five matcher counters, with
+//     matcher.nodes_visited pinned.
 //   * `selgen-matchergen dump` renders the image it maps.
-//   * A text automaton (the retired .mat format) is refused by
-//     selgen-compile and selgen-served with exit code 1 and a message
-//     saying how to regenerate the image.
+//   * A text automaton (the retired .mat format) and an image compiled
+//     from another library are refused by selgen-compile and
+//     selgen-served with exit code 1 and a message saying how to
+//     regenerate the image.
 //   * Cost-model differential, over the mapped image of both shipped
-//     libraries: `--cost-model latency` and `--cost-model size` pass
-//     every interpreter check (return values and final memory), and
-//     their --dump-asm output is pinned by CRC. The retired `tiling`
-//     selector value and a cost model on a non-automaton selector are
-//     usage errors.
+//     libraries: every cost model (unit, latency, size) passes every
+//     interpreter check (return values and final memory), its
+//     --dump-asm output is pinned by CRC, and selgen-served under the
+//     same --cost-model returns those .s files byte for byte. The
+//     retired `tiling` selector value and a cost model on a
+//     non-automaton selector are usage errors.
 //   * Lint gate: selgen-lint audits both shipped libraries (the basic
 //     one with examples/ir/*.ir) without an error, and with the
 //     committed baselines it reports no finding at all, so any new
@@ -36,20 +39,26 @@
 //   * A cache-less three-thread selgen-synth run screens candidates
 //     concretely, grows its counterexample corpus, and never holds
 //     more Z3 contexts than it has workers.
-//   * selgen-synth refuses a negative --threads and a --width that is
-//     not a power of two >= 8 with exit 1 before any goal work.
+//   * Every tool refuses a --width that is not a power of two from 8
+//     to 2^31, and a negative or non-numeric --threads or --runs, with
+//     its usage exit code before it loads a library or starts any
+//     goal work.
 //
 // The build injects the tool paths as SELGEN_MATCHERGEN_TOOL,
 // SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL, SELGEN_MINIMIZE_TOOL,
-// SELGEN_LINT_TOOL and SELGEN_SYNTH_TOOL.
+// SELGEN_LINT_TOOL, SELGEN_SYNTH_TOOL and SELGEN_TESTGEN_TOOL.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SpawnedServer.h"
+#include "serve/ServeProtocol.h"
 #include "support/AtomicFile.h"
+#include "support/Wire.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -68,13 +77,15 @@ std::string freshDir(const std::string &Name) {
   return Dir;
 }
 
-/// Runs \p Tool with \p Args, stdout and stderr to \p LogPath; returns
-/// the exit code (-1 if the tool did not exit normally).
+/// Runs \p Tool with \p Args, stdin from /dev/null, stdout and stderr
+/// to \p LogPath; returns the exit code (-1 if the tool did not exit
+/// normally).
 int runTool(const std::string &Tool, const std::vector<std::string> &Args,
             const std::string &LogPath) {
   pid_t Child = ::fork();
   if (Child == 0) {
-    if (!::freopen(LogPath.c_str(), "w", stdout))
+    if (!::freopen("/dev/null", "r", stdin) ||
+        !::freopen(LogPath.c_str(), "w", stdout))
       ::_exit(126);
     ::dup2(::fileno(stdout), ::fileno(stderr));
     std::vector<std::string> Mutable = Args;
@@ -167,6 +178,9 @@ TEST(MatcherDifferential, ImageRowsMatchLinearScanAndCountersLand) {
     EXPECT_NE(Json.find("\"" + std::string(Counter) + "\""),
               std::string::npos)
         << "missing " << Counter << " in " << Stats;
+  // The automaton states candidate discovery visits over the eleven
+  // workloads: a walk that visits a state twice or skips one moves it.
+  EXPECT_EQ(counterValue(Json, "matcher.nodes_visited"), 3278) << Json;
 }
 
 TEST(MatcherDifferential, DumpRendersTheMappedImage) {
@@ -233,21 +247,84 @@ TEST(MatcherDifferential, TextAutomatonRefusedWithRegenerateHint) {
   std::string ServedLog = readLog(Dir + "/served.log");
   EXPECT_NE(ServedLog.find("bad-magic"), std::string::npos) << ServedLog;
   EXPECT_NE(ServedLog.find(Hint), std::string::npos) << ServedLog;
+
+  // A well-formed image compiled from another library is stale: both
+  // tools refuse it at startup instead of selecting with it.
+  std::string Stale = Dir + "/full.matb";
+  ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
+                    {"--library", ShippedLibraries[1], "--output", Stale},
+                    Dir + "/matchergen.log"),
+            0)
+      << readLog(Dir + "/matchergen.log");
+  for (const char *Tool : {SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL}) {
+    std::string Log = Dir + "/stale.log";
+    EXPECT_EQ(runTool(Tool, {"--library", BasicLibrary, "--automaton", Stale},
+                      Log),
+              1)
+        << Tool;
+    std::string Text = readLog(Log);
+    EXPECT_NE(Text.find("stale automaton; re-run selgen-matchergen"),
+              std::string::npos)
+        << Tool << ": " << Text;
+  }
 }
 
-TEST(CostModelDifferential, LatencyAndSizeCheckAndMatchPinnedCode) {
-  // The cost model is the automaton selector's only setting. Latency
-  // and size run the tiling pre-pass through the mapped image and its
-  // per-rule cost table; every interpreter check must pass, and the
-  // emitted machine code, header line included, must stay what it
-  // was when these runs went through the retired `tiling` selector
-  // value. The pins are the CRC-32 of the workloads' .s files
-  // concatenated in file-name order.
+namespace {
+
+/// Starts selgen-served on pipes over \p Library and \p Image under
+/// cost model \p Model, sends one batch naming the workload of each
+/// .s file in \p AsmFiles, and expects each reply's machine code to
+/// equal that file byte for byte.
+void expectServedMatchesDump(const std::string &Library,
+                             const std::string &Image, const char *Model,
+                             const std::vector<std::string> &AsmFiles) {
+  signal(SIGPIPE, SIG_IGN);
+  selgen::SpawnedServer Server;
+  Server.start({SELGEN_SERVED_TOOL, "--library", Library, "--automaton",
+                Image, "--cost-model", Model, "--threads", "2"});
+  ASSERT_GE(Server.Pid, 0);
+  selgen::BatchRequest Request;
+  Request.Width = 8;
+  for (const std::string &File : AsmFiles)
+    Request.Workloads.push_back(std::filesystem::path(File).stem().string());
+  ASSERT_TRUE(selgen::wire::writeFrame(Server.ToChild, selgen::wire::Request,
+                                       selgen::encodeBatchRequest(Request)));
+  selgen::wire::Frame Frame;
+  ASSERT_EQ(selgen::wire::readFrame(Server.FromChild, Frame, 120000),
+            selgen::wire::ReadStatus::Ok);
+  ASSERT_EQ(Frame.Type, selgen::wire::Response)
+      << selgen::decodeServeError(Frame.Payload).Message;
+  std::string Error;
+  std::optional<selgen::BatchReply> Reply =
+      selgen::decodeBatchReply(Frame.Payload, &Error);
+  ASSERT_TRUE(Reply) << Error;
+  ASSERT_EQ(Reply->Results.size(), AsmFiles.size());
+  for (size_t I = 0; I < AsmFiles.size(); ++I)
+    EXPECT_EQ(Reply->Results[I].Asm, readLog(AsmFiles[I]))
+        << Model << " served code differs from " << AsmFiles[I];
+  ASSERT_TRUE(selgen::wire::writeFrame(Server.ToChild,
+                                       selgen::wire::Shutdown, ""));
+  int Status = Server.wait();
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0) << Status;
+}
+
+} // namespace
+
+TEST(CostModelDifferential, EveryModelMatchesPinsAndServedCode) {
+  // The cost model is the automaton selector's only setting. Unit is
+  // first-match; latency and size run the tiling pre-pass through the
+  // mapped image and its per-rule cost table. Every interpreter check
+  // must pass, and the emitted machine code, header line included,
+  // must stay what it was (for latency and size, what the retired
+  // `tiling` selector value emitted). The pins are the CRC-32 of the
+  // workloads' .s files concatenated in file-name order. The compile
+  // server under the same cost model returns the same bytes.
   struct Pin {
     const char *Model;
     uint32_t Crc[2]; ///< Basic, full library.
   };
-  const Pin Pins[] = {{"latency", {0x896983c4u, 0xa885119fu}},
+  const Pin Pins[] = {{"unit", {0x5c070df2u, 0x7f658c36u}},
+                      {"latency", {0x896983c4u, 0xa885119fu}},
                       {"size", {0x896983c4u, 0x3f4db766u}}};
   unsigned LibraryIndex = 0;
   for (const std::string &Library : ShippedLibraries) {
@@ -280,6 +357,7 @@ TEST(CostModelDifferential, LatencyAndSizeCheckAndMatchPinnedCode) {
         All += readLog(File);
       EXPECT_EQ(selgen::crc32(All), P.Crc[LibraryIndex])
           << P.Model << " code changed for " << Library;
+      expectServedMatchesDump(Library, Image, P.Model, Files);
     }
     ++LibraryIndex;
   }
@@ -464,21 +542,36 @@ TEST(SynthTool, PrescreenActiveAndOneContextPerWorker) {
 
 namespace {
 
+/// Runs \p Tool with \p Args plus `Flag Value`, output to \p Log, and
+/// checks the value is refused up front: exit \p UsageExit and a
+/// "<flag> must be" usage error. Returns the tool's log.
+std::string expectRefuses(const std::string &Log, const std::string &Tool,
+                          std::vector<std::string> Args,
+                          const std::string &Flag, const std::string &Value,
+                          int UsageExit = 1) {
+  Args.push_back(Flag);
+  Args.push_back(Value);
+  int Code = runTool(Tool, Args, Log);
+  std::string Text = readLog(Log);
+  EXPECT_EQ(Code, UsageExit) << Tool << " " << Flag << " " << Value << "\n"
+                             << Text;
+  EXPECT_NE(Text.find(Flag + " must be"), std::string::npos)
+      << Tool << " " << Flag << " " << Value << "\n"
+      << Text;
+  return Text;
+}
+
 /// Runs a one-goal selgen-synth with \p BadFlag set to \p Value and
-/// checks it is refused up front: exit 1, an `error: <flag>` line, no
-/// synthesis banner and no library written.
+/// checks it is refused before any goal work: no synthesis banner and
+/// no library written.
 void expectSynthRefuses(const std::string &Name, const std::string &BadFlag,
                         const std::string &Value) {
   std::string Dir = freshDir("synth_" + Name);
-  std::string Log = Dir + "/synth.log";
-  EXPECT_EQ(runTool(SELGEN_SYNTH_TOOL,
-                    {"--goals", "mov_ri", "--budget", "5", "--no-cache",
-                     BadFlag, Value, "--output", Dir + "/rules.dat"},
-                    Log),
-            1)
-      << readLog(Log);
-  std::string Text = readLog(Log);
-  EXPECT_NE(Text.find("error: " + BadFlag), std::string::npos) << Text;
+  std::string Text = expectRefuses(
+      Dir + "/synth.log", SELGEN_SYNTH_TOOL,
+      {"--goals", "mov_ri", "--budget", "5", "--no-cache", "--output",
+       Dir + "/rules.dat"},
+      BadFlag, Value);
   EXPECT_EQ(Text.find("synthesizing"), std::string::npos) << Text;
   EXPECT_FALSE(std::filesystem::exists(Dir + "/rules.dat"));
 }
@@ -495,4 +588,39 @@ TEST(SynthTool, ZeroWidthIsRejected) {
 
 TEST(SynthTool, NonPowerOfTwoWidthIsRejected) {
   expectSynthRefuses("width_twelve", "--width", "12");
+}
+
+TEST(ToolCli, BadNumbersAreRefusedBeforeTheLibraryLoads) {
+  // The library does not exist, so a tool that read its numbers only
+  // after loading it would die on the load instead of naming the flag.
+  // selgen-lint and selgen-minimize signal usage errors with exit 2.
+  std::string Dir = freshDir("cli_numbers");
+  const std::vector<std::string> Missing = {"--library",
+                                            Dir + "/missing.dat"};
+  std::vector<std::string> MinimizeArgs = Missing;
+  MinimizeArgs.insert(MinimizeArgs.end(), {"--output", Dir + "/min.dat"});
+  struct Case {
+    const char *Tool;
+    std::vector<std::string> Args;
+    const char *Flag;
+    const char *Value;
+    int UsageExit;
+  };
+  const Case Cases[] = {
+      {SELGEN_COMPILE_TOOL, Missing, "--width", "0", 1},
+      {SELGEN_COMPILE_TOOL, Missing, "--width", "12", 1},
+      {SELGEN_COMPILE_TOOL, Missing, "--runs", "-1", 1},
+      {SELGEN_COMPILE_TOOL, Missing, "--runs", "three", 1},
+      {SELGEN_SERVED_TOOL, Missing, "--width", "0", 1},
+      {SELGEN_SERVED_TOOL, Missing, "--width", "12", 1},
+      {SELGEN_SERVED_TOOL, Missing, "--threads", "-1", 1},
+      {SELGEN_MATCHERGEN_TOOL, Missing, "--width", "12", 1},
+      {SELGEN_TESTGEN_TOOL, Missing, "--width", "0", 1},
+      {SELGEN_LINT_TOOL, Missing, "--width", "12", 2},
+      {SELGEN_MINIMIZE_TOOL, MinimizeArgs, "--width", "0", 2},
+  };
+  for (size_t I = 0; I < std::size(Cases); ++I)
+    expectRefuses(Dir + "/" + std::to_string(I) + ".log", Cases[I].Tool,
+                  Cases[I].Args, Cases[I].Flag, Cases[I].Value,
+                  Cases[I].UsageExit);
 }

@@ -102,8 +102,17 @@ int main(int argc, char **argv) {
     return Cli.hasFlag("help") ? 0 : 1;
   }
 
-  unsigned Width = static_cast<unsigned>(Cli.intOption("width", 8));
-  unsigned Runs = static_cast<unsigned>(Cli.intOption("runs", 3));
+  std::string BadNumber;
+  std::optional<unsigned> WidthOption =
+      Cli.checkedOption("width", 8, NumberRule::Width, BadNumber);
+  std::optional<unsigned> RunsOption =
+      Cli.checkedOption("runs", 3, NumberRule::Count, BadNumber);
+  if (!WidthOption || !RunsOption) {
+    std::fprintf(stderr, "error: %s\n", BadNumber.c_str());
+    return 1;
+  }
+  unsigned Width = *WidthOption;
+  unsigned Runs = *RunsOption;
   std::string LibraryPath = Cli.stringOption("library", "rules.dat");
   std::string SelectorName = Cli.stringOption("selector", "auto");
   std::string AutomatonPath = Cli.stringOption("automaton", "");

@@ -70,7 +70,14 @@ int main(int argc, char **argv) {
     return Cli.hasFlag("help") ? 0 : 2;
   }
 
-  unsigned Width = static_cast<unsigned>(Cli.intOption("width", 8));
+  std::string BadNumber;
+  std::optional<unsigned> WidthOption =
+      Cli.checkedOption("width", 8, NumberRule::Width, BadNumber);
+  if (!WidthOption) {
+    std::fprintf(stderr, "error: %s\n", BadNumber.c_str());
+    return 2;
+  }
+  unsigned Width = *WidthOption;
   LintOptions Options;
   Options.SmtTimeoutMs =
       static_cast<unsigned>(Cli.intOption("smt-timeout-ms", 10000));

@@ -66,7 +66,14 @@ int main(int argc, char **argv) {
     return Cli.hasFlag("help") ? 0 : 1;
   }
 
-  unsigned Width = static_cast<unsigned>(Cli.intOption("width", 8));
+  std::string BadNumber;
+  std::optional<unsigned> WidthOption =
+      Cli.checkedOption("width", 8, NumberRule::Width, BadNumber);
+  if (!WidthOption) {
+    std::fprintf(stderr, "error: %s\n", BadNumber.c_str());
+    return 1;
+  }
+  unsigned Width = *WidthOption;
   std::string LibraryPath = Cli.stringOption("library", "rules.dat");
   std::string OutputPath = Cli.stringOption("output", "rules.matb");
 

@@ -102,7 +102,14 @@ int main(int argc, char **argv) {
   }
   Options.Model = *Model;
 
-  unsigned Width = static_cast<unsigned>(Cli.intOption("width", 8));
+  std::string BadNumber;
+  std::optional<unsigned> WidthOption =
+      Cli.checkedOption("width", 8, NumberRule::Width, BadNumber);
+  if (!WidthOption) {
+    std::fprintf(stderr, "selgen-minimize: %s\n", BadNumber.c_str());
+    return 2;
+  }
+  unsigned Width = *WidthOption;
 
   std::string Text;
   if (!readFileToString(LibraryPath, Text)) {

@@ -119,8 +119,17 @@ int main(int argc, char **argv) {
     return Cli.hasFlag("help") ? 0 : 1;
   }
 
-  unsigned Width = static_cast<unsigned>(Cli.intOption("width", 8));
-  unsigned Threads = static_cast<unsigned>(Cli.intOption("threads", 4));
+  std::string BadNumber;
+  std::optional<unsigned> WidthOption =
+      Cli.checkedOption("width", 8, NumberRule::Width, BadNumber);
+  std::optional<unsigned> ThreadsOption =
+      Cli.checkedOption("threads", 4, NumberRule::Count, BadNumber);
+  if (!WidthOption || !ThreadsOption) {
+    std::fprintf(stderr, "error: %s\n", BadNumber.c_str());
+    return 1;
+  }
+  unsigned Width = *WidthOption;
+  unsigned Threads = *ThreadsOption;
   std::string LibraryPath = Cli.stringOption("library", "rules.dat");
   std::string AutomatonPath = Cli.stringOption("automaton", "");
   std::string SocketPath = Cli.stringOption("socket", "");

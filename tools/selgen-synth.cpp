@@ -153,22 +153,16 @@ int main(int argc, char **argv) {
   // Reject bad numbers before any goal work: a negative thread count
   // would wrap to ~4 billion workers, and the x86 shift goals mask
   // their count to width-1 bits, which is only right for powers of two.
-  int64_t WidthOption = Cli.intOption("width", 8);
-  if (WidthOption < 8 || WidthOption > (int64_t(1) << 31) ||
-      (WidthOption & (WidthOption - 1)) != 0) {
-    std::fprintf(stderr,
-                 "error: --width must be a power of two from 8 to 2^31 "
-                 "(got %lld)\n",
-                 static_cast<long long>(WidthOption));
+  std::string BadNumber;
+  std::optional<unsigned> WidthOption =
+      Cli.checkedOption("width", 8, NumberRule::Width, BadNumber);
+  std::optional<unsigned> ThreadsOption =
+      Cli.checkedOption("threads", 0, NumberRule::Count, BadNumber);
+  if (!WidthOption || !ThreadsOption) {
+    std::fprintf(stderr, "error: %s\n", BadNumber.c_str());
     return 1;
   }
-  int64_t ThreadsOption = Cli.intOption("threads", 0);
-  if (ThreadsOption < 0) {
-    std::fprintf(stderr, "error: --threads must not be negative (got %lld)\n",
-                 static_cast<long long>(ThreadsOption));
-    return 1;
-  }
-  unsigned Width = static_cast<unsigned>(WidthOption);
+  unsigned Width = *WidthOption;
   GoalLibrary All = GoalLibrary::build(Width, GoalLibrary::allGroups());
 
   GoalLibrary Selected;
@@ -218,7 +212,7 @@ int main(int argc, char **argv) {
           static_cast<unsigned>(MaxSize);
 
   ParallelBuildOptions Build;
-  Build.NumThreads = static_cast<unsigned>(ThreadsOption);
+  Build.NumThreads = *ThreadsOption;
   Build.EscalationFactor =
       static_cast<unsigned>(std::max<int64_t>(0, Cli.intOption("escalation", 4)));
 
