@@ -67,8 +67,8 @@ int main() {
   GoalLibrary BasicGoals = GoalLibrary::subset(
       GoalLibrary::build(Width, {"Basic"}),
       {"mov_ri", "add_rr", "sub_rr", "and_rr", "xor_rr", "neg_r", "not_r"});
-  PatternDatabase BasicDb =
-      synthesizeRuleLibraryParallel(BasicGoals, Options, /*NumThreads=*/0);
+  PatternDatabase BasicDb = synthesizeRuleLibraryParallel(
+      BasicGoals, Options, ParallelBuildOptions{});
   std::printf("machine A: %zu basic rules in %.1fs\n", BasicDb.size(),
               Clock.elapsedSeconds());
 
@@ -86,8 +86,8 @@ int main() {
   Clock.reset();
   GoalLibrary BmiGoals = GoalLibrary::build(Width, {"Bmi"});
   PatternDatabase BmiDb = synthesizeRuleLibraryParallel(
-      BmiGoals, Options, /*NumThreads=*/0, nullptr,
-      /*TotalModeGoals=*/{"andn", "blsr", "blsi", "blsmsk"});
+      BmiGoals, Options,
+      {.TotalModeGoals = {"andn", "blsr", "blsi", "blsmsk"}});
   std::printf("machine B: %zu BMI rules in %.1fs\n", BmiDb.size(),
               Clock.elapsedSeconds());
 

@@ -7,9 +7,6 @@
 
 #include "pattern/LibraryBuilder.h"
 
-#include "cost/CostModel.h"
-#include "support/Statistics.h"
-
 #include <map>
 
 using namespace selgen;
@@ -18,28 +15,23 @@ PatternDatabase selgen::synthesizeRuleLibrary(SmtContext &Smt,
                                               const GoalLibrary &Library,
                                               const SynthesisOptions &Options,
                                               LibraryBuildReport *Report) {
-  PatternDatabase Database;
-  std::map<std::string, GroupReport> Groups;
-
+  std::vector<GoalSynthesisResult> Results;
   for (const GoalInstruction &Goal : Library.goals()) {
     SynthesisOptions GoalOptions = Options;
     GoalOptions.MaxPatternSize = Goal.MaxPatternSize;
-    Synthesizer Synth(Smt, GoalOptions);
-    GoalSynthesisResult Result = Synth.synthesize(*Goal.Spec);
+    Results.push_back(Synthesizer(Smt, GoalOptions).synthesize(*Goal.Spec));
+  }
+  return collectRuleLibrary(Library, std::move(Results), Report);
+}
 
-    // Stamp the recipe's cost vector into the result so it rides the
-    // synthesis cache and the synthesis reports alongside the patterns.
-    RuleCost Cost = deriveRuleCost(Goal);
-    Result.HasCost = true;
-    Result.CostInstructions = Cost.Instructions;
-    Result.CostLatency = Cost.Latency;
-    Result.CostSize = Cost.Size;
-    Statistics &Stats = Statistics::get();
-    Stats.add("synth.cost_derivations", 1);
-    Stats.add("synth.cost_instructions", Cost.Instructions);
-    Stats.add("synth.cost_latency", Cost.Latency);
-    Stats.add("synth.cost_size", Cost.Size);
-
+PatternDatabase selgen::collectRuleLibrary(
+    const GoalLibrary &Library, std::vector<GoalSynthesisResult> Results,
+    LibraryBuildReport *Report) {
+  PatternDatabase Database;
+  std::map<std::string, GroupReport> Groups;
+  for (size_t I = 0; I < Results.size(); ++I) {
+    const GoalInstruction &Goal = Library.goals()[I];
+    GoalSynthesisResult &Result = Results[I];
     GroupReport &Group = Groups[Goal.Group];
     Group.Group = Goal.Group;
     ++Group.Goals;

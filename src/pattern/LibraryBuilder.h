@@ -59,6 +59,14 @@ PatternDatabase synthesizeRuleLibrary(SmtContext &Smt,
                                       const SynthesisOptions &Options,
                                       LibraryBuildReport *Report = nullptr);
 
+/// Algorithm 1's last step, shared by the sequential and the parallel
+/// builder: pairs each pattern of \p Results[I] with goal I of
+/// \p Library in a PatternDatabase, in goal order, and adds one row per
+/// group (and the totals) to \p Report when it is non-null.
+PatternDatabase collectRuleLibrary(const GoalLibrary &Library,
+                                   std::vector<GoalSynthesisResult> Results,
+                                   LibraryBuildReport *Report);
+
 } // namespace selgen
 
 #endif // SELGEN_PATTERN_LIBRARYBUILDER_H

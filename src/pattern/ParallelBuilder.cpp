@@ -7,7 +7,6 @@
 
 #include "pattern/ParallelBuilder.h"
 
-#include "cost/CostModel.h"
 #include "smt/SolverPool.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
@@ -28,6 +27,13 @@
 using namespace selgen;
 
 namespace {
+
+/// Minimum enumeration ranks per chunk when splitting a size's multiset
+/// range; sizes below this run as a single chunk.
+constexpr uint64_t MinChunkRanks = 32;
+/// Upper bound on chunks per (goal, size), as a multiple of the worker
+/// count.
+constexpr uint64_t ChunksPerThread = 4;
 
 /// One schedulable unit.
 struct Task {
@@ -96,10 +102,10 @@ struct GoalState {
   std::set<std::string> Fingerprints;
   GoalSynthesisResult Result;
   unsigned PendingChunks = 0;
-  /// Completed chunk outcomes of the current size, keyed by BeginRank;
+  /// Completed chunk results of the current size, keyed by BeginRank;
   /// merged in ascending rank order so the pattern set matches a
   /// sequential run.
-  std::map<uint64_t, RangeOutcome> SizeBuffer;
+  std::map<uint64_t, GoalSynthesisResult> SizeBuffer;
 
   /// Wall time the solver pool burned on condemned worker attempts
   /// (crashes, deadline kills) for this goal's chunks. Refunded from
@@ -311,11 +317,8 @@ private:
       return;
     }
 
-    uint64_t MaxChunks =
-        std::max<uint64_t>(1, uint64_t(NumThreads) * Build.ChunksPerThread);
     uint64_t NumChunks = std::max<uint64_t>(
-        1, std::min(MaxChunks, NumRanks / std::max<uint64_t>(
-                                   1, Build.MinChunkRanks)));
+        1, std::min(NumThreads * ChunksPerThread, NumRanks / MinChunkRanks));
     {
       std::lock_guard<std::mutex> Guard(S.M);
       S.PendingChunks = static_cast<unsigned>(NumChunks);
@@ -353,7 +356,7 @@ private:
       Budget = std::max(0.001, S.Options.TimeBudgetSeconds -
                                    S.budgetElapsedSeconds());
 
-    RangeOutcome Outcome;
+    GoalSynthesisResult Outcome;
     if (Build.Pool && Build.Pool->usable()) {
       // Ship the chunk to a supervised worker process. The worker
       // replays it on a fresh context, exactly like the in-process
@@ -415,10 +418,10 @@ private:
       std::lock_guard<std::mutex> Guard(S.M);
       for (auto &[Begin, Outcome] : S.SizeBuffer) {
         (void)Begin;
-        if (Outcome.FoundAny)
+        if (!Outcome.Patterns.empty())
           Found = true;
-        absorbRangeOutcome(S.Result, S.Fingerprints, std::move(Outcome),
-                           S.Options.MaxPatternsPerGoal);
+        mergeSynthesisResult(S.Result, S.Fingerprints, std::move(Outcome),
+                             S.Options.MaxPatternsPerGoal);
       }
       S.SizeBuffer.clear();
     }
@@ -441,9 +444,7 @@ private:
     bool OverBudget = S.Options.TimeBudgetSeconds > 0 &&
                       S.budgetElapsedSeconds() > S.Options.TimeBudgetSeconds;
     if (OverBudget) {
-      S.Result.Complete = false;
-      S.Result.Cause =
-          mergeIncompleteCause(S.Result.Cause, IncompleteCause::Budget);
+      S.Result.markIncomplete(IncompleteCause::Budget);
       finishGoal(S);
       return;
     }
@@ -455,21 +456,6 @@ private:
   }
 
   void finishGoal(GoalState &S) {
-    // Stamp the recipe's cost vector before the result is cached.
-    // Results served from pre-cost cache shards arrive without one;
-    // derivation is deterministic, so re-deriving here keeps them
-    // interchangeable with fresh results.
-    if (!S.Result.HasCost) {
-      RuleCost Cost = deriveRuleCost(*S.Goal);
-      S.Result.HasCost = true;
-      S.Result.CostInstructions = Cost.Instructions;
-      S.Result.CostLatency = Cost.Latency;
-      S.Result.CostSize = Cost.Size;
-      Statistics::get().add("synth.cost_derivations", 1);
-    } else {
-      Statistics::get().add("synth.cost_cached", 1);
-    }
-
     if (!S.CacheHit) {
       S.Result.Seconds = S.SolverSeconds;
       if (Build.Cache && S.Result.Complete)
@@ -513,48 +499,21 @@ PatternDatabase selgen::synthesizeRuleLibraryParallel(
   Scheduler Sched(Library, Options, Build);
   Sched.run();
 
-  // Aggregate in goal order so the result is deterministic.
-  PatternDatabase Database;
-  std::map<std::string, GroupReport> Groups;
-  unsigned CacheHits = 0, CacheMisses = 0;
+  std::vector<GoalSynthesisResult> Results;
+  unsigned CacheHits = 0;
   for (GoalState &S : Sched.states()) {
-    GroupReport &Group = Groups[S.Goal->Group];
-    Group.Group = S.Goal->Group;
-    ++Group.Goals;
-    Group.Seconds += S.Result.Seconds;
-    if (!S.Result.Complete)
-      ++Group.IncompleteGoals;
-    if (Build.Cache)
-      ++(S.CacheHit ? CacheHits : CacheMisses);
-    for (Graph &Pattern : S.Result.Patterns) {
-      Group.MaxPatternSize =
-          std::max(Group.MaxPatternSize, Pattern.numOperations());
-      if (Database.add(S.Goal->Name, std::move(Pattern)))
-        ++Group.Patterns;
-    }
+    CacheHits += S.CacheHit;
+    Results.push_back(std::move(S.Result));
   }
-
+  PatternDatabase Database =
+      collectRuleLibrary(Library, std::move(Results), Report);
   if (Report) {
-    for (auto &[Name, Group] : Groups) {
-      (void)Name;
-      Report->Groups.push_back(Group);
-      Report->TotalSeconds += Group.Seconds;
-      Report->TotalPatterns += Group.Patterns;
-      Report->TotalGoals += Group.Goals;
+    if (Build.Cache) {
+      Report->CacheHits = CacheHits;
+      Report->CacheMisses =
+          static_cast<unsigned>(Sched.states().size()) - CacheHits;
     }
-    Report->CacheHits = CacheHits;
-    Report->CacheMisses = CacheMisses;
     Report->WallSeconds = Wall.elapsedSeconds();
   }
   return Database;
-}
-
-PatternDatabase selgen::synthesizeRuleLibraryParallel(
-    const GoalLibrary &Library, const SynthesisOptions &Options,
-    unsigned NumThreads, LibraryBuildReport *Report,
-    const std::vector<std::string> &TotalModeGoals) {
-  ParallelBuildOptions Build;
-  Build.NumThreads = NumThreads;
-  Build.TotalModeGoals = TotalModeGoals;
-  return synthesizeRuleLibraryParallel(Library, Options, Build, Report);
 }

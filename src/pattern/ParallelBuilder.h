@@ -25,9 +25,13 @@
 /// multicombination enumerations, the tail that serializes a static
 /// per-goal dispatch) are split into rank sub-ranges via
 /// Synthesizer::synthesizeRange, so stragglers are shared among
-/// workers instead of pinning one. Per-size chunk outcomes are merged
-/// in rank order, which keeps the resulting database equal to a
-/// sequential run's.
+/// workers instead of pinning one. Each chunk yields a
+/// GoalSynthesisResult; a size's chunk results are merged in rank order
+/// by mergeSynthesisResult, the same merge the sequential Synthesizer
+/// uses, which keeps the resulting database equal to a sequential
+/// run's. Chunks hold at least 32 ranks, and a size splits into at
+/// most four chunks per worker. The finished goals go through
+/// collectRuleLibrary, the sequential builder's last step.
 ///
 /// Caching: with a SynthesisCache attached, each goal's cache key
 /// (content hash of its SMT spec, width, options, and encoder version)
@@ -61,12 +65,6 @@ struct ParallelBuildOptions {
   /// and rlimit budgets scaled by this factor before the library is
   /// finalized. 0 (or 1) disables the pass.
   unsigned EscalationFactor = 0;
-  /// Minimum enumeration ranks per chunk when splitting a size's
-  /// multiset range; sizes below this run as a single chunk.
-  uint64_t MinChunkRanks = 32;
-  /// Upper bound on chunks per (goal, size), as a multiple of the
-  /// worker count.
-  unsigned ChunksPerThread = 4;
   /// Out-of-process solver pool (see smt/SolverPool.h); null keeps the
   /// in-process path. When set and usable, enumeration chunks are
   /// shipped to supervised `selgen-solverd` workers instead of running
@@ -86,12 +84,6 @@ struct ParallelBuildOptions {
 PatternDatabase synthesizeRuleLibraryParallel(
     const GoalLibrary &Library, const SynthesisOptions &Options,
     const ParallelBuildOptions &Build, LibraryBuildReport *Report = nullptr);
-
-/// Backward-compatible convenience overload.
-PatternDatabase synthesizeRuleLibraryParallel(
-    const GoalLibrary &Library, const SynthesisOptions &Options,
-    unsigned NumThreads = 0, LibraryBuildReport *Report = nullptr,
-    const std::vector<std::string> &TotalModeGoals = {});
 
 } // namespace selgen
 

@@ -16,8 +16,10 @@
 /// Layout: a versioned directory (`<dir>/v2/`) of per-goal shard files
 /// named by cache key (`<key>.shard`). Each shard is a checksummed
 /// text record: a magic line, a `crc <hex> <length>` frame line, then
-/// the body (header fields, serialized pattern graphs, explicit `end`
-/// trailer).
+/// the result body of encodeSynthesisResult (synth/Synthesizer.h), the
+/// same body a solver-worker range reply carries. Shards from before
+/// the rule-cost stamp was dropped also hold a `cost` line, which the
+/// body decoder skips, so they still hit.
 /// Lookups never trust a shard blindly — a length or CRC-32 mismatch,
 /// a missing trailer, a pattern-count mismatch, or a parse error all
 /// degrade to a cache miss, the offending shard is quarantined to
@@ -86,7 +88,8 @@ public:
   /// Path of the shard file for \p Key (exists only after a store).
   std::string shardPath(const std::string &Key) const;
 
-  /// Serialization of one result record (exposed for tests).
+  /// One shard's bytes: the frame around the result body (exposed for
+  /// tests).
   static std::string serializeResult(const GoalSynthesisResult &Result);
   static std::optional<GoalSynthesisResult>
   deserializeResult(const std::string &Text);

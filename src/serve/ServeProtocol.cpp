@@ -7,11 +7,10 @@
 
 #include "serve/ServeProtocol.h"
 
-#include <cerrno>
+#include "support/StringUtils.h"
+
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace selgen;
 
@@ -58,44 +57,6 @@ struct Cursor {
   }
 };
 
-bool parseU64(const std::string &Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
-  Out = Value;
-  return true;
-}
-
-bool parseDouble(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
-  Out = Value;
-  return true;
-}
-
-/// Splits on single spaces (the encoders emit exactly one separator).
-std::vector<std::string> fields(const std::string &Line) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Line.size()) {
-    size_t End = Line.find(' ', Pos);
-    if (End == std::string::npos)
-      End = Line.size();
-    Out.push_back(Line.substr(Pos, End - Pos));
-    Pos = End + 1;
-  }
-  return Out;
-}
-
 } // namespace
 
 std::string selgen::encodeBatchRequest(const BatchRequest &Request) {
@@ -122,13 +83,13 @@ selgen::decodeBatchRequest(const std::string &Payload, std::string *Error) {
   BatchRequest Request;
   uint64_t Value = 0;
   if (!C.nextLine(Line) || Line.rfind("id ", 0) != 0 ||
-      !parseU64(Line.substr(3), Value)) {
+      !parseNumber(Line.substr(3), Value)) {
     fail(Error, "bad id line");
     return std::nullopt;
   }
   Request.Id = Value;
   if (!C.nextLine(Line) || Line.rfind("width ", 0) != 0 ||
-      !parseU64(Line.substr(6), Value) || Value == 0 || Value > 64) {
+      !parseNumber(Line.substr(6), Value) || Value == 0 || Value > 64) {
     fail(Error, "bad width line");
     return std::nullopt;
   }
@@ -183,13 +144,13 @@ std::optional<BatchReply> selgen::decodeBatchReply(const std::string &Payload,
   BatchReply Reply;
   uint64_t Value = 0;
   if (!C.nextLine(Line) || Line.rfind("id ", 0) != 0 ||
-      !parseU64(Line.substr(3), Value)) {
+      !parseNumber(Line.substr(3), Value)) {
     fail(Error, "bad id line");
     return std::nullopt;
   }
   Reply.Id = Value;
   if (!C.nextLine(Line) || Line.rfind("wall ", 0) != 0 ||
-      !parseDouble(Line.substr(5), Reply.WallUs)) {
+      !parseNumber(Line.substr(5), Reply.WallUs)) {
     fail(Error, "bad wall line");
     return std::nullopt;
   }
@@ -205,25 +166,17 @@ std::optional<BatchReply> selgen::decodeBatchReply(const std::string &Payload,
       fail(Error, "bad result line: " + Line);
       return std::nullopt;
     }
-    std::vector<std::string> F = fields(Line.substr(7));
-    if (F.size() != 8) {
-      fail(Error, "bad result field count");
-      return std::nullopt;
-    }
     BatchReply::Result R;
-    R.Workload = F[0];
-    uint64_t Total = 0, Covered = 0, Fallback = 0, AsmBytes = 0;
-    if (R.Workload.empty() || !parseU64(F[1], Total) ||
-        !parseU64(F[2], Covered) || !parseU64(F[3], Fallback) ||
-        !parseU64(F[4], R.RulesTried) || !parseU64(F[5], R.NodesVisited) ||
-        !parseDouble(F[6], R.SelectUs) || !parseU64(F[7], AsmBytes) ||
-        Total > UINT32_MAX || Covered > UINT32_MAX || Fallback > UINT32_MAX) {
+    uint64_t AsmBytes = 0;
+    size_t Space = Line.find(' ', 7);
+    if (Space == std::string::npos || Space == 7 ||
+        !parseFields(Line.substr(Space + 1), R.TotalOperations,
+                     R.CoveredOperations, R.FallbackOperations, R.RulesTried,
+                     R.NodesVisited, R.SelectUs, AsmBytes)) {
       fail(Error, "bad result fields");
       return std::nullopt;
     }
-    R.TotalOperations = static_cast<unsigned>(Total);
-    R.CoveredOperations = static_cast<unsigned>(Covered);
-    R.FallbackOperations = static_cast<unsigned>(Fallback);
+    R.Workload = Line.substr(7, Space - 7);
     if (!C.takeRaw(AsmBytes, R.Asm)) {
       fail(Error, "truncated asm block");
       return std::nullopt;
@@ -289,11 +242,10 @@ ServeError selgen::decodeServeError(const std::string &Payload) {
     if (Line == "end")
       return Parsed;
     uint64_t Value = 0;
-    if (Line.rfind("retry-after-ms ", 0) == 0 &&
-        parseU64(Line.substr(15), Value) && Value <= UINT32_MAX) {
-      Parsed.RetryAfterMs = static_cast<uint32_t>(Value);
+    if (Line.rfind("retry-after-ms ", 0) == 0) {
+      parseNumber(Line.substr(15), Parsed.RetryAfterMs);
     } else if (Line.rfind("message ", 0) == 0 &&
-               parseU64(Line.substr(8), Value)) {
+               parseNumber(Line.substr(8), Value)) {
       if (!C.takeRaw(Value, Parsed.Message))
         return Parsed; // Truncated block: keep what parsed so far.
     }
@@ -345,7 +297,7 @@ selgen::decodeHealthReply(const std::string &Payload, std::string *Error) {
     if (L.rfind(Prefix, 0) != 0)
       return false;
     uint64_t Value = 0;
-    if (!parseU64(L.substr(Prefix.size()), Value))
+    if (!parseNumber(L.substr(Prefix.size()), Value))
       Ok = false;
     Out = Value;
     return true;

@@ -10,7 +10,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 
 using namespace selgen;
@@ -67,6 +66,12 @@ double CommandLine::doubleOption(const std::string &Name,
              : std::atof(It->second.c_str());
 }
 
+bool selgen::followsNumberRule(uint64_t Value, NumberRule Rule) {
+  if (Rule == NumberRule::Width)
+    return Value >= 8 && Value <= (1ull << 31) && (Value & (Value - 1)) == 0;
+  return Value <= UINT32_MAX;
+}
+
 std::optional<unsigned>
 CommandLine::checkedOption(const std::string &Name, unsigned Default,
                            NumberRule Rule, std::string &Error) const {
@@ -74,15 +79,8 @@ CommandLine::checkedOption(const std::string &Name, unsigned Default,
   if (It == Options.end() || It->second.empty())
     return Default;
   const std::string &Text = It->second;
-  char *End = nullptr;
-  errno = 0;
-  long long Value = std::strtoll(Text.c_str(), &End, 10);
-  bool Parsed = errno == 0 && *End == '\0';
-  bool Valid = Rule == NumberRule::Width
-                   ? Parsed && Value >= 8 && Value <= (1ll << 31) &&
-                         (Value & (Value - 1)) == 0
-                   : Parsed && Value >= 0 && Value <= UINT32_MAX;
-  if (Valid)
+  uint64_t Value = 0;
+  if (parseNumber(Text, Value) && followsNumberRule(Value, Rule))
     return static_cast<unsigned>(Value);
   Error = "--" + Name +
           (Rule == NumberRule::Width

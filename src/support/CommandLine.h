@@ -30,6 +30,9 @@ enum class NumberRule {
   Count, ///< A non-negative count, such as threads or runs, up to 2^32-1.
 };
 
+/// True if \p Value obeys \p Rule.
+bool followsNumberRule(uint64_t Value, NumberRule Rule);
+
 /// Parsed command line.
 class CommandLine {
 public:

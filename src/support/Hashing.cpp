@@ -49,9 +49,3 @@ std::string StableHasher::hex() const {
   }
   return Result;
 }
-
-std::string selgen::stableHashHex(const std::string &Value) {
-  StableHasher Hasher;
-  Hasher.str(Value);
-  return Hasher.hex();
-}

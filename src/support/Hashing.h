@@ -43,9 +43,6 @@ private:
   void raw(const void *Data, size_t Size);
 };
 
-/// One-shot convenience: the hex digest of a single string.
-std::string stableHashHex(const std::string &Value);
-
 } // namespace selgen
 
 #endif // SELGEN_SUPPORT_HASHING_H

@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace selgen;
 
@@ -27,6 +31,38 @@ std::vector<std::string> selgen::splitString(const std::string &Str,
     Result.push_back(Str.substr(Start, Pos - Start));
     Start = Pos + 1;
   }
+}
+
+bool selgen::parseNumber(const std::string &Text, uint64_t &Out) {
+  if (Text.empty() || !std::isdigit(static_cast<unsigned char>(Text[0])))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
+  if (errno != 0 || End != Text.c_str() + Text.size())
+    return false;
+  Out = Value;
+  return true;
+}
+
+bool selgen::parseNumber(const std::string &Text, unsigned &Out) {
+  uint64_t Value = 0;
+  if (!parseNumber(Text, Value) || Value > UINT32_MAX)
+    return false;
+  Out = static_cast<unsigned>(Value);
+  return true;
+}
+
+bool selgen::parseNumber(const std::string &Text, double &Out) {
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  double Value = std::strtod(Text.c_str(), &End);
+  if (errno != 0 || End != Text.c_str() + Text.size() || !std::isfinite(Value))
+    return false;
+  Out = Value;
+  return true;
 }
 
 std::string selgen::joinStrings(const std::vector<std::string> &Parts,

@@ -14,6 +14,7 @@
 #ifndef SELGEN_SUPPORT_STRINGUTILS_H
 #define SELGEN_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,25 @@ std::string_view trimView(std::string_view Str);
 
 /// Returns true if \p Str starts with \p Prefix.
 bool startsWith(const std::string &Str, const std::string &Prefix);
+
+/// Checked decimal parsers for decoders of untrusted text: all of
+/// \p Text must be the number (an integer is digits only: no sign,
+/// space or trailing junk; a double must be finite) and it must fit
+/// \p Out. On failure they return false and leave \p Out untouched.
+bool parseNumber(const std::string &Text, uint64_t &Out);
+bool parseNumber(const std::string &Text, unsigned &Out);
+bool parseNumber(const std::string &Text, double &Out);
+
+/// parseNumber over the single-space-separated fields of \p Text, one
+/// field per output; false unless the counts match and every field
+/// parses.
+template <typename... Ts>
+bool parseFields(const std::string &Text, Ts &...Outs) {
+  std::vector<std::string> Fields = splitString(Text, ' ');
+  size_t I = 0;
+  return Fields.size() == sizeof...(Outs) &&
+         (parseNumber(Fields[I++], Outs) && ...);
+}
 
 /// Left-pads to \p Width with spaces.
 std::string padLeft(const std::string &Str, size_t Width);

@@ -7,13 +7,18 @@
 
 #include "synth/Synthesizer.h"
 
+#include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "support/Multicombination.h"
 #include "support/Statistics.h"
+#include "support/StringUtils.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <istream>
 #include <map>
 #include <set>
+#include <sstream>
 
 using namespace selgen;
 
@@ -52,6 +57,110 @@ IncompleteCause selgen::incompleteCauseFromFailure(SmtFailure Failure) {
 }
 
 SynthesisOptions::SynthesisOptions() : Alphabet(allTemplateOpcodes()) {}
+
+void selgen::mergeSynthesisResult(GoalSynthesisResult &Result,
+                                  std::set<std::string> &Fingerprints,
+                                  GoalSynthesisResult &&Part,
+                                  unsigned MaxPatterns) {
+  Result.MultisetsConsidered += Part.MultisetsConsidered;
+  Result.MultisetsSkipped += Part.MultisetsSkipped;
+  Result.MultisetsRun += Part.MultisetsRun;
+  Result.Counterexamples += Part.Counterexamples;
+  Result.SynthesisQueries += Part.SynthesisQueries;
+  Result.VerificationQueries += Part.VerificationQueries;
+  Result.PrescreenKills += Part.PrescreenKills;
+  Result.PrescreenInconclusive += Part.PrescreenInconclusive;
+  if (!Part.Complete)
+    Result.markIncomplete(Part.Cause == IncompleteCause::None
+                              ? IncompleteCause::Budget
+                              : Part.Cause);
+  for (Graph &Pattern : Part.Patterns) {
+    if (Result.Patterns.size() >= MaxPatterns)
+      break;
+    if (Fingerprints.insert(Pattern.fingerprint()).second)
+      Result.Patterns.push_back(std::move(Pattern));
+  }
+}
+
+std::string selgen::encodeSynthesisResult(const GoalSynthesisResult &Result) {
+  std::ostringstream Out;
+  Out << "goal " << Result.GoalName << "\n";
+  Out.precision(6);
+  Out << "seconds " << std::fixed << Result.Seconds << "\n";
+  Out << "minimal-size " << Result.MinimalSize << "\n";
+  Out << "multisets " << Result.MultisetsConsidered << " "
+      << Result.MultisetsSkipped << " " << Result.MultisetsRun << "\n";
+  Out << "queries " << Result.SynthesisQueries << " "
+      << Result.VerificationQueries << " " << Result.Counterexamples << "\n";
+  Out << "prescreen " << Result.PrescreenKills << " "
+      << Result.PrescreenInconclusive << "\n";
+  Out << "patterns " << Result.Patterns.size() << "\n";
+  for (const Graph &Pattern : Result.Patterns)
+    Out << "pattern\n" << printGraph(Pattern) << "endpattern\n";
+  Out << "end\n";
+  return Out.str();
+}
+
+std::optional<GoalSynthesisResult>
+selgen::decodeSynthesisResult(std::istream &Stream) {
+  GoalSynthesisResult Result;
+  uint64_t DeclaredPatterns = 0;
+  bool SawPatternsField = false;
+  std::string Line;
+  while (std::getline(Stream, Line)) {
+    std::string Trimmed = trimString(Line);
+    if (Trimmed.empty())
+      continue;
+    if (Trimmed == "end") {
+      if (!SawPatternsField || Result.GoalName.empty() ||
+          Result.Patterns.size() != DeclaredPatterns)
+        return std::nullopt;
+      return Result;
+    }
+    bool Ok = true;
+    if (startsWith(Trimmed, "goal ")) {
+      Result.GoalName = trimString(Trimmed.substr(5));
+    } else if (startsWith(Trimmed, "seconds ")) {
+      Ok = parseNumber(Trimmed.substr(8), Result.Seconds);
+    } else if (startsWith(Trimmed, "minimal-size ")) {
+      Ok = parseNumber(Trimmed.substr(13), Result.MinimalSize);
+    } else if (startsWith(Trimmed, "multisets ")) {
+      Ok = parseFields(Trimmed.substr(10), Result.MultisetsConsidered,
+                       Result.MultisetsSkipped, Result.MultisetsRun);
+    } else if (startsWith(Trimmed, "queries ")) {
+      Ok = parseFields(Trimmed.substr(8), Result.SynthesisQueries,
+                       Result.VerificationQueries, Result.Counterexamples);
+    } else if (startsWith(Trimmed, "prescreen ")) {
+      Ok = parseFields(Trimmed.substr(10), Result.PrescreenKills,
+                       Result.PrescreenInconclusive);
+    } else if (startsWith(Trimmed, "cost ")) {
+      // The rule cost stamp older shards carry; costs are derived from
+      // the goal's recipe when a library is prepared, never read here.
+    } else if (startsWith(Trimmed, "patterns ")) {
+      Ok = parseNumber(Trimmed.substr(9), DeclaredPatterns);
+      SawPatternsField = true;
+    } else if (Trimmed == "pattern") {
+      std::string GraphText;
+      bool Terminated = false;
+      while (!Terminated && std::getline(Stream, Line)) {
+        Terminated = trimString(Line) == "endpattern";
+        if (!Terminated)
+          GraphText += Line + "\n";
+      }
+      std::optional<Graph> Pattern;
+      if (Terminated)
+        Pattern = parseGraph(GraphText);
+      Ok = Pattern.has_value();
+      if (Ok)
+        Result.Patterns.push_back(std::move(*Pattern));
+    } else {
+      Ok = false; // Unknown field: likely corruption.
+    }
+    if (!Ok)
+      return std::nullopt;
+  }
+  return std::nullopt; // No trailer: truncated.
+}
 
 Synthesizer::Synthesizer(SmtContext &Smt, SynthesisOptions Options)
     : Smt(Smt), Options(std::move(Options)) {}
@@ -190,28 +299,21 @@ bool Synthesizer::shouldSkipMultiset(const InstrSpec &Goal,
 
 namespace {
 
-/// Appends a CEGIS outcome to a result, deduplicating patterns.
-void absorbOutcome(GoalSynthesisResult &Result,
-                   std::set<std::string> &Fingerprints,
-                   CegisOutcome &&Outcome, unsigned MaxPatterns) {
-  Result.SynthesisQueries += Outcome.SynthesisQueries;
-  Result.VerificationQueries += Outcome.VerificationQueries;
-  Result.Counterexamples += Outcome.Counterexamples;
-  Result.PrescreenKills += Outcome.PrescreenKills;
-  Result.PrescreenInconclusive += Outcome.PrescreenInconclusive;
-  for (Graph &Pattern : Outcome.Patterns) {
-    if (Result.Patterns.size() >= MaxPatterns)
-      break;
-    if (Fingerprints.insert(Pattern.fingerprint()).second)
-      Result.Patterns.push_back(std::move(Pattern));
-  }
-  if (!Outcome.Exhausted) {
-    Result.Complete = false;
-    IncompleteCause Cause = incompleteCauseFromFailure(Outcome.Failure);
-    if (Cause == IncompleteCause::None)
-      Cause = IncompleteCause::Budget;
-    Result.Cause = mergeIncompleteCause(Result.Cause, Cause);
-  }
+/// One CEGIS run as a result part for mergeSynthesisResult. A run that
+/// did not exhaust its multiset is incomplete: a query-level failure
+/// names the cause, otherwise (None) the run-level budget, time or
+/// iteration cap, is what stopped it.
+GoalSynthesisResult cegisResult(CegisOutcome &&Outcome) {
+  GoalSynthesisResult Part;
+  Part.Patterns = std::move(Outcome.Patterns);
+  Part.Complete = Outcome.Exhausted;
+  Part.Cause = incompleteCauseFromFailure(Outcome.Failure);
+  Part.SynthesisQueries = Outcome.SynthesisQueries;
+  Part.VerificationQueries = Outcome.VerificationQueries;
+  Part.Counterexamples = Outcome.Counterexamples;
+  Part.PrescreenKills = Outcome.PrescreenKills;
+  Part.PrescreenInconclusive = Outcome.PrescreenInconclusive;
+  return Part;
 }
 
 } // namespace
@@ -250,14 +352,13 @@ uint64_t Synthesizer::numMultisets(const SynthesisPlan &Plan, unsigned Size) {
   return multisetCount(Plan.Alphabet.size(), EnumeratedSize);
 }
 
-RangeOutcome Synthesizer::synthesizeRange(const InstrSpec &Goal,
-                                          const SynthesisPlan &Plan,
-                                          unsigned Size, uint64_t BeginRank,
-                                          uint64_t EndRank,
-                                          TestCorpus &Corpus,
-                                          double BudgetSeconds) {
+GoalSynthesisResult Synthesizer::synthesizeRange(
+    const InstrSpec &Goal, const SynthesisPlan &Plan, unsigned Size,
+    uint64_t BeginRank, uint64_t EndRank, TestCorpus &Corpus,
+    double BudgetSeconds) {
   Timer Clock;
-  RangeOutcome Result;
+  GoalSynthesisResult Result;
+  Result.GoalName = Goal.name();
   std::set<std::string> Fingerprints;
 
   CegisOptions CegisOpts;
@@ -314,28 +415,8 @@ RangeOutcome Synthesizer::synthesizeRange(const InstrSpec &Goal,
     CegisOutcome Outcome = runCegisAllPatterns(
         Smt, Options.Width, Goal, Multiset, Corpus, CegisOpts,
         Eval ? &*Eval : nullptr, &Verifier);
-    Result.SynthesisQueries += Outcome.SynthesisQueries;
-    Result.VerificationQueries += Outcome.VerificationQueries;
-    Result.Counterexamples += Outcome.Counterexamples;
-    Result.PrescreenKills += Outcome.PrescreenKills;
-    Result.PrescreenInconclusive += Outcome.PrescreenInconclusive;
-    if (!Outcome.Patterns.empty())
-      Result.FoundAny = true;
-    if (!Outcome.Exhausted) {
-      Result.Complete = false;
-      // A query-level failure names its cause; otherwise the run-level
-      // budget (time or iteration cap) is what stopped the multiset.
-      IncompleteCause Cause = incompleteCauseFromFailure(Outcome.Failure);
-      if (Cause == IncompleteCause::None)
-        Cause = IncompleteCause::Budget;
-      Result.Cause = mergeIncompleteCause(Result.Cause, Cause);
-    }
-    for (Graph &Pattern : Outcome.Patterns) {
-      if (Result.Patterns.size() >= Options.MaxPatternsPerGoal)
-        break;
-      if (Fingerprints.insert(Pattern.fingerprint()).second)
-        Result.Patterns.push_back(std::move(Pattern));
-    }
+    mergeSynthesisResult(Result, Fingerprints, cegisResult(std::move(Outcome)),
+                         Options.MaxPatternsPerGoal);
   };
 
   unsigned EnumeratedSize = Size - Plan.MinSize;
@@ -348,9 +429,7 @@ RangeOutcome Synthesizer::synthesizeRange(const InstrSpec &Goal,
     for (uint64_t Rank = BeginRank; Rank < EndRank && !Enumerator.atEnd();
          ++Rank) {
       if (overBudget()) {
-        Result.Complete = false;
-        Result.Cause = mergeIncompleteCause(Result.Cause,
-                                            IncompleteCause::Budget);
+        Result.markIncomplete(IncompleteCause::Budget);
         break;
       }
       std::vector<Opcode> Multiset = Plan.Prefix;
@@ -364,33 +443,6 @@ RangeOutcome Synthesizer::synthesizeRange(const InstrSpec &Goal,
 
   Result.Seconds = Clock.elapsedSeconds();
   return Result;
-}
-
-void selgen::absorbRangeOutcome(GoalSynthesisResult &Result,
-                                std::set<std::string> &Fingerprints,
-                                RangeOutcome &&Outcome,
-                                unsigned MaxPatternsPerGoal) {
-  Result.MultisetsConsidered += Outcome.MultisetsConsidered;
-  Result.MultisetsSkipped += Outcome.MultisetsSkipped;
-  Result.MultisetsRun += Outcome.MultisetsRun;
-  Result.Counterexamples += Outcome.Counterexamples;
-  Result.SynthesisQueries += Outcome.SynthesisQueries;
-  Result.VerificationQueries += Outcome.VerificationQueries;
-  Result.PrescreenKills += Outcome.PrescreenKills;
-  Result.PrescreenInconclusive += Outcome.PrescreenInconclusive;
-  if (!Outcome.Complete) {
-    Result.Complete = false;
-    Result.Cause = mergeIncompleteCause(
-        Result.Cause, Outcome.Cause == IncompleteCause::None
-                          ? IncompleteCause::Budget
-                          : Outcome.Cause);
-  }
-  for (Graph &Pattern : Outcome.Patterns) {
-    if (Result.Patterns.size() >= MaxPatternsPerGoal)
-      break;
-    if (Fingerprints.insert(Pattern.fingerprint()).second)
-      Result.Patterns.push_back(std::move(Pattern));
-  }
 }
 
 GoalSynthesisResult Synthesizer::synthesize(const InstrSpec &Goal) {
@@ -412,21 +464,19 @@ GoalSynthesisResult Synthesizer::synthesize(const InstrSpec &Goal) {
     if (Options.TimeBudgetSeconds > 0)
       Remaining =
           std::max(0.001, Options.TimeBudgetSeconds - Clock.elapsedSeconds());
-    RangeOutcome Outcome =
+    GoalSynthesisResult Part =
         synthesizeRange(Goal, Plan, Size, 0, numMultisets(Plan, Size),
                         Corpus, Remaining);
-    bool FoundThisSize = Outcome.FoundAny;
-    absorbRangeOutcome(Result, Fingerprints, std::move(Outcome),
-                       Options.MaxPatternsPerGoal);
+    bool FoundThisSize = !Part.Patterns.empty();
+    mergeSynthesisResult(Result, Fingerprints, std::move(Part),
+                         Options.MaxPatternsPerGoal);
     if (FoundThisSize) {
       Result.MinimalSize = Size;
       if (Options.FindAllMinimal)
         break;
     }
     if (overBudget()) {
-      Result.Complete = false;
-      Result.Cause =
-          mergeIncompleteCause(Result.Cause, IncompleteCause::Budget);
+      Result.markIncomplete(IncompleteCause::Budget);
       break;
     }
   }
@@ -463,8 +513,8 @@ GoalSynthesisResult Synthesizer::synthesizeClassic(const InstrSpec &Goal,
   Result.MultisetsConsidered = Result.MultisetsRun = 1;
   CegisOutcome Outcome = runCegisAllPatterns(
       Smt, Options.Width, Goal, Multiset, SharedTests, CegisOpts);
-  absorbOutcome(Result, Fingerprints, std::move(Outcome),
-                Options.MaxPatternsPerGoal);
+  mergeSynthesisResult(Result, Fingerprints, cegisResult(std::move(Outcome)),
+                       Options.MaxPatternsPerGoal);
   if (!Result.Patterns.empty())
     Result.MinimalSize = Result.Patterns.front().numOperations();
   Result.Seconds = Clock.elapsedSeconds();

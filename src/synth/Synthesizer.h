@@ -19,6 +19,12 @@
 ///   pattern (dangling single-sort results; missing source of a
 ///   required sort) are skipped without touching the solver.
 ///
+/// GoalSynthesisResult is the one result type of synthesis: a whole
+/// goal's, one enumeration range's (synthesizeRange) and one CEGIS
+/// run's are all merged by mergeSynthesisResult, and cache shards and
+/// solver-worker range replies carry it in the one text body of
+/// encodeSynthesisResult.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELGEN_SYNTH_SYNTHESIZER_H
@@ -26,6 +32,8 @@
 
 #include "synth/Cegis.h"
 
+#include <iosfwd>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -93,7 +101,8 @@ struct SynthesisOptions {
   SynthesisOptions();
 };
 
-/// Outcome of synthesizing one goal.
+/// Outcome of synthesizing one goal, or one part of it: an enumeration
+/// range (Synthesizer::synthesizeRange) or a single CEGIS run.
 struct GoalSynthesisResult {
   std::string GoalName;
   std::vector<Graph> Patterns; ///< Deduplicated by fingerprint.
@@ -110,15 +119,38 @@ struct GoalSynthesisResult {
   uint64_t VerificationQueries = 0;
   uint64_t PrescreenKills = 0;
   uint64_t PrescreenInconclusive = 0;
-  /// Cost vector of the goal's emission recipe (cost/CostModel.h),
-  /// derived once per goal when the library is built and cached with
-  /// the result. HasCost distinguishes a derived zero vector from a
-  /// result predating cost derivation (an old cache shard).
-  bool HasCost = false;
-  uint32_t CostInstructions = 0;
-  uint32_t CostLatency = 0;
-  uint32_t CostSize = 0;
+
+  /// Marks the result incomplete, keeping the most severe cause.
+  void markIncomplete(IncompleteCause Why) {
+    Complete = false;
+    Cause = mergeIncompleteCause(Cause, Why);
+  }
 };
+
+/// The one merge step of synthesis: adds \p Part's counters (not its
+/// Seconds) to \p Result, marks \p Result incomplete if \p Part is (an
+/// incomplete part without a named cause ran out of budget), and
+/// appends those of \p Part's patterns whose fingerprint is new to
+/// \p Fingerprints while \p Result holds fewer than \p MaxPatterns.
+/// Parts must be merged in enumeration order (the ranges of one size in
+/// ascending rank) for the pattern set to equal a sequential run's.
+void mergeSynthesisResult(GoalSynthesisResult &Result,
+                          std::set<std::string> &Fingerprints,
+                          GoalSynthesisResult &&Part, unsigned MaxPatterns);
+
+/// The one text body of a result, shared by synthesis-cache shards and
+/// solver-worker range replies: field lines (`goal`, `seconds`,
+/// `minimal-size`, `multisets`, `queries`, `prescreen`, `patterns <n>`),
+/// one `pattern` ... `endpattern` block per pattern, and an `end`
+/// trailer. Complete and Cause are not in it: a shard holds only
+/// complete results, and a range reply sends them on lines of its own.
+std::string encodeSynthesisResult(const GoalSynthesisResult &Result);
+
+/// Reads one body from \p Stream through its `end` trailer. Total: a
+/// malformed number, unknown field, unparsable or miscounted pattern,
+/// missing goal name or missing trailer yields nullopt. A `cost` line
+/// (written by older shards) is skipped.
+std::optional<GoalSynthesisResult> decodeSynthesisResult(std::istream &Stream);
 
 /// The per-goal enumeration plan of Algorithm 2: the fixed memory-op
 /// prefix O and the enumerated alphabet I' (paper Section 5.4). The
@@ -130,28 +162,6 @@ struct SynthesisPlan {
   std::vector<Opcode> Alphabet; ///< Enumerated operations.
   unsigned MinSize = 0;         ///< Prefix.size().
   unsigned MaxSize = 0;         ///< Iterative-deepening cap.
-};
-
-/// Result of running one contiguous rank sub-range of one size's
-/// enumeration (see Synthesizer::synthesizeRange). Patterns are kept
-/// in enumeration order and deduplicated only within the range; the
-/// caller merges ranges in rank order so the final pattern set matches
-/// a sequential run exactly.
-struct RangeOutcome {
-  std::vector<Graph> Patterns;
-  bool FoundAny = false;
-  bool Complete = true;
-  /// Most severe reason for incompleteness (None when Complete).
-  IncompleteCause Cause = IncompleteCause::None;
-  uint64_t MultisetsConsidered = 0;
-  uint64_t MultisetsSkipped = 0;
-  uint64_t MultisetsRun = 0;
-  uint64_t Counterexamples = 0;
-  uint64_t SynthesisQueries = 0;
-  uint64_t VerificationQueries = 0;
-  uint64_t PrescreenKills = 0;
-  uint64_t PrescreenInconclusive = 0;
-  double Seconds = 0;
 };
 
 /// Drives iterative CEGIS for individual goals.
@@ -177,13 +187,16 @@ public:
   /// receives newly found counterexamples; it is internally locked, so
   /// callers running ranges concurrently share one corpus per goal
   /// (the parallel builder's CorpusStore). A positive \p BudgetSeconds
-  /// caps this range's wall clock; expiry marks the outcome
-  /// incomplete.
-  RangeOutcome synthesizeRange(const InstrSpec &Goal,
-                               const SynthesisPlan &Plan, unsigned Size,
-                               uint64_t BeginRank, uint64_t EndRank,
-                               TestCorpus &Corpus,
-                               double BudgetSeconds = 0);
+  /// caps this range's wall clock; expiry marks the result incomplete.
+  /// The result's patterns are in enumeration order and deduplicated
+  /// within the range only; the range found a pattern of size \p Size
+  /// iff they are non-empty. Callers merge the ranges of one size in
+  /// rank order (mergeSynthesisResult).
+  GoalSynthesisResult synthesizeRange(const InstrSpec &Goal,
+                                      const SynthesisPlan &Plan, unsigned Size,
+                                      uint64_t BeginRank, uint64_t EndRank,
+                                      TestCorpus &Corpus,
+                                      double BudgetSeconds = 0);
 
   /// Runs one classical (non-iterative) CEGIS with an oversupplied
   /// template multiset containing \p Copies copies of every alphabet
@@ -206,14 +219,6 @@ private:
   SmtContext &Smt;
   SynthesisOptions Options;
 };
-
-/// Merges one range outcome into \p Result, deduplicating patterns by
-/// fingerprint across ranges and enforcing the MaxPatternsPerGoal cap.
-/// Ranges of one size must be absorbed in ascending rank order for the
-/// final pattern set to equal a sequential run's.
-void absorbRangeOutcome(GoalSynthesisResult &Result,
-                        std::set<std::string> &Fingerprints,
-                        RangeOutcome &&Outcome, unsigned MaxPatternsPerGoal);
 
 } // namespace selgen
 

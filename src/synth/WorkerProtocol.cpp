@@ -8,13 +8,11 @@
 #include "synth/WorkerProtocol.h"
 
 #include "ir/Opcode.h"
-#include "ir/Parser.h"
-#include "ir/Printer.h"
 #include "smt/SolverPool.h"
+#include "support/CommandLine.h"
 #include "support/StringUtils.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -22,7 +20,7 @@ using namespace selgen;
 
 namespace {
 
-constexpr const char *MagicLine = "selgen-worker v1";
+constexpr const char *MagicLine = "selgen-worker v2";
 constexpr const char *EndLine = "end";
 
 std::string fail(std::string *Error, const std::string &Message) {
@@ -49,17 +47,16 @@ std::string encodeBits(const BitValue &Value) {
 
 std::optional<BitValue> decodeBits(const std::string &Field) {
   size_t Colon = Field.find(':');
-  if (Colon == 0 || Colon == std::string::npos || Colon + 1 == Field.size())
-    return std::nullopt;
-  char *End = nullptr;
-  unsigned long Width = std::strtoul(Field.c_str(), &End, 10);
-  if (End != Field.c_str() + Colon || Width == 0 || Width > 1u << 20)
+  unsigned Width = 0;
+  if (Colon == std::string::npos || Colon + 1 == Field.size() ||
+      !parseNumber(Field.substr(0, Colon), Width) || Width == 0 ||
+      Width > 1u << 20)
     return std::nullopt;
   std::string Digits = Field.substr(Colon + 1);
   for (char C : Digits)
     if (!std::isxdigit(static_cast<unsigned char>(C)))
       return std::nullopt; // fromString asserts on malformed input.
-  return BitValue::fromString(static_cast<unsigned>(Width), Digits, 16);
+  return BitValue::fromString(Width, Digits, 16);
 }
 
 std::string encodeOpcodes(const std::vector<Opcode> &Ops) {
@@ -72,17 +69,17 @@ std::string encodeOpcodes(const std::vector<Opcode> &Ops) {
   return Out;
 }
 
-std::optional<std::vector<Opcode>> decodeOpcodes(const std::string &Text) {
-  std::vector<Opcode> Ops;
+bool decodeOpcodes(const std::string &Text, std::vector<Opcode> &Ops) {
+  Ops.clear();
   std::istringstream Fields(Text);
   std::string Name;
   while (Fields >> Name) {
     std::optional<Opcode> Op = tryOpcodeFromName(Name);
     if (!Op)
-      return std::nullopt;
+      return false;
     Ops.push_back(*Op);
   }
-  return Ops;
+  return true;
 }
 
 std::optional<IncompleteCause> causeFromName(const std::string &Name) {
@@ -133,11 +130,11 @@ std::optional<std::vector<BitValue>> decodeBitsList(const std::string &Text) {
 
 bool decodeCorpus(std::istream &Stream, const std::string &CountLine,
                   std::vector<TestCorpus::Entry> &Entries) {
-  size_t Count = static_cast<size_t>(std::atoll(CountLine.c_str()));
-  if (Count > 1u << 20)
+  uint64_t Count = 0;
+  if (!parseNumber(CountLine, Count) || Count > 1u << 20)
     return false;
   std::string Line;
-  for (size_t I = 0; I < Count; ++I) {
+  for (uint64_t I = 0; I < Count; ++I) {
     if (!std::getline(Stream, Line))
       return false;
     std::string Trimmed = trimString(Line);
@@ -172,43 +169,6 @@ bool decodeCorpus(std::istream &Stream, const std::string &CountLine,
       return false;
     }
     Entries.push_back(std::move(Entry));
-  }
-  return true;
-}
-
-void encodePatterns(std::ostream &Out, const std::vector<Graph> &Patterns) {
-  Out << "patterns " << Patterns.size() << "\n";
-  for (const Graph &Pattern : Patterns) {
-    Out << "pattern\n";
-    Out << printGraph(Pattern);
-    Out << "endpattern\n";
-  }
-}
-
-bool decodePatterns(std::istream &Stream, const std::string &CountLine,
-                    std::vector<Graph> &Patterns) {
-  size_t Count = static_cast<size_t>(std::atoll(CountLine.c_str()));
-  if (Count > 1u << 20)
-    return false;
-  std::string Line;
-  for (size_t I = 0; I < Count; ++I) {
-    if (!std::getline(Stream, Line) || trimString(Line) != "pattern")
-      return false;
-    std::string GraphText;
-    bool Terminated = false;
-    while (std::getline(Stream, Line)) {
-      if (trimString(Line) == "endpattern") {
-        Terminated = true;
-        break;
-      }
-      GraphText += Line + "\n";
-    }
-    if (!Terminated)
-      return false;
-    std::optional<Graph> Pattern = parseGraph(GraphText);
-    if (!Pattern)
-      return false;
-    Patterns.push_back(std::move(*Pattern));
   }
   return true;
 }
@@ -267,6 +227,8 @@ selgen::decodeRangeRequest(const std::string &Payload, std::string *Error) {
   }
 
   RangeRequest Request;
+  SynthesisOptions &O = Request.Options;
+  SynthesisPlan &Plan = Request.Plan;
   std::string Line;
   bool SawEnd = false;
   while (std::getline(Stream, Line)) {
@@ -277,99 +239,63 @@ selgen::decodeRangeRequest(const std::string &Payload, std::string *Error) {
       SawEnd = true;
       break;
     }
-    if (startsWith(Trimmed, "goal ")) {
-      Request.GoalName = trimString(Trimmed.substr(5));
-    } else if (startsWith(Trimmed, "width ")) {
-      Request.Options.Width =
-          static_cast<unsigned>(std::atoll(Trimmed.substr(6).c_str()));
-    } else if (Trimmed == "alphabet" || startsWith(Trimmed, "alphabet ")) {
-      std::optional<std::vector<Opcode>> Ops =
-          decodeOpcodes(Trimmed.size() > 8 ? Trimmed.substr(9) : "");
-      if (!Ops) {
-        fail(Error, "bad alphabet");
-        return std::nullopt;
-      }
-      Request.Options.Alphabet = std::move(*Ops);
-    } else if (startsWith(Trimmed, "max-pattern-size ")) {
-      Request.Options.MaxPatternSize =
-          static_cast<unsigned>(std::atoll(Trimmed.substr(17).c_str()));
-    } else if (startsWith(Trimmed, "flags ")) {
-      std::istringstream Fields(Trimmed.substr(6));
-      int Mem = 0, Skip = 0, FindAll = 0, Total = 0, Prescreen = 0;
-      if (!(Fields >> Mem >> Skip >> FindAll >> Total >> Prescreen)) {
-        fail(Error, "bad flags");
-        return std::nullopt;
-      }
-      Request.Options.UseMemoryRefinement = Mem != 0;
-      Request.Options.UseSkipCriteria = Skip != 0;
-      Request.Options.FindAllMinimal = FindAll != 0;
-      Request.Options.RequireTotalPatterns = Total != 0;
-      Request.Options.UsePrescreen = Prescreen != 0;
-    } else if (startsWith(Trimmed, "caps ")) {
-      std::istringstream Fields(Trimmed.substr(5));
-      if (!(Fields >> Request.Options.MaxPatternsPerGoal >>
-            Request.Options.MaxPatternsPerMultiset >>
-            Request.Options.CorpusCapacity)) {
-        fail(Error, "bad caps");
-        return std::nullopt;
-      }
-    } else if (startsWith(Trimmed, "timeout-ms ")) {
-      Request.Options.QueryTimeoutMs =
-          static_cast<unsigned>(std::atoll(Trimmed.substr(11).c_str()));
-    } else if (startsWith(Trimmed, "rlimit ")) {
-      Request.Options.QueryRlimit =
-          static_cast<uint64_t>(std::atoll(Trimmed.substr(7).c_str()));
-    } else if (Trimmed == "retry-scale" ||
-               startsWith(Trimmed, "retry-scale ")) {
-      std::istringstream Fields(
-          Trimmed.size() > 11 ? Trimmed.substr(12) : "");
-      std::vector<unsigned> Scale;
-      unsigned Value = 0;
-      while (Fields >> Value)
-        Scale.push_back(Value);
-      Request.Options.QueryRetryScale = std::move(Scale);
-    } else if (startsWith(Trimmed, "goal-budget ")) {
-      Request.Options.TimeBudgetSeconds =
-          std::strtod(Trimmed.substr(12).c_str(), nullptr);
-    } else if (Trimmed == "plan-prefix" ||
-               startsWith(Trimmed, "plan-prefix ")) {
-      std::optional<std::vector<Opcode>> Ops =
-          decodeOpcodes(Trimmed.size() > 11 ? Trimmed.substr(12) : "");
-      if (!Ops) {
-        fail(Error, "bad plan-prefix");
-        return std::nullopt;
-      }
-      Request.Plan.Prefix = std::move(*Ops);
-    } else if (Trimmed == "plan-alphabet" ||
-               startsWith(Trimmed, "plan-alphabet ")) {
-      std::optional<std::vector<Opcode>> Ops =
-          decodeOpcodes(Trimmed.size() > 13 ? Trimmed.substr(14) : "");
-      if (!Ops) {
-        fail(Error, "bad plan-alphabet");
-        return std::nullopt;
-      }
-      Request.Plan.Alphabet = std::move(*Ops);
-    } else if (startsWith(Trimmed, "plan-sizes ")) {
-      std::istringstream Fields(Trimmed.substr(11));
-      if (!(Fields >> Request.Plan.MinSize >> Request.Plan.MaxSize)) {
-        fail(Error, "bad plan-sizes");
-        return std::nullopt;
-      }
-    } else if (startsWith(Trimmed, "range ")) {
-      std::istringstream Fields(Trimmed.substr(6));
-      if (!(Fields >> Request.Size >> Request.BeginRank >> Request.EndRank)) {
-        fail(Error, "bad range");
-        return std::nullopt;
-      }
-    } else if (startsWith(Trimmed, "chunk-budget ")) {
-      Request.BudgetSeconds = std::strtod(Trimmed.substr(13).c_str(), nullptr);
-    } else if (startsWith(Trimmed, "tests ")) {
-      if (!decodeCorpus(Stream, Trimmed.substr(6), Request.CorpusSeed)) {
-        fail(Error, "bad corpus");
-        return std::nullopt;
-      }
+    size_t Space = Trimmed.find(' ');
+    std::string Key = Trimmed.substr(0, Space);
+    std::string Value =
+        Space == std::string::npos ? "" : Trimmed.substr(Space + 1);
+    bool Ok = true;
+    if (Key == "goal") {
+      Request.GoalName = Value;
+    } else if (Key == "width") {
+      // The same rule selgen-synth applies to --width: a worker must not
+      // synthesize at a width no run can ask for.
+      Ok = parseNumber(Value, O.Width) &&
+           followsNumberRule(O.Width, NumberRule::Width);
+    } else if (Key == "alphabet") {
+      Ok = decodeOpcodes(Value, O.Alphabet);
+    } else if (Key == "max-pattern-size") {
+      Ok = parseNumber(Value, O.MaxPatternSize);
+    } else if (Key == "flags") {
+      unsigned Mem = 0, Skip = 0, FindAll = 0, Total = 0, Prescreen = 0;
+      Ok = parseFields(Value, Mem, Skip, FindAll, Total, Prescreen);
+      O.UseMemoryRefinement = Mem != 0;
+      O.UseSkipCriteria = Skip != 0;
+      O.FindAllMinimal = FindAll != 0;
+      O.RequireTotalPatterns = Total != 0;
+      O.UsePrescreen = Prescreen != 0;
+    } else if (Key == "caps") {
+      Ok = parseFields(Value, O.MaxPatternsPerGoal, O.MaxPatternsPerMultiset,
+                       O.CorpusCapacity);
+    } else if (Key == "timeout-ms") {
+      Ok = parseNumber(Value, O.QueryTimeoutMs);
+    } else if (Key == "rlimit") {
+      Ok = parseNumber(Value, O.QueryRlimit);
+    } else if (Key == "retry-scale") {
+      O.QueryRetryScale.clear();
+      if (!Value.empty())
+        for (const std::string &Field : splitString(Value, ' '))
+          Ok = Ok && parseNumber(Field, O.QueryRetryScale.emplace_back());
+    } else if (Key == "goal-budget") {
+      Ok = parseNumber(Value, O.TimeBudgetSeconds);
+    } else if (Key == "plan-prefix") {
+      Ok = decodeOpcodes(Value, Plan.Prefix);
+    } else if (Key == "plan-alphabet") {
+      Ok = decodeOpcodes(Value, Plan.Alphabet);
+    } else if (Key == "plan-sizes") {
+      Ok = parseFields(Value, Plan.MinSize, Plan.MaxSize);
+    } else if (Key == "range") {
+      Ok = parseFields(Value, Request.Size, Request.BeginRank,
+                       Request.EndRank);
+    } else if (Key == "chunk-budget") {
+      Ok = parseNumber(Value, Request.BudgetSeconds);
+    } else if (Key == "tests") {
+      Ok = decodeCorpus(Stream, Value, Request.CorpusSeed);
     } else {
       fail(Error, "unknown field: " + Trimmed);
+      return std::nullopt;
+    }
+    if (!Ok) {
+      fail(Error, "bad " + Key);
       return std::nullopt;
     }
   }
@@ -377,25 +303,24 @@ selgen::decodeRangeRequest(const std::string &Payload, std::string *Error) {
     fail(Error, "truncated request");
     return std::nullopt;
   }
+  // The enumeration indexes sizes relative to the prefix; a range
+  // outside the plan would underflow it.
+  if (Plan.MinSize != Plan.Prefix.size() || Request.Size < Plan.MinSize ||
+      Request.Size > Plan.MaxSize || Request.BeginRank > Request.EndRank) {
+    fail(Error, "range outside the plan");
+    return std::nullopt;
+  }
   return Request;
 }
 
 std::string selgen::encodeRangeReply(const RangeReply &Reply) {
   std::ostringstream Out;
-  const RangeOutcome &R = Reply.Outcome;
   Out << MagicLine << "\n";
   Out << "kind range-reply\n";
-  Out << "found " << R.FoundAny << "\n";
-  Out << "complete " << R.Complete << "\n";
-  Out << "cause " << incompleteCauseName(R.Cause) << "\n";
-  Out << "counters " << R.MultisetsConsidered << " " << R.MultisetsSkipped
-      << " " << R.MultisetsRun << " " << R.Counterexamples << " "
-      << R.SynthesisQueries << " " << R.VerificationQueries << " "
-      << R.PrescreenKills << " " << R.PrescreenInconclusive << "\n";
-  Out << "seconds " << encodeDouble(R.Seconds) << "\n";
-  encodePatterns(Out, R.Patterns);
+  Out << "complete " << Reply.Outcome.Complete << "\n";
+  Out << "cause " << incompleteCauseName(Reply.Outcome.Cause) << "\n";
   encodeCorpus(Out, Reply.CorpusEntries);
-  Out << EndLine << "\n";
+  Out << encodeSynthesisResult(Reply.Outcome);
   return Out.str();
 }
 
@@ -406,68 +331,35 @@ std::optional<RangeReply> selgen::decodeRangeReply(const std::string &Payload,
     fail(Error, "bad header");
     return std::nullopt;
   }
-
+  // Fixed order: complete, cause, the corpus, then the result body.
+  std::string Complete, Cause, Tests;
+  std::optional<IncompleteCause> DecodedCause;
   RangeReply Reply;
-  std::string Line;
-  bool SawEnd = false;
-  while (std::getline(Stream, Line)) {
-    std::string Trimmed = trimString(Line);
-    if (Trimmed.empty())
-      continue;
-    if (Trimmed == EndLine) {
-      SawEnd = true;
-      break;
-    }
-    if (startsWith(Trimmed, "found ")) {
-      Reply.Outcome.FoundAny = std::atoi(Trimmed.substr(6).c_str()) != 0;
-    } else if (startsWith(Trimmed, "complete ")) {
-      Reply.Outcome.Complete = std::atoi(Trimmed.substr(9).c_str()) != 0;
-    } else if (startsWith(Trimmed, "cause ")) {
-      std::optional<IncompleteCause> Cause =
-          causeFromName(trimString(Trimmed.substr(6)));
-      if (!Cause) {
-        fail(Error, "bad cause");
-        return std::nullopt;
-      }
-      Reply.Outcome.Cause = *Cause;
-    } else if (startsWith(Trimmed, "counters ")) {
-      std::istringstream Fields(Trimmed.substr(9));
-      RangeOutcome &R = Reply.Outcome;
-      if (!(Fields >> R.MultisetsConsidered >> R.MultisetsSkipped >>
-            R.MultisetsRun >> R.Counterexamples >> R.SynthesisQueries >>
-            R.VerificationQueries >> R.PrescreenKills >>
-            R.PrescreenInconclusive)) {
-        fail(Error, "bad counters");
-        return std::nullopt;
-      }
-    } else if (startsWith(Trimmed, "seconds ")) {
-      Reply.Outcome.Seconds = std::strtod(Trimmed.substr(8).c_str(), nullptr);
-    } else if (startsWith(Trimmed, "patterns ")) {
-      if (!decodePatterns(Stream, Trimmed.substr(9), Reply.Outcome.Patterns)) {
-        fail(Error, "bad patterns");
-        return std::nullopt;
-      }
-    } else if (startsWith(Trimmed, "tests ")) {
-      if (!decodeCorpus(Stream, Trimmed.substr(6), Reply.CorpusEntries)) {
-        fail(Error, "bad corpus");
-        return std::nullopt;
-      }
-    } else {
-      fail(Error, "unknown field: " + Trimmed);
-      return std::nullopt;
-    }
-  }
-  if (!SawEnd) {
-    fail(Error, "truncated reply");
+  if (!std::getline(Stream, Complete) || !std::getline(Stream, Cause) ||
+      !std::getline(Stream, Tests) ||
+      (Complete != "complete 0" && Complete != "complete 1") ||
+      !startsWith(Cause, "cause ") ||
+      !(DecodedCause = causeFromName(Cause.substr(6))) ||
+      !startsWith(Tests, "tests ") ||
+      !decodeCorpus(Stream, Tests.substr(6), Reply.CorpusEntries)) {
+    fail(Error, "bad reply header");
     return std::nullopt;
   }
+  std::optional<GoalSynthesisResult> Result = decodeSynthesisResult(Stream);
+  if (!Result) {
+    fail(Error, "bad result body");
+    return std::nullopt;
+  }
+  Reply.Outcome = std::move(*Result);
+  Reply.Outcome.Complete = Complete == "complete 1";
+  Reply.Outcome.Cause = *DecodedCause;
   return Reply;
 }
 
-RangeOutcome selgen::remoteSynthesizeRange(SolverPool &Pool,
-                                           RangeRequest Request,
-                                           TestCorpus &Corpus,
-                                           double *StalledSeconds) {
+GoalSynthesisResult selgen::remoteSynthesizeRange(SolverPool &Pool,
+                                                  RangeRequest Request,
+                                                  TestCorpus &Corpus,
+                                                  double *StalledSeconds) {
   // Snapshot the shared corpus into the request. The corpus only
   // drives concrete pre-screening — it affects how fast candidates
   // die, never which patterns survive — so shipping a point-in-time
@@ -481,19 +373,17 @@ RangeOutcome selgen::remoteSynthesizeRange(SolverPool &Pool,
   if (StalledSeconds)
     *StalledSeconds = Reply.StalledSeconds;
 
-  RangeOutcome Outcome;
+  GoalSynthesisResult Failed;
   if (!Reply.Ok) {
-    Outcome.Complete = false;
-    Outcome.Cause = incompleteCauseFromFailure(Reply.Failure);
-    return Outcome;
+    Failed.markIncomplete(incompleteCauseFromFailure(Reply.Failure));
+    return Failed;
   }
   std::optional<RangeReply> Decoded = decodeRangeReply(Reply.Payload);
   if (!Decoded) {
     // The frame passed its CRC but the payload does not parse: a
     // worker-side bug or version skew. Same containment as a crash.
-    Outcome.Complete = false;
-    Outcome.Cause = incompleteCauseFromFailure(SmtFailure::Exception);
-    return Outcome;
+    Failed.markIncomplete(incompleteCauseFromFailure(SmtFailure::Exception));
+    return Failed;
   }
   for (TestCorpus::Entry &E : Decoded->CorpusEntries)
     Corpus.insert(std::move(E.Test), std::move(E.GoalOutcome));

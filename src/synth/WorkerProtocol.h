@@ -16,16 +16,18 @@
 /// bit-exact either way. The request carries the goal *name* (both
 /// sides build the same GoalLibrary), the effective options, the
 /// enumeration plan, the rank range, and a snapshot of the goal's
-/// counterexample corpus; the reply carries the RangeOutcome plus the
-/// worker's corpus so new counterexamples flow back into the shared
-/// pool.
+/// counterexample corpus; the reply carries the range's
+/// GoalSynthesisResult plus the worker's corpus so new counterexamples
+/// flow back into the shared pool.
 ///
-/// The format follows the SynthesisCache text conventions (field
-/// lines, `pattern`/`endpattern` graph blocks, `end` trailer). Framing
-/// integrity (length, CRC) is the wire layer's job, so payloads carry
-/// no checksum of their own; decoders are still total functions —
-/// malformed input yields nullopt, never an abort — because a worker
-/// must survive any bytes a fuzzer or fault injector throws at it.
+/// The request is field lines closed by an `end` trailer. The reply is
+/// `complete` and `cause` lines, the corpus, and then the result in the
+/// very body a SynthesisCache shard holds (encodeSynthesisResult),
+/// which ends in its own `end` trailer. Framing integrity (length, CRC)
+/// is the wire layer's job, so payloads carry no checksum of their own;
+/// decoders are still total functions — malformed input, a bad number
+/// included, yields nullopt, never an abort — because a worker must
+/// survive any bytes a fuzzer or fault injector throws at it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +62,7 @@ struct RangeRequest {
 
 /// A worker's answer to a RangeRequest.
 struct RangeReply {
-  RangeOutcome Outcome;
+  GoalSynthesisResult Outcome; ///< Synthesizer::synthesizeRange's result.
   /// The worker's full corpus after the run; the client inserts these
   /// into the shared corpus (duplicates are rejected by value there).
   std::vector<TestCorpus::Entry> CorpusEntries;
@@ -77,16 +79,17 @@ std::optional<RangeReply> decodeRangeReply(const std::string &Payload,
 /// round-trips it through \p Pool, merges returned counterexamples
 /// back into \p Corpus, and returns the outcome. Pool-level failures
 /// (worker crashed / hung past all retries, malformed reply) surface
-/// as an incomplete RangeOutcome whose Cause maps the SmtFailure
+/// as an incomplete result whose Cause maps the SmtFailure
 /// through incompleteCauseFromFailure — exactly the shape an
 /// in-process contained failure has, so the scheduler needs no new
 /// error paths. When \p StalledSeconds is non-null it receives the
 /// wall time the pool burned on condemned worker attempts (crashes,
 /// deadline kills) — overhead the caller should refund from its own
 /// wall-budget accounting (see PoolReply::StalledSeconds).
-RangeOutcome remoteSynthesizeRange(SolverPool &Pool, RangeRequest Request,
-                                   TestCorpus &Corpus,
-                                   double *StalledSeconds = nullptr);
+GoalSynthesisResult remoteSynthesizeRange(SolverPool &Pool,
+                                          RangeRequest Request,
+                                          TestCorpus &Corpus,
+                                          double *StalledSeconds = nullptr);
 
 } // namespace selgen
 

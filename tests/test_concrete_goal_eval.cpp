@@ -234,8 +234,9 @@ TEST(PrescreenDeterminism, LibraryByteIdenticalWithAndWithoutPrescreen) {
     Options.QueryTimeoutMs = 30000;
     Options.TimeBudgetSeconds = 60;
     Options.UsePrescreen = Prescreen;
-    return synthesizeRuleLibraryParallel(Goals, Options, /*NumThreads=*/2)
-        .serialize();
+    ParallelBuildOptions Build;
+    Build.NumThreads = 2;
+    return synthesizeRuleLibraryParallel(Goals, Options, Build).serialize();
   };
   EXPECT_EQ(build(true), build(false));
 }

@@ -33,8 +33,10 @@ TEST(ParallelBuilder, MatchesSequentialResult) {
   SmtContext Smt;
   PatternDatabase Sequential =
       synthesizeRuleLibrary(Smt, Goals, Options, &SequentialReport);
-  PatternDatabase Parallel = synthesizeRuleLibraryParallel(
-      Goals, Options, /*NumThreads=*/3, &ParallelReport);
+  ParallelBuildOptions Build;
+  Build.NumThreads = 3;
+  PatternDatabase Parallel =
+      synthesizeRuleLibraryParallel(Goals, Options, Build, &ParallelReport);
 
   ASSERT_EQ(Sequential.size(), Parallel.size());
   // Same rule sets (fingerprint multisets are equal).
@@ -65,10 +67,12 @@ TEST(ParallelBuilder, OneLiveContextPerWorker) {
   }
 
   constexpr unsigned Threads = 3;
+  ParallelBuildOptions Build;
+  Build.NumThreads = Threads;
   uint64_t CreatedBefore = SmtContext::contextsCreated();
   SmtContext::resetPeakLiveContexts();
   PatternDatabase Parallel =
-      synthesizeRuleLibraryParallel(Goals, Options, Threads);
+      synthesizeRuleLibraryParallel(Goals, Options, Build);
   // Each worker holds one context at a time: the per-chunk context
   // replaces, rather than joins, the one it used for goal start-up.
   EXPECT_LE(SmtContext::peakLiveContexts(), Threads);
@@ -89,7 +93,7 @@ TEST(ParallelBuilder, TotalModeListApplies) {
   Options.TimeBudgetSeconds = 60;
 
   PatternDatabase Database = synthesizeRuleLibraryParallel(
-      Goals, Options, 2, nullptr, /*TotalModeGoals=*/{"blsr"});
+      Goals, Options, {.NumThreads = 2, .TotalModeGoals = {"blsr"}});
   // Total mode pushes the minimal size to 3 (the canonical idiom).
   for (const Rule &R : Database.rules())
     EXPECT_GE(R.Pattern.numOperations(), 3u);

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "pattern/ParallelBuilder.h"
 #include "smt/SolverPool.h"
@@ -245,13 +246,111 @@ TEST(WorkerProtocol, RangeRequestRoundTrip) {
   EXPECT_FALSE(Decoded->CorpusSeed[2].GoalOutcome);
 }
 
+TEST(WorkerProtocol, RangeReplyRoundTrip) {
+  RangeReply Reply;
+  GoalSynthesisResult &Result = Reply.Outcome;
+  Result.GoalName = "add_rr";
+  for (const char *Operands : {"a0, a1", "a1, a0"}) {
+    std::optional<Graph> Pattern =
+        parseGraph(std::string("graph w8 args(bv8, bv8) {\n  n0 = Add(") +
+                   Operands + ")\n  results(n0)\n}\n");
+    ASSERT_TRUE(Pattern);
+    Result.Patterns.push_back(std::move(*Pattern));
+  }
+  Result.MinimalSize = 1;
+  Result.markIncomplete(IncompleteCause::Rlimit);
+  Result.Seconds = 0.25;
+  Result.MultisetsConsidered = 18;
+  Result.MultisetsSkipped = 5;
+  Result.MultisetsRun = 13;
+  Result.Counterexamples = 2;
+  Result.SynthesisQueries = 30;
+  Result.VerificationQueries = 4;
+  Result.PrescreenKills = 11;
+  Result.PrescreenInconclusive = 1;
+
+  TestCorpus::Entry Defined;
+  Defined.Test = {BitValue(8, 0xAB), BitValue(8, 1)};
+  ConcreteGoalOutcome Outcome;
+  Outcome.Defined = true;
+  Outcome.Results = {BitValue(8, 0xAC), BitValue(1, 0)};
+  Defined.GoalOutcome = Outcome;
+  Reply.CorpusEntries.push_back(Defined);
+  TestCorpus::Entry Unknown;
+  Unknown.Test = {BitValue(8, 7), BitValue(8, 9)};
+  Reply.CorpusEntries.push_back(Unknown);
+
+  std::string Payload = encodeRangeReply(Reply);
+  // The result travels as the very body a synthesis-cache shard holds.
+  EXPECT_NE(Payload.find(encodeSynthesisResult(Result)), std::string::npos);
+
+  std::string Error;
+  std::optional<RangeReply> Decoded = decodeRangeReply(Payload, &Error);
+  ASSERT_TRUE(Decoded) << Error;
+  const GoalSynthesisResult &Got = Decoded->Outcome;
+  EXPECT_EQ(Got.GoalName, "add_rr");
+  EXPECT_FALSE(Got.Complete);
+  EXPECT_EQ(Got.Cause, IncompleteCause::Rlimit);
+  EXPECT_EQ(Got.MinimalSize, 1u);
+  EXPECT_EQ(Got.Seconds, 0.25);
+  EXPECT_EQ(Got.MultisetsConsidered, 18u);
+  EXPECT_EQ(Got.MultisetsSkipped, 5u);
+  EXPECT_EQ(Got.MultisetsRun, 13u);
+  EXPECT_EQ(Got.Counterexamples, 2u);
+  EXPECT_EQ(Got.SynthesisQueries, 30u);
+  EXPECT_EQ(Got.VerificationQueries, 4u);
+  EXPECT_EQ(Got.PrescreenKills, 11u);
+  EXPECT_EQ(Got.PrescreenInconclusive, 1u);
+  ASSERT_EQ(Got.Patterns.size(), 2u);
+  for (size_t I = 0; I < 2; ++I)
+    EXPECT_EQ(printGraph(Got.Patterns[I]), printGraph(Result.Patterns[I]));
+  ASSERT_EQ(Decoded->CorpusEntries.size(), 2u);
+  EXPECT_EQ(Decoded->CorpusEntries[0].Test, Defined.Test);
+  ASSERT_TRUE(Decoded->CorpusEntries[0].GoalOutcome);
+  EXPECT_EQ(Decoded->CorpusEntries[0].GoalOutcome->Results, Outcome.Results);
+  EXPECT_EQ(Decoded->CorpusEntries[1].Test, Unknown.Test);
+  EXPECT_FALSE(Decoded->CorpusEntries[1].GoalOutcome);
+
+  // Cut anywhere before its final newline, the reply lacks the body's
+  // `end` trailer (or breaks a line before it) and never decodes.
+  for (size_t Cut = 0; Cut + 1 < Payload.size(); ++Cut)
+    EXPECT_FALSE(decodeRangeReply(Payload.substr(0, Cut))) << "cut " << Cut;
+}
+
 TEST(WorkerProtocol, MalformedPayloadsDecodeToNullopt) {
   EXPECT_FALSE(decodeRangeRequest(""));
-  EXPECT_FALSE(decodeRangeRequest("selgen-worker v1\nkind range\n"));
-  EXPECT_FALSE(decodeRangeRequest("selgen-worker v1\nkind range\nbogus x\n"
+  EXPECT_FALSE(decodeRangeRequest("selgen-worker v2\nkind range\n"));
+  EXPECT_FALSE(decodeRangeRequest("selgen-worker v2\nkind range\nbogus x\n"
                                   "end\n"));
-  EXPECT_FALSE(decodeRangeReply("selgen-worker v1\nkind range\nend\n"));
+  EXPECT_FALSE(decodeRangeReply("selgen-worker v2\nkind range\nend\n"));
   EXPECT_FALSE(decodeRangeReply("total garbage"));
+
+  // Every number is checked, and a width must be one selgen-synth would
+  // accept: a non-numeric width must not decode as 0, and a width of 12
+  // must not reach the synthesizer.
+  RangeRequest Request;
+  Request.GoalName = "add_rr";
+  std::string Valid = encodeRangeRequest(Request);
+  ASSERT_TRUE(decodeRangeRequest(Valid));
+  auto withLine = [&Valid](const std::string &Old, const std::string &New) {
+    std::string Payload = Valid;
+    size_t Pos = Payload.find(Old + "\n");
+    EXPECT_NE(Pos, std::string::npos) << Old;
+    return Payload.replace(Pos, Old.size(), New);
+  };
+  for (const char *Width : {"abc", "12", "0", "-8", "8x", " 8"})
+    EXPECT_FALSE(decodeRangeRequest(withLine("width 8", "width " +
+                                                           std::string(Width))))
+        << "width " << Width;
+  EXPECT_FALSE(decodeRangeRequest(withLine("rlimit 0", "rlimit -1")));
+  EXPECT_FALSE(decodeRangeRequest(withLine("caps 512 32 512", "caps 512 32")));
+  EXPECT_FALSE(
+      decodeRangeRequest(withLine("retry-scale 1", "retry-scale 1 x")));
+  EXPECT_FALSE(
+      decodeRangeRequest(withLine("goal-budget 0", "goal-budget nan")));
+  // A range outside the plan would underflow the enumeration.
+  EXPECT_FALSE(decodeRangeRequest(withLine("range 0 0 0", "range 3 0 0")));
+  EXPECT_FALSE(decodeRangeRequest(withLine("range 0 0 0", "range 0 5 2")));
 }
 
 //===----------------------------------------------------------------------===//
@@ -275,7 +374,7 @@ SolverPoolOptions liveOptions(unsigned Workers) {
 /// exactly as ParallelBuilder::runChunk would.
 struct Probe {
   RangeRequest Request;
-  RangeOutcome Expected;
+  GoalSynthesisResult Expected;
 };
 
 const Probe &probe() {
@@ -315,10 +414,10 @@ void expectSolves(SolverPool &Pool, double Budget = 0) {
   ASSERT_TRUE(Reply.Ok) << "failure: " << smtFailureName(Reply.Failure);
   std::optional<RangeReply> Decoded = decodeRangeReply(Reply.Payload);
   ASSERT_TRUE(Decoded);
-  const RangeOutcome &Got = Decoded->Outcome;
-  const RangeOutcome &Want = probe().Expected;
-  ASSERT_TRUE(Want.FoundAny); // The probe must exercise a real solve.
-  EXPECT_EQ(Got.FoundAny, Want.FoundAny);
+  const GoalSynthesisResult &Got = Decoded->Outcome;
+  const GoalSynthesisResult &Want = probe().Expected;
+  // The probe must exercise a real solve.
+  ASSERT_FALSE(Want.Patterns.empty());
   EXPECT_EQ(Got.Complete, Want.Complete);
   EXPECT_EQ(Got.Cause, Want.Cause);
   EXPECT_EQ(Got.MultisetsRun, Want.MultisetsRun);

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "synth/Synthesizer.h"
@@ -338,4 +339,48 @@ TEST_F(SynthTest, MultiResultIdentitySynthesis) {
   EXPECT_TRUE(
       verifyPatternAgainstGoal(Smt, Width, goal("xchg_rr"),
                                Result.Patterns[0]));
+}
+
+TEST(SynthesisResult, MergeAddsCountersDedupesUnderCapKeepsWorstCause) {
+  auto pattern = [](const char *Operands) {
+    std::optional<Graph> G =
+        parseGraph(std::string("graph w8 args(bv8, bv8) {\n  n0 = Add(") +
+                   Operands + ")\n  results(n0)\n}\n");
+    EXPECT_TRUE(G);
+    return std::move(*G);
+  };
+  GoalSynthesisResult Result;
+  std::set<std::string> Fingerprints;
+
+  GoalSynthesisResult First;
+  First.Patterns.push_back(pattern("a0, a1"));
+  First.MultisetsRun = 2;
+  First.SynthesisQueries = 3;
+  mergeSynthesisResult(Result, Fingerprints, std::move(First), 2);
+  EXPECT_TRUE(Result.Complete);
+
+  // A part that ran out of budget names no cause; the merge does.
+  GoalSynthesisResult Second;
+  Second.Patterns.push_back(pattern("a0, a1")); // A duplicate.
+  Second.Patterns.push_back(pattern("a1, a0"));
+  Second.Patterns.push_back(pattern("a0, a0")); // Over the cap of 2.
+  Second.Complete = false;
+  Second.MultisetsRun = 1;
+  Second.SynthesisQueries = 4;
+  mergeSynthesisResult(Result, Fingerprints, std::move(Second), 2);
+  EXPECT_FALSE(Result.Complete);
+  EXPECT_EQ(Result.Cause, IncompleteCause::Budget);
+  EXPECT_EQ(Result.MultisetsRun, 3u);
+  EXPECT_EQ(Result.SynthesisQueries, 7u);
+  ASSERT_EQ(Result.Patterns.size(), 2u);
+  EXPECT_EQ(printGraph(Result.Patterns[1]), printGraph(pattern("a1, a0")));
+
+  // The most severe cause wins, whatever the merge order.
+  GoalSynthesisResult Third;
+  Third.markIncomplete(IncompleteCause::Rlimit);
+  mergeSynthesisResult(Result, Fingerprints, std::move(Third), 2);
+  GoalSynthesisResult Fourth;
+  Fourth.markIncomplete(IncompleteCause::Timeout);
+  mergeSynthesisResult(Result, Fingerprints, std::move(Fourth), 2);
+  EXPECT_EQ(Result.Cause, IncompleteCause::Rlimit);
 }

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Printer.h"
 #include "pattern/ParallelBuilder.h"
 #include "support/Statistics.h"
 #include "synth/SpecFingerprint.h"
@@ -205,6 +206,57 @@ TEST(SynthesisCache, CorruptShardsDegradeToMiss) {
     Out << Serialized;
   }
   EXPECT_TRUE(Cache.lookup("intact").has_value());
+}
+
+TEST(SynthesisCache, LegacyShardWithCostLineStillHits) {
+  // A shard exactly as written before the rule-cost stamp was dropped:
+  // its body carries a `cost` line, and its CRC covers that line.
+  const std::string Body = "goal add_rr\n"
+                           "seconds 0.144225\n"
+                           "minimal-size 1\n"
+                           "multisets 18 5 13\n"
+                           "queries 30 4 2\n"
+                           "prescreen 13 0\n"
+                           "cost 1 1 2\n"
+                           "patterns 2\n"
+                           "pattern\n"
+                           "graph w8 args(bv8, bv8) {\n"
+                           "  n0 = Add(a0, a1)\n"
+                           "  results(n0)\n"
+                           "}\n"
+                           "endpattern\n"
+                           "pattern\n"
+                           "graph w8 args(bv8, bv8) {\n"
+                           "  n0 = Add(a1, a0)\n"
+                           "  results(n0)\n"
+                           "}\n"
+                           "endpattern\n"
+                           "end\n";
+  TempDir Dir;
+  SynthesisCache Cache(Dir.Path);
+  {
+    std::ofstream Out(Cache.shardPath("legacy"));
+    Out << "selgen-cache v2\ncrc bdad97ef 278\n" << Body;
+  }
+  std::optional<GoalSynthesisResult> Cached = Cache.lookup("legacy");
+  ASSERT_TRUE(Cached.has_value());
+  EXPECT_EQ(Cached->GoalName, "add_rr");
+  EXPECT_TRUE(Cached->Complete);
+  EXPECT_EQ(Cached->MinimalSize, 1u);
+  EXPECT_EQ(Cached->MultisetsRun, 13u);
+  EXPECT_EQ(Cached->SynthesisQueries, 30u);
+  EXPECT_EQ(Cached->PrescreenKills, 13u);
+  ASSERT_EQ(Cached->Patterns.size(), 2u);
+  EXPECT_EQ(printGraph(Cached->Patterns[0]),
+            "graph w8 args(bv8, bv8) {\n  n0 = Add(a0, a1)\n  results(n0)\n}\n");
+  EXPECT_EQ(printGraph(Cached->Patterns[1]),
+            "graph w8 args(bv8, bv8) {\n  n0 = Add(a1, a0)\n  results(n0)\n}\n");
+
+  // Stored again, the result is the same shard less its cost line.
+  std::string Rewritten = SynthesisCache::serializeResult(*Cached);
+  std::string Expected = Body;
+  Expected.erase(Expected.find("cost 1 1 2\n"), 11);
+  EXPECT_EQ(Rewritten.substr(Rewritten.find("goal ")), Expected);
 }
 
 TEST(SynthesisCache, ConcurrentWritersStaySafe) {

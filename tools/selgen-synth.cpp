@@ -47,9 +47,10 @@ namespace {
 /// presence first.
 void touchRobustnessCounters() {
   for (const char *Name :
-       {"smt.retries", "smt.exceptions", "smt.rlimit_exhausted",
+       {"smt.checks", "smt.retries", "smt.exceptions", "smt.rlimit_exhausted",
         "smt.deadline_expired", "smt.stale_interrupts_suppressed",
-        "cegis.bad_models", "cache.corrupt_shards", "synth.escalations",
+        "cegis.bad_models", "cache.hits", "cache.misses",
+        "cache.corrupt_shards", "synth.escalations",
         "pool.spawns", "pool.recycles", "pool.crashes",
         "pool.respawn_retries", "pool.deadline_kills", "pool.queries",
         "pool.stalled_ms"})
