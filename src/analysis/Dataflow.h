@@ -145,6 +145,13 @@ public:
   /// discharge (creation order).
   std::vector<const Node *> unprovenShifts();
 
+  /// Forgets every fact but keeps the storage, for a graph that was
+  /// emptied and rebuilt in place (Graph::resetLike).
+  void clear() {
+    Memo.clear();
+    Facts.clear();
+  }
+
 private:
   /// Memo slots of one node, indexed by result index (no opcode has
   /// more than two results).

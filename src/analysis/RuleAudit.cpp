@@ -9,7 +9,6 @@
 
 #include "analysis/Dataflow.h"
 #include "analysis/Subsumption.h"
-#include "ir/Normalizer.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "semantics/IrSemantics.h"
@@ -118,7 +117,7 @@ void checkNormalization(const PreparedLibrary &Library,
                         const std::string &LibraryName,
                         std::vector<LintFinding> &Findings) {
   for (const PreparedRule &R : Library.rules())
-    if (!isNormalized(R.TheRule->Pattern))
+    if (!R.TheRule->inNormalForm())
       Findings.push_back(libraryFinding(
           "non-normalized-rule", "warning",
           "pattern is not in normal form; normalized subjects can never "

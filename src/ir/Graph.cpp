@@ -39,27 +39,24 @@ constexpr unsigned GrowthNodes = 8;
 
 } // namespace
 
-Graph::Graph(unsigned Width, std::vector<Sort> ArgSorts,
+Graph::Graph(unsigned Width, const std::vector<Sort> &ArgSorts,
              unsigned NodeCapacity)
     : Width(Width) {
-  unsigned NumArgs = static_cast<unsigned>(ArgSorts.size());
+  NumArgs = static_cast<unsigned>(ArgSorts.size());
   unsigned Capacity = NodeCapacity ? std::max(NodeCapacity, NumArgs)
                                    : NumArgs + GrowthNodes;
   Blocks = NodeBlock::create(Capacity, nullptr);
   NodeList.reserve(Capacity);
-  Args.reserve(NumArgs);
-  for (unsigned I = 0; I < NumArgs; ++I) {
-    Node *ArgNode = addNode(Opcode::Arg, {}, {ArgSorts[I]});
-    ArgNode->setArgIndex(I);
-    Args.push_back(ArgNode);
-  }
+  for (unsigned I = 0; I < NumArgs; ++I)
+    addNode(Opcode::Arg, {}, {ArgSorts[I]})->setArgIndex(I);
 }
 
 Graph::~Graph() { release(); }
 
 Graph::Graph(Graph &&Other) noexcept
     : Width(Other.Width), Blocks(std::exchange(Other.Blocks, nullptr)),
-      NodeList(std::move(Other.NodeList)), Args(std::move(Other.Args)),
+      NodeList(std::move(Other.NodeList)),
+      NumArgs(std::exchange(Other.NumArgs, 0)),
       Results(std::move(Other.Results)), NextId(Other.NextId) {}
 
 Graph &Graph::operator=(Graph &&Other) noexcept {
@@ -70,10 +67,39 @@ Graph &Graph::operator=(Graph &&Other) noexcept {
   Blocks = std::exchange(Other.Blocks, nullptr);
   NodeList = std::move(Other.NodeList);
   Other.NodeList.clear();
-  Args = std::move(Other.Args);
+  NumArgs = std::exchange(Other.NumArgs, 0);
   Results = std::move(Other.Results);
   NextId = Other.NextId;
   return *this;
+}
+
+void Graph::resetLike(const Graph &Shape) {
+  for (Node *N : NodeList)
+    N->~Node();
+  NodeList.clear();
+  // Keep one block, as large as the whole chain, so the next build of
+  // the same size fits in it.
+  if (Blocks && Blocks->Older) {
+    unsigned Capacity = 0;
+    for (NodeBlock *B = Blocks; B; B = B->Older)
+      Capacity += B->Capacity;
+    while (Blocks)
+      ::operator delete(std::exchange(Blocks, Blocks->Older));
+    Blocks = NodeBlock::create(Capacity, nullptr);
+  }
+  if (Blocks)
+    Blocks->Used = 0;
+  Width = Shape.Width;
+  Results.clear();
+  NextId = 0;
+  addArgsLike(Shape);
+}
+
+void Graph::addArgsLike(const Graph &Shape) {
+  assert(NodeList.empty() && "arguments are the first nodes");
+  NumArgs = Shape.NumArgs;
+  for (unsigned I = 0; I < NumArgs; ++I)
+    addNode(Opcode::Arg, {}, {Shape.argSort(I)})->setArgIndex(I);
 }
 
 void Graph::release() {
@@ -87,9 +113,9 @@ void Graph::release() {
 
 std::vector<Sort> Graph::argSorts() const {
   std::vector<Sort> Sorts;
-  Sorts.reserve(Args.size());
-  for (const Node *ArgNode : Args)
-    Sorts.push_back(ArgNode->resultSort(0));
+  Sorts.reserve(NumArgs);
+  for (unsigned I = 0; I < NumArgs; ++I)
+    Sorts.push_back(argSort(I));
   return Sorts;
 }
 
@@ -191,7 +217,7 @@ std::vector<Node *> Graph::scheduledNodes() const {
   // Creation order already respects dependencies because operands must
   // exist when a node is created; filter out the Arg pseudo-nodes.
   std::vector<Node *> Scheduled;
-  Scheduled.reserve(NodeList.size() - Args.size());
+  Scheduled.reserve(NodeList.size() - NumArgs);
   for (Node *N : NodeList)
     if (N->opcode() != Opcode::Arg)
       Scheduled.push_back(N);
@@ -207,6 +233,14 @@ unsigned Graph::numOperations() const {
 }
 
 std::vector<Node *> Graph::liveNodes() const { return liveNodesFrom(Results); }
+
+void Graph::liveNodes(std::vector<Node *> &Out) const {
+  const std::vector<char> &Live = liveMask(Results);
+  Out.clear();
+  for (Node *N : NodeList)
+    if (Live[N->id()])
+      Out.push_back(N);
+}
 
 const std::vector<char> &
 Graph::liveMask(const std::vector<NodeRef> &Roots) const {
@@ -264,7 +298,7 @@ void appendNumber(std::string &Out, unsigned Value) {
 
 } // namespace
 
-std::string Graph::fingerprint() const {
+std::string Graph::fingerprint(unsigned *NumConstants) const {
   // Number the live nodes by depth-first post-order from the results,
   // so structurally identical graphs fingerprint identically no matter
   // in which order their nodes were created.
@@ -300,6 +334,7 @@ std::string Graph::fingerprint() const {
   Result += 'w';
   appendNumber(Result, Width);
   Result += ';';
+  unsigned Constants = 0;
   for (const Node *N : Live) {
     Result += opcodeName(N->opcode());
     switch (N->opcode()) {
@@ -308,6 +343,7 @@ std::string Graph::fingerprint() const {
       appendNumber(Result, N->argIndex());
       break;
     case Opcode::Const:
+      ++Constants;
       Result += '#';
       Result += N->constValue().toHexString();
       Result += ':';
@@ -329,6 +365,8 @@ std::string Graph::fingerprint() const {
     Result += ");";
   }
   Result += "->";
+  if (NumConstants)
+    *NumConstants = Constants;
   for (unsigned I = 0; I < Results.size(); ++I) {
     if (I != 0)
       Result += ',';
@@ -338,12 +376,13 @@ std::string Graph::fingerprint() const {
 }
 
 Graph Graph::clone() const {
-  Graph Copy(Width, argSorts(), static_cast<unsigned>(NodeList.size()));
+  Graph Copy(Width, {}, static_cast<unsigned>(NodeList.size()));
+  Copy.addArgsLike(*this);
   // Indexed by the source node's id; ids are dense below NextId.
   static thread_local std::vector<Node *> Mapping;
   Mapping.assign(NextId, nullptr);
-  for (unsigned I = 0; I < Args.size(); ++I)
-    Mapping[Args[I]->id()] = Copy.Args[I];
+  for (unsigned I = 0; I < NumArgs; ++I)
+    Mapping[NodeList[I]->id()] = Copy.NodeList[I];
   for (const Node *N : NodeList) {
     if (N->opcode() == Opcode::Arg)
       continue;
@@ -366,11 +405,12 @@ Graph Graph::clone() const {
 }
 
 Graph Graph::canonicalized() const {
-  Graph Copy(Width, argSorts(), static_cast<unsigned>(NodeList.size()));
+  Graph Copy(Width, {}, static_cast<unsigned>(NodeList.size()));
+  Copy.addArgsLike(*this);
   // Indexed by the source node's id, like clone().
   std::vector<Node *> Mapping(NextId, nullptr);
-  for (unsigned I = 0; I < Args.size(); ++I)
-    Mapping[Args[I]->id()] = Copy.Args[I];
+  for (unsigned I = 0; I < NumArgs; ++I)
+    Mapping[NodeList[I]->id()] = Copy.NodeList[I];
   // Same traversal as fingerprint(): operands before users, results
   // left to right. Graphs are acyclic, so no visit-in-progress mark.
   auto visit = [&](auto &&Self, const Node *N) -> void {

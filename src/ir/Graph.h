@@ -32,8 +32,12 @@ public:
   /// and which takes arguments of the given sorts. \p NodeCapacity, if
   /// known, is the number of nodes (Arg nodes included) the graph will
   /// hold; they then share one allocation.
-  Graph(unsigned Width, std::vector<Sort> ArgSorts,
+  Graph(unsigned Width, const std::vector<Sort> &ArgSorts,
         unsigned NodeCapacity = 0);
+  /// An empty graph of width 1, with no arguments, nodes or results;
+  /// it allocates nothing until a node is added. A slot to move a
+  /// graph into.
+  Graph() : Width(1) {}
   ~Graph();
 
   Graph(const Graph &) = delete;
@@ -45,13 +49,13 @@ public:
   unsigned width() const { return Width; }
 
   // -- Arguments ---------------------------------------------------------
-  unsigned numArgs() const { return Args.size(); }
-  Sort argSort(unsigned I) const { return Args[I]->resultSort(0); }
+  unsigned numArgs() const { return NumArgs; }
+  Sort argSort(unsigned I) const { return arg(I).sort(); }
   std::vector<Sort> argSorts() const;
   /// The I-th argument as a usable value.
   NodeRef arg(unsigned I) const {
-    assert(I < Args.size() && "argument index out of range");
-    return NodeRef(Args[I], 0);
+    assert(I < NumArgs && "argument index out of range");
+    return NodeRef(NodeList[I], 0);
   }
 
   // -- Node creation -----------------------------------------------------
@@ -94,6 +98,8 @@ public:
 
   /// Returns the nodes reachable from the results (including Args).
   std::vector<Node *> liveNodes() const;
+  /// Fills \p Out with liveNodes(), reusing its storage.
+  void liveNodes(std::vector<Node *> &Out) const;
 
   /// Returns the nodes reachable from \p Roots (including Args), in
   /// creation order.
@@ -106,8 +112,10 @@ public:
   /// A canonical serialization of the reachable graph. Two graphs get
   /// the same fingerprint iff they are structurally identical up to
   /// node ids (argument indices, opcodes, attributes, wiring, results).
-  /// The duplicate filter of the pattern library keys on this.
-  std::string fingerprint() const;
+  /// The duplicate filter of the pattern library keys on this. If
+  /// \p NumConstants is given, it receives the number of live Const
+  /// nodes, counted on the same walk.
+  std::string fingerprint(unsigned *NumConstants = nullptr) const;
 
   /// Deep copy.
   Graph clone() const;
@@ -117,6 +125,12 @@ public:
   /// identical graphs also serialize identically regardless of the
   /// order their nodes were created in. Dead nodes are dropped.
   Graph canonicalized() const;
+
+  /// Empties the graph and gives it \p Shape's width and argument
+  /// sorts, as if newly constructed, but keeps its node and list
+  /// storage. A scratch graph rebuilt once per input this way stops
+  /// allocating once it has grown to the largest input.
+  void resetLike(const Graph &Shape);
 
 private:
   /// Node storage: a chain of blocks, newest first, each filled in
@@ -128,8 +142,10 @@ private:
   unsigned Width;
   NodeBlock *Blocks = nullptr;
   /// The nodes not removed by removeDeadNodes(), in creation order.
+  /// The Arg nodes come first, in argument order, and are never
+  /// removed, so argument I is NodeList[I].
   std::vector<Node *> NodeList;
-  std::vector<Node *> Args;
+  unsigned NumArgs = 0;
   std::vector<NodeRef> Results;
   /// Node ids are dense below NextId, so per-node traversal state lives
   /// in vectors indexed by Node::id().
@@ -141,6 +157,9 @@ private:
 
   Node *addNode(Opcode Op, const OperandList &Operands,
                 const SortList &ResultSorts);
+  /// Adds the Arg nodes of \p Shape's arguments to a graph that has no
+  /// nodes yet.
+  void addArgsLike(const Graph &Shape);
   /// Destroys every node and frees the blocks.
   void release();
 };

@@ -11,9 +11,10 @@
 #include "ir/Interpreter.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <initializer_list>
-#include <unordered_map>
 
 using namespace selgen;
 
@@ -36,6 +37,17 @@ struct ValueKey {
       Operands[NumOperands++] = {Ref.Def->id(), Ref.Index};
   }
 
+  /// The key an output node was numbered under: every output node is
+  /// created from its key, so its fields restate it.
+  explicit ValueKey(const Node *N) : Op(N->opcode()) {
+    for (const NodeRef &Ref : N->operands())
+      Operands[NumOperands++] = {Ref.Def->id(), Ref.Index};
+    if (Op == Opcode::Cmp)
+      Rel = N->relation();
+    if (Op == Opcode::Const)
+      Value = &N->constValue();
+  }
+
   bool operator==(const ValueKey &RHS) const {
     if (Op != RHS.Op || Rel != RHS.Rel || NumOperands != RHS.NumOperands ||
         Operands != RHS.Operands)
@@ -43,22 +55,54 @@ struct ValueKey {
     return !Value || (Value->width() == RHS.Value->width() &&
                       *Value == *RHS.Value);
   }
-};
 
-struct ValueKeyHash {
-  size_t operator()(const ValueKey &Key) const {
+  size_t hash() const {
     // FNV-1a over the fields.
     size_t Hash = 1469598103934665603ull;
     auto mix = [&Hash](uint64_t Value) {
       Hash ^= Value;
       Hash *= 1099511628211ull;
     };
-    mix(uint64_t(Key.Op) << 8 | uint64_t(Key.Rel));
-    for (unsigned I = 0; I < Key.NumOperands; ++I)
-      mix(uint64_t(Key.Operands[I].first) << 2 | Key.Operands[I].second);
-    if (Key.Value)
-      mix(Key.Value->hash());
+    mix(uint64_t(Op) << 8 | uint64_t(Rel));
+    for (unsigned I = 0; I < NumOperands; ++I)
+      mix(uint64_t(Operands[I].first) << 2 | Operands[I].second);
+    if (Value)
+      mix(Value->hash());
     return Hash;
+  }
+};
+
+/// The normalizer's per-run tables. Each run resets them without
+/// freeing their storage, so a table object reused across runs (the
+/// normal-form verdict keeps one per thread) stops allocating once it
+/// has grown to the largest graph seen.
+struct NormalizerTables {
+  /// The input's live nodes in creation order.
+  std::vector<Node *> Live;
+  /// Output value of every input value, indexed by the input node's id
+  /// and result index; no opcode has more than two results.
+  std::vector<std::array<NodeRef, 2>> Mapping;
+  /// Value numbering: an open-addressing set of output nodes, hashed
+  /// by their ValueKey; null slots are empty. Load factor <= 1/2.
+  std::vector<Node *> ValueNumbers;
+  size_t NumValues = 0;
+  /// Structural key of each output node, indexed by its id; empty until
+  /// built. The strings keep their capacity from run to run.
+  std::vector<std::string> Keys;
+  std::string LhsKey, RhsKey;
+  /// Post-order numbers of the verdict's lockstep walk, indexed by
+  /// input and by output node id.
+  std::vector<unsigned> InputNumber, OutputNumber;
+
+  void reset(const Graph &Input) {
+    Input.liveNodes(Live);
+    Mapping.assign(Input.idBound(), {});
+    ValueNumbers.assign(
+        std::bit_ceil(std::max<size_t>(16, 2 * Input.nodes().size())),
+        nullptr);
+    NumValues = 0;
+    for (std::string &Key : Keys)
+      Key.clear();
   }
 };
 
@@ -72,53 +116,96 @@ struct ValueKeyHash {
 /// exactly when they are the same NodeRef.
 class NormalizerImpl {
 public:
-  NormalizerImpl(const Graph &Old)
-      : Old(Old),
-        New(Old.width(), Old.argSorts(),
-            static_cast<unsigned>(Old.nodes().size())),
-        Mapping(Old.idBound()),
+  /// Rewrites \p Old into \p New, which must be empty with Old's
+  /// width and argument sorts; \p NewFacts must be fresh facts over
+  /// New.
+  NormalizerImpl(const Graph &Old, Graph &New, GraphFacts &NewFacts,
+                 NormalizerTables &Tables)
+      : Old(Old), New(New), NewFacts(NewFacts), Tables(Tables),
         Zero(BitValue::zero(Old.width())), One(Old.width(), 1) {}
 
-  Graph run() {
+  /// Rewrites every live input node into New.
+  void rewrite() {
+    Tables.reset(Old);
     for (unsigned I = 0; I < Old.numArgs(); ++I)
-      Mapping[Old.arg(I).Def->id()][0] = New.arg(I);
-    for (Node *N : Old.liveNodes())
+      Tables.Mapping[Old.arg(I).Def->id()][0] = New.arg(I);
+    for (const Node *N : Tables.Live)
       if (N->opcode() != Opcode::Arg)
         rewriteNode(N);
-    std::vector<NodeRef> Results;
-    Results.reserve(Old.results().size());
-    for (const NodeRef &Ref : Old.results())
-      Results.push_back(mapped(Ref));
-    New.setResults(std::move(Results));
-    New.removeDeadNodes();
-    return std::move(New);
+  }
+
+  /// The output value of input value \p OldRef.
+  NodeRef mapped(NodeRef OldRef) const {
+    NodeRef Ref = Tables.Mapping[OldRef.Def->id()][OldRef.Index];
+    assert(Ref.isValid() && "operand rewritten after its user");
+    return Ref;
+  }
+
+  /// True if the output, read from Old's results, fingerprints like
+  /// Old: one walk over both graphs in the fingerprint's depth-first
+  /// post-order compares them node by node, so neither fingerprint
+  /// string is built.
+  bool outputMatchesInput() {
+    constexpr unsigned Unnumbered = ~0u;
+    std::vector<unsigned> &OldNumber = Tables.InputNumber;
+    std::vector<unsigned> &NewNumber = Tables.OutputNumber;
+    OldNumber.assign(Old.idBound(), Unnumbered);
+    NewNumber.assign(New.idBound(), Unnumbered);
+    unsigned Next = 0;
+    // Both walks number a node when they leave it, so they agree
+    // exactly when every pair of visited nodes is numbered alike and
+    // prints alike.
+    auto same = [&](auto &&Self, const Node *A, const Node *B) -> bool {
+      unsigned &NumberA = OldNumber[A->id()], &NumberB = NewNumber[B->id()];
+      if (NumberA != Unnumbered || NumberB != Unnumbered)
+        return NumberA == NumberB;
+      if (A->opcode() != B->opcode() ||
+          A->numOperands() != B->numOperands())
+        return false;
+      switch (A->opcode()) {
+      case Opcode::Arg:
+        if (A->argIndex() != B->argIndex())
+          return false;
+        break;
+      case Opcode::Const:
+        if (A->constValue().width() != B->constValue().width() ||
+            A->constValue() != B->constValue())
+          return false;
+        break;
+      case Opcode::Cmp:
+        if (A->relation() != B->relation())
+          return false;
+        break;
+      default:
+        break;
+      }
+      for (unsigned I = 0; I < A->numOperands(); ++I)
+        if (A->operand(I).Index != B->operand(I).Index ||
+            !Self(Self, A->operand(I).Def, B->operand(I).Def))
+          return false;
+      NumberA = NumberB = Next++;
+      return true;
+    };
+    for (const NodeRef &Ref : Old.results()) {
+      NodeRef NewRef = mapped(Ref);
+      if (Ref.Index != NewRef.Index || !same(same, Ref.Def, NewRef.Def))
+        return false;
+    }
+    return true;
   }
 
 private:
   const Graph &Old;
-  Graph New;
+  Graph &New;
   /// Known-bits/range facts over the output graph, driving the
   /// fact-guarded rewrites. Operands are always rewritten before their
   /// users, so querying while New grows is safe (facts memoize per
   /// node, and nodes never change once created).
-  GraphFacts NewFacts{New};
-  /// Output value of every input value, indexed by the input node's id
-  /// and result index; no opcode has more than two results.
-  std::vector<std::array<NodeRef, 2>> Mapping;
-  std::unordered_map<ValueKey, Node *, ValueKeyHash> ValueNumbers;
-  /// Structural key of each output node, indexed by its id; empty until
-  /// built.
-  std::vector<std::string> Keys;
-  std::string LhsKey, RhsKey;
+  GraphFacts &NewFacts;
+  NormalizerTables &Tables;
   const BitValue Zero, One;
 
   unsigned width() const { return Old.width(); }
-
-  NodeRef mapped(NodeRef OldRef) const {
-    NodeRef Ref = Mapping[OldRef.Def->id()][OldRef.Index];
-    assert(Ref.isValid() && "operand rewritten after its user");
-    return Ref;
-  }
 
   static const Node *asConst(NodeRef Ref) {
     return Ref.Def->opcode() == Opcode::Const ? Ref.Def : nullptr;
@@ -135,35 +222,41 @@ private:
   /// shared subgraphs cost linear time; Keys must cover every node id.
   void appendOperandKey(std::string &Out, NodeRef Ref) {
     const Node *N = Ref.Def;
-    std::string &Key = Keys[N->id()];
+    std::string &Key = Tables.Keys[N->id()];
     if (Key.empty()) {
       switch (N->opcode()) {
       case Opcode::Arg:
-        Key = "a" + std::to_string(N->argIndex());
+        Key += 'a';
+        Key += std::to_string(N->argIndex());
         break;
       case Opcode::Const:
-        Key = "c" + N->constValue().toHexString();
+        Key += 'c';
+        Key += N->constValue().toHexString();
         break;
       default:
-        Key = opcodeName(N->opcode());
+        Key += opcodeName(N->opcode());
         if (N->opcode() == Opcode::Cmp)
           Key += relationName(N->relation());
-        Key += "(";
+        Key += '(';
         for (const NodeRef &Operand : N->operands()) {
           appendOperandKey(Key, Operand);
-          Key += ",";
+          Key += ',';
         }
-        Key += ")";
+        Key += ')';
       }
     }
     Out += Key;
-    if (N->numResults() > 1)
-      Out += "." + std::to_string(Ref.Index);
+    if (N->numResults() > 1) {
+      Out += '.';
+      Out += std::to_string(Ref.Index);
+    }
   }
 
   /// True if \p A orders before \p B by structural key.
   bool keyLess(NodeRef A, NodeRef B) {
-    Keys.resize(New.idBound());
+    if (Tables.Keys.size() < New.idBound())
+      Tables.Keys.resize(New.idBound());
+    std::string &LhsKey = Tables.LhsKey, &RhsKey = Tables.RhsKey;
     LhsKey.clear();
     appendOperandKey(LhsKey, A);
     RhsKey.clear();
@@ -171,17 +264,32 @@ private:
     return LhsKey < RhsKey;
   }
 
+  /// The value-numbering slot of \p Key: the node numbered under it,
+  /// or the empty slot where it belongs.
+  Node *&valueSlot(const ValueKey &Key) {
+    std::vector<Node *> &Table = Tables.ValueNumbers;
+    size_t Mask = Table.size() - 1;
+    for (size_t Slot = Key.hash() & Mask;; Slot = (Slot + 1) & Mask)
+      if (!Table[Slot] || ValueKey(Table[Slot]) == Key)
+        return Table[Slot];
+  }
+
   /// Value numbering: returns the existing node for \p Key or creates
   /// one via \p Create.
   template <typename CreateFn>
-  NodeRef numbered(ValueKey Key, CreateFn Create) {
-    auto It = ValueNumbers.find(Key);
-    if (It != ValueNumbers.end())
-      return NodeRef(It->second, 0);
+  NodeRef numbered(const ValueKey &Key, CreateFn Create) {
+    if (Node *Existing = valueSlot(Key))
+      return NodeRef(Existing, 0);
     Node *N = Create();
-    if (Key.Value)
-      Key.Value = &N->constValue();
-    ValueNumbers.emplace(Key, N);
+    if (2 * (Tables.NumValues + 1) > Tables.ValueNumbers.size()) {
+      std::vector<Node *> Previous(Tables.ValueNumbers.size() * 2, nullptr);
+      Previous.swap(Tables.ValueNumbers);
+      for (Node *Numbered : Previous)
+        if (Numbered)
+          valueSlot(ValueKey(Numbered)) = Numbered;
+    }
+    valueSlot(ValueKey(N)) = N;
+    ++Tables.NumValues;
     return NodeRef(N, 0);
   }
 
@@ -199,7 +307,7 @@ private:
     std::array<NodeRef, 3> Operands;
     for (unsigned I = 0; I < N->numOperands(); ++I)
       Operands[I] = mapped(N->operand(I));
-    std::array<NodeRef, 2> &Result = Mapping[N->id()];
+    std::array<NodeRef, 2> &Result = Tables.Mapping[N->id()];
 
     switch (N->opcode()) {
     case Opcode::Arg:
@@ -451,9 +559,32 @@ private:
 } // namespace
 
 Graph selgen::normalizeGraph(const Graph &G) {
-  return NormalizerImpl(G).run();
+  Graph New(G.width(), G.argSorts(), static_cast<unsigned>(G.nodes().size()));
+  GraphFacts NewFacts(New);
+  NormalizerTables Tables;
+  NormalizerImpl Normalizer(G, New, NewFacts, Tables);
+  Normalizer.rewrite();
+  std::vector<NodeRef> Results;
+  Results.reserve(G.results().size());
+  for (const NodeRef &Ref : G.results())
+    Results.push_back(Normalizer.mapped(Ref));
+  New.setResults(std::move(Results));
+  New.removeDeadNodes();
+  return New;
 }
 
 bool selgen::isNormalized(const Graph &G) {
-  return normalizeGraph(G).fingerprint() == G.fingerprint();
+  // Every rule takes this verdict at construction, so the output graph,
+  // its facts and the tables are per-thread scratch, rebuilt in place.
+  struct Scratch {
+    Graph New;
+    GraphFacts NewFacts{New};
+    NormalizerTables Tables;
+  };
+  thread_local Scratch S;
+  S.New.resetLike(G);
+  S.NewFacts.clear();
+  NormalizerImpl Normalizer(G, S.New, S.NewFacts, S.Tables);
+  Normalizer.rewrite();
+  return Normalizer.outputMatchesInput();
 }

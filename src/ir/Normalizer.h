@@ -34,8 +34,14 @@ namespace selgen {
 Graph normalizeGraph(const Graph &G);
 
 /// Returns true if normalization leaves \p G unchanged (up to
-/// structural identity). Patterns failing this check are filtered out
-/// of generated instruction selectors (paper Section 5.6).
+/// structural identity): exactly
+/// `normalizeGraph(G).fingerprint() == G.fingerprint()`. Patterns
+/// failing this check are filtered out of generated instruction
+/// selectors (paper Section 5.6). Every Rule takes this verdict at
+/// construction, so it runs the normalizer into per-thread scratch
+/// (output graph, facts, value-number table, operand keys, mapping)
+/// and compares the output with \p G in one walk in the fingerprint's
+/// post-order; once the scratch has grown, it allocates nothing.
 bool isNormalized(const Graph &G);
 
 } // namespace selgen

@@ -82,14 +82,26 @@ const char *selgen::relationName(Relation Rel) {
 }
 
 std::optional<Opcode> selgen::tryOpcodeFromName(std::string_view Name) {
-  static const Opcode All[] = {
-      Opcode::Arg, Opcode::Const, Opcode::Add,  Opcode::Sub,   Opcode::Mul,
-      Opcode::And, Opcode::Or,    Opcode::Xor,  Opcode::Not,   Opcode::Minus,
-      Opcode::Shl, Opcode::Shr,   Opcode::Shrs, Opcode::Load,  Opcode::Store,
-      Opcode::Cmp, Opcode::Mux,   Opcode::Cond};
-  for (Opcode Op : All)
-    if (Name == opcodeName(Op))
-      return Op;
+  // Names as views, measured once: the parser looks up every line's.
+  struct Entry {
+    std::string_view Name;
+    Opcode Op;
+  };
+  static const Entry All[] = {
+      {"Arg", Opcode::Arg},     {"Const", Opcode::Const},
+      {"Add", Opcode::Add},     {"Sub", Opcode::Sub},
+      {"Mul", Opcode::Mul},     {"And", Opcode::And},
+      {"Or", Opcode::Or},       {"Xor", Opcode::Xor},
+      {"Not", Opcode::Not},     {"Minus", Opcode::Minus},
+      {"Shl", Opcode::Shl},     {"Shr", Opcode::Shr},
+      {"Shrs", Opcode::Shrs},   {"Load", Opcode::Load},
+      {"Store", Opcode::Store}, {"Cmp", Opcode::Cmp},
+      {"Mux", Opcode::Mux},     {"Cond", Opcode::Cond}};
+  for (const Entry &E : All) {
+    assert(E.Name == opcodeName(E.Op) && "opcode table out of sync");
+    if (Name == E.Name)
+      return E.Op;
+  }
   return std::nullopt;
 }
 

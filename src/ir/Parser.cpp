@@ -18,6 +18,44 @@ namespace {
 
 constexpr size_t npos = std::string_view::npos;
 
+// Searches of the short views a graph's lines split into. A line is a
+// few dozen bytes, where a plain loop beats a call into memchr or
+// memcmp, and every rule of a library is parsed.
+
+/// Position of the first \p C in \p Text at or after \p From, or npos.
+size_t findChar(std::string_view Text, char C, size_t From = 0) {
+  for (size_t I = From; I < Text.size(); ++I)
+    if (Text[I] == C)
+      return I;
+  return npos;
+}
+
+/// Position of the last \p C in \p Text, or npos.
+size_t findLastChar(std::string_view Text, char C) {
+  for (size_t I = Text.size(); I-- > 0;)
+    if (Text[I] == C)
+      return I;
+  return npos;
+}
+
+/// True if \p Text starts with \p Prefix.
+bool hasPrefix(std::string_view Text, std::string_view Prefix) {
+  if (Text.size() < Prefix.size())
+    return false;
+  for (size_t I = 0; I < Prefix.size(); ++I)
+    if (Text[I] != Prefix[I])
+      return false;
+  return true;
+}
+
+/// Position of the first \p Needle in \p Text, or npos.
+size_t findText(std::string_view Text, std::string_view Needle) {
+  for (size_t I = 0; I + Needle.size() <= Text.size(); ++I)
+    if (hasPrefix(Text.substr(I), Needle))
+      return I;
+  return npos;
+}
+
 /// Value of hex digit \p C, or -1.
 int hexDigit(char C) {
   if (C >= '0' && C <= '9')
@@ -56,7 +94,7 @@ std::optional<Sort> parseSort(std::string_view Text) {
     return Sort::memory();
   if (Text == "bool")
     return Sort::boolean();
-  if (Text.substr(0, 2) == "bv") {
+  if (hasPrefix(Text, "bv")) {
     std::optional<unsigned> Width = parseUnsigned(Text.substr(2));
     if (!Width || !isReasonableWidth(*Width))
       return std::nullopt;
@@ -74,8 +112,8 @@ struct Call {
 };
 
 std::optional<Call> splitCall(std::string_view Text) {
-  size_t Open = Text.find('(');
-  size_t Close = Text.rfind(')');
+  size_t Open = findChar(Text, '(');
+  size_t Close = findLastChar(Text, ')');
   if (Open == npos || Close == npos || Close < Open)
     return std::nullopt;
   return Call{trimView(Text.substr(0, Open)),
@@ -90,7 +128,7 @@ bool forEachField(std::string_view List, VisitFn Visit) {
   if (List.empty())
     return true;
   while (true) {
-    size_t Comma = List.find(',');
+    size_t Comma = findChar(List, ',');
     if (!Visit(trimView(List.substr(0, Comma))))
       return false;
     if (Comma == npos)
@@ -101,14 +139,23 @@ bool forEachField(std::string_view List, VisitFn Visit) {
 
 /// Hand-written single-pass parser for the printer's format. Lines,
 /// names and numbers are views into the input, so a line costs no
-/// allocation beyond the node it defines.
+/// allocation beyond the node it defines. Every rule of a library is
+/// parsed, so each thread reuses one parser: its definition tables and
+/// scratch keep their storage, and once grown a parse allocates
+/// nothing but its graph.
 class GraphParser {
 public:
-  explicit GraphParser(std::string_view Text) : Text(Text) {
-    Operands.reserve(3);
-  }
-
-  std::optional<Graph> parse(std::string *ErrorMessage) {
+  /// Parses \p NewText, which need only outlive the call.
+  std::optional<Graph> parse(std::string_view NewText,
+                             std::string *ErrorMessage) {
+    Text = NewText;
+    Pos = 0;
+    LineIndex = 0;
+    Error.clear();
+    ArgDefs.clear();
+    NodeDefs.clear();
+    OtherDefs.clear();
+    ArgSorts.clear();
     std::optional<Graph> Result = parseImpl();
     if (!Result && ErrorMessage)
       *ErrorMessage = Error;
@@ -132,6 +179,7 @@ private:
   std::vector<Node *> ArgDefs;
   std::vector<Node *> NodeDefs;
   std::map<std::string_view, Node *> OtherDefs;
+  std::vector<Sort> ArgSorts;
   /// Operand scratch, reused across lines.
   std::vector<NodeRef> Operands;
   /// "Op" + "(...)" of an "Op[attr](...)" right-hand side, reused
@@ -148,7 +196,7 @@ private:
   /// empty at end of input.
   std::string_view nextLine() {
     while (Pos != npos) {
-      size_t End = Text.find('\n', Pos);
+      size_t End = findChar(Text, '\n', Pos);
       std::string_view Line = trimView(Text.substr(Pos, End - Pos));
       Pos = End == npos ? npos : End + 1;
       ++LineIndex;
@@ -206,7 +254,7 @@ private:
   std::optional<NodeRef> lookupRef(std::string_view Name) {
     std::string_view Base = Name;
     unsigned Index = 0;
-    size_t Dot = Name.find('.');
+    size_t Dot = findChar(Name, '.');
     if (Dot != npos) {
       Base = Name.substr(0, Dot);
       std::optional<unsigned> Parsed = parseUnsigned(Name.substr(Dot + 1));
@@ -234,11 +282,11 @@ private:
 
   std::optional<Graph> parseImpl() {
     std::string_view Header = nextLine();
-    if (Header.substr(0, 7) != "graph w") {
+    if (!hasPrefix(Header, "graph w")) {
       fail("expected 'graph w<width> args(...) {'");
       return std::nullopt;
     }
-    size_t ArgsPos = Header.find(" args(");
+    size_t ArgsPos = findText(Header, " args(");
     if (ArgsPos == npos || Header.back() != '{') {
       fail("malformed graph header");
       return std::nullopt;
@@ -255,7 +303,6 @@ private:
       fail("malformed argument list");
       return std::nullopt;
     }
-    std::vector<Sort> ArgSorts;
     if (!forEachField(Args->Arguments, [&](std::string_view SortName) {
           std::optional<Sort> S = parseSort(SortName);
           if (!S)
@@ -272,7 +319,7 @@ private:
         std::count(Text.begin() + std::min(Pos, Text.size()), Text.end(), '='),
         MaxReservedDefinitions);
     unsigned Capacity = static_cast<unsigned>(ArgSorts.size() + Definitions);
-    Graph G(*Width, std::move(ArgSorts), Capacity);
+    Graph G(*Width, ArgSorts, Capacity);
     NodeDefs.reserve(Definitions);
     ArgDefs.reserve(G.numArgs());
     for (unsigned I = 0; I < G.numArgs(); ++I)
@@ -286,7 +333,7 @@ private:
       }
       if (Line == "}")
         return G;
-      if (Line.substr(0, 8) == "results(") {
+      if (hasPrefix(Line, "results(")) {
         std::optional<Call> Results = splitCall(Line);
         if (!Results) {
           fail("malformed results list");
@@ -303,7 +350,7 @@ private:
   }
 
   bool parseDefinition(Graph &G, std::string_view Line) {
-    size_t Equals = Line.find(" = ");
+    size_t Equals = findText(Line, " = ");
     if (Equals == npos)
       return fail("expected 'name = Opcode(...)'");
     std::string_view DefName = trimView(Line.substr(0, Equals));
@@ -312,9 +359,9 @@ private:
     // Split off an optional attribute "Opcode[attr](...)". The text
     // around the brackets is rejoined, as the format always has.
     std::string_view Attribute;
-    size_t Bracket = Rhs.find('[');
-    if (Bracket != npos && Bracket < Rhs.find('(')) {
-      size_t CloseBracket = Rhs.find(']', Bracket);
+    size_t Bracket = findChar(Rhs, '[');
+    if (Bracket != npos && Bracket < findChar(Rhs, '(')) {
+      size_t CloseBracket = findChar(Rhs, ']', Bracket);
       if (CloseBracket == npos)
         return fail("unterminated attribute");
       Attribute = Rhs.substr(Bracket + 1, CloseBracket - Bracket - 1);
@@ -405,5 +452,6 @@ private:
 
 std::optional<Graph> selgen::parseGraph(std::string_view Text,
                                         std::string *ErrorMessage) {
-  return GraphParser(Text).parse(ErrorMessage);
+  thread_local GraphParser Parser;
+  return Parser.parse(Text, ErrorMessage);
 }

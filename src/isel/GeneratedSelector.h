@@ -41,6 +41,9 @@ public:
   /// construction re-sorts defensively.
   GeneratedSelector(const PatternDatabase &Database,
                     const GoalLibrary &Goals);
+  /// Runs off an already prepared library.
+  explicit GeneratedSelector(PreparedLibrary Library)
+      : Library(std::move(Library)) {}
 
   std::string name() const override { return "synthesized"; }
   SelectionResult select(const Function &F) override;

@@ -10,8 +10,10 @@
 #include "isel/Matcher.h"
 #include "support/Hashing.h"
 #include "support/Parallel.h"
+#include "support/Statistics.h"
 
 #include <cassert>
+#include <chrono>
 #include <map>
 #include <optional>
 
@@ -98,4 +100,34 @@ PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
   }
   Hasher.u64(Rules.size());
   Fingerprint = Hasher.hex();
+}
+
+namespace {
+
+/// Adds the microseconds since \p Start to counter \p Name.
+void addMicrosSince(const std::string &Name,
+                    std::chrono::steady_clock::time_point Start) {
+  Statistics::get().add(
+      Name, std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - Start)
+                .count());
+}
+
+} // namespace
+
+PatternDatabase selgen::loadSelectorLibrary(const std::string &Path) {
+  auto Start = std::chrono::steady_clock::now();
+  PatternDatabase Database = PatternDatabase::loadFromFile(Path);
+  Database.filterNonNormalized();
+  Database.sortSpecificFirst();
+  addMicrosSince("pattern.load_us", Start);
+  return Database;
+}
+
+PreparedLibrary selgen::prepareSelectorLibrary(const PatternDatabase &Database,
+                                               const GoalLibrary &Goals) {
+  auto Start = std::chrono::steady_clock::now();
+  PreparedLibrary Library(Database, Goals);
+  addMicrosSince("isel.prepare_us", Start);
+  return Library;
 }

@@ -93,6 +93,19 @@ private:
   std::string Fingerprint;
 };
 
+/// Loads the rule library a selector runs off, the one way the
+/// selector tools (selgen-compile, selgen-served, selgen-matchergen)
+/// do it: PatternDatabase::loadFromFile(), filterNonNormalized(),
+/// sortSpecificFirst(). Adds the elapsed microseconds to the
+/// pattern.load_us counter (Statistics). Aborts on an unreadable or
+/// corrupt file, like loadFromFile().
+PatternDatabase loadSelectorLibrary(const std::string &Path);
+
+/// PreparedLibrary(Database, Goals), adding the elapsed microseconds
+/// to the isel.prepare_us counter.
+PreparedLibrary prepareSelectorLibrary(const PatternDatabase &Database,
+                                       const GoalLibrary &Goals);
+
 } // namespace selgen
 
 #endif // SELGEN_ISEL_PREPAREDLIBRARY_H

@@ -16,7 +16,9 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -26,11 +28,9 @@ using namespace selgen;
 
 Rule::Rule(std::string GoalName, Graph Pattern)
     : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
-      Fingerprint(this->Pattern.fingerprint()),
-      Operations(this->Pattern.numOperations()), Constants(0) {
-  for (const Node *N : this->Pattern.liveNodes())
-    if (N->opcode() == Opcode::Const)
-      ++Constants;
+      Operations(this->Pattern.numOperations()),
+      NormalForm(isNormalized(this->Pattern)) {
+  Fingerprint = this->Pattern.fingerprint(&Constants);
 }
 
 namespace {
@@ -40,36 +40,74 @@ size_t indexKey(const Rule &R) {
   return Hash * 31 + std::hash<std::string_view>()(R.fingerprint());
 }
 
+constexpr uint32_t EmptySlot = ~0u;
+
 } // namespace
 
 bool PatternDatabase::add(std::string GoalName, Graph Pattern) {
-  return insert(Rule(std::move(GoalName), std::move(Pattern)));
+  Rule R(std::move(GoalName), std::move(Pattern));
+  size_t Key = indexKey(R);
+  return insert(std::move(R), Key);
 }
 
-bool PatternDatabase::insert(Rule &&R) {
-  if (Index.size() != Rules.size()) {
+void PatternDatabase::reserveIndex(size_t Entries) {
+  if (2 * Entries <= Index.size())
+    return;
+  std::vector<IndexSlot> Previous(
+      std::bit_ceil(std::max<size_t>(16, 2 * Entries)),
+      IndexSlot{0, EmptySlot});
+  Previous.swap(Index);
+  size_t Mask = Index.size() - 1;
+  for (const IndexSlot &Entry : Previous) {
+    if (Entry.Position == EmptySlot)
+      continue;
+    size_t Slot = Entry.Key & Mask;
+    while (Index[Slot].Position != EmptySlot)
+      Slot = (Slot + 1) & Mask;
+    Index[Slot] = Entry;
+  }
+}
+
+bool PatternDatabase::insert(Rule &&R, size_t Key) {
+  if (Indexed != Rules.size()) {
     // Stale since the last filter or sort: rebuild it once, here.
-    Index.clear();
-    Index.reserve(Rules.size() + 1);
-    for (uint32_t I = 0; I < Rules.size(); ++I)
-      Index.emplace(indexKey(Rules[I]), I);
+    dropIndex();
+    reserveIndex(Rules.size() + 1);
+    for (uint32_t I = 0; I < Rules.size(); ++I) {
+      size_t RuleKey = indexKey(Rules[I]);
+      findSlot(Rules[I], RuleKey) = {RuleKey, I};
+    }
+    Indexed = Rules.size();
   }
-  size_t Key = indexKey(R);
-  auto [Begin, End] = Index.equal_range(Key);
-  for (auto It = Begin; It != End; ++It) {
-    const Rule &Existing = Rules[It->second];
-    if (Existing.GoalName == R.GoalName &&
-        Existing.fingerprint() == R.fingerprint())
-      return false;
-  }
-  Index.emplace(Key, static_cast<uint32_t>(Rules.size()));
+  reserveIndex(Rules.size() + 1);
+  IndexSlot &Slot = findSlot(R, Key);
+  if (Slot.Position != EmptySlot)
+    return false;
+  Slot = {Key, static_cast<uint32_t>(Rules.size())};
+  ++Indexed;
   Rules.push_back(std::move(R));
   return true;
 }
 
+PatternDatabase::IndexSlot &PatternDatabase::findSlot(const Rule &R,
+                                                      size_t Key) {
+  size_t Mask = Index.size() - 1;
+  for (size_t Slot = Key & Mask;; Slot = (Slot + 1) & Mask) {
+    IndexSlot &Entry = Index[Slot];
+    if (Entry.Position == EmptySlot)
+      return Entry;
+    const Rule &Existing = Rules[Entry.Position];
+    if (Entry.Key == Key && Existing.GoalName == R.GoalName &&
+        Existing.fingerprint() == R.fingerprint())
+      return Entry;
+  }
+}
+
 void PatternDatabase::merge(PatternDatabase &&Other) {
-  for (Rule &R : Other.Rules)
-    insert(std::move(R));
+  for (Rule &R : Other.Rules) {
+    size_t Key = indexKey(R);
+    insert(std::move(R), Key);
+  }
   Other.Rules.clear();
   Other.dropIndex();
 }
@@ -101,11 +139,13 @@ size_t PatternDatabase::filterCommutativeDuplicates() {
 }
 
 size_t PatternDatabase::filterNonNormalized() {
+  // The workers read the stored verdicts and free the rejected rules;
+  // the order-keeping compaction then reads the flags, and moves only
+  // the survivors.
   size_t Before = Rules.size();
   std::vector<char> Keep(Rules.size());
   parallelFor(Rules.size(), [&](size_t I) {
-    Keep[I] = normalizeGraph(Rules[I].Pattern).fingerprint() ==
-              Rules[I].fingerprint();
+    Keep[I] = Rules[I].inNormalForm();
     if (!Keep[I]) {
       Rule Rejected = std::move(Rules[I]); // Freed on this thread.
     }
@@ -126,14 +166,18 @@ std::vector<uint32_t>
 selgen::specificFirstOrder(const std::vector<Rule> &Rules) {
   std::vector<uint32_t> Order(Rules.size());
   std::iota(Order.begin(), Order.end(), 0);
-  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+  auto moreSpecific = [&](uint32_t A, uint32_t B) {
     const Rule &RA = Rules[A], &RB = Rules[B];
     if (RA.numOperations() != RB.numOperations())
       return RA.numOperations() > RB.numOperations();
     if (RA.numConstants() != RB.numConstants())
       return RA.numConstants() > RB.numConstants();
     return RA.fingerprint() < RB.fingerprint();
-  });
+  };
+  // A sorted library, which is what PreparedLibrary gets, costs one
+  // pass; the stable sort would leave it as it is.
+  if (!std::is_sorted(Order.begin(), Order.end(), moreSpecific))
+    std::stable_sort(Order.begin(), Order.end(), moreSpecific);
   return Order;
 }
 
@@ -200,33 +244,62 @@ PatternDatabase PatternDatabase::deserialize(std::string_view Text,
   if (InRule && StructuralError.empty())
     StructuralError = "unterminated rule record";
 
-  // Parse and fingerprint every record body in parallel.
-  std::vector<std::optional<Rule>> Parsed(Records.size());
-  std::vector<std::string> ParseErrors(Records.size());
+  // Each record's whole load, once, in parallel and in its own slot:
+  // parse, build the rule and hash its index key. Of the bad bodies,
+  // only the first in the file is kept.
+  PatternDatabase Database;
+  std::vector<Rule> &Rules = Database.Rules;
+  Rules.reserve(Records.size());
+  for (size_t I = 0; I < Records.size(); ++I)
+    Rules.push_back(Rule());
+  std::vector<size_t> Keys(Records.size());
+  std::mutex BadBodyMutex;
+  size_t BadBody = Records.size();
+  std::string BadBodyError;
   parallelFor(Records.size(), [&](size_t I) {
-    std::optional<Graph> Pattern = parseGraph(Records[I].Body, &ParseErrors[I]);
-    if (Pattern)
-      Parsed[I].emplace(std::string(Records[I].GoalName), std::move(*Pattern));
+    std::string Error;
+    std::optional<Graph> Pattern = parseGraph(Records[I].Body, &Error);
+    if (!Pattern) {
+      std::lock_guard<std::mutex> Lock(BadBodyMutex);
+      if (I < BadBody) {
+        BadBody = I;
+        BadBodyError = std::move(Error);
+      }
+      return;
+    }
+    Rules[I] = Rule(std::string(Records[I].GoalName), std::move(*Pattern));
+    Keys[I] = indexKey(Rules[I]);
   });
 
-  // Insert in file order. Every record precedes the structural error,
-  // so the earliest error in the file is the first bad body, if any.
+  // Every record precedes the structural error, so the earliest error
+  // in the file is the first bad body, if any.
   auto fail = [&](const std::string &Message) {
     if (ErrorMessage)
       *ErrorMessage = Message;
     return PatternDatabase();
   };
-  PatternDatabase Database;
-  Database.Rules.reserve(Records.size());
-  Database.Index.reserve(Records.size());
-  for (size_t I = 0; I < Records.size(); ++I) {
-    if (!Parsed[I])
-      return fail("bad pattern for " + std::string(Records[I].GoalName) +
-                  ": " + ParseErrors[I]);
-    Database.insert(std::move(*Parsed[I]));
-  }
+  if (BadBody < Records.size())
+    return fail("bad pattern for " + std::string(Records[BadBody].GoalName) +
+                ": " + BadBodyError);
   if (!StructuralError.empty())
     return fail(StructuralError);
+
+  // Drop duplicates in file order, probing the index with the workers'
+  // keys; a rule is read only when its key matches, and moved only
+  // after a duplicate.
+  Database.reserveIndex(Rules.size());
+  size_t Kept = 0;
+  for (size_t I = 0; I < Rules.size(); ++I) {
+    IndexSlot &Slot = Database.findSlot(Rules[I], Keys[I]);
+    if (Slot.Position != EmptySlot)
+      continue;
+    Slot = {Keys[I], static_cast<uint32_t>(Kept)};
+    if (Kept != I)
+      Rules[Kept] = std::move(Rules[I]);
+    ++Kept;
+  }
+  Rules.erase(Rules.begin() + Kept, Rules.end());
+  Database.Indexed = Kept;
   return Database;
 }
 

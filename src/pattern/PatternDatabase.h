@@ -24,17 +24,19 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace selgen {
 
 /// One instruction selection rule: "if Pattern matches, emit Goal".
 ///
-/// The pattern's fingerprint and its specific-first sort key are
-/// computed once, at construction, and every later duplicate check,
-/// sort and content hash reads the stored copies. Patterns are
-/// therefore never mutated once they are in a rule.
+/// The pattern's fingerprint, its specific-first sort key and its
+/// normal-form verdict are computed once, at construction, and every
+/// later duplicate check, sort, filter and content hash reads the
+/// stored copies. Patterns are therefore never mutated once they are
+/// in a rule. Construction allocates only what the rule keeps: the
+/// constant count comes from the fingerprint's walk, and the verdict
+/// runs on per-thread scratch (isNormalized()).
 struct Rule {
   std::string GoalName;
   Graph Pattern;
@@ -51,22 +53,34 @@ struct Rule {
   /// construction.
   unsigned numConstants() const { return Constants; }
 
-  /// Deep copy that carries the stored fingerprint and sort key over.
+  /// isNormalized(Pattern), as computed at construction: normalization
+  /// leaves the pattern's fingerprint unchanged (Section 5.6).
+  bool inNormalForm() const { return NormalForm; }
+
+  /// Deep copy that carries the stored fingerprint, sort key and
+  /// verdict over.
   Rule clone() const {
     return Rule(GoalName, Pattern.clone(), Fingerprint, Operations,
-                Constants);
+                Constants, NormalForm);
   }
 
 private:
+  friend class PatternDatabase;
+
   std::string Fingerprint;
-  unsigned Operations;
-  unsigned Constants;
+  unsigned Operations = 0;
+  unsigned Constants = 0;
+  bool NormalForm = false;
+
+  /// An empty slot that PatternDatabase::deserialize() builds a rule
+  /// into in place.
+  Rule() = default;
 
   Rule(std::string GoalName, Graph Pattern, std::string Fingerprint,
-       unsigned Operations, unsigned Constants)
+       unsigned Operations, unsigned Constants, bool NormalForm)
       : GoalName(std::move(GoalName)), Pattern(std::move(Pattern)),
         Fingerprint(std::move(Fingerprint)), Operations(Operations),
-        Constants(Constants) {}
+        Constants(Constants), NormalForm(NormalForm) {}
 };
 
 /// The positions of \p Rules from more specific to less specific
@@ -99,8 +113,9 @@ public:
 
   /// Removes rules whose pattern is not in normal form; the compiler
   /// would never present such IR to the instruction selector
-  /// (Section 5.6). Rules are checked in parallel (parallelFor) and
-  /// the survivors keep their order. Returns the number of rules
+  /// (Section 5.6). The verdict is each rule's stored inNormalForm(),
+  /// so this is an order-keeping compaction; the rejected rules are
+  /// freed in parallel (parallelFor). Returns the number of rules
   /// removed.
   size_t filterNonNormalized();
 
@@ -111,11 +126,15 @@ public:
   std::string serialize() const;
 
   /// Loads serialize()'s format. The records are split on the calling
-  /// thread, which stops at the first structural error; their bodies
-  /// are then parsed in parallel (parallelFor) and the rules inserted
-  /// in file order. On error, \p ErrorMessage receives the earliest
-  /// error in the file, a bad body or the structural one, and the
-  /// result is empty.
+  /// thread, which stops at the first structural error. Each record's
+  /// whole load then runs once, in one parallelFor and in the rule's
+  /// final slot: parsing its body, building its Rule (fingerprint,
+  /// sort key, normal-form verdict) and hashing its duplicate-index
+  /// key. Beyond the split, the calling thread only probes the index
+  /// with those keys in file order, dropping duplicates. A record
+  /// allocates nothing but the rule it becomes. On error,
+  /// \p ErrorMessage receives the earliest error in the file, a bad
+  /// body or the structural one, and the result is empty.
   static PatternDatabase deserialize(std::string_view Text,
                                      std::string *ErrorMessage = nullptr);
 
@@ -126,17 +145,37 @@ public:
   static PatternDatabase loadFromFile(const std::string &Path);
 
 private:
-  std::vector<Rule> Rules;
-  /// Duplicate index for O(1) detection: hash of (goal, fingerprint) to
-  /// positions in Rules; the paper-scale library has 154 470 entries.
-  /// It stores no key copies, so the filters and the sort, which move
-  /// rules, drop it, and the next insert() rebuilds it. It is fresh
-  /// exactly when it holds one entry per rule.
-  std::unordered_multimap<size_t, uint32_t> Index;
+  /// One slot of the duplicate index: a rule's indexKey() and its
+  /// position in Rules, or EmptySlot.
+  struct IndexSlot {
+    size_t Key;
+    uint32_t Position;
+  };
 
-  /// Appends \p R unless an identical rule is already present.
-  bool insert(Rule &&R);
-  void dropIndex() { Index = {}; }
+  std::vector<Rule> Rules;
+  /// Duplicate index for O(1) detection: open addressing with linear
+  /// probing over the hash of (goal, fingerprint), at a load factor of
+  /// at most one half; the paper-scale library has 154 470 entries. It
+  /// holds hashes and positions, not copies of goals or fingerprints,
+  /// so the filters and the sort, which move rules, drop it, and the
+  /// next insert() rebuilds it. It is fresh exactly when it holds one
+  /// entry per rule.
+  std::vector<IndexSlot> Index;
+  size_t Indexed = 0;
+
+  /// Appends \p R, whose indexKey() is \p Key, unless an identical
+  /// rule is already present.
+  bool insert(Rule &&R, size_t Key);
+  /// The slot of the fresh index that holds a rule identical to \p R,
+  /// whose indexKey() is \p Key, or else the empty slot where \p R
+  /// belongs. Reads rules only on a key match.
+  IndexSlot &findSlot(const Rule &R, size_t Key);
+  /// Grows Index, if needed, to hold \p Entries.
+  void reserveIndex(size_t Entries);
+  void dropIndex() {
+    Index = {};
+    Indexed = 0;
+  }
 };
 
 } // namespace selgen

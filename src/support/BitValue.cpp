@@ -382,15 +382,11 @@ std::string BitValue::toHexString() const {
   static const char Digits[] = "0123456789abcdef";
   unsigned NumDigits = (Width + 3) / 4;
   std::string Result = "0x";
-  for (unsigned I = NumDigits; I-- > 0;) {
-    unsigned Nibble = 0;
-    for (unsigned B = 0; B < 4; ++B) {
-      unsigned Index = I * 4 + B;
-      if (Index < Width && bit(Index))
-        Nibble |= 1u << B;
-    }
-    Result += Digits[Nibble];
-  }
+  // Bits at and above the width are zero (class invariant), so every
+  // nibble is a plain word slice.
+  const uint64_t *Words = words();
+  for (unsigned I = NumDigits; I-- > 0;)
+    Result += Digits[Words[I / 16] >> (I % 16 * 4) & 0xF];
   return Result;
 }
 

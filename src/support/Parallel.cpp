@@ -27,9 +27,13 @@ void selgen::parallelFor(size_t Count,
   std::exception_ptr Failure;
   auto work = [&] {
     try {
-      size_t I;
-      while ((I = Next.fetch_add(1, std::memory_order_relaxed)) < Count)
-        Body(I);
+      size_t Begin;
+      while ((Begin = Next.fetch_add(ParallelItemsPerFetch,
+                                     std::memory_order_relaxed)) < Count) {
+        size_t End = std::min(Count, Begin + ParallelItemsPerFetch);
+        for (size_t I = Begin; I < End; ++I)
+          Body(I);
+      }
     } catch (...) {
       std::lock_guard<std::mutex> Lock(FailureMutex);
       if (!Failure)

@@ -7,9 +7,12 @@
 ///
 /// \file
 /// One data-parallel loop for the per-rule passes of rule-library load
-/// (parse and fingerprint, the non-normalized filter). Those passes
-/// never look at two rules at once, so each item runs independently
-/// and the caller merges the per-item results in order afterwards.
+/// and preparation: deserialize's one pass per record (parse, rule
+/// construction with its fingerprint and normal-form verdict, index
+/// key), freeing the rules the non-normalized filter rejects, and
+/// PreparedLibrary's copies. Those passes never look at two rules at
+/// once, so each item runs independently and the caller merges the
+/// per-item results in order afterwards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,14 +29,19 @@ namespace selgen {
 /// one helper thread per further ParallelItemsPerThread items, up to
 /// std::thread::hardware_concurrency() threads in all, so a small
 /// loop runs on the caller alone. Items are handed out in index order
-/// from a shared counter, and calls for different items must not
-/// write shared state. If a call throws, no further items are handed
+/// from a shared counter, ParallelItemsPerFetch at a time, and calls
+/// for different items must not write shared state. If a call throws, no further items are handed
 /// out, and the first exception is rethrown once every thread has
 /// finished.
 void parallelFor(size_t Count, const std::function<void(size_t)> &Body);
 
 /// Items per thread below which parallelFor() starts no more threads.
 inline constexpr size_t ParallelItemsPerThread = 128;
+
+/// Consecutive items a thread takes per visit to the shared counter,
+/// so a loop of cheap items (a flag check) does not spend its time
+/// contending for the counter.
+inline constexpr size_t ParallelItemsPerFetch = 8;
 
 } // namespace selgen
 

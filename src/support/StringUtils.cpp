@@ -80,14 +80,6 @@ std::string selgen::trimString(const std::string &Str) {
   return std::string(trimView(Str));
 }
 
-std::string_view selgen::trimView(std::string_view Str) {
-  size_t Begin = Str.find_first_not_of(" \t\r\n");
-  if (Begin == std::string_view::npos)
-    return {};
-  size_t End = Str.find_last_not_of(" \t\r\n");
-  return Str.substr(Begin, End - Begin + 1);
-}
-
 bool selgen::startsWith(const std::string &Str, const std::string &Prefix) {
   return Str.size() >= Prefix.size() &&
          Str.compare(0, Prefix.size(), Prefix) == 0;

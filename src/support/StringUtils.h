@@ -31,8 +31,19 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 /// Removes leading and trailing whitespace.
 std::string trimString(const std::string &Str);
 
-/// trimString() without the copy: a view into \p Str.
-std::string_view trimView(std::string_view Str);
+/// trimString() without the copy: a view into \p Str. Inline, with a
+/// plain loop: rule-library load trims every line and field it reads.
+inline std::string_view trimView(std::string_view Str) {
+  auto isSpace = [](char C) {
+    return C == ' ' || C == '\t' || C == '\r' || C == '\n';
+  };
+  size_t Begin = 0, End = Str.size();
+  while (Begin < End && isSpace(Str[Begin]))
+    ++Begin;
+  while (End > Begin && isSpace(Str[End - 1]))
+    --End;
+  return Str.substr(Begin, End - Begin);
+}
 
 /// Returns true if \p Str starts with \p Prefix.
 bool startsWith(const std::string &Str, const std::string &Prefix);

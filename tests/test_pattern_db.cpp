@@ -6,6 +6,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "InflatedLibrary.h"
+#include "RandomGraph.h"
+#include "ir/Normalizer.h"
+#include "ir/Printer.h"
 #include "pattern/PatternDatabase.h"
 #include "support/AtomicFile.h"
 
@@ -149,6 +152,55 @@ TEST(PatternDatabase, NonNormalizedFilter) {
   EXPECT_EQ(DB.filterNonNormalized(), 1u);
   ASSERT_EQ(DB.size(), 1u);
   EXPECT_EQ(DB.rules()[0].GoalName, "blsr");
+}
+
+TEST(PatternDatabase, StoredNormalFormMatchesNormalizer) {
+  // A rule's stored verdict must be the Section 5.6 filter's
+  // definition, computed the long way: normalization leaves the
+  // pattern's fingerprint unchanged. Clones carry the verdict over,
+  // and a rule built from a cloned pattern computes it afresh.
+  size_t Normal = 0, NotNormal = 0;
+  auto check = [&](const Rule &R) {
+    bool Expected =
+        normalizeGraph(R.Pattern).fingerprint() == R.Pattern.fingerprint();
+    (Expected ? Normal : NotNormal) += 1;
+    EXPECT_EQ(R.inNormalForm(), Expected)
+        << R.GoalName << "\n" << printGraph(R.Pattern);
+    Rule Copy = R.clone();
+    EXPECT_EQ(Copy.inNormalForm(), Expected) << R.GoalName;
+    EXPECT_EQ(Copy.inNormalForm(), normalizeGraph(Copy.Pattern).fingerprint() ==
+                                       Copy.Pattern.fingerprint())
+        << R.GoalName;
+    EXPECT_EQ(Rule(R.GoalName, R.Pattern.clone()).inNormalForm(), Expected)
+        << R.GoalName;
+  };
+
+  // The libraries load through deserialize, so their verdicts are
+  // taken on the worker threads' scratch.
+  for (const char *Name :
+       {"rule-library-basic-w8.dat", "rule-library-full-w8.dat"}) {
+    SCOPED_TRACE(Name);
+    PatternDatabase Library = shippedLibrary(Name);
+    for (const Rule &R : Library.rules())
+      check(R);
+  }
+  {
+    SCOPED_TRACE("10k inflated library");
+    PatternDatabase Inflated = PatternDatabase::deserialize(
+        inflated(shippedLibrary("rule-library-full-w8.dat"), 10000)
+            .serialize());
+    ASSERT_EQ(Inflated.size(), 10000u);
+    for (const Rule &R : Inflated.rules())
+      check(R);
+  }
+  // Random graphs add Mux, Cmp and shared subexpressions the libraries
+  // rarely carry, and rules the normalizer merges by CSE.
+  Rng Random(25);
+  for (int Trial = 0; Trial < 2000; ++Trial)
+    check(Rule("random", randomGraph(Random, 8, 2 + Random.nextBelow(12))));
+  // Both verdicts occur, so neither constant answer would pass.
+  EXPECT_GT(Normal, 3000u);
+  EXPECT_GT(NotNormal, 7000u);
 }
 
 TEST(PatternDatabase, SortSpecificFirst) {

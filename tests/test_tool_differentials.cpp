@@ -36,6 +36,9 @@
 //     cost-dominated findings, selgen-compile --dump-asm is unchanged
 //     below the header line, and the automaton does not grow.
 //   * selgen-minimize exits 2 when it cannot write --stats-json.
+//   * selgen-matchergen, selgen-compile and selgen-served report the
+//     library load and preparation times, pattern.load_us and
+//     isel.prepare_us, in --stats-json.
 //   * A cache-less three-thread selgen-synth run screens candidates
 //     concretely, grows its counterexample corpus, and never holds
 //     more Z3 contexts than it has workers.
@@ -181,6 +184,46 @@ TEST(MatcherDifferential, ImageRowsMatchLinearScanAndCountersLand) {
   // The automaton states candidate discovery visits over the eleven
   // workloads: a walk that visits a state twice or skips one moves it.
   EXPECT_EQ(counterValue(Json, "matcher.nodes_visited"), 3278) << Json;
+}
+
+TEST(ToolStats, LoadAndPrepareTimesLandInStatsJson) {
+  // The selector tools share one load helper, which times the load
+  // (deserialize, non-normalized filter, sort) and the preparation
+  // under perfbench's span names.
+  std::string Dir = freshDir("load_stats");
+  std::string Image = Dir + "/basic.matb";
+  std::map<std::string, std::string> Dumps = {
+      {"selgen-matchergen", Dir + "/matchergen.json"},
+      {"selgen-compile", Dir + "/compile.json"},
+      {"selgen-served", Dir + "/served.json"}};
+  ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
+                    {"--library", BasicLibrary, "--output", Image,
+                     "--stats-json", Dumps["selgen-matchergen"]},
+                    Dir + "/matchergen.log"),
+            0)
+      << readLog(Dir + "/matchergen.log");
+  ASSERT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                    {"--library", BasicLibrary, "--automaton", Image,
+                     "--benchmark", "175.vpr", "--stats-json",
+                     Dumps["selgen-compile"]},
+                    Dir + "/compile.log"),
+            0)
+      << readLog(Dir + "/compile.log");
+  signal(SIGPIPE, SIG_IGN);
+  selgen::SpawnedServer Server;
+  Server.start({SELGEN_SERVED_TOOL, "--library", BasicLibrary, "--automaton",
+                Image, "--stats-json", Dumps["selgen-served"]});
+  ASSERT_GE(Server.Pid, 0);
+  ASSERT_TRUE(selgen::wire::writeFrame(Server.ToChild,
+                                       selgen::wire::Shutdown, ""));
+  int Status = Server.wait();
+  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0) << Status;
+
+  for (const auto &[Tool, Path] : Dumps) {
+    std::string Json = readLog(Path);
+    EXPECT_GT(counterValue(Json, "pattern.load_us"), 0) << Tool << ": " << Json;
+    EXPECT_GT(counterValue(Json, "isel.prepare_us"), 0) << Tool << ": " << Json;
+  }
 }
 
 TEST(MatcherDifferential, DumpRendersTheMappedImage) {

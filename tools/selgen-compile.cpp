@@ -44,6 +44,7 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/HandwrittenSelector.h"
+#include "isel/PreparedLibrary.h"
 #include "support/CommandLine.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -140,9 +141,7 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  PatternDatabase Database = PatternDatabase::loadFromFile(LibraryPath);
-  Database.filterNonNormalized();
-  Database.sortSpecificFirst();
+  PatternDatabase Database = loadSelectorLibrary(LibraryPath);
   GoalLibrary Goals = GoalLibrary::build(Width, GoalLibrary::allGroups());
 
   HandwrittenSelector Handwritten;
@@ -153,7 +152,7 @@ int main(int argc, char **argv) {
   std::optional<MatcherAutomaton> Compiled;
   size_t UsableRules = 0;
   if (SelectorName == "auto") {
-    PreparedLibrary Prepared(Database, Goals);
+    PreparedLibrary Prepared = prepareSelectorLibrary(Database, Goals);
     if (!AutomatonPath.empty()) {
       // Pre-built image: mmap, validate, and match off the mapped bytes.
       std::string LoadError;
@@ -187,7 +186,8 @@ int main(int argc, char **argv) {
     RuleDriven = std::make_unique<MappedAutomatonSelector>(
         std::move(Prepared), View, *CostModel);
   } else if (SelectorName == "linear") {
-    auto Linear = std::make_unique<GeneratedSelector>(Database, Goals);
+    auto Linear = std::make_unique<GeneratedSelector>(
+        prepareSelectorLibrary(Database, Goals));
     UsableRules = Linear->numRules();
     RuleDriven = std::move(Linear);
   }

@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "isel/AutomatonSelector.h"
+#include "isel/PreparedLibrary.h"
 #include "support/CommandLine.h"
 #include "support/Statistics.h"
 
@@ -77,11 +78,9 @@ int main(int argc, char **argv) {
   std::string LibraryPath = Cli.stringOption("library", "rules.dat");
   std::string OutputPath = Cli.stringOption("output", "rules.matb");
 
-  PatternDatabase Database = PatternDatabase::loadFromFile(LibraryPath);
-  Database.filterNonNormalized();
-  Database.sortSpecificFirst();
+  PatternDatabase Database = loadSelectorLibrary(LibraryPath);
   GoalLibrary Goals = GoalLibrary::build(Width, GoalLibrary::allGroups());
-  PreparedLibrary Library(Database, Goals);
+  PreparedLibrary Library = prepareSelectorLibrary(Database, Goals);
 
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
   if (!Automaton.writeBinaryFile(OutputPath)) {

@@ -45,6 +45,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "isel/AutomatonSelector.h"
+#include "isel/PreparedLibrary.h"
 #include "serve/ImageReloader.h"
 #include "serve/SelectionServer.h"
 #include "support/CommandLine.h"
@@ -169,11 +170,9 @@ int main(int argc, char **argv) {
   signal(SIGINT, onTerminate);
   signal(SIGHUP, onReload);
 
-  PatternDatabase Database = PatternDatabase::loadFromFile(LibraryPath);
-  Database.filterNonNormalized();
-  Database.sortSpecificFirst();
+  PatternDatabase Database = loadSelectorLibrary(LibraryPath);
   GoalLibrary Goals = GoalLibrary::build(Width, GoalLibrary::allGroups());
-  PreparedLibrary Library(Database, Goals);
+  PreparedLibrary Library = prepareSelectorLibrary(Database, Goals);
 
   // The automaton: the mapped --automaton image, or compiled in memory
   // when no file is given.
