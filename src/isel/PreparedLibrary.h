@@ -8,8 +8,9 @@
 /// \file
 /// The rule-library preparation shared by every rule-driven selector
 /// and by the matcher-automaton compiler (src/matchergen): a sorted,
-/// goal-resolved copy of a PatternDatabase with per-rule matching
-/// metadata (pattern root, jump-rule classification, priority index).
+/// goal-resolved view of a PatternDatabase's rules, which it shares
+/// rather than copies, with per-rule matching metadata (pattern root,
+/// jump-rule classification, priority index).
 /// Keeping this in one place guarantees that the linear selector, the
 /// automaton selector, and a serialized automaton all agree on the
 /// rule priority order — the property the byte-identical-output
@@ -25,6 +26,7 @@
 #include "x86/Goals.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,19 +57,21 @@ public:
   /// \p Database provides the rules; \p Goals the emission recipes (a
   /// rule whose goal is missing from \p Goals is ignored). The
   /// database should already be filtered (Section 5.6). Preparation
-  /// copies the rules in specificFirstOrder(), so an unsorted database
+  /// takes the rules in specificFirstOrder(), so an unsorted database
   /// gets the same priority order; on a sorted one the stable order
-  /// keeps it. Rules are copied and rooted in parallel (parallelFor).
-  /// \p Goals must outlive this object.
+  /// keeps it. The library shares the database's rule store
+  /// (PatternDatabase::sharedRules()) and points into it, without a
+  /// copy: it may outlive \p Database, which refuses to change its
+  /// rules while this library lives. \p Goals must outlive this object.
   PreparedLibrary(const PatternDatabase &Database, const GoalLibrary &Goals);
 
   PreparedLibrary(const PreparedLibrary &) = delete;
   PreparedLibrary &operator=(const PreparedLibrary &) = delete;
 
-  /// Moving is safe: every PreparedRule pointer targets the heap
-  /// buffer of OwnedRules (which a vector move preserves) or the
-  /// external GoalLibrary. Lets a caller prepare once and hand the
-  /// result to a selector without a redundant re-prepare.
+  /// Moving is safe: every PreparedRule pointer targets the shared rule
+  /// store, which the move hands over and which does not change while
+  /// shared, or the external GoalLibrary. Lets a caller prepare once
+  /// and hand the result to a selector without a redundant re-prepare.
   PreparedLibrary(PreparedLibrary &&) = default;
   PreparedLibrary &operator=(PreparedLibrary &&) = default;
 
@@ -87,7 +91,8 @@ public:
   const std::string &fingerprint() const { return Fingerprint; }
 
 private:
-  std::vector<Rule> OwnedRules; ///< Sorted copy of the database rules.
+  /// The database's rules, kept alive and unchanged by the share.
+  std::shared_ptr<const std::vector<Rule>> SharedRules;
   std::vector<PreparedRule> Rules;
   const GoalInstruction *ImmediateMoveGoal = nullptr;
   std::string Fingerprint;

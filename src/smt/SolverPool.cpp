@@ -8,6 +8,7 @@
 #include "smt/SolverPool.h"
 
 #include "support/AtomicFile.h"
+#include "support/FaultInjection.h"
 #include "support/Statistics.h"
 
 #include <chrono>
@@ -279,6 +280,12 @@ PoolReply SolverPool::run(const std::string &RequestPayload,
     auto AttemptStart = std::chrono::steady_clock::now();
     wire::WriteStatus Sent = wire::writeFrame(Slot.RequestFd, wire::Request,
                                               RequestPayload, DeadlineMs);
+    // Fault site: the worker stops answering once it holds the request,
+    // as a hung one does. Decided here, in the pool's process, so
+    // n=<k> counts the pool's requests and a respawn does not re-arm it.
+    if (Sent == wire::WriteStatus::Ok &&
+        FaultInjector::get().shouldFire("worker_hang"))
+      ::kill(Slot.Pid, SIGSTOP);
     wire::Frame Response;
     wire::ReadStatus Status;
     if (Sent == wire::WriteStatus::Ok)

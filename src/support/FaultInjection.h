@@ -32,8 +32,10 @@
 ///                     stale-interrupt suppression regression test)
 ///   worker_kill       selgen-solverd SIGKILLs itself after reading a
 ///                     request (the pool sees EOF mid-query)
-///   worker_hang       selgen-solverd sleeps past any deadline (the
-///                     pool's poll expires and SIGKILLs it)
+///   worker_hang       SolverPool stops (SIGSTOP) the worker it has just
+///                     sent a request, which then answers past any
+///                     deadline (the pool's poll expires and SIGKILLs
+///                     it)
 ///   worker_garbage_reply  selgen-solverd corrupts its reply frame
 ///                     (the pool's CRC check must reject it)
 ///   serve_request_garbage  the compile server corrupts a request
@@ -52,12 +54,14 @@
 ///                     400ms before serving a request (drives queue
 ///                     growth for the overload and deadline tests)
 ///
-/// The worker_* sites fire inside the *worker* process; arm them via
-/// SolverPoolOptions::WorkerEnv (or the worker's environment), and
-/// note that n=<k> counts per worker process — a respawned worker
-/// starts fresh, so worker_kill@n=1 kills every respawn on its first
-/// query and exhausts the retry budget, while n=2 lets each respawn
-/// answer one query before dying (the recoverable case CI sweeps).
+/// worker_kill and worker_garbage_reply fire inside the *worker*
+/// process; arm them via SolverPoolOptions::WorkerEnv (or the worker's
+/// environment), and note that n=<k> counts per worker process — a
+/// respawned worker starts fresh, so worker_kill@n=1 kills every
+/// respawn on its first query and exhausts the retry budget, while n=2
+/// lets each respawn answer one query before dying (the recoverable
+/// case CI sweeps). worker_hang fires in the pool's own process, so its
+/// n=<k> counts the pool's requests and it hangs one worker per run.
 ///
 /// Injection can never leak silently into a real run: arming any site
 /// sets the "faults.armed" statistic, and every probe and fire is

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "InflatedLibrary.h"
 #include "eval/Workloads.h"
 #include "ir/Normalizer.h"
 #include "isel/AutomatonSelector.h"
@@ -27,6 +28,9 @@
 #include "x86/Emulator.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <optional>
 
 using namespace selgen;
 
@@ -512,4 +516,84 @@ TEST_F(AutomatonSelectorTest, EngineReturnsCountersAndWritesNoGlobals) {
             printMachineFunction(*ViaFirstMatch.MF));
   EXPECT_EQ(printMachineFunction(*Tiled.MF),
             printMachineFunction(*ViaTiling.MF));
+}
+
+//===----------------------------------------------------------------------===//
+// Shared rule store: a prepared library outlives its database.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A selector set up the way the serve benchmark's set-up does it: the
+/// database is local to the set-up and destroyed before the selector
+/// runs, so the prepared library and the selector live off the rule
+/// store they share with it.
+struct DetachedSelector {
+  std::unique_ptr<MappedAutomaton> Image;
+  std::unique_ptr<MappedAutomatonSelector> Selector;
+};
+
+DetachedSelector setUpFromLocalDatabase(const std::string &LibraryPath,
+                                        const GoalLibrary &Goals,
+                                        const std::string &ImagePath) {
+  DetachedSelector Setup;
+  PatternDatabase Database;
+  Database = PatternDatabase::loadFromFile(LibraryPath);
+  Database.filterNonNormalized();
+  Database.sortSpecificFirst();
+  std::optional<PreparedLibrary> Prepared;
+  Prepared.emplace(Database, Goals);
+  {
+    MatcherAutomaton Automaton = buildMatcherAutomaton(*Prepared);
+    EXPECT_TRUE(Automaton.writeBinaryFile(ImagePath));
+  }
+  std::string Error;
+  Setup.Image = MatcherAutomaton::mapBinary(ImagePath, &Error);
+  EXPECT_TRUE(Setup.Image) << Error;
+  if (!Setup.Image)
+    return Setup;
+  EXPECT_EQ(automatonStalenessError(Setup.Image->view(), *Prepared), "");
+  Setup.Selector = std::make_unique<MappedAutomatonSelector>(
+      std::move(*Prepared), Setup.Image->view());
+  return Setup;
+}
+
+} // namespace
+
+TEST(SharedRuleStore, PreparedLibraryAndSelectorOutliveTheirDatabase) {
+  // Both shipped libraries and the 10 000-rule library: every workload
+  // selects byte-identically to a control whose database stays alive.
+  GoalLibrary Goals = GoalLibrary::build(W, GoalLibrary::allGroups());
+  std::string Inflated = ::testing::TempDir() + "/lifetime-10k.dat";
+  inflated(shippedLibrary("rule-library-full-w8.dat"), 10000)
+      .saveToFile(Inflated);
+  const std::string Shipped = std::string(SELGEN_ARTIFACTS_DIR) + "/";
+  for (const std::string &Path :
+       {Shipped + "rule-library-basic-w8.dat",
+        Shipped + "rule-library-full-w8.dat", Inflated}) {
+    SCOPED_TRACE(Path);
+    std::string ImagePath = ::testing::TempDir() + "/lifetime.matb";
+    DetachedSelector Detached =
+        setUpFromLocalDatabase(Path, Goals, ImagePath);
+    ASSERT_TRUE(Detached.Selector);
+
+    PatternDatabase Control = loadSelectorLibrary(Path);
+    MappedAutomatonSelector Reference(Control, Goals);
+    EXPECT_EQ(Detached.Selector->library().fingerprint(),
+              Reference.library().fingerprint());
+    size_t Workloads = 0;
+    for (const WorkloadProfile &Profile : cint2000Profiles()) {
+      Function F = buildWorkload(Profile, W);
+      SelectionResult Expected = Reference.select(F);
+      SelectionResult Actual = Detached.Selector->select(F);
+      ASSERT_TRUE(Expected.MF && Actual.MF) << Profile.Name;
+      EXPECT_EQ(printMachineFunction(*Expected.MF),
+                printMachineFunction(*Actual.MF))
+          << Profile.Name;
+      ++Workloads;
+    }
+    EXPECT_EQ(Workloads, 11u);
+    std::remove(ImagePath.c_str());
+  }
+  std::remove(Inflated.c_str());
 }

@@ -318,14 +318,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace {
 
-/// A worker-process fault class at one pool size. n=2 because the
-/// trigger counts per worker process: a respawned worker answers the
-/// retried query before failing again, where n=1 would fail every
-/// respawn and exhaust the retry budget.
+/// A worker-process fault class at one pool size. n=2 because the kill
+/// and garbage triggers count per worker process: a respawned worker
+/// answers the retried query before failing again, where n=1 would fail
+/// every respawn and exhaust the retry budget. The hang trigger counts
+/// the pool's requests, so it fires once per run and costs one
+/// deadline kill.
 struct WorkerFaultCase {
   const char *Name;
   const char *Spec;
   unsigned PoolSize;
+  /// pool.deadline_kills the run must count.
+  int DeadlineKills;
 };
 
 void PrintTo(const WorkerFaultCase &Case, std::ostream *Out) {
@@ -364,6 +368,8 @@ TEST_P(WorkerCrashSweep, LibraryMatchesControlAndCrashesAreCounted) {
   EXPECT_EQ(fileBytes(Dir + "/control.dat"), fileBytes(Dir + "/pooled.dat"));
   std::string Stats = fileBytes(Dir + "/stats.json");
   EXPECT_GT(counterValue(Stats, "pool.crashes"), 0) << Stats;
+  EXPECT_EQ(counterValue(Stats, "pool.deadline_kills"), Case.DeadlineKills)
+      << Stats;
 }
 
 std::string workerCaseName(
@@ -376,17 +382,17 @@ std::string workerCaseName(
 // worker-sweep label.
 INSTANTIATE_TEST_SUITE_P(
     PoolOfOne, WorkerCrashSweep,
-    ::testing::Values(WorkerFaultCase{"worker_kill", "worker_kill@n=2", 1},
+    ::testing::Values(WorkerFaultCase{"worker_kill", "worker_kill@n=2", 1, 0},
                       WorkerFaultCase{"worker_garbage_reply",
-                                      "worker_garbage_reply@n=2", 1},
-                      WorkerFaultCase{"worker_hang", "worker_hang@n=2", 1}),
+                                      "worker_garbage_reply@n=2", 1, 0},
+                      WorkerFaultCase{"worker_hang", "worker_hang@n=2", 1, 1}),
     workerCaseName);
 INSTANTIATE_TEST_SUITE_P(
     PoolOfFour, WorkerCrashSweep,
-    ::testing::Values(WorkerFaultCase{"worker_kill", "worker_kill@n=2", 4},
+    ::testing::Values(WorkerFaultCase{"worker_kill", "worker_kill@n=2", 4, 0},
                       WorkerFaultCase{"worker_garbage_reply",
-                                      "worker_garbage_reply@n=2", 4},
-                      WorkerFaultCase{"worker_hang", "worker_hang@n=2", 4}),
+                                      "worker_garbage_reply@n=2", 4, 0},
+                      WorkerFaultCase{"worker_hang", "worker_hang@n=2", 4, 1}),
     workerCaseName);
 
 #endif // SELGEN_SYNTH_TOOL

@@ -16,6 +16,7 @@
 #include "ir/Printer.h"
 #include "pattern/ParallelBuilder.h"
 #include "smt/SolverPool.h"
+#include "support/FaultInjection.h"
 #include "support/Statistics.h"
 #include "synth/WorkerProtocol.h"
 #include "x86/Goals.h"
@@ -516,13 +517,11 @@ TEST(SolverPool, RecyclesAfterConfiguredQueries) {
 
 TEST(SolverPool, DeadlineKillClassifiesAsDeadline) {
   int64_t Kills = Statistics::get().value("pool.deadline_kills");
-  // worker_hang@n=2 (not n=1): the n-counter is per worker *process*,
-  // so with n=1 the respawned replacement would hang again on its very
-  // first query and the budget-less health check below would wait out
-  // the full hang. With n=2 each fresh worker answers one query before
-  // hanging, so the post-kill respawn serves the health check.
+  // worker_hang fires in this (the pool's) process and counts the
+  // pool's requests: the warm-up is request 1, the hang request 2, and
+  // the respawned worker serves the health check after it.
+  ASSERT_TRUE(FaultInjector::get().configure("worker_hang@n=2"));
   SolverPoolOptions Options = liveOptions(1);
-  Options.WorkerEnv["SELGEN_FAULTS"] = "worker_hang@n=2";
   Options.GraceSeconds = 0.5;
   Options.MaxDeadlineRetries = 0;
   SolverPool Pool(Options);
@@ -537,6 +536,8 @@ TEST(SolverPool, DeadlineKillClassifiesAsDeadline) {
   EXPECT_GT(Reply.StalledSeconds, 0.4);
   // The pool replaced the hung worker; the next query is fine.
   expectSolves(Pool);
+  EXPECT_EQ(Statistics::get().value("pool.deadline_kills"), Kills + 1);
+  FaultInjector::get().disarm();
 }
 
 TEST(SolverPool, GarbageRepliesAreRejectedAndRetried) {
@@ -576,8 +577,8 @@ TEST(SolverPool, ShutdownDrainsInFlightQueries) {
   // shutdown() must wait for a checked-out worker instead of closing
   // its fds under the concurrent readFrame (and clearing Workers under
   // the run()'s slot reference).
+  ASSERT_TRUE(FaultInjector::get().configure("worker_hang@n=1"));
   SolverPoolOptions Options = liveOptions(1);
-  Options.WorkerEnv["SELGEN_FAULTS"] = "worker_hang@n=1";
   Options.GraceSeconds = 0.5;
   Options.MaxDeadlineRetries = 0;
   SolverPool Pool(Options);
@@ -601,6 +602,7 @@ TEST(SolverPool, ShutdownDrainsInFlightQueries) {
   PoolReply After = Pool.run(probePayload());
   EXPECT_FALSE(After.Ok);
   EXPECT_EQ(After.Failure, SmtFailure::Exception);
+  FaultInjector::get().disarm();
 }
 
 TEST(SolverPool, WorkerErrorFrameIsNonRetryableFailure) {

@@ -22,10 +22,9 @@
 /// via SolverPoolOptions::WorkerEnv):
 ///   worker_kill          SIGKILL self after reading a request — the
 ///                        parent sees EOF mid-query
-///   worker_hang          sleep far past any deadline — the parent's
-///                        poll expires and SIGKILLs us
 ///   worker_garbage_reply corrupt the reply frame bytes — the parent's
 ///                        CRC check must reject them
+/// (worker_hang fires in the parent: SolverPool stops the worker.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,8 +126,6 @@ int main(int Argc, char **Argv) {
     // Crash-path fault sites, armed only via WorkerEnv by tests/CI.
     if (FaultInjector::get().shouldFire("worker_kill"))
       kill(getpid(), SIGKILL);
-    if (FaultInjector::get().shouldFire("worker_hang"))
-      sleep(600); // Far past any grace; the parent SIGKILLs us first.
 
     std::string Error;
     std::string ReplyPayload;
