@@ -72,9 +72,10 @@ MinimizeResult selgen::minimizeLibrary(const PatternDatabase &Database,
   MinimizeResult Result;
   Result.RulesBefore = Database.size();
 
-  // Preparation makes its own defensively-sorted copy, so the input
-  // database order does not matter; the goal|fingerprint key ties
-  // prepared verdicts back to database rules below.
+  // Preparation shares the database's rules and takes them in
+  // specific-first order, so the input database order does not matter;
+  // the goal|fingerprint key ties prepared verdicts back to database
+  // rules below.
   PreparedLibrary Library(Database, Goals);
   const std::vector<PreparedRule> &Rules = Library.rules();
   Result.PreparedRules = Rules.size();
