@@ -26,9 +26,9 @@
 /// once against a scratch MachineFunction with role-correct dummy
 /// operands. Recipes only depend on argument roles (registers for
 /// Reg/Addr, an immediate for Imm, nothing for Mem), so the probe is
-/// exact, cheap, and deterministic. `cost::ModelVersion` stamps
-/// automaton images; bump it whenever derivation changes so stale
-/// `.matb` images are refused instead of silently mispricing.
+/// exact, cheap, and deterministic. Costs live only in the prepared
+/// library: `.matb` automaton images hold patterns, so a change to the
+/// derivation needs no new image.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,15 +44,6 @@
 namespace selgen {
 
 struct GoalInstruction;
-
-namespace cost {
-
-/// Version of the cost-derivation scheme. Stamped into `.matb`
-/// images; an automaton stamped with a different version (or with the
-/// pre-cost 0) is stale against this binary.
-constexpr uint32_t ModelVersion = 1;
-
-} // namespace cost
 
 /// Which cost-vector component selection minimizes.
 enum class CostKind {

@@ -38,17 +38,9 @@ MatcherAutomaton selgen::buildMatcherAutomaton(const PreparedLibrary &Library) {
     P.RuleIndex = R.Index;
     Patterns.push_back(P);
   }
-  // Stamp the library's cost table (every rule, including the
-  // never-firing ones the tree omits: the table is indexed by rule
-  // priority index).
-  std::vector<RuleCost> Costs;
-  Costs.reserve(Library.rules().size());
-  for (const PreparedRule &R : Library.rules())
-    Costs.push_back(R.Cost);
-  return MatcherAutomaton::compile(Patterns, Library.fingerprint(),
-                                   static_cast<uint32_t>(
-                                       Library.rules().size()),
-                                   Costs, cost::ModelVersion);
+  return MatcherAutomaton::compile(
+      Patterns, Library.fingerprint(),
+      static_cast<uint32_t>(Library.rules().size()));
 }
 
 std::string
@@ -64,25 +56,6 @@ selgen::automatonStalenessError(const BinaryAutomatonView &View,
            " rules, library has " +
            std::to_string(Library.rules().size()) +
            " (stale automaton; re-run selgen-matchergen)";
-  // An image whose cost stamp or per-rule costs disagree with the
-  // prepared library would silently mis-price tiling, so it is refused
-  // like a fingerprint mismatch.
-  if (View.costVersion() != cost::ModelVersion) {
-    if (View.costVersion() == 0)
-      return "automaton carries no rule cost table (pre-cost image, cost "
-             "version 0; current " +
-             std::to_string(cost::ModelVersion) +
-             "); re-run selgen-matchergen";
-    return "automaton cost table was derived under cost model version " +
-           std::to_string(View.costVersion()) + ", current is " +
-           std::to_string(cost::ModelVersion) +
-           " (stale automaton; re-run selgen-matchergen)";
-  }
-  for (const PreparedRule &R : Library.rules())
-    if (View.ruleCost(R.Index) != R.Cost)
-      return "automaton cost table disagrees with the library at rule " +
-             std::to_string(R.Index) +
-             " (stale automaton; re-run selgen-matchergen)";
   return "";
 }
 

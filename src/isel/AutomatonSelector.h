@@ -21,12 +21,14 @@
 /// (isel/TilingSelector.h) first re-orders each candidate set so the
 /// engine tries the cheapest legal tile first.
 ///
-/// The automaton has one form, the bin-v2 image: compiled in memory
+/// The automaton has one form, the bin-v3 image: compiled in memory
 /// (buildMatcherAutomaton) or mapped from a .matb file written by the
 /// selgen-matchergen tool. Either way selection runs over a
 /// BinaryAutomatonView, and the image's library fingerprint is checked
 /// so a stale automaton is rejected rather than silently applied to
-/// the wrong library.
+/// the wrong library. The image holds patterns only: the tiling DP
+/// prices tiles with the costs the prepared library derives, so a
+/// cost-model change needs no new image.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,9 +52,7 @@ namespace selgen {
 MatcherAutomaton buildMatcherAutomaton(const PreparedLibrary &Library);
 
 /// Returns an explanation if \p View was not compiled from \p Library
-/// (fingerprint, rule-count, or cost-table/cost-version mismatch — a
-/// pre-cost image against a cost-stamped library is refused, not
-/// silently selected with zero costs), or the empty string if it is
+/// (fingerprint or rule-count mismatch), or the empty string if it is
 /// current.
 std::string automatonStalenessError(const BinaryAutomatonView &View,
                                     const PreparedLibrary &Library);

@@ -322,8 +322,6 @@ public:
 
   /// Naive per-operation fallback lowering (counts against coverage).
   void emitFallback(Node *S) {
-    unsigned Width = BB->body().width();
-    (void)Width;
     auto def = [&](unsigned Index, MOperand Op) {
       L.setValue(NodeRef(S, Index), std::move(Op));
     };

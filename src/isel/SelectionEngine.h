@@ -85,7 +85,8 @@ void noteSelectionStatistics(const SelectionResult &Result);
 
 /// Adds \p View's size (automaton.states, automaton.transitions) to
 /// the global Statistics registry; called once per automaton-driven
-/// selector, whichever way its image was obtained.
+/// selector, whichever way its image was obtained, and by
+/// selgen-matchergen for the image it writes.
 void noteAutomatonStatistics(const BinaryAutomatonView &View);
 
 /// Toggles the dataflow-based elision of runtime shift-precondition

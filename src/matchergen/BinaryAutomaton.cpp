@@ -57,6 +57,11 @@ constexpr uint8_t MaxOpcode = static_cast<uint8_t>(Opcode::Cond);
 constexpr uint8_t MaxSortKind = static_cast<uint8_t>(SortKind::Memory);
 constexpr uint8_t MaxRelation = static_cast<uint8_t>(Relation::Sge);
 
+/// How to replace an image this build cannot read.
+constexpr const char *RegenerateHint =
+    "regenerate it with 'selgen-matchergen --library <rules.dat> "
+    "--output <file>.matb'";
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -93,17 +98,17 @@ BinaryAutomatonView::fromMemory(const void *Data, size_t Size,
       return fail(BinaryAutomatonError::ForeignEndian,
                   "image written on an opposite-endian host");
     return fail(BinaryAutomatonError::BadMagic,
-                "not a " + std::string(binfmt::FormatName) +
-                    " image; regenerate it with 'selgen-matchergen "
-                    "--library <rules.dat> --output <file>.matb'");
+                "not a " + std::string(binfmt::FormatName) + " image; " +
+                    RegenerateHint);
   }
   if (Hdr->EndianTag != binfmt::EndianTag)
     return fail(BinaryAutomatonError::ForeignEndian,
                 "image written on an opposite-endian host");
   if (Hdr->Version != binfmt::Version)
     return fail(BinaryAutomatonError::BadVersion,
-                "unsupported format version " +
-                    std::to_string(Hdr->Version));
+                "format version " + std::to_string(Hdr->Version) +
+                    ", this build reads " + std::to_string(binfmt::Version) +
+                    "; " + RegenerateHint);
   if (crc32(Hdr, offsetof(binfmt::Header, HeaderCrc)) != Hdr->HeaderCrc)
     return fail(BinaryAutomatonError::HeaderCorrupt, "header CRC mismatch");
   if (Hdr->TotalBytes != Size)
@@ -141,11 +146,6 @@ BinaryAutomatonView::fromMemory(const void *Data, size_t Size,
   if (!sectionOk(Hdr->RootPoolOff, Hdr->RootPoolCount, sizeof(uint32_t),
                  true))
     return fail(BinaryAutomatonError::BadSection, "root pool out of range");
-  const uint64_t NumCosts = Hdr->CostVersion != 0 ? Hdr->NumRules : 0;
-  if (!sectionOk(Hdr->RuleCostsOff, NumCosts, sizeof(binfmt::RuleCostRec),
-                 true))
-    return fail(BinaryAutomatonError::BadSection,
-                "rule cost table out of range");
   if (!sectionOk(Hdr->FingerprintOff, Hdr->FingerprintLen, 1, false))
     return fail(BinaryAutomatonError::BadSection, "fingerprint out of range");
 
@@ -159,8 +159,6 @@ BinaryAutomatonView::fromMemory(const void *Data, size_t Size,
   V.RootEntries =
       reinterpret_cast<const binfmt::RootEntry *>(Bytes + Hdr->RootIndexOff);
   V.RootPool = reinterpret_cast<const uint32_t *>(Bytes + Hdr->RootPoolOff);
-  V.RuleCostsTab =
-      reinterpret_cast<const binfmt::RuleCostRec *>(Bytes + Hdr->RuleCostsOff);
   V.FingerprintData = Bytes + Hdr->FingerprintOff;
 
   // Structural pass: after this, matching dereferences indices without
@@ -388,13 +386,6 @@ std::string BinaryAutomatonView::dump() const {
   OS << "states " << Hdr->NumStates << "\n";
   OS << "body " << Hdr->BodyRoot << "\n";
   OS << "jump " << Hdr->JumpRoot << "\n";
-  OS << "costver " << Hdr->CostVersion << "\n";
-  if (Hdr->CostVersion != 0)
-    for (uint32_t I = 0; I < Hdr->NumRules; ++I) {
-      RuleCost C = ruleCost(I);
-      OS << "cost " << I << " " << C.Instructions << " " << C.Latency << " "
-         << C.Size << "\n";
-    }
   for (uint32_t I = 0; I < Hdr->NumStates; ++I) {
     const binfmt::State &S = States[I];
     OS << "state " << I;

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The "selgen-matcher-automaton-bin-v2" format, the matcher
+/// The "selgen-matcher-automaton-bin-v3" format, the matcher
 /// automaton's only form: one contiguous, pointer-free arena holding
 /// the discrimination tree as flat tables addressed by uint32 indices.
 /// MatcherAutomaton::compile emits it into an owned buffer, and
@@ -19,29 +19,30 @@
 /// Layout (all integers host-endian; a foreign-endian image is
 /// rejected via the endianness tag, never byte-swapped):
 ///
-///   Header        100 bytes, fixed (binfmt::Header below): magic,
+///   Header        92 bytes, fixed (binfmt::Header below): magic,
 ///                 version, endian tag, table counts, root state ids,
-///                 per-section offsets, cost-model version, total
-///                 size, payload CRC-32, header CRC-32.
+///                 per-section offsets, total size, payload CRC-32,
+///                 header CRC-32.
 ///   States        binfmt::State[NumStates]      (8-byte aligned)
 ///   Edges         binfmt::Edge[NumEdges]        (8-byte aligned)
 ///   Accepts       uint32[NumAccepts]            (8-byte aligned)
 ///   ConstWords    uint64[NumConstWords]         (8-byte aligned)
 ///   RootIndex     binfmt::RootEntry[RootIndexCount] (8-byte aligned)
 ///   RootPool      uint32[RootPoolCount]         (8-byte aligned)
-///   RuleCosts     binfmt::RuleCostRec[NumRules when CostVersion != 0,
-///                 else 0]                       (8-byte aligned)
 ///   Fingerprint   FingerprintLen raw bytes (unaligned tail)
 ///
 /// States own [EdgeBegin, EdgeBegin+EdgeCount) of the edge table and
 /// [AcceptBegin, ...) of the accept table; edges keep the compiler's
 /// trie insertion order, so the image is a deterministic function of
-/// the rule library. Constant edge attributes store (width, word span)
-/// into the shared uint64 pool, least-significant word first, unused
-/// high bits zero — the same invariant BitValue keeps, so equality is
-/// a width check plus word compares. The root index is the "indexed by
-/// root opcode" entry point: entries sorted strictly ascending by
-/// opcode, each owning a span of body-root edge ordinals in the pool.
+/// the rule patterns, their priority order and the library fingerprint.
+/// It holds no rule costs: selection prices tiles from the prepared
+/// library (PreparedRule::Cost), derived at prepare time. Constant edge
+/// attributes store (width, word span) into the shared uint64 pool,
+/// least-significant word first, unused high bits zero — the same
+/// invariant BitValue keeps, so equality is a width check plus word
+/// compares. The root index is the "indexed by root opcode" entry
+/// point: entries sorted strictly ascending by opcode, each owning a
+/// span of body-root edge ordinals in the pool.
 ///
 /// Validation contract: BinaryAutomatonView::fromMemory accepts a
 /// buffer if and only if every table index, offset, and enum value it
@@ -55,7 +56,6 @@
 #ifndef SELGEN_MATCHERGEN_BINARYAUTOMATON_H
 #define SELGEN_MATCHERGEN_BINARYAUTOMATON_H
 
-#include "cost/CostModel.h"
 #include "ir/Graph.h"
 
 #include <cstddef>
@@ -92,11 +92,11 @@ namespace binfmt {
 
 /// The format's name, for diagnostics and dumps. The on-disk
 /// discriminator is the header magic/version.
-constexpr const char *FormatName = "selgen-matcher-automaton-bin-v2";
+constexpr const char *FormatName = "selgen-matcher-automaton-bin-v3";
 constexpr uint32_t Magic = 0x424D4753u; // "SGMB" when written little-endian.
-/// v2 widened the header by the rule-cost section. v1 images are
-/// refused with BadVersion (there is no upgrade path; regenerate).
-constexpr uint32_t Version = 2;
+/// v3 dropped v2's rule-cost section. Older images are refused with
+/// BadVersion (there is no upgrade path; regenerate).
+constexpr uint32_t Version = 3;
 constexpr uint32_t EndianTag = 0x01020304u;
 /// Result-index wildcard of a body pattern's first symbol: the root
 /// aligns with a subject *node*, not a specific result.
@@ -123,15 +123,11 @@ struct Header {
   uint32_t RootPoolCount = 0;
   uint32_t FingerprintOff = 0;
   uint32_t FingerprintLen = 0;
-  uint32_t RuleCostsOff = 0;
-  /// cost::ModelVersion the stamped table was derived under; 0 means
-  /// the image carries no cost table.
-  uint32_t CostVersion = 0;
   uint32_t TotalBytes = 0;
   uint32_t PayloadCrc = 0; ///< CRC-32 of [sizeof(Header), TotalBytes).
   uint32_t HeaderCrc = 0;  ///< CRC-32 of the header bytes before this field.
 };
-static_assert(sizeof(Header) == 100, "fixed 100-byte header");
+static_assert(sizeof(Header) == 92, "fixed 92-byte header");
 
 struct State {
   uint32_t EdgeBegin = 0;
@@ -168,15 +164,6 @@ struct RootEntry {
   uint32_t PoolCount = 0;
 };
 static_assert(sizeof(RootEntry) == 12, "flat root-index record");
-
-/// One per-rule cost vector (mirrors selgen::RuleCost), indexed by
-/// rule priority index.
-struct RuleCostRec {
-  uint32_t Instructions = 0;
-  uint32_t Latency = 0;
-  uint32_t Size = 0;
-};
-static_assert(sizeof(RuleCostRec) == 12, "flat rule-cost record");
 
 } // namespace binfmt
 
@@ -215,17 +202,9 @@ public:
   std::string libraryFingerprint() const {
     return std::string(FingerprintData, Hdr->FingerprintLen);
   }
-  /// Cost-derivation version of the stamped table; 0 = no cost table.
-  uint32_t costVersion() const { return Hdr->CostVersion; }
-  /// Cost vector of rule \p Index. Only valid when costVersion() != 0
-  /// and Index < numRules().
-  RuleCost ruleCost(uint32_t Index) const {
-    const binfmt::RuleCostRec &R = RuleCostsTab[Index];
-    return RuleCost{R.Instructions, R.Latency, R.Size};
-  }
 
-  /// Renders the image for humans: header fields, cost table, and one
-  /// line per state and edge. Write-only; nothing parses it back.
+  /// Renders the image for humans: header fields and one line per
+  /// state and edge. Write-only; nothing parses it back.
   std::string dump() const;
 
 private:
@@ -243,7 +222,6 @@ private:
   const uint64_t *ConstWords = nullptr;
   const binfmt::RootEntry *RootEntries = nullptr;
   const uint32_t *RootPool = nullptr;
-  const binfmt::RuleCostRec *RuleCostsTab = nullptr;
   const char *FingerprintData = nullptr;
 };
 

@@ -104,10 +104,9 @@ public:
 
   void insertPattern(const AutomatonPattern &P);
 
-  /// Renders the trie as a bin-v2 image (layout in BinaryAutomaton.h).
-  std::string emit(const std::string &LibraryFingerprint, uint32_t NumRules,
-                   const std::vector<RuleCost> &RuleCosts,
-                   uint32_t CostVersion) const;
+  /// Renders the trie as a bin-v3 image (layout in BinaryAutomaton.h).
+  std::string emit(const std::string &LibraryFingerprint,
+                   uint32_t NumRules) const;
 
 private:
   uint32_t newState() {
@@ -236,9 +235,7 @@ uint32_t appendSection(std::string &Out, const void *Data, size_t Bytes) {
 }
 
 std::string TrieBuilder::emit(const std::string &LibraryFingerprint,
-                              uint32_t NumRules,
-                              const std::vector<RuleCost> &RuleCosts,
-                              uint32_t CostVersion) const {
+                              uint32_t NumRules) const {
   std::vector<binfmt::State> BStates;
   std::vector<binfmt::Edge> BEdges;
   std::vector<uint32_t> BAccepts;
@@ -281,11 +278,6 @@ std::string TrieBuilder::emit(const std::string &LibraryFingerprint,
                     S.AcceptRules.end());
     BStates.push_back(BS);
   }
-
-  std::vector<binfmt::RuleCostRec> BCosts;
-  BCosts.reserve(RuleCosts.size());
-  for (const RuleCost &C : RuleCosts)
-    BCosts.push_back({C.Instructions, C.Latency, C.Size});
 
   // Body-root edge ordinals by root opcode: the "indexed by root
   // opcode" entry point that makes candidate discovery start at the
@@ -331,9 +323,6 @@ std::string TrieBuilder::emit(const std::string &LibraryFingerprint,
   H.RootPoolOff =
       appendSection(Out, RootPool.data(), RootPool.size() * sizeof(uint32_t));
   H.RootPoolCount = static_cast<uint32_t>(RootPool.size());
-  H.RuleCostsOff = appendSection(Out, BCosts.data(),
-                                 BCosts.size() * sizeof(binfmt::RuleCostRec));
-  H.CostVersion = CostVersion;
   H.FingerprintOff = static_cast<uint32_t>(Out.size());
   H.FingerprintLen = static_cast<uint32_t>(LibraryFingerprint.size());
   Out += LibraryFingerprint;
@@ -349,9 +338,7 @@ std::string TrieBuilder::emit(const std::string &LibraryFingerprint,
 MatcherAutomaton
 MatcherAutomaton::compile(const std::vector<AutomatonPattern> &Patterns,
                           const std::string &LibraryFingerprint,
-                          uint32_t NumRules,
-                          const std::vector<RuleCost> &RuleCosts,
-                          uint32_t CostVersion) {
+                          uint32_t NumRules) {
   // Insert in ascending priority order so every accept list and the
   // whole trie layout are deterministic in the library order.
   std::vector<const AutomatonPattern *> Sorted;
@@ -364,8 +351,7 @@ MatcherAutomaton::compile(const std::vector<AutomatonPattern> &Patterns,
   TrieBuilder Trie;
   for (const AutomatonPattern *P : Sorted)
     Trie.insertPattern(*P);
-  std::string Image =
-      Trie.emit(LibraryFingerprint, NumRules, RuleCosts, CostVersion);
+  std::string Image = Trie.emit(LibraryFingerprint, NumRules);
 
   // The trie is dropped here; only the image survives, in a buffer of
   // whole words so the view's 8-byte alignment requirement holds.

@@ -37,7 +37,7 @@
 /// one while doing sublinear candidate discovery.
 ///
 /// The trie is a private builder: compile() emits it straight into the
-/// "selgen-matcher-automaton-bin-v2" image (matchergen/BinaryAutomaton.h)
+/// "selgen-matcher-automaton-bin-v3" image (matchergen/BinaryAutomaton.h)
 /// and keeps only those bytes. Every consumer — in-memory selection,
 /// a mapped .matb file, the subsumption analysis — matches through the
 /// same BinaryAutomatonView. The image carries the rule library's
@@ -72,23 +72,18 @@ struct AutomatonPattern {
   uint32_t RuleIndex = 0;
 };
 
-/// A compiled discrimination tree: the bin-v2 image in an owned,
+/// A compiled discrimination tree: the bin-v3 image in an owned,
 /// 8-aligned buffer plus the validated view over it. Move-only; the
 /// buffer's address (and so the view) survives moves.
 class MatcherAutomaton {
 public:
   /// Compiles \p Patterns (priority-indexed rules of one library) into
   /// a discrimination tree. \p LibraryFingerprint and \p NumRules
-  /// identify the library for staleness checks. \p RuleCosts (indexed
-  /// by rule priority index, one entry per library rule) and
-  /// \p CostVersion stamp the library's cost table into the image;
-  /// pass the defaults only for cost-free automata (CostVersion 0
-  /// marks the table as absent).
+  /// identify the library for staleness checks. The image holds the
+  /// patterns only; rule costs stay with the prepared library.
   static MatcherAutomaton compile(const std::vector<AutomatonPattern> &Patterns,
                                   const std::string &LibraryFingerprint,
-                                  uint32_t NumRules,
-                                  const std::vector<RuleCost> &RuleCosts = {},
-                                  uint32_t CostVersion = 0);
+                                  uint32_t NumRules);
 
   const BinaryAutomatonView &view() const { return View; }
 

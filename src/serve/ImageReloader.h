@@ -8,17 +8,17 @@
 /// \file
 /// Hot reload of the serving automaton image without dropping a
 /// connection. The operator regenerates the `.matb` file (same
-/// library, e.g. after re-running selgen-matchergen with new layout or
-/// cost tables) and sends SIGHUP; the signal handler calls
-/// requestReload() — just an atomic flag, async-signal-safe — and the
-/// server's event-loop tick picks it up. The expensive part (mmap,
-/// header validation, fingerprint + cost staleness check against the
-/// resident library) runs on a short-lived worker thread so the event
-/// loop never stalls; only the final SelectionService::swapImage is a
+/// library, e.g. after re-running selgen-matchergen with a new layout)
+/// and sends SIGHUP; the signal handler calls requestReload() — just
+/// an atomic flag, async-signal-safe — and the server's event-loop
+/// tick picks it up. The expensive part (mmap, header validation,
+/// fingerprint and rule-count staleness check against the resident
+/// library) runs on a short-lived worker thread so the event loop
+/// never stalls; only the final SelectionService::swapImage is a
 /// mutex-protected pointer swap. A candidate that fails validation —
-/// torn file, wrong fingerprint, stale cost tables — is refused with
-/// the failure counted and logged, and the server keeps serving the
-/// image it already has. In-flight batches always finish on the image
+/// torn file, wrong fingerprint, older format version — is refused
+/// with the failure counted and logged, and the server keeps serving
+/// the image it already has. In-flight batches always finish on the image
 /// they started with (the service pins it per batch).
 ///
 /// Publish contract: the operator must replace the image

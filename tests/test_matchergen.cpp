@@ -231,7 +231,7 @@ TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Binary format ("selgen-matcher-automaton-bin-v2")
+// Binary format ("selgen-matcher-automaton-bin-v3")
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -517,13 +517,13 @@ TEST(ShippedLibraryIdentity, PreparedFingerprintAndImageBytesArePinned) {
     const char *Library;
     const char *PreparedFingerprint;
     uint32_t SerializedCrc; ///< Of serialize() after filter and sort.
-    uint32_t ImageCrc;      ///< Of the writeBinaryFile() bytes.
+    uint32_t ImageCrc;      ///< Of the writeBinaryFile() bytes (v3).
   };
   const Golden Pins[] = {
       {"rule-library-basic-w8.dat", "03e3529f05a3ed75", 0x698c4188u,
-       0xb2e667d5u},
+       0x056251beu},
       {"rule-library-full-w8.dat", "2b4136da68b056a5", 0x702e364bu,
-       0xafeede69u},
+       0xaefc33f8u},
   };
   GoalLibrary Goals = GoalLibrary::build(W, GoalLibrary::allGroups());
   for (const Golden &Pin : Pins) {
@@ -562,5 +562,5 @@ TEST(InflatedLibraryIdentity, PreparedFingerprintAndImageBytesArePinned) {
   EXPECT_EQ(Library.fingerprint(), "f3e5557e88d4abd1");
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
   EXPECT_EQ(crc32(Automaton.bytes().data(), Automaton.bytes().size()),
-            0x950a8919u);
+            0x60d3f712u);
 }

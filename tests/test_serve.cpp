@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "SpawnedServer.h"
+#include "StampedImage.h"
 #include "eval/Workloads.h"
 #include "refsel/ReferenceSelectors.h"
 #include "serve/ImageReloader.h"
@@ -974,8 +975,8 @@ INSTANTIATE_TEST_SUITE_P(ServeFaults, ServeFaultSweep,
 TEST_F(ServeTest, HotReloadUnderLoadIsByteIdenticalAndRefusesCorrupt) {
   // The tentpole guarantee: swapping the automaton image under live
   // traffic changes nothing observable (same library ⇒ byte-identical
-  // replies, zero failed requests), and a corrupt candidate is refused
-  // while the old image keeps serving.
+  // replies, zero failed requests), and a corrupt or older-version
+  // candidate is refused while the old image keeps serving.
   std::string ImagePath = ::testing::TempDir() + "serve_reload.matb";
   ASSERT_TRUE(buildMatcherAutomaton(Library).writeBinaryFile(ImagePath));
   std::string MapError;
@@ -1059,6 +1060,25 @@ TEST_F(ServeTest, HotReloadUnderLoadIsByteIdenticalAndRefusesCorrupt) {
   EXPECT_EQ(Service.imageGeneration(), 1u)
       << "a refused candidate must not bump the generation";
 
+  // An image written before the format moved to v3 (v2 still carried
+  // a rule-cost section), as an operator might republish after an
+  // upgrade: refused as bad-version with the command that regenerates
+  // it.
+  ASSERT_TRUE(writeFileAtomic(
+      StagePath, withFormatVersion(std::string(Compiled.bytes()), 2)));
+  ASSERT_EQ(std::rename(StagePath.c_str(), ImagePath.c_str()), 0);
+  Reloader.requestReload();
+  ASSERT_TRUE(Reloader.drain());
+  EXPECT_EQ(Reloader.reloads(), 1u);
+  EXPECT_EQ(Reloader.failures(), 2u);
+  EXPECT_NE(Reloader.lastError().find("bad-version"), std::string::npos)
+      << Reloader.lastError();
+  EXPECT_NE(Reloader.lastError().find("selgen-matchergen --library "
+                                      "<rules.dat> --output <file>.matb"),
+            std::string::npos)
+      << Reloader.lastError();
+  EXPECT_EQ(Service.imageGeneration(), 1u);
+
   roundTrip();
 
   // The health probe reports the reload history.
@@ -1069,7 +1089,7 @@ TEST_F(ServeTest, HotReloadUnderLoadIsByteIdenticalAndRefusesCorrupt) {
   std::optional<HealthReply> Health = decodeHealthReply(Frame.Payload, &Error);
   ASSERT_TRUE(Health) << Error;
   EXPECT_EQ(Health->Reloads, 1u);
-  EXPECT_EQ(Health->ReloadFailures, 1u);
+  EXPECT_EQ(Health->ReloadFailures, 2u);
   EXPECT_EQ(Health->ImageGeneration, 1u);
   EXPECT_EQ(Health->ImageFingerprint, Library.fingerprint());
 

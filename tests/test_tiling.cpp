@@ -8,11 +8,12 @@
 // costlier code than first-match (the unit model), and on libraries
 // with same-pattern/different-cost rule collisions (add_rr vs add_ri)
 // it must do strictly better. These tests enforce that, the DAG
-// re-convergence accounting, and the cost table's round trip through
-// the automaton image.
+// re-convergence accounting, and the typed refusal of an automaton
+// image of the previous format version.
 //
 //===----------------------------------------------------------------------===//
 
+#include "StampedImage.h"
 #include "cost/CostModel.h"
 #include "eval/Workloads.h"
 #include "ir/Normalizer.h"
@@ -20,7 +21,6 @@
 #include "isel/TilingSelector.h"
 #include "matchergen/BinaryAutomaton.h"
 #include "refsel/ReferenceSelectors.h"
-#include "support/AtomicFile.h"
 #include "x86/MachineIR.h"
 
 #include <gtest/gtest.h>
@@ -152,54 +152,19 @@ TEST_F(TilingTest, DagReconvergencePricedOnce) {
   EXPECT_EQ(machineStaticCost(*R.MF, CostKind::Latency), 4u);
 }
 
-TEST_F(TilingTest, CostTableRoundTripsThroughBinaryFormat) {
-  PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-
-  std::string Path = ::testing::TempDir() + "tiling_costs.matb";
-  ASSERT_TRUE(Automaton.writeBinaryFile(Path));
-  std::string Error;
-  std::unique_ptr<MappedAutomaton> Mapped =
-      MatcherAutomaton::mapBinary(Path, &Error);
-  ASSERT_TRUE(Mapped) << Error;
-  EXPECT_EQ(Mapped->view().costVersion(), cost::ModelVersion);
-  for (size_t I = 0; I < Library.rules().size(); ++I)
-    EXPECT_EQ(Mapped->view().ruleCost(static_cast<uint32_t>(I)),
-              Library.rules()[I].Cost)
-        << I;
-  EXPECT_TRUE(automatonStalenessError(Mapped->view(), Library).empty());
-
-  // An image without a cost table (cost version 0) indexes the right
-  // library but must still be refused by a cost-aware consumer.
-  std::vector<AutomatonPattern> Patterns;
-  for (const PreparedRule &R : Library.rules())
-    if (!R.IsJumpRule)
-      Patterns.push_back({&R.TheRule->Pattern, R.Root, false, R.Index});
-  MatcherAutomaton CostFree = MatcherAutomaton::compile(
-      Patterns, Library.fingerprint(),
-      static_cast<uint32_t>(Library.rules().size()));
-  EXPECT_EQ(CostFree.view().costVersion(), 0u);
-  std::string Stale = automatonStalenessError(CostFree.view(), Library);
-  EXPECT_NE(Stale.find("cost"), std::string::npos) << Stale;
-}
-
-TEST_F(TilingTest, BinaryV1ImageRejectedAsBadVersion) {
+TEST_F(TilingTest, BinaryV2ImageRejectedAsBadVersion) {
   PreparedLibrary Library(GnuRules, Goals);
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
   std::string Image(Automaton.bytes());
 
-  // Stamp the pre-cost version and recompute both CRCs, simulating a
-  // structurally intact v1 image. The binary format has no upgrade
-  // path: the only valid answer is a typed BadVersion rejection.
-  uint32_t V1 = binfmt::Version - 1;
-  std::memcpy(&Image[offsetof(binfmt::Header, Version)], &V1, sizeof(V1));
-  binfmt::Header H;
-  std::memcpy(&H, Image.data(), sizeof(H));
-  H.PayloadCrc = crc32(Image.data() + sizeof(H), Image.size() - sizeof(H));
-  H.HeaderCrc = crc32(&H, offsetof(binfmt::Header, HeaderCrc));
-  std::memcpy(&Image[0], &H, sizeof(H));
+  // Stamp the previous version (v2, which still carried a rule-cost
+  // section), simulating a structurally intact v2 image. The binary
+  // format has no upgrade path: the only valid answer is a typed
+  // BadVersion rejection naming the fix.
+  ASSERT_EQ(binfmt::Version, 3u);
+  Image = withFormatVersion(Image, 2);
 
-  std::string Path = ::testing::TempDir() + "tiling_v1.matb";
+  std::string Path = ::testing::TempDir() + "tiling_v2.matb";
   {
     std::ofstream Out(Path, std::ios::binary);
     Out.write(Image.data(), static_cast<std::streamsize>(Image.size()));
@@ -210,6 +175,10 @@ TEST_F(TilingTest, BinaryV1ImageRejectedAsBadVersion) {
   EXPECT_FALSE(Mapped);
   EXPECT_NE(Error.find(binaryAutomatonErrorName(
                 BinaryAutomatonError::BadVersion)),
+            std::string::npos)
+      << Error;
+  EXPECT_NE(Error.find("selgen-matchergen --library <rules.dat> --output "
+                       "<file>.matb"),
             std::string::npos)
       << Error;
 }

@@ -15,10 +15,10 @@
 //     --stats-json must carry all five matcher counters, with
 //     matcher.nodes_visited pinned.
 //   * `selgen-matchergen dump` renders the image it maps.
-//   * A text automaton (the retired .mat format) and an image compiled
-//     from another library are refused by selgen-compile and
-//     selgen-served with exit code 1 and a message saying how to
-//     regenerate the image.
+//   * A text automaton (the retired .mat format), an image of the
+//     previous format version (v2) and an image compiled from another
+//     library are refused by selgen-compile and selgen-served with exit
+//     code 1 and a message saying how to regenerate the image.
 //   * Cost-model differential, over the mapped image of both shipped
 //     libraries: every cost model (unit, latency, size) passes every
 //     interpreter check (return values and final memory), its
@@ -54,6 +54,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "SpawnedServer.h"
+#include "StampedImage.h"
 #include "serve/ServeProtocol.h"
 #include "support/AtomicFile.h"
 #include "support/Wire.h"
@@ -240,10 +241,12 @@ TEST(MatcherDifferential, DumpRendersTheMappedImage) {
       << readLog(Dir + "/dump.log");
 
   std::string Dump = readLog(Dir + "/dump.log");
-  EXPECT_EQ(Dump.rfind("selgen-matcher-automaton-bin-v2\n", 0), 0u) << Dump;
+  EXPECT_EQ(Dump.rfind("selgen-matcher-automaton-bin-v3\n", 0), 0u) << Dump;
   EXPECT_NE(Dump.find("\nstate 0\n"), std::string::npos);
   EXPECT_NE(Dump.find(" accept "), std::string::npos);
-  EXPECT_NE(Dump.find("\ncost 0 "), std::string::npos);
+  // The image holds patterns only: no cost-model version, no cost table.
+  EXPECT_EQ(Dump.find("\ncostver "), std::string::npos) << Dump;
+  EXPECT_EQ(Dump.find("\ncost "), std::string::npos) << Dump;
   ASSERT_GE(Dump.size(), 4u);
   EXPECT_EQ(Dump.substr(Dump.size() - 4), "end\n");
 
@@ -290,6 +293,30 @@ TEST(MatcherDifferential, TextAutomatonRefusedWithRegenerateHint) {
   std::string ServedLog = readLog(Dir + "/served.log");
   EXPECT_NE(ServedLog.find("bad-magic"), std::string::npos) << ServedLog;
   EXPECT_NE(ServedLog.find(Hint), std::string::npos) << ServedLog;
+
+  // An image of the previous format version (v2 carried a rule-cost
+  // section) is refused as bad-version with the same hint.
+  std::string Current = Dir + "/basic.matb";
+  ASSERT_EQ(runTool(SELGEN_MATCHERGEN_TOOL,
+                    {"--library", BasicLibrary, "--output", Current},
+                    Dir + "/matchergen-basic.log"),
+            0)
+      << readLog(Dir + "/matchergen-basic.log");
+  std::string Bytes = readLog(Current);
+  ASSERT_GT(Bytes.size(), sizeof(selgen::binfmt::Header));
+  std::string V2 = Dir + "/v2.matb";
+  ASSERT_TRUE(
+      selgen::writeFileAtomic(V2, selgen::withFormatVersion(Bytes, 2)));
+  for (const char *Tool : {SELGEN_COMPILE_TOOL, SELGEN_SERVED_TOOL}) {
+    std::string Log = Dir + "/v2.log";
+    EXPECT_EQ(
+        runTool(Tool, {"--library", BasicLibrary, "--automaton", V2}, Log), 1)
+        << Tool;
+    std::string Text = readLog(Log);
+    EXPECT_NE(Text.find("bad-version"), std::string::npos)
+        << Tool << ": " << Text;
+    EXPECT_NE(Text.find(Hint), std::string::npos) << Tool << ": " << Text;
+  }
 
   // A well-formed image compiled from another library is stale: both
   // tools refuse it at startup instead of selecting with it.
@@ -355,11 +382,12 @@ void expectServedMatchesDump(const std::string &Library,
 
 TEST(CostModelDifferential, EveryModelMatchesPinsAndServedCode) {
   // The cost model is the automaton selector's only setting. Unit is
-  // first-match; latency and size run the tiling pre-pass through the
-  // mapped image and its per-rule cost table. Every interpreter check
-  // must pass, and the emitted machine code, header line included,
-  // must stay what it was (for latency and size, what the retired
-  // `tiling` selector value emitted). The pins are the CRC-32 of the
+  // first-match; latency and size run the tiling pre-pass over the
+  // mapped image's candidates, priced with the costs the prepared
+  // library derives. Every interpreter check must pass, and the
+  // emitted machine code, header line included, must stay what it was
+  // (for latency and size, what the retired `tiling` selector value
+  // emitted). The pins are the CRC-32 of the
   // workloads' .s files concatenated in file-name order. The compile
   // server under the same cost model returns the same bytes.
   struct Pin {

@@ -27,10 +27,9 @@
 // selgen-matchergen (mmap'ed, zero deserialization) instead of
 // compiling in memory; a file that is not a current image, or a stale
 // one (whose library fingerprint does not match), is rejected with
-// exit code 1. Mapping an image reuses the staleness check's prepared
-// library (selector.prepare_skipped). --dump-asm DIR writes the primary
-// selector's machine code to DIR/<benchmark>.s, one file per
-// benchmark — the byte-identity anchor for the compile-server tests.
+// exit code 1. --dump-asm DIR writes the primary selector's machine
+// code to DIR/<benchmark>.s, one file per benchmark — the
+// byte-identity anchor for the compile-server tests.
 // The Check column reads MISMATCH when, on one of the --runs seeded
 // inputs, the selected code's return values differ from the IR
 // interpreter's, or a byte differs at any address that either final
@@ -167,9 +166,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "error: %s\n", Stale.c_str());
         return 1;
       }
-      // The staleness check above already prepared the library; hand
-      // it to the selector instead of re-preparing (re-sorting) it.
-      Statistics::get().add("selector.prepare_skipped", 1);
     } else {
       Compiled = buildMatcherAutomaton(Prepared);
     }

@@ -6,18 +6,20 @@
 // The offline matcher-automaton compiler: load a synthesized rule
 // library, compile its patterns into the discrimination tree the
 // automaton selector traverses, and write the mmap-able
-// "selgen-matcher-automaton-bin-v2" image that selgen-compile
+// "selgen-matcher-automaton-bin-v3" image that selgen-compile
 // --automaton and selgen-served map. The image records the library
 // fingerprint, so mapping it against a changed library fails loudly
-// instead of selecting with stale rules.
+// instead of selecting with stale rules. It holds patterns only: rule
+// costs are derived from the library when it is prepared, so a
+// cost-model change leaves the image current.
 //
 //   selgen-matchergen --library rules.dat --output rules.matb
-//   selgen-matchergen dump rules.matb       # states, edges, costs as text
+//   selgen-matchergen dump rules.matb       # states and edges as text
 //   selgen-compile --library rules.dat --automaton rules.matb
 //
 // `dump IMAGE` maps and validates an image and prints it for humans:
-// the header fields, the rule cost table, and one line per state and
-// edge. Nothing parses that text back; the image is the only format.
+// the header fields and one line per state and edge. Nothing parses
+// that text back; the image is the only format.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,10 +107,7 @@ int main(int argc, char **argv) {
   }
 
   const BinaryAutomatonView &View = Automaton.view();
-  Statistics &Stats = Statistics::get();
-  Stats.add("automaton.states", static_cast<int64_t>(View.numStates()));
-  Stats.add("automaton.transitions",
-            static_cast<int64_t>(View.numTransitions()));
+  noteAutomatonStatistics(View);
   std::printf("library %s: %zu rules (%zu usable, fingerprint %s)\n",
               LibraryPath.c_str(), Database.size(), Library.rules().size(),
               Library.fingerprint().c_str());
@@ -117,7 +116,7 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(View.numTransitions()));
 
   std::string StatsPath = Cli.stringOption("stats-json", "");
-  if (!StatsPath.empty() && !Stats.writeJsonFile(StatsPath)) {
+  if (!StatsPath.empty() && !Statistics::get().writeJsonFile(StatsPath)) {
     std::fprintf(stderr, "error: cannot write %s\n", StatsPath.c_str());
     return 1;
   }
