@@ -109,7 +109,7 @@ int main() {
 
   // --- Cost-minimal tiling vs first-match (full library) ---------------
   // Beyond-paper extension: under the latency cost model the
-  // automaton selector's tiling pre-pass re-orders the candidate sets
+  // selection engine's tiling DP orders each node's candidates by cost
   // so the engine commits to the cheapest legal cover instead of the
   // first (most-specific) match. It must never produce a statically
   // costlier function, and its dynamic instruction count must not

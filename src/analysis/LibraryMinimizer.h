@@ -11,7 +11,7 @@
 /// a prepared library, classifies every rule as live, unfireable (its
 /// shift precondition P+ is unsatisfiable), shadowed (unreachable
 /// under first-match priority, i.e. the unit cost model), or
-/// cost-dominated (never selected by the tiling pre-pass under a given
+/// cost-dominated (never selected by the tiling DP under a given
 /// latency or size model either), and emits a minimized library plus
 /// one machine-checkable deletion certificate per removed rule.
 ///
@@ -78,9 +78,8 @@ enum class MinimizePolicy {
   /// Delete every shadowed rule. Sound for all first-match selectors
   /// (linear, automaton, server): selection is byte-identical.
   FirstMatch,
-  /// Delete only cost-dominated rules: deletions the automaton
-  /// selector's tiling pre-pass can also never regret under the
-  /// chosen model.
+  /// Delete only cost-dominated rules: deletions the selection
+  /// engine's tiling DP can also never regret under the chosen model.
   Dominated,
 };
 

@@ -14,6 +14,7 @@
 #include "semantics/IrSemantics.h"
 #include "smt/SmtContext.h"
 #include "support/AtomicFile.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <map>
@@ -230,32 +231,6 @@ void checkShadowing(const PreparedLibrary &Library,
   }
 }
 
-void appendJsonString(std::ostringstream &Out, const std::string &S) {
-  Out << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out << "\\\"";
-      break;
-    case '\\':
-      Out << "\\\\";
-      break;
-    case '\n':
-      Out << "\\n";
-      break;
-    case '\t':
-      Out << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out << ' ';
-      else
-        Out << C;
-    }
-  }
-  Out << '"';
-}
-
 } // namespace
 
 std::vector<LintFinding>
@@ -328,31 +303,19 @@ std::string selgen::findingsToJson(const std::vector<LintFinding> &Findings,
       << ",\n  \"findings\": [";
   bool First = true;
   for (const LintFinding &F : Findings) {
-    Out << (First ? "\n" : ",\n") << "    {\"code\": ";
-    appendJsonString(Out, F.Code);
-    Out << ", \"severity\": ";
-    appendJsonString(Out, F.Severity);
-    if (!F.Fingerprint.empty()) {
-      Out << ", \"fingerprint\": ";
-      appendJsonString(Out, F.Fingerprint);
-    }
-    if (!F.Library.empty()) {
-      Out << ", \"library\": ";
-      appendJsonString(Out, F.Library);
-    }
-    if (!F.Goal.empty()) {
-      Out << ", \"goal\": ";
-      appendJsonString(Out, F.Goal);
-    }
+    Out << (First ? "\n" : ",\n") << "    {\"code\": \"" << jsonEscape(F.Code)
+        << "\", \"severity\": \"" << jsonEscape(F.Severity) << '"';
+    if (!F.Fingerprint.empty())
+      Out << ", \"fingerprint\": \"" << jsonEscape(F.Fingerprint) << '"';
+    if (!F.Library.empty())
+      Out << ", \"library\": \"" << jsonEscape(F.Library) << '"';
+    if (!F.Goal.empty())
+      Out << ", \"goal\": \"" << jsonEscape(F.Goal) << '"';
     if (F.RuleIndex >= 0)
       Out << ", \"ruleIndex\": " << F.RuleIndex;
-    if (!F.File.empty()) {
-      Out << ", \"file\": ";
-      appendJsonString(Out, F.File);
-    }
-    Out << ", \"message\": ";
-    appendJsonString(Out, F.Message);
-    Out << "}";
+    if (!F.File.empty())
+      Out << ", \"file\": \"" << jsonEscape(F.File) << '"';
+    Out << ", \"message\": \"" << jsonEscape(F.Message) << "\"}";
     First = false;
   }
   Out << (First ? "]" : "\n  ]") << "\n}\n";

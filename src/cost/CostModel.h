@@ -8,9 +8,9 @@
 /// \file
 /// The cost subsystem: every prepared rule carries a small cost vector
 /// derived from its goal's emission recipe. Under the latency and size
-/// models the automaton selector's tiling pre-pass
-/// (src/isel/TilingSelector.h) minimizes that component over a whole
-/// covering instead of taking the first match.
+/// models the selection engine's tiling DP (src/isel/SelectionEngine.h)
+/// minimizes that component over a whole covering instead of taking
+/// the first match.
 ///
 /// The vector has three components, one per shipped cost model:
 ///

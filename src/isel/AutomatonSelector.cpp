@@ -8,7 +8,6 @@
 #include "isel/AutomatonSelector.h"
 
 #include "isel/SelectionEngine.h"
-#include "isel/TilingSelector.h"
 #include "support/Error.h"
 
 #include <utility>
@@ -92,11 +91,7 @@ SelectionResult selgen::runAutomatonSelection(const Function &F,
                                               const BinaryAutomatonView &View,
                                               CostKind Kind) {
   MappedCandidateSource Source(Library, View);
-  if (Kind == CostKind::Unit)
-    return runRuleSelection(F, Library, Source, selectorName(Kind));
-  TilingCandidateSource Tiled(Library, Source, Kind);
-  Tiled.prepare(F);
-  return runRuleSelection(F, Library, Tiled, selectorName(Kind));
+  return runRuleSelection(F, Library, Source, Kind, selectorName(Kind));
 }
 
 MappedAutomatonSelector::MappedAutomatonSelector(

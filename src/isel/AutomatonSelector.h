@@ -17,9 +17,9 @@
 ///
 /// The cost model is the selector's only setting. Under the unit model
 /// (the default) it is the paper's greedy most-specific-first matcher
-/// described above. Under the latency or size model a tiling DP
-/// (isel/TilingSelector.h) first re-orders each candidate set so the
-/// engine tries the cheapest legal tile first.
+/// described above. Under the latency or size model the engine's tiling
+/// DP (isel/SelectionEngine.h) first prices each block, and the engine
+/// tries each node's cheapest legal tile first.
 ///
 /// The automaton has one form, the bin-v3 image: compiled in memory
 /// (buildMatcherAutomaton) or mapped from a .matb file written by the
@@ -84,12 +84,10 @@ private:
 };
 
 /// Selects \p F with candidates discovered through \p View, under cost
-/// model \p Kind. Unit runs the engine straight over the automaton's
-/// candidate sets in library priority order (first match); latency
-/// and size run the tiling DP pre-pass first. The one dispatch shared
-/// by MappedAutomatonSelector and the compile server's workers. Like
-/// runRuleSelection, it returns its counters in the result and writes
-/// nothing global.
+/// model \p Kind (runRuleSelection over a MappedCandidateSource). The
+/// one entry point shared by MappedAutomatonSelector and the compile
+/// server's workers. Like runRuleSelection, it returns its counters in
+/// the result and writes nothing global.
 SelectionResult runAutomatonSelection(const Function &F,
                                       const PreparedLibrary &Library,
                                       const BinaryAutomatonView &View,

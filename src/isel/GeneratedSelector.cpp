@@ -61,7 +61,7 @@ GeneratedSelector::GeneratedSelector(const PatternDatabase &Database,
 
 SelectionResult GeneratedSelector::select(const Function &F) {
   LinearCandidateSource Source(Library);
-  SelectionResult Result = runRuleSelection(F, Library, Source, name());
+  SelectionResult Result = runRuleSelection(F, Library, Source, CostKind::Unit, name());
   noteSelectionStatistics(Result);
   return Result;
 }

@@ -17,6 +17,7 @@
 #include "support/Timer.h"
 #include "x86/MachinePasses.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -29,6 +30,35 @@ using ValueKey = std::pair<const Node *, unsigned>;
 
 bool StaticPrecondElision = true;
 
+/// Per-opcode cost estimate of the engine's fallback lowering, which
+/// the tiling DP charges for cones no rule covers; mirrors
+/// emitFallback's instruction choices.
+RuleCost fallbackNodeCost(const Node *N) {
+  switch (N->opcode()) {
+  case Opcode::Mul:
+    return RuleCost{1, 3, 3}; // imul
+  case Opcode::Load:
+  case Opcode::Store:
+    return RuleCost{1, 4, 3}; // mov with one memory operand
+  case Opcode::Mux:
+    return RuleCost{2, 2, 5}; // cmp + cmov
+  case Opcode::Arg:
+  case Opcode::Const:
+  case Opcode::Cond:
+    return RuleCost{0, 0, 0};
+  default:
+    return RuleCost{1, 1, 2}; // single reg-reg ALU instruction
+  }
+}
+
+/// True for the nodes the engine offers to rules as a body root:
+/// constants are materialized on demand, and bool-only producers (Cmp)
+/// are matched as part of their consumers or at the terminator.
+bool isBodyRoot(const Node *S) {
+  return S->opcode() != Opcode::Const &&
+         !(S->numResults() == 1 && S->resultSort(0).isBool());
+}
+
 /// Matching-work counters for one select() run.
 struct SelectionCounters {
   uint64_t RulesTried = 0;
@@ -39,8 +69,10 @@ struct SelectionCounters {
 /// Selection and emission for one basic block.
 class BlockSelection {
 public:
-  BlockSelection(FunctionLowering &Lowering, const BasicBlock *BB)
-      : L(Lowering), BB(BB), MB(Lowering.machineBlock(BB)) {}
+  BlockSelection(FunctionLowering &Lowering, const BasicBlock *BB,
+                 CostKind Kind, uint64_t ConstMaterializeCost)
+      : L(Lowering), BB(BB), MB(Lowering.machineBlock(BB)), Kind(Kind),
+        ConstMaterializeCost(ConstMaterializeCost) {}
 
   struct Selection {
     const Rule *TheRule = nullptr;
@@ -54,10 +86,19 @@ public:
   FunctionLowering &L;
   const BasicBlock *BB;
   MachineBlock *MB;
+  CostKind Kind;
+  /// Cost of materializing a constant into a register (the library's
+  /// immediate-move rule under Kind); read by the tiling DP only.
+  uint64_t ConstMaterializeCost;
 
   std::vector<Node *> Live; ///< Non-Arg live nodes, forward order.
   std::map<ValueKey, std::vector<const Node *>> Users;
   std::set<ValueKey> TerminatorUses;
+  /// Under latency and size, the tiling DP's candidate order for each
+  /// Live position and for the branch condition (priceBlock). Unused
+  /// under unit, which tries the source's priority order directly.
+  std::vector<std::vector<const PreparedRule *>> BodyOrder;
+  std::vector<const PreparedRule *> JumpOrder;
   std::set<const Node *> Covered;
   std::map<const Node *, Selection> SelectionsByRoot;
   std::optional<Selection> BranchSelection;
@@ -161,17 +202,187 @@ public:
     return true;
   }
 
+  /// The tiling DP, run under the latency and size models. Bottom up
+  /// over Live, it prices the cheapest cover of each node's operand
+  /// cone under Kind and records the node's candidates cheapest first,
+  /// and it does the same for the branch condition's compare-and-jump
+  /// candidates. The greedy pass then tries the cheapest legal tile
+  /// first; legality checks, emission and fallback are unchanged, so
+  /// tiling inherits every correctness property of first match.
+  ///
+  /// Pricing (CSE-aware, safe under DAG re-convergence):
+  ///   * A tile rooted at S costs its rule's cost under Kind plus the
+  ///     cost of producing each distinct frontier input once.
+  ///   * Block arguments are free, and so are shared values: a value
+  ///     with two or more distinct users, or a terminator use, is
+  ///     produced once whichever tile consumes it, so its cone is
+  ///     priced at its own root only. Memory tokens never count as
+  ///     uses: they thread through loads and stores for free.
+  ///   * A single-use operation input costs the best cover of its own
+  ///     cone, priced earlier in the bottom-up pass.
+  ///   * A constant bound to an Imm role is encoded in the
+  ///     instruction; bound to a Reg or Addr role it costs the
+  ///     immediate-move rule the engine materializes it with.
+  ///   * A cone no rule covers is priced as the per-opcode fallback.
+  void priceBlock(RuleCandidateSource &Source, SelectionCounters &Counters) {
+    auto isShared = [&](const Node *D) {
+      const Node *FirstUser = nullptr;
+      for (unsigned I = 0; I < D->numResults(); ++I) {
+        if (D->resultSort(I).isMemory())
+          continue;
+        if (TerminatorUses.count({D, I}))
+          return true;
+        auto It = Users.find({D, I});
+        if (It == Users.end())
+          continue;
+        for (const Node *User : It->second) {
+          if (FirstUser && User != FirstUser)
+            return true;
+          FirstUser = User;
+        }
+      }
+      return false;
+    };
+    const Graph &Body = BB->body();
+    std::vector<char> Shared(Body.idBound(), 0);
+    for (const Node *D : Live)
+      Shared[D->id()] = isShared(D);
+
+    // Best cover cost of the cone rooted at each node, by Node::id().
+    std::vector<uint64_t> Best(Body.idBound(), 0);
+
+    // What a matched tile pays for its frontier inputs: each distinct
+    // input definition once, at the cheapest role it is bound under.
+    std::vector<std::pair<const Node *, uint64_t>> PerDef;
+    auto inputCost = [&](const MatchResult &Match,
+                         const std::vector<ArgRole> &Roles) {
+      PerDef.clear();
+      for (size_t I = 0; I < Match.ArgBindings.size(); ++I) {
+        const NodeRef &Ref = Match.ArgBindings[I];
+        if (!Ref.isValid() || Ref.Def->resultSort(Ref.Index).isMemory())
+          continue;
+        const Node *D = Ref.Def;
+        uint64_t C = 0;
+        if (D->opcode() == Opcode::Arg ||
+            std::find(Match.CoveredNodes.begin(), Match.CoveredNodes.end(),
+                      D) != Match.CoveredNodes.end())
+          C = 0; // Free, or already priced inside the tile.
+        else if (D->opcode() == Opcode::Const)
+          C = I < Roles.size() && Roles[I] == ArgRole::Imm
+                  ? 0
+                  : ConstMaterializeCost;
+        else if (!Shared[D->id()])
+          C = Best[D->id()];
+        auto It = std::find_if(PerDef.begin(), PerDef.end(),
+                               [&](const auto &E) { return E.first == D; });
+        if (It == PerDef.end())
+          PerDef.emplace_back(D, C);
+        else
+          It->second = std::min(It->second, C);
+      }
+      uint64_t Sum = 0;
+      for (const auto &Entry : PerDef)
+        Sum += Entry.second;
+      return Sum;
+    };
+
+    // What covering S costs when no rule fires, with the same input
+    // accounting.
+    auto fallbackCoverCost = [&](const Node *S) {
+      uint64_t Total = fallbackNodeCost(S).get(Kind);
+      std::vector<const Node *> Seen;
+      for (const NodeRef &Operand : S->operands()) {
+        const Node *D = Operand.Def;
+        if (D->resultSort(Operand.Index).isMemory() ||
+            std::find(Seen.begin(), Seen.end(), D) != Seen.end())
+          continue;
+        Seen.push_back(D);
+        if (D->opcode() == Opcode::Const)
+          Total += ConstMaterializeCost;
+        else if (D->opcode() != Opcode::Arg && !Shared[D->id()])
+          Total += Best[D->id()];
+      }
+      return Total;
+    };
+
+    // Orders the candidates \p Enumerate offers: the ones \p MatchRule
+    // matches by (cost, priority index), then the unmatched ones in
+    // priority order (the engine rejects them either way). Returns the
+    // cheapest cost, if any candidate matched.
+    auto orderCandidates =
+        [&](const auto &Enumerate, const auto &MatchRule,
+            std::vector<const PreparedRule *> &Order) -> std::optional<uint64_t> {
+      std::vector<std::pair<uint64_t, const PreparedRule *>> Costed;
+      std::vector<const PreparedRule *> Unmatched;
+      Enumerate([&](const PreparedRule &R) {
+        std::optional<MatchResult> Match = MatchRule(R);
+        if (!Match)
+          Unmatched.push_back(&R);
+        else
+          Costed.emplace_back(R.Cost.get(Kind) +
+                                  inputCost(*Match, R.Goal->Spec->argRoles()),
+                              &R);
+        return false; // Enumerate everything; the DP picks the order.
+      });
+      std::sort(Costed.begin(), Costed.end(),
+                [](const auto &A, const auto &B) {
+                  return A.first != B.first ? A.first < B.first
+                                            : A.second->Index < B.second->Index;
+                });
+      for (const auto &Entry : Costed)
+        Order.push_back(Entry.second);
+      Order.insert(Order.end(), Unmatched.begin(), Unmatched.end());
+      if (Costed.empty())
+        return std::nullopt;
+      return Costed.front().first;
+    };
+
+    // Live is in creation order, so every operand's cone is priced
+    // before its users look it up.
+    BodyOrder.resize(Live.size());
+    for (size_t Pos = 0; Pos < Live.size(); ++Pos) {
+      const Node *S = Live[Pos];
+      if (S->opcode() == Opcode::Const)
+        continue; // Priced at each use, by role.
+      if (!isBodyRoot(S)) {
+        Best[S->id()] = fallbackCoverCost(S);
+        continue;
+      }
+      std::optional<uint64_t> Cheapest = orderCandidates(
+          [&](const auto &TryRule) {
+            Source.forEachBodyCandidate(S, TryRule);
+          },
+          [&](const PreparedRule &R) {
+            return matchPattern(R.TheRule->Pattern, R.Goal->Spec->argRoles(),
+                                R.Root, S, &Counters.NodesVisited);
+          },
+          BodyOrder[Pos]);
+      Best[S->id()] = Cheapest ? *Cheapest : fallbackCoverCost(S);
+    }
+
+    if (BB->terminator().TermKind != Terminator::Kind::Branch)
+      return;
+    NodeRef Condition = BB->terminator().Condition;
+    orderCandidates(
+        [&](const auto &TryRule) {
+          Source.forEachJumpCandidate(Condition, TryRule);
+        },
+        [&](const PreparedRule &R) {
+          return matchPatternValue(R.TheRule->Pattern,
+                                   R.Goal->Spec->argRoles(),
+                                   R.Root->operand(0), Condition,
+                                   &Counters.NodesVisited);
+        },
+        JumpOrder);
+  }
+
   void selectBody(RuleCandidateSource &Source, unsigned Width,
                   SelectionCounters &Counters) {
-    for (auto It = Live.rbegin(); It != Live.rend(); ++It) {
-      Node *S = *It;
-      if (Covered.count(S) || S->opcode() == Opcode::Const)
+    for (size_t Pos = Live.size(); Pos-- > 0;) {
+      Node *S = Live[Pos];
+      if (Covered.count(S) || !isBodyRoot(S))
         continue;
-      // Bool-only producers (Cmp) are matched as part of their
-      // consumers or at the terminator.
-      if (S->numResults() == 1 && S->resultSort(0).isBool())
-        continue;
-      Source.forEachBodyCandidate(S, [&](const PreparedRule &R) {
+      auto TryRule = [&](const PreparedRule &R) {
         ++Counters.RulesTried;
         std::optional<MatchResult> Match =
             matchPattern(R.TheRule->Pattern, R.Goal->Spec->argRoles(),
@@ -200,7 +411,13 @@ public:
           Covered.insert(X);
         SelectionsByRoot.emplace(S, std::move(Sel));
         return true;
-      });
+      };
+      if (Kind == CostKind::Unit)
+        Source.forEachBodyCandidate(S, TryRule);
+      else
+        for (const PreparedRule *R : BodyOrder[Pos])
+          if (TryRule(*R))
+            break;
       // Unselected nodes fall back during emission.
     }
   }
@@ -210,7 +427,7 @@ public:
     if (BB->terminator().TermKind != Terminator::Kind::Branch)
       return;
     NodeRef Condition = BB->terminator().Condition;
-    Source.forEachJumpCandidate(Condition, [&](const PreparedRule &R) {
+    auto TryRule = [&](const PreparedRule &R) {
       ++Counters.RulesTried;
       std::optional<MatchResult> Match =
           matchPatternValue(R.TheRule->Pattern, R.Goal->Spec->argRoles(),
@@ -236,7 +453,13 @@ public:
         Covered.insert(X);
       BranchSelection = std::move(Sel);
       return true;
-    });
+    };
+    if (Kind == CostKind::Unit)
+      Source.forEachJumpCandidate(Condition, TryRule);
+    else
+      for (const PreparedRule *R : JumpOrder)
+        if (TryRule(*R))
+          break;
   }
 
   /// Emits one selected rule instance.
@@ -406,6 +629,8 @@ public:
     ImmediateMoveGoal = MovRi;
     Facts.emplace(BB->body());
     computeLiveness();
+    if (Kind != CostKind::Unit)
+      priceBlock(Source, Counters);
     selectBranch(Source, Width, Counters);
     selectBody(Source, Width, Counters);
 
@@ -434,14 +659,19 @@ public:
 SelectionResult selgen::runRuleSelection(const Function &F,
                                          const PreparedLibrary &Library,
                                          RuleCandidateSource &Source,
+                                         CostKind Kind,
                                          const std::string &SelectorName) {
   Timer Clock;
   SelectionResult Result;
   FunctionLowering Lowering(F, SelectorName);
   SelectionCounters Counters;
+  uint64_t ConstMaterializeCost = 0;
+  if (Kind != CostKind::Unit)
+    if (const GoalInstruction *Mov = Library.immediateMoveGoal())
+      ConstMaterializeCost = deriveRuleCost(*Mov).get(Kind);
 
   for (const auto &BB : F.blocks()) {
-    BlockSelection Block(Lowering, BB.get());
+    BlockSelection Block(Lowering, BB.get(), Kind, ConstMaterializeCost);
     Block.run(Source, Library.immediateMoveGoal(), F.width(), Counters);
     Result.CoveredOperations += Block.SynthCount;
     Result.FallbackOperations += Block.FallbackCount;

@@ -10,14 +10,21 @@
 /// GeneratedSelector and the discrimination-tree
 /// MappedAutomatonSelector, under every cost model. The first-match
 /// selectors pick the same rules and emit the same machine code; they
-/// differ only in how
-/// candidate rules for a subject node are discovered, which is
-/// abstracted as a RuleCandidateSource (a linear scan, or
-/// MappedCandidateSource walking the automaton image). The
+/// differ only in how candidate rules for a subject node are
+/// discovered, which is abstracted as a RuleCandidateSource (a linear
+/// scan, or MappedCandidateSource walking the automaton image). The
 /// engine performs all semantic checks (full structural match,
 /// shift preconditions, produced-value/overlap analysis) and the
 /// emission, so a candidate source only has to enumerate a superset of
 /// the matching rules in library priority order.
+///
+/// Each block is selected from one state: its live nodes, the users of
+/// each value and the terminator's uses. Under the unit cost model the
+/// engine tries each node's candidates in priority order (first match).
+/// Under latency and size the tiling DP first prices every node's
+/// candidates on that same state, CSE-aware so a shared DAG value is
+/// priced once at its own root, and the engine tries them cheapest
+/// first; legality checks and emission are the same under every model.
 ///
 /// The engine returns its matching counters in the SelectionResult and
 /// writes nothing global; the selectors' select() adds them to the
@@ -68,13 +75,17 @@ public:
 };
 
 /// Runs rule-driven selection of \p F using candidates from \p Source
-/// and returns the selection result, including its matching counters
-/// (RulesTried, NodesVisited, PrecondProved, SelectionSeconds). A pure
-/// function of its inputs: it touches no global state, so any number
-/// of threads may run it concurrently over a shared library and image.
+/// under cost model \p Kind and returns the selection result, including
+/// its matching counters (RulesTried, NodesVisited, PrecondProved,
+/// SelectionSeconds). Under unit each node takes the first legal
+/// candidate in priority order; under latency and size the tiling DP
+/// first prices every block's candidates and the engine tries them
+/// cheapest first. A pure function of its inputs: it touches no global
+/// state, so any number of threads may run it concurrently over a
+/// shared library and image.
 SelectionResult runRuleSelection(const Function &F,
                                  const PreparedLibrary &Library,
-                                 RuleCandidateSource &Source,
+                                 RuleCandidateSource &Source, CostKind Kind,
                                  const std::string &SelectorName);
 
 /// Adds \p Result's counters to the global Statistics registry

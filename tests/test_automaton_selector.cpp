@@ -496,7 +496,8 @@ TEST_F(AutomatonSelectorTest, EngineReturnsCountersAndWritesNoGlobals) {
   Statistics::get().clear();
   std::string Empty = Statistics::get().toJson();
   MappedCandidateSource Source(Lib, Compiled.view());
-  SelectionResult Rule = runRuleSelection(F, Lib, Source, "automaton");
+  SelectionResult Rule =
+      runRuleSelection(F, Lib, Source, CostKind::Unit, "automaton");
   SelectionResult Tiled =
       runAutomatonSelection(F, Lib, Compiled.view(), CostKind::Latency);
   EXPECT_EQ(Statistics::get().toJson(), Empty)

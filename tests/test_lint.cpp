@@ -398,4 +398,23 @@ TEST(LintJson, CountsAndEscapes) {
   EXPECT_FALSE(lintHasErrors({}));
 }
 
+TEST(LintJson, CarriageReturnAndControlCharactersEscaped) {
+  // An IR file written with CRLF line ends puts '\r' into file names
+  // and parser messages. The report escapes it (and any other control
+  // character) the way every other JSON writer does, so the value
+  // survives a round trip instead of turning into a space.
+  LintFinding Finding;
+  Finding.Code = "parse-error";
+  Finding.Severity = "error";
+  Finding.File = "crlf\r.ir";
+  Finding.Message = "line1\r\nline2\x01";
+
+  std::string Json = findingsToJson({Finding});
+  EXPECT_EQ(Json.find('\r'), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"file\": \"crlf\\r.ir\""), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"message\": \"line1\\r\\nline2\\u0001\""),
+            std::string::npos)
+      << Json;
+}
+
 } // namespace

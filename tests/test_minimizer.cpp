@@ -18,14 +18,12 @@
 #include "analysis/RuleAudit.h"
 #include "eval/Workloads.h"
 #include "isel/AutomatonSelector.h"
+#include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include "x86/Goals.h"
 #include "x86/MachineIR.h"
 
 #include <gtest/gtest.h>
-
-#include <fstream>
-#include <sstream>
 
 using namespace selgen;
 
@@ -288,23 +286,11 @@ TEST_F(MinimizerTest, MinimizedShippedBasicLibraryPreservesSelection) {
   // of the shipped basic library must delete something, leave every
   // workload's machine code byte-identical, and lint clean of
   // shadowed rules afterwards (the pass reaches a fixpoint).
-  std::string Text;
-  for (const char *Candidate :
-       {"artifacts/rule-library-basic-w8.dat",
-        "../artifacts/rule-library-basic-w8.dat",
-        "../../artifacts/rule-library-basic-w8.dat"}) {
-    std::ifstream In(Candidate);
-    if (!In)
-      continue;
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
-    break;
-  }
-  if (Text.empty())
-    GTEST_SKIP() << "shipped rule library not found";
+  std::optional<std::string> Text = readFileToString(
+      std::string(SELGEN_ARTIFACTS_DIR) + "/rule-library-basic-w8.dat");
+  ASSERT_TRUE(Text) << "shipped rule library not found";
 
-  PatternDatabase Db = parse(Text);
+  PatternDatabase Db = parse(*Text);
   MinimizeResult Result = minimizeLibrary(Db, Goals);
   EXPECT_GT(Result.Certificates.size(), 0u);
   EXPECT_EQ(Result.RulesBefore - Result.Certificates.size(),

@@ -170,7 +170,7 @@ TEST_F(ServeTest, ConcurrentBatchesMatchSequentialSelection) {
   // The acceptance bar: a multi-threaded service compiling a shuffled,
   // duplicated batch returns, per entry, bytes identical to one-shot
   // sequential selection under the same cost model — first-match
-  // (unit) and the tiling pre-pass (latency) alike.
+  // (unit) and the tiling DP (latency) alike.
   BatchRequest Request;
   Request.Id = 7;
   Request.Width = W;

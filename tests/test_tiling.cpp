@@ -1,10 +1,10 @@
-//===- test_tiling.cpp - Cost-minimal tiling pre-pass ---------------------===//
+//===- test_tiling.cpp - Cost-minimal DAG tiling --------------------------===//
 //
 // Part of the selgen project (CGO'18 instruction-selection synthesis
 // reproduction).
 //
-// Under the latency and size cost models the automaton selector runs
-// the tiling DP before the engine. It must never emit statically
+// Under the latency and size cost models the selection engine prices
+// each block with the tiling DP before it selects. It must never emit statically
 // costlier code than first-match (the unit model), and on libraries
 // with same-pattern/different-cost rule collisions (add_rr vs add_ri)
 // it must do strictly better. These tests enforce that, the DAG
@@ -18,9 +18,9 @@
 #include "eval/Workloads.h"
 #include "ir/Normalizer.h"
 #include "isel/AutomatonSelector.h"
-#include "isel/TilingSelector.h"
 #include "matchergen/BinaryAutomaton.h"
 #include "refsel/ReferenceSelectors.h"
+#include "support/AtomicFile.h"
 #include "x86/MachineIR.h"
 
 #include <gtest/gtest.h>
@@ -122,31 +122,71 @@ TEST_F(TilingTest, CostModelPicksCheaperSamePatternRule) {
 }
 
 TEST_F(TilingTest, DagReconvergencePricedOnce) {
-  // t = a + b feeds two xors; the DP must price the shared Add cone at
-  // its own root exactly once, not once per consumer. GnuLike covers
-  // each node with one reg-reg ALU rule (add_rr, xor_rr, and_rr), and
-  // each emits a single instruction of latency 1 (Emulator.cpp
-  // instructionCost). The block's best cover is the shared root's
-  // cone, add_rr = 1, plus the returned root's cone, and_rr + 2 *
-  // xor_rr = 3, with t free at both xors: 4. Pricing t once per
-  // consumer would give 5.
+  // The pricing of a shared value decides the cover. In
+  //   t = (a + b) + b;  u = t ^ a;  result = u & t
+  // t has two users, so its cone (two adds, latency 2) is produced
+  // once and is free at both. The library adds a fused rule for
+  // And(Xor(x, y), x), deliberately bound to imul_rr (latency 3), next
+  // to the one-instruction add_rr, xor_rr and and_rr (latency 1).
+  // Priced correctly, and_rr + xor_rr costs 2 against the fused rule's
+  // 3, so latency tiling emits and, xor and the two adds. A DP that
+  // priced t once per consumer would charge and_rr 1 + (1 + 2) + 2 = 6
+  // against the fused rule's 3 + 2 = 5 and emit the imul instead.
+  // First match takes the fused rule: it is legal, and it is the more
+  // specific pattern.
+  auto binaryRule = [](Opcode Op) {
+    Graph Pattern(W, {Sort::value(W), Sort::value(W)});
+    Pattern.setResults({Pattern.createBinary(Op, Pattern.arg(0),
+                                             Pattern.arg(1))});
+    return normalizeGraph(Pattern);
+  };
+  PatternDatabase Db;
+  Db.add("add_rr", binaryRule(Opcode::Add));
+  Db.add("xor_rr", binaryRule(Opcode::Xor));
+  Db.add("and_rr", binaryRule(Opcode::And));
+  Graph Fused(W, {Sort::value(W), Sort::value(W)});
+  Fused.setResults({Fused.createBinary(
+      Opcode::And,
+      Fused.createBinary(Opcode::Xor, Fused.arg(0), Fused.arg(1)),
+      Fused.arg(0))});
+  Db.add("imul_rr", normalizeGraph(Fused));
+
   Function F = singleBlock([](Graph &G) {
+    NodeRef Inner = G.createBinary(Opcode::Add, G.arg(1), G.arg(2));
+    NodeRef T = G.createBinary(Opcode::Add, Inner, G.arg(2));
+    NodeRef U = G.createBinary(Opcode::Xor, T, G.arg(1));
+    return G.createBinary(Opcode::And, U, T);
+  });
+
+  auto countImul = [](const MachineFunction &MF) {
+    unsigned Count = 0;
+    for (const auto &MB : MF.blocks())
+      for (const MachineInstr &I : MB->instructions())
+        Count += I.Op == MOpcode::Imul;
+    return Count;
+  };
+
+  MappedAutomatonSelector Auto(Db, Goals);
+  MappedAutomatonSelector Latency(Db, Goals, CostKind::Latency);
+  SelectionResult A = Auto.select(F);
+  SelectionResult L = Latency.select(F);
+  ASSERT_TRUE(A.MF && L.MF);
+  EXPECT_EQ(countImul(*A.MF), 1u) << printMachineFunction(*A.MF);
+  EXPECT_EQ(A.MF->numInstructions(), 3u) << printMachineFunction(*A.MF);
+  EXPECT_EQ(countImul(*L.MF), 0u) << printMachineFunction(*L.MF);
+  EXPECT_EQ(L.MF->numInstructions(), 4u) << printMachineFunction(*L.MF);
+  EXPECT_EQ(machineStaticCost(*L.MF, CostKind::Latency), 4u);
+
+  // Re-converging xors under GnuLike, which has one reg-reg ALU rule
+  // per opcode: the shared add is emitted once, four instructions.
+  Function Diamond = singleBlock([](Graph &G) {
     NodeRef T = G.createBinary(Opcode::Add, G.arg(1), G.arg(2));
     NodeRef U = G.createBinary(Opcode::Xor, T, G.arg(1));
     NodeRef V = G.createBinary(Opcode::Xor, T, G.arg(2));
     return G.createBinary(Opcode::And, U, V);
   });
-
-  PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  MappedCandidateSource Inner(Library, Automaton.view());
-  TilingCandidateSource Source(Library, Inner, CostKind::Latency);
-  Source.prepare(F);
-  EXPECT_EQ(Source.bestCoverCost(), 4u);
-
-  // The emitted cover agrees: four instructions, the add emitted once.
-  MappedAutomatonSelector Latency(GnuRules, Goals, CostKind::Latency);
-  SelectionResult R = Latency.select(F);
+  MappedAutomatonSelector GnuLatency(GnuRules, Goals, CostKind::Latency);
+  SelectionResult R = GnuLatency.select(Diamond);
   ASSERT_TRUE(R.MF);
   EXPECT_EQ(R.MF->numInstructions(), 4u);
   EXPECT_EQ(machineStaticCost(*R.MF, CostKind::Latency), 4u);
@@ -187,24 +227,12 @@ TEST_F(TilingTest, ShippedLibraryLatencyTilingStrictlyCheaper) {
   // The acceptance anchor on real artifacts: on the shipped full
   // library the latency model must beat first-match somewhere (the
   // add_rr/add_ri family collides), and never lose anywhere.
-  std::string Text;
-  for (const char *Candidate :
-       {"artifacts/rule-library-full-w8.dat",
-        "../artifacts/rule-library-full-w8.dat",
-        "../../artifacts/rule-library-full-w8.dat"}) {
-    std::ifstream In(Candidate);
-    if (!In)
-      continue;
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
-    break;
-  }
-  if (Text.empty())
-    GTEST_SKIP() << "shipped rule library not found";
+  std::optional<std::string> Text = readFileToString(
+      std::string(SELGEN_ARTIFACTS_DIR) + "/rule-library-full-w8.dat");
+  ASSERT_TRUE(Text) << "shipped rule library not found";
 
   std::string Error;
-  PatternDatabase Db = PatternDatabase::deserialize(Text, &Error);
+  PatternDatabase Db = PatternDatabase::deserialize(*Text, &Error);
   ASSERT_TRUE(Error.empty()) << Error;
 
   MappedAutomatonSelector Auto(Db, Goals);

@@ -185,6 +185,25 @@ TEST(MatcherDifferential, ImageRowsMatchLinearScanAndCountersLand) {
   // The automaton states candidate discovery visits over the eleven
   // workloads: a walk that visits a state twice or skips one moves it.
   EXPECT_EQ(counterValue(Json, "matcher.nodes_visited"), 3278) << Json;
+
+  // Under latency and size the tiling DP enumerates each node's
+  // candidates once and full-matches every one of them before the
+  // engine tries them cheapest first. Its match walks count, so these
+  // pins hold the DP's matching work, not only the code it leads to.
+  for (const char *Model : {"latency", "size"}) {
+    std::string ModelStats = Dir + "/" + Model + ".json";
+    ASSERT_EQ(runTool(SELGEN_COMPILE_TOOL,
+                      {"--library", BasicLibrary, "--automaton", Image,
+                       "--cost-model", Model, "--stats-json", ModelStats},
+                      Dir + "/" + Model + ".log"),
+              0)
+        << readLog(Dir + "/" + Model + ".log");
+    std::string ModelJson = readLog(ModelStats);
+    EXPECT_EQ(counterValue(ModelJson, "selector.rules_tried"), 449)
+        << Model << ": " << ModelJson;
+    EXPECT_EQ(counterValue(ModelJson, "matcher.nodes_visited"), 5447)
+        << Model << ": " << ModelJson;
+  }
 }
 
 TEST(ToolStats, LoadAndPrepareTimesLandInStatsJson) {

@@ -21,8 +21,8 @@
 // slower matching), "handwritten" bypasses the rule library entirely.
 // --cost-model (auto only) picks what the automaton selector
 // minimizes: "unit" (default) is first-match in library priority
-// order; "latency" and "size" add the cost-minimal DAG-tiling
-// pre-pass.
+// order; "latency" and "size" have the selection engine price each
+// block with the cost-minimal DAG-tiling DP first.
 // --automaton maps a pre-compiled .matb image emitted by
 // selgen-matchergen (mmap'ed, zero deserialization) instead of
 // compiling in memory; a file that is not a current image, or a stale
